@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, fields
 from .instances import PoolingInstance
 from .relaxations import MethodSpec, build_method, parse_method
 from .solver import Budget, SolveParams, solve
-from .tightening import apply_bounds, default_obbt_recipe
+from .tightening import (BoundUpdate, TighteningError, apply_bounds,
+                         default_obbt_recipe)
 
 GAP_UNDEFINED = float("nan")
 
@@ -48,14 +49,19 @@ class ExactValue:
 def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
                 use_obbt: bool = True, rel_tol: float = 1e-4,
                 portfolio: tuple[str, ...] = RESTRICTION_PORTFOLIO,
-                workers: int = 8) -> ExactValue:
+                workers: int = 8,
+                first_update: BoundUpdate | None = None) -> ExactValue:
     """Squeeze the optimum between restriction values and a tightened
     relaxation bound (the backend has no nonconvex capability).
 
     ``params.time_limit_s`` is the budget of the whole squeeze: every
     restriction, LP and OBBT solve gets only the time that remains, and no
     further solve starts once it is spent.  The bounds found by then are
-    returned, unproven if they do not meet."""
+    returned, unproven if they do not meet.
+
+    ``first_update``, when given, is ``default_obbt_recipe``'s update of
+    ``inst`` itself; the first OBBT pass applies it instead of running the
+    recipe again.  A pass whose tightening fails ends the OBBT passes."""
     t0 = time.perf_counter()
     budget = Budget(params)
 
@@ -83,15 +89,18 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     work = inst
     best_ub, best_lb, witness = bounds_for(work)
     passes = 3 if use_obbt else 0
-    for _ in range(passes):
+    for k in range(passes):
         if budget.spent or (best_ub is not None and best_lb is not None
                             and best_ub - best_lb <= rel_tol * max(1.0, abs(best_ub))):
             break
         try:
-            upd, _, _ = default_obbt_recipe(work, workers=workers,
-                                            params=budget.params())
+            if k == 0 and first_update is not None:
+                upd = first_update
+            else:
+                upd, _, _ = default_obbt_recipe(work, workers=workers,
+                                                params=budget.params())
             work = apply_bounds(work, upd)
-        except Exception:
+        except TighteningError:
             break
         ub, lb, wit = bounds_for(work)
         if ub is not None and (best_ub is None or ub < best_ub):
@@ -149,7 +158,7 @@ class GridConfig:
     obbt: bool = False
     time_limit_s: float = 3600.0
     threads: int = 1
-    obbt_workers: int = 8
+    obbt_workers: int = 8             # no effect: OBBT sweeps are sequential
     bounds_cache: str | None = None   # directory for cached BoundUpdate JSON
 
 
@@ -160,7 +169,6 @@ def _cached_obbt(inst: PoolingInstance, cache_dir: str | None, workers: int,
     import pathlib
 
     from .instances import content_hash
-    from .tightening import BoundUpdate
 
     recipe = "mcfT+g1t3grid7+obbt(F4:T)"
     if cache_dir:
@@ -209,30 +217,30 @@ def run_cell(name: str, inst: PoolingInstance, method: str, obbt_flag: bool,
 
 def run_grid(config: GridConfig) -> list[RunRecord]:
     params = SolveParams(time_limit_s=config.time_limit_s)
-    cells: list[tuple[int, str, PoolingInstance, str, float, float | None]] = []
+    cells: list[tuple[int, str, PoolingInstance, str, bool, float, float | None]] = []
     idx = 0
     for name, inst in config.instances:
         prep = 0.0
-        work = inst
+        work, upd = inst, None
         if config.obbt:
             t0 = time.perf_counter()
             try:
                 upd = _cached_obbt(inst, config.bounds_cache,
                                    config.obbt_workers, params)
                 work = apply_bounds(inst, upd)
-            except Exception:
-                work = inst
+            except TighteningError:
+                upd = None   # the cells say obbt=0: this instance is not tightened
             prep = time.perf_counter() - t0
-        ref = exact_value(inst, params, use_obbt=config.obbt,
-                          workers=config.obbt_workers)
+        ref = exact_value(inst, params, use_obbt=upd is not None,
+                          workers=config.obbt_workers, first_update=upd)
         reference = ref.value if ref.value is not None else None
         for method in config.methods:
-            cells.append((idx, name, work, method, prep, reference))
+            cells.append((idx, name, work, method, upd is not None, prep, reference))
             idx += 1
 
     def run(cell):
-        i, name, work, method, prep, reference = cell
-        return i, run_cell(name, work, method, config.obbt, prep, reference, params)
+        i, name, work, method, tightened, prep, reference = cell
+        return i, run_cell(name, work, method, tightened, prep, reference, params)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -43,7 +44,16 @@ def _cmd_run(args) -> int:
         obbt_workers=args.obbt_workers,
         bounds_cache=args.bounds_cache,
     )
-    records = run_grid(config)
+    # HiGHS's C++ code prints to fd 1: point it at stderr while the grid
+    # runs, so that stdout carries nothing but the CSV
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        records = run_grid(config)
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
     csv_text = records_to_csv(records)
     if args.out:
         Path(args.out).write_text(csv_text)
@@ -95,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="add pool-pool arcs before solving")
     run.add_argument("--time-limit", type=float, default=3600.0)
     run.add_argument("--threads", type=int, default=1)
-    run.add_argument("--obbt-workers", type=int, default=8)
+    run.add_argument("--obbt-workers", type=int, default=8,
+                     help="no effect: each OBBT sweep runs in turn on one "
+                          "HiGHS session")
     run.add_argument("--bounds-cache",
                      help="directory for cached tightening results, keyed by "
                           "instance content hash and recipe")

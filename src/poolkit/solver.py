@@ -4,6 +4,11 @@ The backend is capability-tagged: HiGHS handles {lp, milp}.  Models that
 still carry bilinear terms must go through a relaxation or restriction
 first; sending one here raises CapabilityError instead of silently
 dropping the nonconvex part.
+
+``solve_compiled`` is the one-shot path (``scipy.optimize.milp``, a fresh
+HiGHS model per call).  ``Session`` keeps one compiled model in HiGHS
+across many solves that change only the costs (OBBT); it is the only user
+of scipy's private ``_highspy`` binding in the package.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as _highs
 
 from .modelir import GE, INF, LE, ModelIR
 
@@ -136,6 +142,30 @@ def _status_from_highs(res, is_mip: bool) -> str:
     return ERROR
 
 
+def _result(cm: CompiledModel, status: str, objective: float | None,
+            x, mip_dual: float | None, seconds: float) -> SolveResult:
+    """A SolveResult from what HiGHS reported: ``x`` is its point (for a
+    MIP stopped by the time limit, the incumbent), or None."""
+    assignment: dict[str, float] = {}
+    if x is None:
+        objective = None
+    else:
+        objective = float(objective)
+        assignment = {nm: float(v) for nm, v in zip(cm.names, x)}
+    dual = None
+    if cm.integrality.any():
+        if mip_dual is not None and math.isfinite(mip_dual):
+            dual = float(mip_dual)
+    elif objective is not None and status == OPTIMAL:
+        dual = objective
+    if status == OPTIMAL and dual is None:
+        dual = objective
+    gap = None
+    if objective is not None and dual is not None:
+        gap = abs(objective - dual) / max(1.0, abs(objective))
+    return SolveResult(status, objective, dual, assignment, seconds, gap)
+
+
 def solve_compiled(cm: CompiledModel, params: SolveParams | None = None,
                    c_override: np.ndarray | None = None) -> SolveResult:
     params = params or SolveParams()
@@ -153,27 +183,86 @@ def solve_compiled(cm: CompiledModel, params: SolveParams | None = None,
                bounds=Bounds(cm.lb, cm.ub),
                options=options)
     elapsed = time.perf_counter() - t0
+    # on a time limit the incumbent (if any) is still reported in res.x
+    return _result(cm, _status_from_highs(res, is_mip), res.fun, res.x,
+                   getattr(res, "mip_dual_bound", None), elapsed)
 
-    status = _status_from_highs(res, is_mip)
-    objective = None
-    assignment: dict[str, float] = {}
-    if res.x is not None:
-        # on a time limit the incumbent (if any) is still reported here
-        objective = float(res.fun)
-        assignment = {nm: float(x) for nm, x in zip(cm.names, res.x)}
-    dual = None
-    if is_mip:
-        db = getattr(res, "mip_dual_bound", None)
-        if db is not None and math.isfinite(db):
-            dual = float(db)
-    elif objective is not None and status == OPTIMAL:
-        dual = objective
-    if status == OPTIMAL and dual is None:
-        dual = objective
-    gap = None
-    if objective is not None and dual is not None:
-        gap = abs(objective - dual) / max(1.0, abs(objective))
-    return SolveResult(status, objective, dual, assignment, elapsed, gap)
+
+_MODEL_STATUS = {
+    _highs.HighsModelStatus.kOptimal: OPTIMAL,
+    _highs.HighsModelStatus.kTimeLimit: TIME_LIMIT,
+    _highs.HighsModelStatus.kIterationLimit: TIME_LIMIT,
+    _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    _highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+_PRIMAL_SIMPLEX = 4   # HiGHS option simplex_strategy
+
+
+class Session:
+    """One CompiledModel held in HiGHS across many solves that change only
+    the cost vector, as OBBT does.
+
+    The model is passed to HiGHS once.  Each ``solve`` sets the costs and
+    the time limit and runs again, so an LP starts from the basis of the
+    previous solve instead of from scratch.  A MIP is solved afresh each
+    time, with the same ``mip_rel_gap`` as ``solve_compiled``.  Results
+    follow ``solve_compiled``: an LP has a point and a dual bound only at
+    OPTIMAL, a MIP has its incumbent and HiGHS's finite dual bound.  A
+    session is not safe to share between threads.
+    """
+
+    def __init__(self, cm: CompiledModel):
+        self.cm = cm
+        self._is_mip = bool(cm.integrality.any())
+        n_rows, n_cols = cm.A.shape
+        A = cm.A.tocsc()
+        lp = _highs.HighsLp()
+        lp.num_col_, lp.num_row_ = n_cols, n_rows
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = cm.c, cm.lb, cm.ub
+        lp.row_lower_, lp.row_upper_ = cm.row_lo, cm.row_hi
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n_cols, n_rows
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        if self._is_mip:
+            lp.integrality_ = [_highs.HighsVarType(int(k)) for k in cm.integrality]
+        self._highs = _highs._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        if not self._is_mip:
+            # a cost change leaves the last basis primal feasible: the
+            # primal simplex goes on from it, while the dual simplex would
+            # first have to regain dual feasibility
+            self._highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
+            raise ValueError(f"HiGHS rejected the model ({n_rows} rows, {n_cols} columns)")
+        self._cols = np.arange(n_cols, dtype=np.int32)
+
+    def solve(self, params: SolveParams | None = None,
+              c: np.ndarray | None = None) -> SolveResult:
+        """Minimize ``c`` (default: the model's own costs) over the model."""
+        params = params or SolveParams()
+        h = self._highs
+        c = self.cm.c if c is None else c
+        h.changeColsCost(len(self._cols), self._cols, c)
+        # HiGHS checks time_limit against a run clock that keeps counting
+        # over all the runs of one instance
+        h.setOptionValue("time_limit", h.getRunTime() + float(params.time_limit_s))
+        if self._is_mip:
+            h.setOptionValue("mip_rel_gap", params.effective_gap(True))
+        t0 = time.perf_counter()
+        h.run()
+        elapsed = time.perf_counter() - t0
+        status = _MODEL_STATUS.get(h.getModelStatus(), ERROR)
+        info = h.getInfo()
+        objective = info.objective_function_value
+        if self._is_mip:
+            has_point = status in (OPTIMAL, TIME_LIMIT) and math.isfinite(objective)
+        else:
+            has_point = status == OPTIMAL
+        x = h.getSolution().col_value if has_point else None
+        mip_dual = info.mip_dual_bound if self._is_mip and has_point else None
+        return _result(self.cm, status, objective, x, mip_dual, elapsed)
 
 
 class HighsBackend:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ from .formulations import SOURCE_BASIS, fvar
 from .instances import POOL, SOURCE, TERMINAL, InconsistencyError, PoolingInstance
 from .modelir import INF
 from .relaxations import MethodSpec, build_method, parse_method
-from .solver import OPTIMAL, Budget, SolveParams, compile_model, solve, solve_compiled
+from .solver import OPTIMAL, Budget, Session, SolveParams, compile_model, solve
 
 UNCHANGED = "unchanged"
 
@@ -39,9 +38,10 @@ class BoundUpdate:
                new: tuple[float, float], tag: str, slack: float = 0.0) -> None:
         lo = max(old[0], new[0] - slack)
         hi = min(old[1], new[1] + slack)
-        if hi < lo:
-            lo = hi = 0.5 * (lo + hi)
         label = f"{kind}:{key}"
+        if hi < lo:
+            raise TighteningError(f"empty interval for {label} from {tag}: "
+                                  f"{old} meets {new}")
         target = {"node": self.node_bounds, "arc": self.arc_bounds,
                   "ghost": self.ghost_bounds}[kind]
         changed = lo > old[0] + 1e-12 or hi < old[1] - 1e-12
@@ -118,7 +118,11 @@ def obbt(inst: PoolingInstance, relax: MethodSpec | str | None = None,
     A bound is taken only from a solve that proves it (an LP that reached
     OPTIMAL, or a MIP dual bound); otherwise that side is left unchanged.
     ``params.time_limit_s`` is the budget of the whole sweep: each solve
-    gets the time that remains, and targets not reached keep their bounds."""
+    gets the time that remains, and targets not reached keep their bounds.
+
+    The sweep is sequential on one ``Session``: the relaxation is passed to
+    HiGHS once, and each target solve changes only the costs and starts
+    from the previous basis.  ``workers`` has no effect."""
     if z_lb > z_ub:
         raise TighteningError(f"invalid objective box [{z_lb}, {z_ub}]")
     if relax is None:
@@ -137,7 +141,8 @@ def obbt(inst: PoolingInstance, relax: MethodSpec | str | None = None,
 
     budget = Budget(params)
     cm = compile_model(model)
-    base = solve_compiled(cm, budget.params())
+    session = Session(cm)
+    base = session.solve(budget.params())
     if base.status == "infeasible":
         raise TighteningError("relaxation with objective box is infeasible")
 
@@ -160,36 +165,22 @@ def obbt(inst: PoolingInstance, relax: MethodSpec | str | None = None,
         LP at OPTIMAL or from a MIP's dual bound), or None."""
         if budget.spent:
             return None
-        return solve_compiled(cm, budget.params(), c_override=c).dual_bound
+        return session.solve(budget.params(), c).dual_bound
 
-    def run(target):
-        kind, key = target
-        expr = expression(kind, key)
-        expr = {v: c for v, c in expr.items() if v in cm.index}
+    upd = BoundUpdate(z_box=(z_lb, z_ub))
+    scale = max([1.0] + [abs(a.u) for a in inst.arcs.values() if math.isfinite(a.u)])
+    slack = 1e-6 * scale
+    for kind, key in targets:
+        expr = {v: c for v, c in expression(kind, key).items() if v in cm.index}
         if not expr:
-            return target, None
+            continue
         c = np.zeros(len(cm.names))
         for v, coeff in expr.items():
             c[cm.index[v]] = coeff
         lo = proven_min(c)
         hi = proven_min(-c)
-        return target, (-INF if lo is None else lo, INF if hi is None else -hi)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, targets))
-    else:
-        results = [run(t) for t in targets]
-
-    upd = BoundUpdate(z_box=(z_lb, z_ub))
-    scale = max([1.0] + [abs(a.u) for a in inst.arcs.values() if math.isfinite(a.u)])
-    slack = 1e-6 * scale
-    for target, interval in results:
-        kind, key = target
-        if interval is None:
-            continue
-        lo, hi = interval
-        lo = max(lo, 0.0)
+        lo = 0.0 if lo is None else max(lo, 0.0)
+        hi = INF if hi is None else -hi
         if kind == "arc":
             arc = inst.arcs[key]
             old = (arc.l, arc.u)
@@ -217,7 +208,8 @@ def default_obbt_recipe(inst: PoolingInstance, workers: int = 8,
     The lower box bound is taken only from an MCF LP that reached OPTIMAL;
     the restriction's incumbent is a feasible point, so it bounds from above
     even when the solve stops at the time limit.  A side with no value stays
-    unbounded.  ``params.time_limit_s`` is the budget of the whole recipe."""
+    unbounded.  ``params.time_limit_s`` is the budget of the whole recipe.
+    ``workers`` has no effect (see ``obbt``)."""
     budget = Budget(params)
     lo_res = solve(build_method(inst, parse_method("MCF:T")).model, budget.params())
     z_lb = lo_res.objective if lo_res.status == OPTIMAL else -INF

@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
-from poolkit.bench import (GridConfig, RunRecord, compute_gap, records_from_csv,
-                           records_to_csv, run_grid, summarize)
+import poolkit.bench
+from poolkit.bench import (GridConfig, RunRecord, compute_gap, exact_value,
+                           records_from_csv, records_to_csv, run_grid, summarize)
 from poolkit.cli import main
+from poolkit.tightening import TighteningError, default_obbt_recipe
 
 
 class TestGap:
@@ -37,6 +43,61 @@ class TestExactValue:
         assert time.perf_counter() - t0 < 4.0
         assert not ev.proven
         assert ev.lower is not None  # the cheap LP bounds run first
+
+    def test_first_update_stands_for_the_first_recipe(self, haverly2, monkeypatch):
+        upd, _, _ = default_obbt_recipe(haverly2)
+        fresh = exact_value(haverly2)
+        calls = count_recipe_calls(monkeypatch)
+        ev = exact_value(haverly2, first_update=upd)
+        assert all(inst is not haverly2 for inst in calls)
+        assert (ev.proven, ev.witness) == (fresh.proven, fresh.witness)
+        assert ev.value == pytest.approx(fresh.value, rel=1e-9)
+        assert ev.lower == pytest.approx(fresh.lower, rel=1e-9)
+
+
+def count_recipe_calls(monkeypatch) -> list:
+    """Record the instance of every default_obbt_recipe call made by bench."""
+    calls = []
+
+    def counted(inst, **kw):
+        calls.append(inst)
+        return default_obbt_recipe(inst, **kw)
+
+    monkeypatch.setattr(poolkit.bench, "default_obbt_recipe", counted)
+    return calls
+
+
+class TestGridTightening:
+    def test_recipe_runs_once_per_instance(self, haverly1, haverly2, monkeypatch):
+        calls = count_recipe_calls(monkeypatch)
+        config = GridConfig(instances=[("haverly1", haverly1), ("haverly2", haverly2)],
+                            methods=["F1:S"], obbt=True)
+        records = run_grid(config)
+        assert [r.obbt for r in records] == [True, True]
+        for inst in (haverly1, haverly2):
+            assert sum(1 for c in calls if c is inst) == 1
+
+    def test_failed_tightening_is_written_obbt_0(self, haverly1, monkeypatch):
+        def fail(inst, **kw):
+            raise TighteningError("relaxation with objective box is infeasible")
+
+        monkeypatch.setattr(poolkit.bench, "default_obbt_recipe", fail)
+        config = GridConfig(instances=[("haverly1", haverly1)],
+                            methods=["F1:S", "F4:S"], obbt=True)
+        rows = [line.split(",") for line in
+                records_to_csv(run_grid(config)).splitlines()]
+        column = rows[0].index("obbt")
+        assert [row[column] for row in rows[1:]] == ["0", "0"]
+
+    def test_other_faults_are_raised(self, haverly1, monkeypatch):
+        def broken(inst, **kw):
+            raise ZeroDivisionError("a fault, not a tightening result")
+
+        monkeypatch.setattr(poolkit.bench, "default_obbt_recipe", broken)
+        config = GridConfig(instances=[("haverly1", haverly1)],
+                            methods=["F1:S"], obbt=True)
+        with pytest.raises(ZeroDivisionError):
+            run_grid(config)
 
 
 class TestGrid:
@@ -98,6 +159,20 @@ class TestCLI:
         assert code == 0
         records = records_from_csv(out.read_text())
         assert len(records) == 2
+
+    def test_run_to_stdout_writes_only_the_csv(self, data_dir):
+        # bental4's G2:S:H=3 restriction makes HiGHS print on fd 1
+        src = str(pathlib.Path(poolkit.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "poolkit.cli", "run",
+             "--instances", str(data_dir / "bental4.json"),
+             "--methods", "F4:S,G2:S:H=3"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        records = records_from_csv(proc.stdout)
+        assert [r.method for r in records] == ["F4:S", "G2:S:H=3"]
 
     def test_convert_and_tighten_commands(self, tmp_path):
         sched = {"stockpiles": ["a"],

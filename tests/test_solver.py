@@ -1,10 +1,16 @@
 """ModelIR dumps, the HiGHS adapter, and solve contracts."""
 
+import pathlib
+
+import numpy as np
 import pytest
 
+import poolkit
+from poolkit import parse_instance
 from poolkit.modelir import EQ, GE, LE, ModelError, ModelIR, dump_model, parse_dump
 from poolkit.relaxations import build_method, parse_method
-from poolkit.solver import CapabilityError, SolveParams, solve
+from poolkit.solver import (CapabilityError, Session, SolveParams, compile_model,
+                            solve, solve_compiled)
 
 
 def tiny_lp():
@@ -55,6 +61,72 @@ class TestSolve:
         m = ModelIR("b")
         m.add_var("z", binary=True)
         assert m.variables["z"].lb == 0.0 and m.variables["z"].ub == 1.0
+
+
+class TestSession:
+    """A Session gives what solve_compiled gives, solve after solve."""
+
+    @staticmethod
+    def same(a, b):
+        assert a.status == b.status
+        for x, y in ((a.objective, b.objective), (a.dual_bound, b.dual_bound)):
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert x == pytest.approx(y, rel=1e-9, abs=1e-9)
+
+    def test_statuses_match_one_shot(self):
+        infeasible = tiny_lp()
+        infeasible.add_row("bad", {"x": 1.0}, LE, 1.0)
+        unbounded = ModelIR("unb")
+        unbounded.add_var("x", 0.0)
+        unbounded.set_objective({"x": -1.0})
+        for model in (tiny_lp(), infeasible, unbounded):
+            cm = compile_model(model)
+            self.same(Session(cm).solve(), solve_compiled(cm))
+
+    def test_cost_swaps_match_one_shot(self, haverly1):
+        cm = compile_model(build_method(haverly1, parse_method("F4:S")).model)
+        session = Session(cm)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            c = rng.normal(size=len(cm.names))
+            res = session.solve(c=c)
+            assert res.status == "optimal"
+            self.same(res, solve_compiled(cm, c_override=c))
+        # back to the model's own costs
+        self.same(session.solve(), solve_compiled(cm))
+
+    def test_mip_takes_the_dual_bound(self, haverly1):
+        cm = compile_model(build_method(haverly1, parse_method("G1:S:H=3")).model)
+        session = Session(cm)
+        for params in (SolveParams(rel_gap=1e-6), SolveParams(rel_gap=0.5)):
+            for c in (cm.c, -cm.c):
+                res = session.solve(params, c)
+                assert res.status == "optimal" and res.dual_bound is not None
+                self.same(res, solve_compiled(cm, params, c_override=c))
+        # a loose gap stops at an incumbent the dual bound does not reach
+        assert res.dual_bound < res.objective - 1.0
+
+    def test_time_limit_is_per_solve(self, data_dir):
+        # HiGHS's run clock keeps counting over the runs of one instance;
+        # each solve must still get its own time limit
+        inst = parse_instance(data_dir / "adhya3.json")
+        cm = compile_model(build_method(inst, parse_method("F4:T")).model)
+        session = Session(cm)
+        params = SolveParams(time_limit_s=0.05)
+        results = []
+        while sum(r.seconds for r in results) < 0.2:
+            for j in range(0, len(cm.names), 7):
+                c = np.zeros(len(cm.names))
+                c[j] = 1.0 if len(results) % 2 else -1.0
+                results.append(session.solve(params, c))
+        assert {r.status for r in results} == {"optimal"}
+
+    def test_private_binding_stays_in_solver(self):
+        package = pathlib.Path(poolkit.__file__).parent
+        users = sorted(p.name for p in package.rglob("*.py")
+                       if "_highspy" in p.read_text())
+        assert users == ["solver.py"]
 
 
 class TestDump:

@@ -1,15 +1,22 @@
 """OBBT and the mining single-pass tightening."""
 
+import math
+
 import pytest
 
+import poolkit.tightening
+from poolkit import parse_instance
 from poolkit.bench import compute_gap
 from poolkit.instances import Demand, MiningSchedule, Supply, convert_mining
 from poolkit.modelir import INF
 from poolkit.relaxations import build_method, parse_method
-from poolkit.solver import SolveParams, solve
+from poolkit.solver import SolveParams, solve, solve_compiled
 from poolkit.tightening import (BoundUpdate, TighteningError, apply_bounds,
                                 default_obbt_recipe, mining_tighten, obbt)
 from conftest import make_schedule
+
+SWEEP_INSTANCES = ("adhya1", "adhya2", "adhya3", "adhya4", "bental4", "foulds2",
+                   "haverly1", "haverly2", "haverly3")
 
 
 def mcf_value(inst, basis="S"):
@@ -87,6 +94,74 @@ class TestOBBT:
         assert back.arc_bounds == upd.arc_bounds
         assert back.node_bounds == upd.node_bounds
         assert back.z_box == pytest.approx(upd.z_box)
+
+
+class OneShotSession:
+    """The Session interface on solve_compiled: a fresh HiGHS model per solve."""
+
+    def __init__(self, cm):
+        self.cm = cm
+
+    def solve(self, params=None, c=None):
+        return solve_compiled(self.cm, params, c_override=c)
+
+
+def assert_same_update(a, b):
+    assert a.provenance == b.provenance
+    for kind in ("node_bounds", "arc_bounds", "ghost_bounds"):
+        sa, sb = getattr(a, kind), getattr(b, kind)
+        assert sa.keys() == sb.keys()
+        for key in sa:
+            for x, y in zip(sa[key], sb[key]):
+                assert x == y or (math.isfinite(x) and
+                                  abs(x - y) <= 1e-9 * max(1.0, abs(x))), (kind, key)
+
+
+class TestSessionSweep:
+    """obbt on one warm-started Session against the same costs solved one
+    by one through solve_compiled."""
+
+    @pytest.mark.parametrize("name", SWEEP_INSTANCES)
+    def test_f4_sweep_matches_one_shot(self, name, data_dir, monkeypatch):
+        # bental5 is left out: the restriction that sets its box runs for minutes
+        inst = parse_instance(data_dir / f"{name}.json")
+        z_lb = solve(build_method(inst, parse_method("MCF:T")).model).objective
+        z_ub = solve(build_method(inst, parse_method("G1:T:H=3")).model).objective
+        warm = obbt(inst, "F4:T", z_lb, z_ub)
+        monkeypatch.setattr(poolkit.tightening, "Session", OneShotSession)
+        assert_same_update(warm, obbt(inst, "F4:T", z_lb, z_ub))
+
+    @pytest.mark.parametrize("rel_gap", [None, 0.5])
+    def test_mip_relaxation_takes_dual_bounds(self, haverly1, monkeypatch, rel_gap):
+        # with a loose gap the incumbents stop short of the dual bounds
+        params = SolveParams(rel_gap=rel_gap)
+        warm = obbt(haverly1, "M1:T:H=1", -500.0, -400.0, params=params)
+        assert any(tag != "unchanged" for tag in warm.provenance.values())
+        monkeypatch.setattr(poolkit.tightening, "Session", OneShotSession)
+        assert_same_update(warm, obbt(haverly1, "M1:T:H=1", -500.0, -400.0,
+                                      params=params))
+
+    def test_zero_budget_leaves_every_side_unchanged(self, haverly1):
+        upd = obbt(haverly1, "F4:T", -500.0, -400.0,
+                   params=SolveParams(time_limit_s=0.0))
+        assert set(upd.provenance.values()) == {"unchanged"}
+        inst = apply_bounds(haverly1, upd)
+        assert inst.arcs == haverly1.arcs
+        assert inst.nodes == haverly1.nodes
+
+
+class TestBoundUpdate:
+    def test_crossed_interval_raises(self):
+        upd = BoundUpdate()
+        with pytest.raises(TighteningError, match="empty interval for arc"):
+            upd.record("arc", ("a", "b"), (0.0, 1.0), (2.0, 3.0), "obbt-min")
+        assert upd.arc_bounds == {} and upd.provenance == {}
+
+    def test_crossing_within_the_slack_is_kept(self):
+        upd = BoundUpdate()
+        upd.record("node", "p", (0.0, 1.0), (1.0 + 1e-7, 2.0), "obbt-min",
+                   slack=1e-6)
+        assert upd.node_bounds["p"] == pytest.approx((1.0 - 9e-7, 1.0))
 
 
 class TestMiningTighten:
