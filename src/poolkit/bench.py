@@ -44,6 +44,7 @@ class ExactValue:
     proven: bool
     seconds: float
     witness: str = ""
+    status: str = "open"     # "proven", "time-limit" or "open"
 
 
 def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
@@ -58,6 +59,10 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     restriction, LP and OBBT solve gets only the time that remains, and no
     further solve starts once it is spent.  The bounds found by then are
     returned, unproven if they do not meet.
+
+    ``status`` is "proven" when the bounds meet, "time-limit" when the
+    budget was spent before they did, and "open" when the passes ran out
+    or a tightening failed.
 
     ``first_update``, when given, is ``default_obbt_recipe``'s update of
     ``inst`` itself; the first OBBT pass applies it instead of running the
@@ -110,7 +115,8 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     elapsed = time.perf_counter() - t0
     proven = (best_ub is not None and best_lb is not None
               and best_ub - best_lb <= rel_tol * max(1.0, abs(best_ub)))
-    return ExactValue(best_ub, best_lb, best_ub, proven, elapsed, witness)
+    status = "proven" if proven else "time-limit" if budget.spent else "open"
+    return ExactValue(best_ub, best_lb, best_ub, proven, elapsed, witness, status)
 
 
 @dataclass

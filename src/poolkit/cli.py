@@ -111,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--bounds-cache",
                      help="directory for cached tightening results, keyed by "
                           "instance content hash and recipe")
-    run.add_argument("--backend", choices=("highs",), default="highs",
-                     help="optimization backend adapter")
     run.add_argument("--out", help="CSV output path (default: stdout)")
     run.set_defaults(func=_cmd_run)
 

@@ -463,27 +463,27 @@ class ConicCut:
     def violation(self, X, box: BoundBox) -> float:
         """lhs - rhs evaluated at a point of the rank-one set (<= 0 is valid).
 
-        X may be a single (m, n) matrix or a batch (k, m, n).
+        X may be a single (m, n) matrix or a batch (k, m, n).  The row sum,
+        column sum and total are matrix-vector products.
         """
         X = np.asarray(X, dtype=float)
         batch = X if X.ndim == 3 else X[None]
+        k, m, n = batch.shape
         i, j = self.i, self.j
-        l, u, lp, up, L, U = box.arrays()
-        cs = batch[:, :, j].sum(axis=1)
-        rs = batch[:, i, :].sum(axis=1)
-        tot = batch.sum(axis=(1, 2))
+        li, ui, lpj, upj, U = box.l[i], box.u[i], box.lp[j], box.up[j], box.U
+        cs = batch[:, :, j] @ np.ones(m)
+        rs = batch[:, i, :] @ np.ones(n)
+        tot = batch.reshape(k, -1) @ np.ones(m * n)
         xij = batch[:, i, j]
         if self.family == "cd":
-            lhs = l[i] * u[i] * cs**2 + lp[j] * up[j] * rs**2
-            rhs = (l[i] * lp[j] + u[i] * up[j]) * xij * tot
+            lhs = li * ui * cs**2 + lpj * upj * rs**2
+            rhs = (li * lpj + ui * upj) * xij * tot
         elif self.family == "ac1-row":
-            lhs = l[i] * cs**2
-            rhs = ((l[i] * lp[j] / U) * cs - (lp[j] * up[j] / U) * rs
-                   + up[j] * xij) * tot
+            lhs = li * cs**2
+            rhs = ((li * lpj / U) * cs - (lpj * upj / U) * rs + upj * xij) * tot
         elif self.family == "ac1-col":
-            lhs = lp[j] * rs**2
-            rhs = ((lp[j] * l[i] / U) * rs - (l[i] * u[i] / U) * cs
-                   + u[i] * xij) * tot
+            lhs = lpj * rs**2
+            rhs = ((lpj * li / U) * rs - (li * ui / U) * cs + ui * xij) * tot
         else:
             raise ValueError(self.family)
         v = lhs - rhs
@@ -505,35 +505,65 @@ def gen_rlt_conic(box: BoundBox) -> CutSet:
     return out
 
 
-def evaluate_linear_cuts(cuts: list[LinearCut], X) -> float:
-    """Max violation of the cuts over a batch of rank-one feasible points.
+_EVAL_BLOCK = 2048  # points per product in evaluate_linear_cuts
 
-    r-space cuts are evaluated through r = X / sum(X); points with zero sum
-    are skipped for those (the zero matrix satisfies the underlying set).
+
+def _violation_rows(cuts: list[LinearCut], space: str, m: int, n: int):
+    """Rows A and right-hand sides b of the ``space`` cuts, with each cut's
+    sense folded into its sign, so that a point's violations are x @ A.T - b
+    (x the flattened point): a '>=' cut is negated, an '==' cut gives both
+    signs."""
+    rows, rhs = [], []
+    for cut in cuts:
+        if cut.space != space:
+            continue
+        a = np.zeros(m * n)
+        for (_, i, j), coeff in cut.coeffs:
+            a[i * n + j] += coeff
+        if cut.sense != ">=":
+            rows.append(a)
+            rhs.append(cut.rhs)
+        if cut.sense != "<=":
+            rows.append(-a)
+            rhs.append(-cut.rhs)
+    return np.array(rows).reshape(len(rows), m * n), np.array(rhs)
+
+
+def _max_violation(points, A, b) -> float:
+    """max over points and rows of points @ A.T - b.  Each row's maximum is
+    taken before its rhs is subtracted, which rounds to the same value and
+    spares a (cuts x points) pass."""
+    return float(((A @ points.T).max(axis=1) - b).max())
+
+
+def evaluate_linear_cuts(cuts: list[LinearCut], X) -> float:
+    """Max violation of the cuts over a batch of rank-one feasible points
+    (never below 0).  X may be a single (m, n) matrix or a batch (k, m, n).
+
+    The cuts of each space form one dense coefficient matrix, and the
+    violations are one matrix product per space, taken over blocks of at
+    most ``_EVAL_BLOCK`` points so the memory stays bounded.  r-space cuts
+    are evaluated through r = X / sum(X); points with zero sum are skipped
+    for those (the zero matrix satisfies the underlying set).
     """
     X = np.asarray(X, dtype=float)
     batch = X if X.ndim == 3 else X[None]
-    tot = batch.sum(axis=(1, 2))
+    k, m, n = batch.shape
+    flat = batch.reshape(k, m * n)
+    Ax, bx = _violation_rows(cuts, "x", m, n)
+    Ar, br = _violation_rows(cuts, "r", m, n)
+    ones = np.ones(m * n)
     worst = 0.0
-    safe = tot > 0
-    R = np.zeros_like(batch)
-    R[safe] = batch[safe] / tot[safe, None, None]
-    for cut in cuts:
-        vals = np.zeros(batch.shape[0])
-        data = batch if cut.space == "x" else R
-        for (sp, i, j), coeff in cut.coeffs:
-            vals += coeff * data[:, i, j]
-        if cut.space == "r":
-            vals = vals[safe]
-            if vals.size == 0:
-                continue
-        if cut.sense == ">=":
-            viol = cut.rhs - vals
-        elif cut.sense == "<=":
-            viol = vals - cut.rhs
-        else:
-            viol = np.abs(vals - cut.rhs)
-        worst = max(worst, float(viol.max(initial=0.0)))
+    for start in range(0, k, _EVAL_BLOCK):
+        block = flat[start:start + _EVAL_BLOCK]
+        if len(bx):
+            worst = max(worst, _max_violation(block, Ax, bx))
+        if len(br):
+            tot = block @ ones
+            safe = tot > 0
+            if safe.any():
+                worst = max(worst, _max_violation(block[safe] / tot[safe, None],
+                                                  Ar, br))
     return worst
 
 

@@ -130,7 +130,7 @@ def compile_model(model: ModelIR) -> CompiledModel:
     return CompiledModel(names, index, A, row_lo, row_hi, lb, ub, integrality, c)
 
 
-def _status_from_highs(res, is_mip: bool) -> str:
+def _status_from_highs(res) -> str:
     if res.status == 0:
         return OPTIMAL
     if res.status == 1:  # iteration or time limit
@@ -184,7 +184,7 @@ def solve_compiled(cm: CompiledModel, params: SolveParams | None = None,
                options=options)
     elapsed = time.perf_counter() - t0
     # on a time limit the incumbent (if any) is still reported in res.x
-    return _result(cm, _status_from_highs(res, is_mip), res.fun, res.x,
+    return _result(cm, _status_from_highs(res), res.fun, res.x,
                    getattr(res, "mip_dual_bound", None), elapsed)
 
 

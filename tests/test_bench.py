@@ -44,6 +44,28 @@ class TestExactValue:
         assert not ev.proven
         assert ev.lower is not None  # the cheap LP bounds run first
 
+    def test_status_of_a_proven_squeeze(self, haverly1):
+        ev = exact_value(haverly1, workers=1)
+        assert (ev.proven, ev.status) == (True, "proven")
+
+    def test_status_of_a_spent_budget(self, data_dir):
+        from poolkit import parse_instance
+        from poolkit.solver import SolveParams
+        inst = parse_instance(data_dir / "bental5.json")
+        ev = exact_value(inst, SolveParams(time_limit_s=2.0), workers=1)
+        assert (ev.proven, ev.status) == (False, "time-limit")
+
+    def test_status_when_the_passes_end_unproven(self, haverly1, monkeypatch):
+        # haverly1's squeeze closes only after OBBT: F4 gives -500, G1:S -400
+        assert exact_value(haverly1, use_obbt=False).status == "open"
+
+        def failing(inst, **kw):
+            raise TighteningError("crossed interval")
+
+        monkeypatch.setattr(poolkit.bench, "default_obbt_recipe", failing)
+        ev = exact_value(haverly1, workers=1)
+        assert (ev.proven, ev.status) == (False, "open")
+
     def test_first_update_stands_for_the_first_recipe(self, haverly2, monkeypatch):
         upd, _, _ = default_obbt_recipe(haverly2)
         fresh = exact_value(haverly2)

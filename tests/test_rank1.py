@@ -4,7 +4,9 @@ hull pieces and the independent oracles."""
 import numpy as np
 import pytest
 
+from poolkit import rank1
 from poolkit.rank1 import (BoxError, EmptySampleError, InfeasiblePointError,
+                           LinearCut,
                            brute_force_bound, build_colwise_extension,
                            build_intersection, build_rowcol_extension,
                            build_rowwise_extension, check_extreme_point_property,
@@ -427,3 +429,136 @@ class TestSampling:
         for x in X:
             assert membership_T(x, box, 1e-7)
             assert is_rank_le_one(x)
+
+
+def reference_linear(cuts, X):
+    """Max violation (never below 0) cut by cut, point by point, term by term."""
+    X = np.asarray(X, dtype=float)
+    batch = X if X.ndim == 3 else X[None]
+    worst = 0.0
+    for cut in cuts:
+        for P in batch:
+            if cut.space == "r":
+                total = P.sum()
+                if total <= 0:
+                    continue
+                P = P / total
+            val = 0.0
+            for (_, i, j), coeff in cut.coeffs:
+                val += coeff * P[i, j]
+            if cut.sense == ">=":
+                viol = cut.rhs - val
+            elif cut.sense == "<=":
+                viol = val - cut.rhs
+            else:
+                viol = abs(val - cut.rhs)
+            worst = max(worst, viol)
+    return worst
+
+
+def reference_conic(cut, X, box):
+    """Max of lhs - rhs over the points, one point at a time."""
+    X = np.asarray(X, dtype=float)
+    batch = X if X.ndim == 3 else X[None]
+    i, j = cut.i, cut.j
+    l, u, lp, up, U = box.l[i], box.u[i], box.lp[j], box.up[j], box.U
+    worst = -np.inf
+    for P in batch:
+        cs, rs, tot, xij = P[:, j].sum(), P[i, :].sum(), P.sum(), P[i, j]
+        if cut.family == "cd":
+            v = l * u * cs**2 + lp * up * rs**2 - (l * lp + u * up) * xij * tot
+        elif cut.family == "ac1-row":
+            v = l * cs**2 - ((l * lp / U) * cs - (lp * up / U) * rs + up * xij) * tot
+        else:
+            v = lp * rs**2 - ((lp * l / U) * rs - (l * u / U) * cs + u * xij) * tot
+        worst = max(worst, v)
+    return worst
+
+
+def off_set_points(box, count, rng):
+    """Rank-one samples mixed with nonnegative points off the set, so that
+    the cuts have positive violations to compare."""
+    X = sample_rank_one_points(box, count, rng)
+    off = rng.uniform(0.0, box.scale() / max(box.m, box.n), size=X.shape)
+    return np.concatenate([X, off])[rng.permutation(2 * count)]
+
+
+class TestCutEvaluation:
+    """The blocked matrix-product evaluators against the plain loops."""
+
+    def linear_cuts(self, box):
+        return (gen_rlt_mccormick(box, "both").cuts
+                + gen_rlt_reverse_convex(box, "both").cuts)
+
+    def assert_parity(self, box, X):
+        cuts = self.linear_cuts(box)
+        want = reference_linear(cuts, X)
+        assert abs(evaluate_linear_cuts(cuts, X) - want) <= 1e-12 * box.scale()
+        for cut in gen_rlt_conic(box).cuts:
+            got, ref = cut.violation(X, box), reference_conic(cut, X, box)
+            assert abs(got - ref) <= 1e-12 * box.scale() ** 2, cut.name
+        return want
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_boxes_of_every_shape(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        box = random_box(rng, m, n, positive_lower=True)
+        worst = self.assert_parity(box, off_set_points(box, 60, rng))
+        # a 1x1 box's linear cuts hold at every nonnegative point
+        assert worst > 0 or m * n == 1
+
+    def test_zero_sum_points_are_skipped_in_r_space(self, rng):
+        box = random_box(rng, 3, 2, positive_lower=True)
+        X = off_set_points(box, 40, rng)
+        X[::7] = 0.0
+        assert self.assert_parity(box, X) > 0
+        r_cuts = gen_rlt_mccormick(box, "r").cuts + gen_rlt_reverse_convex(box, "r").cuts
+        want = reference_linear(r_cuts, X)
+        assert want > 0
+        assert abs(evaluate_linear_cuts(r_cuts, X) - want) <= 1e-12 * box.scale()
+        assert evaluate_linear_cuts(r_cuts, np.zeros((5, 3, 2))) == 0.0
+
+    def test_batch_longer_than_one_block(self, rng):
+        box = random_box(rng, 2, 3, positive_lower=True)
+        X = sample_rank_one_points(box, 2 * rank1._EVAL_BLOCK + 17, rng)
+        cuts = self.linear_cuts(box)
+        assert evaluate_linear_cuts(cuts, X) <= 1e-8 * box.scale()
+        # one point off the set, in the last, partial block
+        X[-3] = rng.uniform(0.0, box.scale(), size=(2, 3))
+        want = reference_linear(cuts, X[-20:])
+        assert want > 0
+        assert abs(evaluate_linear_cuts(cuts, X) - want) <= 1e-12 * box.scale()
+        for cut in gen_rlt_conic(box).cuts:
+            ref = max(reference_conic(cut, X[:50], box),
+                      reference_conic(cut, X[-50:], box),
+                      cut.violation(X[50:-50], box))
+            assert abs(cut.violation(X, box) - ref) <= 1e-12 * box.scale() ** 2
+
+    def test_single_matrix(self, rng):
+        box = random_box(rng, 3, 3, positive_lower=True)
+        X = off_set_points(box, 1, rng)
+        for P in X:
+            self.assert_parity(box, P)
+
+    def test_empty_cut_list(self, rng):
+        X = off_set_points(box22(), 10, rng)
+        assert evaluate_linear_cuts([], X) == 0.0
+        assert evaluate_linear_cuts([], X[0]) == 0.0
+
+    def test_hand_made_cuts(self):
+        X = np.array([[[1.0, 2.0]], [[0.1, 0.1]], [[3.0, 1.0]]])
+        eq = LinearCut("eq", "x", ((("x", 0, 0), 1.0), (("x", 0, 1), 2.0)), "==", 1.0)
+        le = LinearCut("le", "x", ((("x", 0, 0), 1.0),), "<=", 0.5)
+        ge = LinearCut("ge", "x", ((("x", 0, 1), 1.0),), ">=", 3.0)
+        le_r = LinearCut("le_r", "r", ((("r", 0, 0), 1.0),), "<=", 0.25)
+        # x00 + 2 x01 is 5, 0.3 and 5: 4 above and 0.7 below the rhs
+        assert evaluate_linear_cuts([eq], X) == pytest.approx(4.0, abs=1e-15)
+        assert evaluate_linear_cuts([eq], X[1]) == pytest.approx(0.7, abs=1e-15)
+        assert evaluate_linear_cuts([le], X) == pytest.approx(2.5, abs=1e-15)
+        assert evaluate_linear_cuts([ge], X) == pytest.approx(2.9, abs=1e-15)
+        # r00 = x00 / (x00 + x01) is at most 0.75
+        assert evaluate_linear_cuts([le_r], X) == pytest.approx(0.5, abs=1e-15)
+        for cuts in ([eq], [le], [ge], [le_r], [eq, le, ge, le_r]):
+            assert evaluate_linear_cuts(cuts, X) == pytest.approx(
+                reference_linear(cuts, X), abs=1e-15)
