@@ -4,8 +4,9 @@ Run from the repository root:
 
     python scripts/validate_instances.py [instance ...]
 
-For each instance this prints the relaxation bounds and, where cheap, the
-squeezed exact value, next to the published targets.  It is a data-quality
+For each instance this prints the squeezed exact value, with the squeeze's
+status, witness restriction and seconds, and the relaxation and
+restriction gaps, next to the published targets.  It is a data-quality
 tool, not part of the test suite (the acceptance tests assert the same
 numbers with tolerances).
 """
@@ -51,7 +52,8 @@ def main(names):
                        and abs(ev.value - opt) <= 1e-3 * abs(opt)) else "MISMATCH"
         if tag != "ok":
             failures += 1
-        print(f"{name}: exact {ev.value} vs {opt}  [{tag}]")
+        print(f"{name}: exact {ev.value} vs {opt}  [{tag}]  "
+              f"({ev.status}, witness {ev.witness or '-'}, {ev.seconds:.2f} s)")
         for method, want in cells.items():
             res = solve(build_method(inst, parse_method(method)).model, params)
             if method.startswith("G"):

@@ -10,7 +10,7 @@ from .rank1 import (BoundBox, brute_force_bound, build_colwise_extension,
                     gen_rlt_reverse_convex, is_rank_le_one, make_box,
                     membership_T, normalize, sample_rank_one_points)
 from .formulations import (build_mcf_relaxation, build_source_based,
-                           build_terminal_based, check_solution, pool_blocks)
+                           build_terminal_based, check_solution)
 from .relaxations import (MethodSpec, build_method, build_mip_relaxation,
                           build_mip_restriction, build_relaxation,
                           inject_valid_inequalities, parse_method)

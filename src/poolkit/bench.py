@@ -18,10 +18,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from .instances import PoolingInstance
+from .modelir import INF
 from .relaxations import MethodSpec, build_method, parse_method
 from .solver import Budget, SolveParams, solve
-from .tightening import (BoundUpdate, TighteningError, apply_bounds,
-                         default_obbt_recipe)
+from .tightening import (RECIPE_RESTRICTION, BoundUpdate, TighteningError,
+                         apply_bounds, default_obbt_recipe)
 
 GAP_UNDEFINED = float("nan")
 
@@ -55,6 +56,10 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     """Squeeze the optimum between restriction values and a tightened
     relaxation bound (the backend has no nonconvex capability).
 
+    Each pass solves the F4 LPs first, then the restrictions of
+    ``portfolio`` in turn; no restriction starts once the best bounds found
+    so far meet to ``rel_tol``, and no further pass starts either.
+
     ``params.time_limit_s`` is the budget of the whole squeeze: every
     restriction, LP and OBBT solve gets only the time that remains, and no
     further solve starts once it is spent.  The bounds found by then are
@@ -65,56 +70,64 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     or a tightening failed.
 
     ``first_update``, when given, is ``default_obbt_recipe``'s update of
-    ``inst`` itself; the first OBBT pass applies it instead of running the
-    recipe again.  A pass whose tightening fails ends the OBBT passes."""
+    ``inst`` itself and stands for the first of the three OBBT passes: the
+    squeeze starts on the tightened instance it gives, with the recipe's
+    restriction value (``z_box``'s upper end, when finite) as the first
+    upper bound and ``RECIPE_RESTRICTION`` as its witness, and solves no
+    restriction on ``inst``.  That is valid because OBBT keeps every point
+    whose objective lies in ``z_box``, and the optimum lies there.  Without
+    it the first pass runs on ``inst``.  A pass whose tightening fails ends
+    the OBBT passes."""
     t0 = time.perf_counter()
     budget = Budget(params)
+    best_ub = best_lb = None
+    witness = ""
 
-    def bounds_for(work):
+    def closed() -> bool:
+        return (best_ub is not None and best_lb is not None
+                and best_ub - best_lb <= rel_tol * max(1.0, abs(best_ub)))
+
+    def squeeze(work) -> None:
+        nonlocal best_ub, best_lb, witness
         # the LPs first: they are cheap, so a budget spent in a restriction
         # MILP still leaves a lower bound
-        lb = None
         for label in ("F4:S", "F4:T"):
             if budget.spent:
                 break
             res = solve(build_method(work, parse_method(label)).model,
                         budget.params())
-            if res.status == "optimal" and (lb is None or res.objective > lb):
-                lb = res.objective
-        ub, wit = None, ""
+            if res.status == "optimal" and (best_lb is None or res.objective > best_lb):
+                best_lb = res.objective
         for label in portfolio:
-            if budget.spent:
+            if budget.spent or closed():
                 break
             res = solve(build_method(work, parse_method(label)).model,
                         budget.params())
-            if res.objective is not None and (ub is None or res.objective < ub):
-                ub, wit = res.objective, label
-        return ub, lb, wit
+            if res.objective is not None and (best_ub is None or res.objective < best_ub):
+                best_ub, witness = res.objective, label
 
-    work = inst
-    best_ub, best_lb, witness = bounds_for(work)
-    passes = 3 if use_obbt else 0
-    for k in range(passes):
-        if budget.spent or (best_ub is not None and best_lb is not None
-                            and best_ub - best_lb <= rel_tol * max(1.0, abs(best_ub))):
+    work, passes = inst, 3 if use_obbt else 0
+    if use_obbt and first_update is not None:
+        z_ub = first_update.z_box[1] if first_update.z_box else INF
+        if math.isfinite(z_ub):
+            best_ub, witness = z_ub, RECIPE_RESTRICTION
+        try:
+            work, passes = apply_bounds(inst, first_update), passes - 1
+        except TighteningError:
+            passes = 0
+    squeeze(work)
+    for _ in range(passes):
+        if budget.spent or closed():
             break
         try:
-            if k == 0 and first_update is not None:
-                upd = first_update
-            else:
-                upd, _, _ = default_obbt_recipe(work, workers=workers,
-                                                params=budget.params())
+            upd, _, _ = default_obbt_recipe(work, workers=workers,
+                                            params=budget.params())
             work = apply_bounds(work, upd)
         except TighteningError:
             break
-        ub, lb, wit = bounds_for(work)
-        if ub is not None and (best_ub is None or ub < best_ub):
-            best_ub, witness = ub, wit
-        if lb is not None and (best_lb is None or lb > best_lb):
-            best_lb = lb
+        squeeze(work)
     elapsed = time.perf_counter() - t0
-    proven = (best_ub is not None and best_lb is not None
-              and best_ub - best_lb <= rel_tol * max(1.0, abs(best_ub)))
+    proven = closed()
     status = "proven" if proven else "time-limit" if budget.spent else "open"
     return ExactValue(best_ub, best_lb, best_ub, proven, elapsed, witness, status)
 

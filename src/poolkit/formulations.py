@@ -27,12 +27,6 @@ from .rank1 import BoundBox, is_rank_le_one, make_box
 SOURCE_BASIS = "source"
 TERMINAL_BASIS = "terminal"
 
-# When True (the literal reading of the flow-decomposition equalities), the
-# total commodity flow at a pool equals the pair's arc flow whenever the
-# physical arc exists, so a commodity cannot re-enter such a pool through
-# other pools.  Block row bounds are then exactly the arc intervals.
-FORBID_COMMODITY_REENTRY = True
-
 
 def fvar(a: str, b: str) -> str:
     return f"f[{a},{b}]"
@@ -99,10 +93,6 @@ def _commodity_pair(basis: str, pool: str, c: str) -> tuple[str, str]:
     return (c, pool) if basis == SOURCE_BASIS else (pool, c)
 
 
-def pool_blocks(bm: BilinearModel) -> list[PoolBlock]:
-    return list(bm.blocks)
-
-
 def _build_blocks(inst: PoolingInstance, basis: str) -> list[PoolBlock]:
     blocks = []
     for i in inst.pools:
@@ -116,10 +106,6 @@ def _build_blocks(inst: PoolingInstance, basis: str) -> list[PoolBlock]:
                 lo, hi = inst.commodity_bound(c, i)
             else:
                 lo, hi = inst.terminal_commodity_bound(i, c)
-            if not FORBID_COMMODITY_REENTRY and _commodity_pair(basis, i, c) in inst.arcs:
-                # re-entry allowed: the arc interval no longer bounds the
-                # commodity total, fall back to the pool capacity
-                lo, hi = 0.0, inst.nodes[i].U
             l.append(lo)
             u.append(hi)
         for j in cols:
@@ -196,10 +182,12 @@ def build_backbone(inst: PoolingInstance, basis: str,
             for k, v in inflow.items():
                 bal[k] = bal.get(k, 0.0) - v
             model.add_row(f"bal[{i},{c}]", bal, "==", 0.0)
-            if pair not in inst.arcs or FORBID_COMMODITY_REENTRY:
-                tot = dict(outflow)
-                tot[fvar(*pair)] = tot.get(fvar(*pair), 0.0) - 1.0
-                model.add_row(f"gho[{i},{c}]", tot, "==", 0.0)
+            # the commodity total is the pair's flow even where the physical
+            # arc exists, so a commodity cannot re-enter the pool through
+            # other pools and block row bounds are the arc intervals
+            tot = dict(outflow)
+            tot[fvar(*pair)] = tot.get(fvar(*pair), 0.0) - 1.0
+            model.add_row(f"gho[{i},{c}]", tot, "==", 0.0)
 
     # specification windows at terminals (hard, or soft with violation vars)
     for t in inst.terminals:

@@ -1,9 +1,8 @@
 """LP/MILP solves over ModelIR through scipy's HiGHS interface.
 
-The backend is capability-tagged: HiGHS handles {lp, milp}.  Models that
-still carry bilinear terms must go through a relaxation or restriction
-first; sending one here raises CapabilityError instead of silently
-dropping the nonconvex part.
+HiGHS solves LPs and MILPs only.  Models that still carry bilinear terms
+must go through a relaxation or restriction first; sending one to ``solve``
+raises CapabilityError instead of silently dropping the nonconvex part.
 
 ``solve_compiled`` is the one-shot path (``scipy.optimize.milp``, a fresh
 HiGHS model per call).  ``Session`` keeps one compiled model in HiGHS
@@ -40,8 +39,6 @@ class CapabilityError(RuntimeError):
 class SolveParams:
     time_limit_s: float = 3600.0      # one-hour default
     rel_gap: float | None = None      # None = 1e-6 for LP-equivalent, 1e-4 for MILP
-    threads: int = 1
-    seed: int = 0
 
     def effective_gap(self, is_mip: bool) -> float:
         if self.rel_gap is not None:
@@ -265,23 +262,12 @@ class Session:
         return _result(self.cm, status, objective, x, mip_dual, elapsed)
 
 
-class HighsBackend:
-    """Default backend adapter: scipy/HiGHS, capabilities {lp, milp}."""
-
-    capabilities = frozenset({"lp", "milp"})
-
-    def solve(self, model: ModelIR, params: SolveParams | None = None) -> SolveResult:
-        if model.bilinear:
-            raise CapabilityError(
-                f"model {model.name!r} has {len(model.bilinear)} bilinear terms; "
-                "this backend supports only {lp, milp} - solve a relaxation or "
-                "restriction instead")
-        return solve_compiled(compile_model(model), params)
-
-
-_DEFAULT = HighsBackend()
-
-
-def solve(model: ModelIR, params: SolveParams | None = None,
-          backend: HighsBackend | None = None) -> SolveResult:
-    return (backend or _DEFAULT).solve(model, params)
+def solve(model: ModelIR, params: SolveParams | None = None) -> SolveResult:
+    """Solve an LP or MILP through ``solve_compiled``; a model that still has
+    bilinear terms raises ``CapabilityError``."""
+    if model.bilinear:
+        raise CapabilityError(
+            f"model {model.name!r} has {len(model.bilinear)} bilinear terms; "
+            "HiGHS supports only {lp, milp} - solve a relaxation or "
+            "restriction instead")
+    return solve_compiled(compile_model(model), params)

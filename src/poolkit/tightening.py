@@ -20,6 +20,8 @@ from .relaxations import MethodSpec, build_method, parse_method
 from .solver import OPTIMAL, Budget, Session, SolveParams, compile_model, solve
 
 UNCHANGED = "unchanged"
+# the restriction whose value bounds the objective box of default_obbt_recipe
+RECIPE_RESTRICTION = "G1:T:H=3"
 
 
 class TighteningError(RuntimeError):
@@ -215,7 +217,7 @@ def default_obbt_recipe(inst: PoolingInstance, workers: int = 8,
     z_lb = lo_res.objective if lo_res.status == OPTIMAL else -INF
     z_ub = INF
     if not budget.spent:
-        hi_res = solve(build_method(inst, parse_method("G1:T:H=3")).model,
+        hi_res = solve(build_method(inst, parse_method(RECIPE_RESTRICTION)).model,
                        budget.params())
         if hi_res.objective is not None:
             z_ub = hi_res.objective

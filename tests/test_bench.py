@@ -11,10 +11,14 @@ import time
 import pytest
 
 import poolkit.bench
-from poolkit.bench import (GridConfig, RunRecord, compute_gap, exact_value,
-                           records_from_csv, records_to_csv, run_grid, summarize)
+from poolkit.bench import (RESTRICTION_PORTFOLIO, GridConfig, RunRecord,
+                           compute_gap, exact_value, records_from_csv,
+                           records_to_csv, run_grid, summarize)
 from poolkit.cli import main
-from poolkit.tightening import TighteningError, default_obbt_recipe
+from poolkit.relaxations import build_method, parse_method
+from poolkit.solver import solve
+from poolkit.tightening import (RECIPE_RESTRICTION, TighteningError,
+                                default_obbt_recipe)
 
 
 class TestGap:
@@ -72,9 +76,52 @@ class TestExactValue:
         calls = count_recipe_calls(monkeypatch)
         ev = exact_value(haverly2, first_update=upd)
         assert all(inst is not haverly2 for inst in calls)
-        assert (ev.proven, ev.witness) == (fresh.proven, fresh.witness)
+        assert ev.proven == fresh.proven
         assert ev.value == pytest.approx(fresh.value, rel=1e-9)
         assert ev.lower == pytest.approx(fresh.lower, rel=1e-9)
+        # the witness may be the recipe's own restriction, which was solved
+        # on haverly2 itself; either way that restriction reaches ev.value
+        assert ev.witness in RESTRICTION_PORTFOLIO + (RECIPE_RESTRICTION,)
+        res = solve(build_method(haverly2, parse_method(ev.witness)).model)
+        assert res.objective <= ev.value + 1e-6 * abs(ev.value)
+
+    def test_first_update_solves_no_restriction_on_the_instance(self, haverly2,
+                                                                monkeypatch):
+        upd, _, _ = default_obbt_recipe(haverly2)
+        builds = record_builds(monkeypatch)
+        ev = exact_value(haverly2, first_update=upd)
+        assert ev.proven
+        assert [label for inst, label in builds if inst is haverly2] == []
+
+    def test_recipe_value_that_meets_the_lp_needs_no_restriction(self, haverly1,
+                                                                 monkeypatch):
+        # haverly1's tightened F4 bound is -400, its G1:T:H=3 value as well
+        upd, _, z_ub = default_obbt_recipe(haverly1)
+        builds = record_builds(monkeypatch)
+        ev = exact_value(haverly1, first_update=upd)
+        assert [label for _, label in builds] == ["F4:S", "F4:T"]
+        assert (ev.status, ev.witness, ev.value) == ("proven", RECIPE_RESTRICTION, z_ub)
+
+    def test_no_restriction_starts_once_the_squeeze_closes(self, data_dir, monkeypatch):
+        from poolkit import parse_instance
+        # foulds2's F4 bound is its optimum, which G2:S:H=3 reaches
+        inst = parse_instance(data_dir / "foulds2.json")
+        builds = record_builds(monkeypatch)
+        ev = exact_value(inst, workers=1)
+        assert [label for _, label in builds] == ["F4:S", "F4:T", "G1:S:H=3", "G2:S:H=3"]
+        assert (ev.status, ev.witness) == ("proven", "G2:S:H=3")
+
+
+def record_builds(monkeypatch) -> list:
+    """Record the instance and label of every model the squeeze builds."""
+    builds = []
+
+    def recorded(inst, spec):
+        builds.append((inst, spec.label()))
+        return build_method(inst, spec)
+
+    monkeypatch.setattr(poolkit.bench, "build_method", recorded)
+    return builds
 
 
 def count_recipe_calls(monkeypatch) -> list:
