@@ -47,7 +47,7 @@ def main(names):
     for name in names:
         opt, cells = PUBLISHED[name]
         inst = parse_instance(DATA / f"{name}.json")
-        ev = exact_value(inst, params, workers=8)
+        ev = exact_value(inst, params)
         tag = "ok" if (ev.proven and ev.value is not None
                        and abs(ev.value - opt) <= 1e-3 * abs(opt)) else "MISMATCH"
         if tag != "ok":

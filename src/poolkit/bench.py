@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import pathlib
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-from .instances import PoolingInstance
+from .instances import PoolingInstance, content_hash
 from .modelir import INF
 from .relaxations import MethodSpec, build_method, parse_method
 from .solver import Budget, SolveParams, solve
@@ -34,7 +35,10 @@ def compute_gap(ub: float, lb: float) -> float:
     return (ub - lb) / abs(ub) * 100.0
 
 
+# the squeeze's upper-bounding restrictions, and the relative distance at which
+# its bounds meet
 RESTRICTION_PORTFOLIO = ("G1:S:H=3", "G2:S:H=3", "G1:T:H=3", "G2:T:H=3")
+REL_TOL = 1e-4
 
 
 @dataclass
@@ -49,16 +53,15 @@ class ExactValue:
 
 
 def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
-                use_obbt: bool = True, rel_tol: float = 1e-4,
-                portfolio: tuple[str, ...] = RESTRICTION_PORTFOLIO,
-                workers: int = 8,
+                use_obbt: bool = True,
                 first_update: BoundUpdate | None = None) -> ExactValue:
     """Squeeze the optimum between restriction values and a tightened
     relaxation bound (the backend has no nonconvex capability).
 
     Each pass solves the F4 LPs first, then the restrictions of
-    ``portfolio`` in turn; no restriction starts once the best bounds found
-    so far meet to ``rel_tol``, and no further pass starts either.
+    ``RESTRICTION_PORTFOLIO`` in turn; no restriction starts once the best
+    bounds found so far meet to ``REL_TOL`` relative, and no further pass
+    starts either.
 
     ``params.time_limit_s`` is the budget of the whole squeeze: every
     restriction, LP and OBBT solve gets only the time that remains, and no
@@ -85,7 +88,7 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
 
     def closed() -> bool:
         return (best_ub is not None and best_lb is not None
-                and best_ub - best_lb <= rel_tol * max(1.0, abs(best_ub)))
+                and best_ub - best_lb <= REL_TOL * max(1.0, abs(best_ub)))
 
     def squeeze(work) -> None:
         nonlocal best_ub, best_lb, witness
@@ -98,7 +101,7 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
                         budget.params())
             if res.status == "optimal" and (best_lb is None or res.objective > best_lb):
                 best_lb = res.objective
-        for label in portfolio:
+        for label in RESTRICTION_PORTFOLIO:
             if budget.spent or closed():
                 break
             res = solve(build_method(work, parse_method(label)).model,
@@ -120,8 +123,7 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
         if budget.spent or closed():
             break
         try:
-            upd, _, _ = default_obbt_recipe(work, workers=workers,
-                                            params=budget.params())
+            upd, _, _ = default_obbt_recipe(work, params=budget.params())
             work = apply_bounds(work, upd)
         except TighteningError:
             break
@@ -181,20 +183,16 @@ class GridConfig:
     bounds_cache: str | None = None   # directory for cached BoundUpdate JSON
 
 
-def _cached_obbt(inst: PoolingInstance, cache_dir: str | None, workers: int,
+def _cached_obbt(inst: PoolingInstance, cache_dir: str | None,
                  params: SolveParams):
     """Run the default recipe, consulting the cache keyed by instance hash
     and recipe label when a cache directory is configured."""
-    import pathlib
-
-    from .instances import content_hash
-
     recipe = "mcfT+g1t3grid7+obbt(F4:T)"
     if cache_dir:
         path = pathlib.Path(cache_dir) / f"{content_hash(inst)}-{recipe}.json"
         if path.exists():
             return BoundUpdate.from_json(path.read_text())
-    upd, _, _ = default_obbt_recipe(inst, workers=workers, params=params)
+    upd, _, _ = default_obbt_recipe(inst, params=params)
     if cache_dir:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(upd.to_json())
@@ -237,25 +235,22 @@ def run_cell(name: str, inst: PoolingInstance, method: str, obbt_flag: bool,
 def run_grid(config: GridConfig) -> list[RunRecord]:
     params = SolveParams(time_limit_s=config.time_limit_s)
     cells: list[tuple[int, str, PoolingInstance, str, bool, float, float | None]] = []
-    idx = 0
     for name, inst in config.instances:
         prep = 0.0
         work, upd = inst, None
         if config.obbt:
             t0 = time.perf_counter()
             try:
-                upd = _cached_obbt(inst, config.bounds_cache,
-                                   config.obbt_workers, params)
+                upd = _cached_obbt(inst, config.bounds_cache, params)
                 work = apply_bounds(inst, upd)
             except TighteningError:
                 upd = None   # the cells say obbt=0: this instance is not tightened
             prep = time.perf_counter() - t0
         ref = exact_value(inst, params, use_obbt=upd is not None,
-                          workers=config.obbt_workers, first_update=upd)
-        reference = ref.value if ref.value is not None else None
+                          first_update=upd)
         for method in config.methods:
-            cells.append((idx, name, work, method, upd is not None, prep, reference))
-            idx += 1
+            cells.append((len(cells), name, work, method, upd is not None, prep,
+                          ref.value))
 
     def run(cell):
         i, name, work, method, tightened, prep, reference = cell

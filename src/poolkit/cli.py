@@ -41,7 +41,6 @@ def _cmd_run(args) -> int:
         obbt=args.obbt == "on",
         time_limit_s=args.time_limit,
         threads=args.threads,
-        obbt_workers=args.obbt_workers,
         bounds_cache=args.bounds_cache,
     )
     # HiGHS's C++ code prints to fd 1: point it at stderr while the grid
@@ -75,8 +74,6 @@ def _cmd_tighten(args) -> int:
     return 0
 
 
-
-
 def _cmd_convert(args) -> int:
     sched = parse_mining(args.schedule)
     inst = convert_mining(sched, default_penalty=args.penalty)
@@ -105,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="add pool-pool arcs before solving")
     run.add_argument("--time-limit", type=float, default=3600.0)
     run.add_argument("--threads", type=int, default=1)
-    run.add_argument("--obbt-workers", type=int, default=8,
-                     help="no effect: each OBBT sweep runs in turn on one "
-                          "HiGHS session")
     run.add_argument("--bounds-cache",
                      help="directory for cached tightening results, keyed by "
                           "instance content hash and recipe")

@@ -3,8 +3,9 @@
 Two bases are supported: the source basis decomposes each pool's outgoing
 flow by originating source; the terminal basis decomposes incoming flow by
 final destination.  Both carry the network/capacity/specification backbone;
-the bilinear proportion constraints are attached only for exact models and
-are dropped by the multi-commodity-flow (MCF) relaxation.
+the bilinear proportion constraints are attached only for exact models.  The
+backbone alone is the multi-commodity-flow (MCF) relaxation, which
+relaxations.build_method builds for the MCF labels.
 
 Variable naming (deterministic, used by dumps and tests):
     f[a,b]      arc flow, physical arcs and commodity ghost pairs
@@ -22,7 +23,7 @@ import numpy as np
 
 from .instances import SOURCE, PoolingInstance
 from .modelir import INF, ModelIR
-from .rank1 import BoundBox, is_rank_le_one, make_box
+from .rank1 import BoundBox, make_box, rank_residual
 
 SOURCE_BASIS = "source"
 TERMINAL_BASIS = "terminal"
@@ -74,7 +75,6 @@ class BilinearModel:
     basis: str
     inst: PoolingInstance
     blocks: list[PoolBlock] = field(default_factory=list)
-    soft_terminals: tuple[str, ...] = ()
 
     @property
     def name(self) -> str:
@@ -243,7 +243,7 @@ def build_backbone(inst: PoolingInstance, basis: str,
                     obj[name] = inst.penalty[t][k]
     model.set_objective(obj)
 
-    return BilinearModel(model, basis, inst, _build_blocks(inst, basis), soft)
+    return BilinearModel(model, basis, inst, _build_blocks(inst, basis))
 
 
 def _attach_bilinear(bm: BilinearModel) -> None:
@@ -267,14 +267,6 @@ def build_terminal_based(inst: PoolingInstance) -> BilinearModel:
     bm = build_backbone(inst, TERMINAL_BASIS, f"{inst.name}:terminal:exact")
     _attach_bilinear(bm)
     return bm
-
-
-def build_mcf_relaxation(bm: BilinearModel) -> ModelIR:
-    """Drop the bilinear proportion constraints (and the now-unused q
-    variables); the result is a pure LP on the same backbone."""
-    qnames = {v for v in bm.model.variables if v.startswith("q[")}
-    return bm.model.copy_without_bilinear(bm.model.name.replace(":exact", "") + ":mcf",
-                                          drop_vars=qnames)
 
 
 # -- solution checking -----------------------------------------------------------
@@ -332,12 +324,9 @@ def check_solution(bm: BilinearModel, assignment: dict[str, float],
         bump("bilinear", abs(x - prod) / max(1.0, abs(x), abs(prod)))
 
     for block in bm.blocks:
-        X = block.values(assignment)
-        if not is_rank_le_one(X, tol):
-            # report the worst scaled minor
-            scale = max(1.0, float(np.abs(X).max()) ** 2)
-            minors = np.einsum("ij,IJ->iIjJ", X, X) - np.einsum("iJ,Ij->iIjJ", X, X)
-            bump("rank", float(np.abs(minors).max()) / scale)
+        resid = rank_residual(block.values(assignment))
+        if resid > tol:
+            bump("rank", resid)
     return CheckReport(fam, tol)
 
 

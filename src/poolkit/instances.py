@@ -163,21 +163,6 @@ class PoolingInstance:
             return (arc.l, arc.u)
         return self.ghost_bound((i, t), i)
 
-    def pool_pool_cycles(self) -> bool:
-        """True when the pool-pool subgraph has a directed cycle."""
-        adj = {p: [q for q in self.out_nbrs[p] if q in self.pools] for p in self.pools}
-        color = {p: 0 for p in self.pools}
-
-        def dfs(v: str) -> bool:
-            color[v] = 1
-            for w in adj[v]:
-                if color[w] == 1 or (color[w] == 0 and dfs(w)):
-                    return True
-            color[v] = 2
-            return False
-
-        return any(color[p] == 0 and dfs(p) for p in self.pools)
-
     def characteristics(self) -> dict[str, int]:
         """Node/arc counts; 'core' counts exclude the surplus machinery that
         the mining converter appends (ids carrying the 'inf' time tag)."""

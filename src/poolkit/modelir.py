@@ -35,12 +35,6 @@ class LinRow:
     sense: str
     rhs: float
 
-    def coeff_dict(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for v, c in self.coeffs:
-            out[v] = out.get(v, 0.0) + c
-        return out
-
 
 @dataclass(frozen=True)
 class BilinearTerm:
@@ -109,30 +103,6 @@ class ModelIR:
             if v not in self.variables:
                 raise ModelError(f"objective references unknown variable {v!r}")
         self.objective = {v: float(c) for v, c in d.items() if c != 0.0}
-
-    def add_objective_term(self, var: str, coeff: float) -> None:
-        if var not in self.variables:
-            raise ModelError(f"objective references unknown variable {var!r}")
-        self.objective[var] = self.objective.get(var, 0.0) + float(coeff)
-
-    # -- queries ---------------------------------------------------------------
-
-    @property
-    def num_binaries(self) -> int:
-        return sum(1 for v in self.variables.values() if v.binary)
-
-    def copy_without_bilinear(self, name: str | None = None,
-                              drop_vars: set[str] | None = None) -> "ModelIR":
-        """Shallow relaxation copy: same rows/bounds, bilinear terms removed."""
-        drop = drop_vars or set()
-        m = ModelIR(name or (self.name + ":linear"))
-        m.variables = {k: v for k, v in self.variables.items() if k not in drop}
-        for row in self.rows:
-            if any(v in drop for v, _ in row.coeffs):
-                raise ModelError(f"cannot drop {drop}: used by row {row.name!r}")
-            m.rows.append(row)
-        m.objective = {v: c for v, c in self.objective.items() if v not in drop}
-        return m
 
 
 # -- canonical dump -----------------------------------------------------------

@@ -127,15 +127,21 @@ def membership_T(X, box: BoundBox, tol: float = 1e-9) -> bool:
                 and L - tol <= tot <= U + tol)
 
 
-def is_rank_le_one(X, tol: float = 1e-7) -> bool:
-    """All 2x2 minors vanish relative to the squared sup-norm of X."""
+def rank_residual(X) -> float:
+    """The largest 2x2 minor of X over max(1, squared sup-norm of X); 0 when
+    X has no 2x2 minor."""
     X = np.asarray(X, dtype=float)
     if X.size == 0 or X.shape[0] == 1 or X.shape[1] == 1:
-        return True
+        return 0.0
     scale = max(1.0, float(np.abs(X).max()) ** 2)
     # minors[i, I, j, J] = x_ij * x_IJ - x_iJ * x_Ij
     minors = np.einsum("ij,IJ->iIjJ", X, X) - np.einsum("iJ,Ij->iIjJ", X, X)
-    return bool(np.abs(minors).max() <= tol * scale)
+    return float(np.abs(minors).max()) / scale
+
+
+def is_rank_le_one(X, tol: float = 1e-7) -> bool:
+    """All 2x2 minors vanish relative to the squared sup-norm of X."""
+    return rank_residual(X) <= tol
 
 
 def membership_T_tilde(X, box: BoundBox, tol: float = 1e-9,
@@ -174,9 +180,6 @@ class ModelFragment:
 
     def add(self, name: str, coeffs: dict, sense: str, rhs: float) -> None:
         self.rows.append(FragRow(name, tuple(coeffs.items()), sense, float(rhs)))
-
-    def aux_names(self) -> list[str]:
-        return [name for name, _ in self.aux]
 
 
 def build_rowwise_extension(box: BoundBox) -> ModelFragment:
@@ -679,18 +682,6 @@ def _sigma_window(box: BoundBox) -> tuple[float, float]:
     lo = max(box.L, sum(box.l), sum(box.lp))
     hi = min(box.U, sum(box.u), sum(box.up))
     return lo, hi
-
-
-def _sample_bounded_simplex(lo: np.ndarray, hi: np.ndarray, count: int,
-                            rng: np.random.Generator) -> np.ndarray | None:
-    """Uniform-ish samples of {t >= 0 : sum t = 1, lo <= t <= hi} by
-    sequential conditional draws; None when the window system is empty."""
-    lo = np.minimum(np.maximum(lo, 0.0), 1.0)
-    hi = np.minimum(hi, 1.0)
-    if lo.sum() > 1 + 1e-12 or hi.sum() < 1 - 1e-12 or (lo > hi + 1e-12).any():
-        return None
-    out = _simplex_batch(np.tile(lo, (count, 1)), np.tile(hi, (count, 1)), rng)
-    return out
 
 
 def _simplex_batch(lo: np.ndarray, hi: np.ndarray,

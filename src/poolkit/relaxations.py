@@ -6,16 +6,19 @@ to the basis, so e.g. F1:S and F2:T denote the same structural relaxation
 applied in different bases.  parse_method handles strings like
 
     "F4:S"  "MCF:T"  "M2:T:H=3"  "F3:S+Vab(x,r)"  "F4:S+Vab(x)+Vac(x)"
+
+and build_method builds the model of every such label.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .formulations import (SOURCE_BASIS, TERMINAL_BASIS, BilinearModel,
-                           PoolBlock, build_backbone)
+                           PoolBlock, build_backbone, build_source_based,
+                           build_terminal_based)
 from .instances import PoolingInstance
 from .modelir import ModelIR
 from .rank1 import (FRAGMENT_BUILDERS, attach_fragment, gen_rlt_mccormick,
@@ -26,20 +29,12 @@ M_KINDS = ("M1", "M2")
 G_KINDS = ("G1", "G2")
 ALL_KINDS = F_KINDS + M_KINDS + G_KINDS + ("MCF", "EXACT")
 
-# fragment structure per (kind, basis): F1 keeps the physical-arc (column)
-# bounds, F2 the commodity (row) bounds, in both bases; what "row/column
-# wise" means in the benchmark notation then swaps with the basis because
-# the two bases transpose the block.
-_FRAGMENT_FOR = {
-    ("F1", SOURCE_BASIS): "colwise",
-    ("F2", SOURCE_BASIS): "rowwise",
-    ("F1", TERMINAL_BASIS): "colwise",
-    ("F2", TERMINAL_BASIS): "rowwise",
-    ("F3", SOURCE_BASIS): "intersection",
-    ("F3", TERMINAL_BASIS): "intersection",
-    ("F4", SOURCE_BASIS): "rowcol",
-    ("F4", TERMINAL_BASIS): "rowcol",
-}
+# fragment structure per kind: F1 keeps the physical-arc (column) bounds,
+# F2 the commodity (row) bounds, in both bases; what "row/column wise" means
+# in the benchmark notation then swaps with the basis because the two bases
+# transpose the block.
+_FRAGMENT_FOR = {"F1": "colwise", "F2": "rowwise", "F3": "intersection",
+                 "F4": "rowcol"}
 
 # discretization template per (kind, basis): "arc" puts binaries on the
 # physical-arc fractions, "commodity" on the commodity proportions.  The
@@ -141,50 +136,31 @@ class BuiltMethod:
     skipped_blocks: list[str] = field(default_factory=list)
     cut_count: int = 0
 
-    @property
-    def inst(self) -> PoolingInstance:
-        return self.backbone.inst
-
 
 def _block_prefix(pool: str) -> str:
     return f"B[{pool}]"
 
 
-def _attach_block_fragment(model: ModelIR, block: PoolBlock, kind: str) -> None:
+def _normalized(model: ModelIR, block: PoolBlock):
+    """The block's normalized box and the kept row and column indices; the
+    cells of deleted rows and columns are forced to zero."""
     box, rows, cols = normalize(block.box)
-    m0, n0 = len(block.row_ids), len(block.col_ids)
-    # deleted rows/columns are forced to zero cells
-    removed = [(r, c) for r in range(m0) for c in range(n0)
-               if r not in rows or c not in cols]
-    for r, c in removed:
-        model.add_row(f"{_block_prefix(block.pool)}:zero[{r},{c}]",
-                      {block.var(r, c): 1.0}, "==", 0.0)
+    for r in range(len(block.row_ids)):
+        for c in range(len(block.col_ids)):
+            if r not in rows or c not in cols:
+                model.add_row(f"{_block_prefix(block.pool)}:zero[{r},{c}]",
+                              {block.var(r, c): 1.0}, "==", 0.0)
+    return box, rows, cols
+
+
+def _attach_block_fragment(model: ModelIR, block: PoolBlock, kind: str) -> None:
+    box, rows, cols = _normalized(model, block)
     if box.m == 0 or box.n == 0:
         return
     frag = FRAGMENT_BUILDERS[kind](box)
     attach_fragment(model, frag,
                     lambda i, j: block.var(rows[i], cols[j]),
                     prefix=_block_prefix(block.pool))
-
-
-def build_relaxation(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
-    """MCF backbone plus, for F1-F4, the per-pool fragment on each block."""
-    if spec.kind in M_KINDS:
-        return build_mip_relaxation(inst, spec)
-    if spec.kind in G_KINDS:
-        return build_mip_restriction(inst, spec)
-    if spec.kind == "EXACT":
-        raise MethodError("EXACT is not a relaxation; use formulations.build_*")
-    bb = build_backbone(inst, spec.basis, f"{inst.name}:{spec.label()}")
-    built = BuiltMethod(bb.model, spec, bb)
-    if spec.kind == "MCF":
-        return built
-    kind = _FRAGMENT_FOR[(spec.kind, spec.basis)]
-    for block in bb.blocks:
-        _attach_block_fragment(bb.model, block, kind)
-    if spec.cuts:
-        inject_valid_inequalities(built, inst, spec)
-    return built
 
 
 def _cut_var(block: PoolBlock, term, rows, cols) -> str:
@@ -250,12 +226,7 @@ def _attach_discretization(model: ModelIR, block: PoolBlock, H: int,
     q = 1, and it is the grid on which the published restriction values
     are attained.
     """
-    box, rows, cols = normalize(block.box)
-    m0, n0 = len(block.row_ids), len(block.col_ids)
-    for r, c in [(r, c) for r in range(m0) for c in range(n0)
-                 if r not in rows or c not in cols]:
-        model.add_row(f"{_block_prefix(block.pool)}:zero[{r},{c}]",
-                      {block.var(r, c): 1.0}, "==", 0.0)
+    box, rows, cols = _normalized(model, block)
     if box.m == 0 or box.n == 0:
         return
 
@@ -335,36 +306,27 @@ def _attach_discretization(model: ModelIR, block: PoolBlock, H: int,
             model.add_row(f"{pre}:link[{s},{g}]", link, "==", 0.0)
 
 
-def _mip(inst: PoolingInstance, spec: MethodSpec, restriction: bool) -> BuiltMethod:
-    if spec.H is None or spec.H < 1:
-        raise MethodError("discretization requires H >= 1")
-    variant = _VARIANT_FOR[(spec.kind, spec.basis)]
-    bb = build_backbone(inst, spec.basis, f"{inst.name}:{spec.label()}")
-    for block in bb.blocks:
-        _attach_discretization(bb.model, block, spec.H, variant, restriction)
-    built = BuiltMethod(bb.model, spec, bb)
-    if spec.cuts:
-        inject_valid_inequalities(built, inst, spec)
-    return built
-
-
-def build_mip_relaxation(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
-    if spec.kind not in M_KINDS:
-        raise MethodError(f"{spec.kind} is not an M method")
-    return _mip(inst, spec, restriction=False)
-
-
-def build_mip_restriction(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
-    if spec.kind not in G_KINDS:
-        raise MethodError(f"{spec.kind} is not a G method")
-    return _mip(inst, spec, restriction=True)
-
+# -- the one builder -----------------------------------------------------------------
 
 def build_method(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
-    """Dispatcher used by the benchmark harness and bound tightening."""
+    """The model of a method: the exact bilinear model for EXACT, the MCF
+    backbone alone for MCF, else the backbone plus the F fragment or the M/G
+    discretization on each pool block and the label's valid inequalities."""
     if spec.kind == "EXACT":
-        from .formulations import build_source_based, build_terminal_based
         bm = (build_source_based(inst) if spec.basis == SOURCE_BASIS
               else build_terminal_based(inst))
         return BuiltMethod(bm.model, spec, bm)
-    return build_relaxation(inst, spec)
+    bb = build_backbone(inst, spec.basis, f"{inst.name}:{spec.label()}")
+    built = BuiltMethod(bb.model, spec, bb)
+    if spec.kind == "MCF":
+        return built
+    for block in bb.blocks:
+        if spec.kind in F_KINDS:
+            _attach_block_fragment(bb.model, block, _FRAGMENT_FOR[spec.kind])
+        else:
+            _attach_discretization(bb.model, block, spec.H,
+                                   _VARIANT_FOR[(spec.kind, spec.basis)],
+                                   restriction=spec.kind in G_KINDS)
+    if spec.cuts:
+        inject_valid_inequalities(built, inst, spec)
+    return built

@@ -24,7 +24,6 @@ from scipy.optimize._highspy import _core as _highs
 from .modelir import GE, INF, LE, ModelIR
 
 OPTIMAL = "optimal"
-FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 TIME_LIMIT = "time-limit"
@@ -75,10 +74,6 @@ class SolveResult:
     assignment: dict[str, float] = field(default_factory=dict)
     seconds: float = 0.0
     gap: float | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status in (OPTIMAL, FEASIBLE, TIME_LIMIT) and self.objective is not None
 
 
 @dataclass(frozen=True)

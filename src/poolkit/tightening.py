@@ -16,12 +16,14 @@ import numpy as np
 from .formulations import SOURCE_BASIS, fvar
 from .instances import POOL, SOURCE, TERMINAL, InconsistencyError, PoolingInstance
 from .modelir import INF
-from .relaxations import MethodSpec, build_method, parse_method
+from .relaxations import build_method, parse_method
 from .solver import OPTIMAL, Budget, Session, SolveParams, compile_model, solve
 
 UNCHANGED = "unchanged"
 # the restriction whose value bounds the objective box of default_obbt_recipe
 RECIPE_RESTRICTION = "G1:T:H=3"
+# the LP relaxation default_obbt_recipe's OBBT pass runs over
+RECIPE_RELAXATION = "F4:T"
 
 
 class TighteningError(RuntimeError):
@@ -80,7 +82,7 @@ def apply_bounds(inst: PoolingInstance, upd: BoundUpdate) -> PoolingInstance:
         lo, hi = max(old[0], new[0]), min(old[1], new[1])
         if lo > hi + 1e-9 * max(1.0, abs(hi)):
             raise TighteningError(f"empty interval for {what}: [{lo}, {hi}]")
-        return lo, min(hi, old[1])
+        return lo, hi
 
     node_b = {}
     for nid, new in upd.node_bounds.items():
@@ -110,12 +112,12 @@ def _node_expression(inst: PoolingInstance, nid: str) -> dict[str, float]:
     return {fvar(j, nid): 1.0 for j in inst.in_nbrs[nid]}
 
 
-def obbt(inst: PoolingInstance, relax: MethodSpec | str | None = None,
-         z_lb: float = -INF, z_ub: float = INF,
-         targets: list[tuple[str, object]] | None = None,
-         workers: int = 1, params: SolveParams | None = None) -> BoundUpdate:
-    """Min/max each arc flow, ghost flow and node throughput over the given
-    LP relaxation with the original objective boxed into [z_lb, z_ub].
+def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
+         z_ub: float = INF, workers: int = 1,
+         params: SolveParams | None = None) -> BoundUpdate:
+    """Min/max each arc flow, ghost flow and node throughput over the LP
+    relaxation labelled ``relax`` with the original objective boxed into
+    [z_lb, z_ub].
 
     A bound is taken only from a solve that proves it (an LP that reached
     OPTIMAL, or a MIP dual bound); otherwise that side is left unchanged.
@@ -127,11 +129,8 @@ def obbt(inst: PoolingInstance, relax: MethodSpec | str | None = None,
     from the previous basis.  ``workers`` has no effect."""
     if z_lb > z_ub:
         raise TighteningError(f"invalid objective box [{z_lb}, {z_ub}]")
-    if relax is None:
-        relax = MethodSpec("MCF", "terminal")
-    elif isinstance(relax, str):
-        relax = parse_method(relax)
-    built = build_method(inst, relax)
+    spec = parse_method(relax)
+    built = build_method(inst, spec)
     model = built.model
     if model.bilinear:
         raise TighteningError("OBBT requires an LP relaxation")
@@ -148,14 +147,9 @@ def obbt(inst: PoolingInstance, relax: MethodSpec | str | None = None,
     if base.status == "infeasible":
         raise TighteningError("relaxation with objective box is infeasible")
 
-    if targets is None:
-        targets = []
-        for key in sorted(inst.arcs):
-            targets.append(("arc", key))
-        for pair in sorted(inst.ghost_pairs(relax.basis)):
-            targets.append(("ghost", pair))
-        for nid in sorted(inst.nodes):
-            targets.append(("node", nid))
+    targets = ([("arc", key) for key in sorted(inst.arcs)]
+               + [("ghost", pair) for pair in sorted(inst.ghost_pairs(spec.basis))]
+               + [("node", nid) for nid in sorted(inst.nodes)])
 
     def expression(kind, key) -> dict[str, float]:
         if kind in ("arc", "ghost"):
@@ -187,7 +181,7 @@ def obbt(inst: PoolingInstance, relax: MethodSpec | str | None = None,
             arc = inst.arcs[key]
             old = (arc.l, arc.u)
         elif kind == "ghost":
-            old = inst.ghost_bound(key, key[1] if relax.basis == SOURCE_BASIS else key[0])
+            old = inst.ghost_bound(key, key[1] if spec.basis == SOURCE_BASIS else key[0])
         else:
             node = inst.nodes[key]
             old = (node.L, node.U)
@@ -199,19 +193,18 @@ def obbt(inst: PoolingInstance, relax: MethodSpec | str | None = None,
     return upd
 
 
-def default_obbt_recipe(inst: PoolingInstance, workers: int = 8,
-                        params: SolveParams | None = None,
-                        relax: str = "F4:T") -> tuple[BoundUpdate, float, float]:
+def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
+                        ) -> tuple[BoundUpdate, float, float]:
     """The benchmark recipe: lower box bound from the terminal-basis MCF
     value, upper from the H=3 terminal restriction on the commodity
-    proportions (G1:T:H=3), then a single OBBT pass over the terminal-basis
-    row-column LP relaxation.
+    proportions (``RECIPE_RESTRICTION``, G1:T:H=3), then a single OBBT pass
+    over the terminal-basis row-column LP relaxation (``RECIPE_RELAXATION``,
+    F4:T).
 
     The lower box bound is taken only from an MCF LP that reached OPTIMAL;
     the restriction's incumbent is a feasible point, so it bounds from above
     even when the solve stops at the time limit.  A side with no value stays
-    unbounded.  ``params.time_limit_s`` is the budget of the whole recipe.
-    ``workers`` has no effect (see ``obbt``)."""
+    unbounded.  ``params.time_limit_s`` is the budget of the whole recipe."""
     budget = Budget(params)
     lo_res = solve(build_method(inst, parse_method("MCF:T")).model, budget.params())
     z_lb = lo_res.objective if lo_res.status == OPTIMAL else -INF
@@ -221,7 +214,7 @@ def default_obbt_recipe(inst: PoolingInstance, workers: int = 8,
                        budget.params())
         if hi_res.objective is not None:
             z_ub = hi_res.objective
-    upd = obbt(inst, relax, z_lb, z_ub, workers=workers, params=budget.params())
+    upd = obbt(inst, RECIPE_RELAXATION, z_lb, z_ub, params=budget.params())
     return upd, z_lb, z_ub
 
 

@@ -48,7 +48,7 @@ class TestCriterion1:
         want = self.EXPECTED[name]
         inst = load(data_dir, name)
         t0 = time.perf_counter()
-        ev = exact_value(inst, SolveParams(time_limit_s=55.0), workers=8)
+        ev = exact_value(inst, SolveParams(time_limit_s=55.0))
         elapsed = time.perf_counter() - t0
         ok = (ev.proven and ev.value is not None
               and abs(ev.value - want) <= 1e-4 * abs(want) and elapsed < 60.0)
@@ -97,7 +97,7 @@ class TestCriterion3:
         opt, wants = self.TABLE[name]
         inst = load(data_dir, name)
         t0 = time.perf_counter()
-        upd, _, _ = default_obbt_recipe(inst, workers=8)
+        upd, _, _ = default_obbt_recipe(inst)
         prep = time.perf_counter() - t0
         tightened = apply_bounds(inst, upd)
         gaps = []
@@ -152,7 +152,7 @@ class TestCriterion4:
 class TestCriterion5:
     def test_adhya3_strictness_witness(self, data_dir):
         inst = load(data_dir, "adhya3")
-        upd, _, _ = default_obbt_recipe(inst, workers=8)
+        upd, _, _ = default_obbt_recipe(inst)
         tightened = apply_bounds(inst, upd)
         res3 = solve(build_method(tightened, parse_method("F3:S")).model)
         res4 = solve(build_method(tightened, parse_method("F4:S")).model)

@@ -14,7 +14,7 @@ import poolkit.bench
 from poolkit.bench import (RESTRICTION_PORTFOLIO, GridConfig, RunRecord,
                            compute_gap, exact_value, records_from_csv,
                            records_to_csv, run_grid, summarize)
-from poolkit.cli import main
+from poolkit.cli import _load_instances, main
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import solve
 from poolkit.tightening import (RECIPE_RESTRICTION, TighteningError,
@@ -43,20 +43,20 @@ class TestExactValue:
         # each bental5 restriction MILP alone runs far past the limit
         inst = parse_instance(data_dir / "bental5.json")
         t0 = time.perf_counter()
-        ev = exact_value(inst, SolveParams(time_limit_s=2.0), workers=1)
+        ev = exact_value(inst, SolveParams(time_limit_s=2.0))
         assert time.perf_counter() - t0 < 4.0
         assert not ev.proven
         assert ev.lower is not None  # the cheap LP bounds run first
 
     def test_status_of_a_proven_squeeze(self, haverly1):
-        ev = exact_value(haverly1, workers=1)
+        ev = exact_value(haverly1)
         assert (ev.proven, ev.status) == (True, "proven")
 
     def test_status_of_a_spent_budget(self, data_dir):
         from poolkit import parse_instance
         from poolkit.solver import SolveParams
         inst = parse_instance(data_dir / "bental5.json")
-        ev = exact_value(inst, SolveParams(time_limit_s=2.0), workers=1)
+        ev = exact_value(inst, SolveParams(time_limit_s=2.0))
         assert (ev.proven, ev.status) == (False, "time-limit")
 
     def test_status_when_the_passes_end_unproven(self, haverly1, monkeypatch):
@@ -67,7 +67,7 @@ class TestExactValue:
             raise TighteningError("crossed interval")
 
         monkeypatch.setattr(poolkit.bench, "default_obbt_recipe", failing)
-        ev = exact_value(haverly1, workers=1)
+        ev = exact_value(haverly1)
         assert (ev.proven, ev.status) == (False, "open")
 
     def test_first_update_stands_for_the_first_recipe(self, haverly2, monkeypatch):
@@ -107,7 +107,7 @@ class TestExactValue:
         # foulds2's F4 bound is its optimum, which G2:S:H=3 reaches
         inst = parse_instance(data_dir / "foulds2.json")
         builds = record_builds(monkeypatch)
-        ev = exact_value(inst, workers=1)
+        ev = exact_value(inst)
         assert [label for _, label in builds] == ["F4:S", "F4:T", "G1:S:H=3", "G2:S:H=3"]
         assert (ev.status, ev.witness) == ("proven", "G2:S:H=3")
 
@@ -261,6 +261,16 @@ class TestCLI:
         assert main(["tighten", "--mining", str(spath), "--out", str(bpath)]) == 0
         bounds = json.loads(bpath.read_text())
         assert bounds["arcs"]["s:a:1->i:a:1"] == [10.0, 10.0]
+
+    def test_bundled_data_dir_holds_only_instances(self, tmp_path, data_dir):
+        # `poolkit run --instances src/poolkit/data` reads every JSON file
+        # there; the mining schedule lives in data/mining
+        names = [name for name, _ in _load_instances(str(data_dir), False)]
+        assert names == ["adhya1", "adhya2", "adhya3", "adhya4", "bental4",
+                         "bental5", "foulds2", "haverly1", "haverly2", "haverly3"]
+        sched = data_dir / "mining" / "example_schedule.json"
+        assert main(["tighten", "--mining", str(sched),
+                     "--out", str(tmp_path / "bounds.json")]) == 0
 
     def test_bounds_cache_round_trip(self, tmp_path, data_dir):
         out1 = tmp_path / "a.csv"

@@ -3,9 +3,8 @@ solution checker."""
 
 import pytest
 
-from poolkit.formulations import (build_mcf_relaxation, build_source_based,
-                                  build_terminal_based, check_solution,
-                                  rederive_proportions)
+from poolkit.formulations import (build_source_based, build_terminal_based,
+                                  check_solution, rederive_proportions)
 from poolkit.instances import parse_instance_dict
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import CapabilityError, solve
@@ -47,23 +46,20 @@ class TestExactModels:
         # a 1x1 pool block makes the rank constraint vacuous: the MCF value
         # is already exact
         inst = single_chain_instance()
-        bm = build_source_based(inst)
-        res = solve(build_mcf_relaxation(bm))
+        res = solve(build_method(inst, parse_method("MCF:S")).model)
         assert res.objective == pytest.approx(8 * (1.0 - 3.0))
 
     def test_terminal_based_single_terminal_collapses(self):
         inst = no_spec_two_source()
         bm = build_terminal_based(inst)
         assert all(len(b.row_ids) == 1 for b in bm.blocks)
-        res = solve(build_mcf_relaxation(bm))
+        res = solve(build_method(inst, parse_method("MCF:T")).model)
         assert res.objective == pytest.approx(10 * (1 - 4) + 2 * (2 - 4))
 
     def test_objective_equivalence_forms(self, haverly1, rng):
         # cost restated on arcs equals the commodity-split form on any
         # feasible assignment of a standard (single-hop) sub-instance
-        bm = build_source_based(haverly1)
-        mcf = build_mcf_relaxation(bm)
-        res = solve(mcf)
+        res = solve(build_method(haverly1, parse_method("MCF:S")).model)
         arc_form = sum(haverly1.arcs[k].cost * res.assignment[f"f[{k[0]},{k[1]}]"]
                        for k in haverly1.arcs)
         split = 0.0
@@ -123,7 +119,7 @@ class TestPoolBlocks:
 
 class TestMCF:
     def test_haverly_mcf_below_optimum(self, haverly1):
-        res = solve(build_mcf_relaxation(build_source_based(haverly1)))
+        res = solve(build_method(haverly1, parse_method("MCF:S")).model)
         assert res.objective <= -400 - 1e-9 or res.objective == pytest.approx(-500)
         assert res.objective == pytest.approx(-500.0)
 
@@ -132,7 +128,7 @@ class TestMCF:
         # flow: a rank-one completion of the MCF optimum exists
         inst = no_spec_two_source()
         bm = build_source_based(inst)
-        res = solve(build_mcf_relaxation(bm))
+        res = solve(build_method(inst, parse_method("MCF:S")).model)
         full = rederive_proportions(bm, res.assignment)
         report = check_solution(bm, full, tol=1e-6)
         assert report.ok, report.families
@@ -201,7 +197,7 @@ class TestBasisEquivalence:
         from poolkit import parse_instance
         from poolkit.bench import exact_value
         inst = parse_instance(data_dir / f"{name}.json")
-        ev = exact_value(inst, workers=4)
+        ev = exact_value(inst)
         assert ev.proven
         # both bases participate in the squeeze; the proven value is unique,
         # so agreement is within the squeeze tolerance by construction

@@ -1,0 +1,55 @@
+"""dump_model output pinned per bundled instance: a refactor of the model
+builders must leave every model byte-identical.
+
+Each digest is the sha256 of the concatenated dumps of LABELS, in order, for
+one instance; they were recorded before the builders were merged into
+relaxations.build_method.
+"""
+
+import hashlib
+
+import pytest
+
+from poolkit import parse_instance
+from poolkit.modelir import dump_model
+from poolkit.relaxations import build_method, parse_method
+
+from conftest import DATA
+
+LABELS = tuple(
+    label
+    for b in "ST"
+    for label in (
+        f"EXACT:{b}", f"MCF:{b}",
+        *(f"F{k}:{b}" for k in range(1, 5)),
+        *(f"{kind}:{b}:H={h}" for kind in ("M1", "M2", "G1", "G2") for h in (1, 2, 3)),
+        f"F4:{b}+Vab(x,r)", f"F4:{b}+Vac(x,r)", f"F1:{b}+Vab(r)",
+        f"F3:{b}+Vab(x)+Vac(x)",
+    )
+)
+
+DIGESTS = {
+    "adhya1": "8885cdc7bc7e1eb6fba08be2dc2eadcd4486927e992683d31bb557715bfd446b",
+    "adhya2": "5fd7dbc1265933e03a4ddaea26d631742a49afbcfc615206874e62387455866d",
+    "adhya3": "04a3dca72026c496b8df61454ba8fa7c095e2d8fe98e5f7067e367f6b5f49f85",
+    "adhya4": "435629d39918e27488025374875a8e0be77fc4656caff9561e61cb4b48cb7ee6",
+    "bental4": "95d354a7c8f4b3cd08c9b2c1b379e1ad7837cbec6046065f5dfe31d5c435193a",
+    "bental5": "a65f9ec096f2b4096d3d5a3b2f012589b1dcc795b2f540d0cd6236807f076373",
+    "foulds2": "806c00e2cbf012ea8543174fe4109b10832471b80c579301a4a23e8ec79e94c9",
+    "haverly1": "390e9e836494a92c63bfd63749e539c74450074089c68db4e9e89629bb7d72c8",
+    "haverly2": "469f4971e0b70fcebd3d4dba714ad951f15d6091691e4ec166fa3cdd4f57b015",
+    "haverly3": "42c13c5fc5e69f4e9a36c016314b1a4fb5f19d070e1d1cad5b00bb03b919b412",
+}
+
+
+def test_labels():
+    assert len(LABELS) == 44 and len(set(LABELS)) == 44
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_dump_model_unchanged(name):
+    inst = parse_instance(DATA / f"{name}.json")
+    digest = hashlib.sha256()
+    for label in LABELS:
+        digest.update(dump_model(build_method(inst, parse_method(label)).model).encode())
+    assert digest.hexdigest() == DIGESTS[name]

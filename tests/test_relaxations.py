@@ -6,9 +6,7 @@ from poolkit.bench import compute_gap
 from poolkit.formulations import build_source_based, check_solution, rederive_proportions
 from poolkit.instances import parse_instance_dict
 from poolkit.relaxations import (MethodError, MethodSpec, build_method,
-                                 build_mip_relaxation, build_mip_restriction,
-                                 build_relaxation, inject_valid_inequalities,
-                                 parse_method)
+                                 inject_valid_inequalities, parse_method)
 from poolkit.solver import solve
 
 
@@ -64,14 +62,14 @@ def positive_lower_instance():
 
 class TestFRelaxations:
     def test_haverly1_f1_gap(self, haverly1):
-        res = solve(build_relaxation(haverly1, parse_method("F1:S")).model)
+        res = solve(build_method(haverly1, parse_method("F1:S")).model)
         assert compute_gap(-400.0, res.objective) == pytest.approx(25.00, abs=0.01)
 
     def test_dominance_on_instance(self, haverly3):
         vals = {}
         for kind in ["F1", "F2", "F3", "F4"]:
-            vals[kind] = solve(build_relaxation(haverly3,
-                                                parse_method(f"{kind}:T")).model).objective
+            vals[kind] = solve(build_method(haverly3,
+                                            parse_method(f"{kind}:T")).model).objective
         assert vals["F4"] >= vals["F3"] - 1e-6
         assert vals["F3"] >= max(vals["F1"], vals["F2"]) - 1e-6
 
@@ -88,7 +86,7 @@ class TestFRelaxations:
 
 class TestValidInequalities:
     def test_literature_blocks_with_zero_L_are_skipped(self, haverly1):
-        built = build_relaxation(haverly1, parse_method("F4:S"))
+        built = build_method(haverly1, parse_method("F4:S"))
         before = len(built.model.rows)
         inject_valid_inequalities(built, haverly1, parse_method("F4:S+Vab(x,r)"))
         assert built.cut_count == 0
@@ -97,22 +95,22 @@ class TestValidInequalities:
 
     def test_vab_never_weakens_bound(self):
         inst = positive_lower_instance()
-        base = solve(build_relaxation(inst, parse_method("F4:S")).model).objective
-        cut = solve(build_relaxation(inst, parse_method("F4:S+Vab(x,r)")).model)
+        base = solve(build_method(inst, parse_method("F4:S")).model).objective
+        cut = solve(build_method(inst, parse_method("F4:S+Vab(x,r)")).model)
         assert cut.objective >= base - 1e-9
-        cut2 = solve(build_relaxation(inst, parse_method("F4:S+Vac(x,r)")).model)
+        cut2 = solve(build_method(inst, parse_method("F4:S+Vac(x,r)")).model)
         assert cut2.objective >= base - 1e-9
 
     def test_cuts_do_not_cut_exact_optimum(self):
         from poolkit.bench import exact_value
         inst = positive_lower_instance()
-        ev = exact_value(inst, workers=2)
-        cut = solve(build_relaxation(inst, parse_method("F4:S+Vab(x,r)+Vac(x,r)")).model)
+        ev = exact_value(inst)
+        cut = solve(build_method(inst, parse_method("F4:S+Vab(x,r)+Vac(x,r)")).model)
         assert cut.objective <= ev.value + 1e-6 * max(1.0, abs(ev.value))
 
     def test_r_cuts_on_f1_pull_in_cell_fractions(self):
         inst = positive_lower_instance()
-        built = build_relaxation(inst, parse_method("F1:S+Vab(r)"))
+        built = build_method(inst, parse_method("F1:S+Vab(r)"))
         assert any(v.startswith("B[p1]:r[") for v in built.model.variables)
         assert built.cut_count > 0
 
@@ -121,14 +119,13 @@ class TestMIP:
     def test_relaxation_monotone_in_H(self, haverly3):
         vals = []
         for H in (1, 2, 3):
-            res = solve(build_mip_relaxation(haverly3,
-                                             parse_method(f"M1:S:H={H}")).model)
+            res = solve(build_method(haverly3, parse_method(f"M1:S:H={H}")).model)
             vals.append(res.dual_bound)
         assert vals[0] <= vals[1] + 1e-7 and vals[1] <= vals[2] + 1e-7
 
     def test_relaxation_is_outer_restriction_is_inner(self, haverly1):
-        m = solve(build_mip_relaxation(haverly1, parse_method("M2:S:H=2")).model)
-        g = solve(build_mip_restriction(haverly1, parse_method("G2:S:H=2")).model)
+        m = solve(build_method(haverly1, parse_method("M2:S:H=2")).model)
+        g = solve(build_method(haverly1, parse_method("G2:S:H=2")).model)
         assert m.objective <= -400.0 + 1e-6
         assert g.objective >= -400.0 - 1e-6
 
@@ -153,23 +150,18 @@ class TestMIP:
         errors = []
         for H in (3, 8):
             q_H = (2 ** (H - 1) - 1) / (2 ** H - 1)
-            res = solve(build_mip_restriction(
-                inst, parse_method(f"G2:S:H={H}")).model)
+            res = solve(build_method(inst, parse_method(f"G2:S:H={H}")).model)
             assert res.objective == pytest.approx(-(10 + 30 * q_H), abs=1e-3)
             errors.append(res.objective - want)
         assert 0 < errors[1] < errors[0]      # -24.941 at H=8
-        relax = solve(build_mip_relaxation(inst, parse_method("M2:S:H=8")).model)
+        relax = solve(build_method(inst, parse_method("M2:S:H=8")).model)
         assert relax.dual_bound == pytest.approx(want, abs=1e-3)
 
     def test_restriction_solutions_are_feasible(self, haverly1):
         bm = build_source_based(haverly1)
-        built = build_mip_restriction(haverly1, parse_method("G2:S:H=3"))
+        built = build_method(haverly1, parse_method("G2:S:H=3"))
         res = solve(built.model)
         assignment = {v: res.assignment.get(v, 0.0) for v in bm.model.variables}
         assignment = rederive_proportions(bm, assignment)
         report = check_solution(bm, assignment, tol=1e-6)
         assert report.ok, report.families
-
-    def test_H_validation(self, haverly1):
-        with pytest.raises(MethodError):
-            build_mip_relaxation(haverly1, parse_method("F1:S"))

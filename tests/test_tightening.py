@@ -25,7 +25,7 @@ def mcf_value(inst, basis="S"):
 
 class TestOBBT:
     def test_haverly1_closes_all_f_gaps(self, haverly1):
-        upd, zlb, zub = default_obbt_recipe(haverly1, workers=4)
+        upd, zlb, zub = default_obbt_recipe(haverly1)
         assert zlb == pytest.approx(-500.0) and zub == pytest.approx(-400.0)
         inst = apply_bounds(haverly1, upd)
         for label in ["F1:S", "F2:S", "F3:S", "F4:S"]:
@@ -34,13 +34,13 @@ class TestOBBT:
 
     def test_soundness_optimum_preserved(self, haverly3):
         from poolkit.bench import exact_value
-        upd, _, _ = default_obbt_recipe(haverly3, workers=4)
+        upd, _, _ = default_obbt_recipe(haverly3)
         inst = apply_bounds(haverly3, upd)
-        ev = exact_value(inst, use_obbt=False, workers=2)
+        ev = exact_value(inst, use_obbt=False)
         assert ev.value == pytest.approx(-750.0, rel=1e-4)
 
     def test_monotone_second_pass(self, haverly2):
-        upd1, zlb, zub = default_obbt_recipe(haverly2, workers=4)
+        upd1, zlb, zub = default_obbt_recipe(haverly2)
         inst1 = apply_bounds(haverly2, upd1)
         upd2 = obbt(inst1, "F4:T", zlb, zub, workers=4)
         for key, (lo, hi) in upd2.arc_bounds.items():
@@ -62,7 +62,7 @@ class TestOBBT:
     def test_spent_budget_leaves_bounds_unchanged(self, haverly1):
         # no solve finishes, so neither the objective box nor any interval
         # has a proven side
-        upd, zlb, zub = default_obbt_recipe(haverly1, workers=1,
+        upd, zlb, zub = default_obbt_recipe(haverly1,
                                             params=SolveParams(time_limit_s=0.0))
         assert (zlb, zub) == (-INF, INF)
         assert set(upd.provenance.values()) == {"unchanged"}
@@ -89,7 +89,7 @@ class TestOBBT:
             apply_bounds(haverly1, upd)
 
     def test_json_round_trip(self, haverly1):
-        upd, _, _ = default_obbt_recipe(haverly1, workers=2)
+        upd, _, _ = default_obbt_recipe(haverly1)
         back = BoundUpdate.from_json(upd.to_json())
         assert back.arc_bounds == upd.arc_bounds
         assert back.node_bounds == upd.node_bounds
