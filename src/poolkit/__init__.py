@@ -15,7 +15,7 @@ from .relaxations import (MethodSpec, build_method, inject_valid_inequalities,
                           parse_method)
 from .tightening import BoundUpdate, apply_bounds, mining_tighten, obbt
 from .bench import compute_gap, exact_value, run_grid
-from .modelir import ModelIR, dump_model, parse_dump
+from .modelir import ModelIR, dump_model
 from .solver import SolveParams, SolveResult, solve
 
 __version__ = "0.1.0"

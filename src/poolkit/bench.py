@@ -22,8 +22,8 @@ from .instances import PoolingInstance, content_hash
 from .modelir import INF
 from .relaxations import MethodSpec, build_method, parse_method
 from .solver import Budget, SolveParams, solve
-from .tightening import (RECIPE_RESTRICTION, BoundUpdate, TighteningError,
-                         apply_bounds, default_obbt_recipe)
+from .tightening import (RECIPE_LABEL, RECIPE_RESTRICTION, BoundUpdate,
+                         TighteningError, apply_bounds, default_obbt_recipe)
 
 GAP_UNDEFINED = float("nan")
 
@@ -187,9 +187,8 @@ def _cached_obbt(inst: PoolingInstance, cache_dir: str | None,
                  params: SolveParams):
     """Run the default recipe, consulting the cache keyed by instance hash
     and recipe label when a cache directory is configured."""
-    recipe = "mcfT+g1t3grid7+obbt(F4:T)"
     if cache_dir:
-        path = pathlib.Path(cache_dir) / f"{content_hash(inst)}-{recipe}.json"
+        path = pathlib.Path(cache_dir) / f"{content_hash(inst)}-{RECIPE_LABEL}.json"
         if path.exists():
             return BoundUpdate.from_json(path.read_text())
     upd, _, _ = default_obbt_recipe(inst, params=params)

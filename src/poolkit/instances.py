@@ -117,17 +117,6 @@ class PoolingInstance:
     def kind(self, n: str) -> str:
         return self.nodes[n].kind
 
-    def N_si_minus(self, s: str, i: str) -> tuple[str, ...]:
-        """In-neighbors of pool i usable by commodity s: s itself plus
-        non-source nodes that s can reach."""
-        out = []
-        for j in self.in_nbrs[i]:
-            if j in self.sources and j != s:
-                continue
-            if j == s or s in self.S_i[j]:
-                out.append(j)
-        return tuple(out)
-
     def ghost_pairs(self, basis: str = "source") -> list[tuple[str, str]]:
         """(s, i) pairs with s in S_i but no arc (source basis), or (i, t)
         pairs with t in T_i but no arc (terminal basis)."""

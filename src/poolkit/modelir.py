@@ -56,6 +56,7 @@ class ModelIR:
     rows: list[LinRow] = field(default_factory=list)
     bilinear: list[BilinearTerm] = field(default_factory=list)
     objective: dict[str, float] = field(default_factory=dict)
+    row_names: set[str] = field(default_factory=set, repr=False)
 
     # -- construction helpers -------------------------------------------------
 
@@ -73,6 +74,8 @@ class ModelIR:
     def add_row(self, name: str, coeffs, sense: str, rhs: float) -> None:
         if sense not in (LE, GE, EQ):
             raise ModelError(f"bad sense {sense!r}")
+        if name in self.row_names:
+            raise ModelError(f"duplicate row {name!r}")
         if not math.isfinite(rhs):
             raise ModelError(f"row {name!r} has non-finite rhs {rhs}")
         items = tuple(sorted(dict(coeffs).items()))
@@ -80,6 +83,7 @@ class ModelIR:
             if v not in self.variables:
                 raise ModelError(f"row {name!r} references unknown variable {v!r}")
         self.rows.append(LinRow(name, items, sense, float(rhs)))
+        self.row_names.add(name)
 
     def add_range(self, name: str, coeffs, lo: float, hi: float) -> None:
         """lo <= expr <= hi, skipping infinite sides; equality if lo == hi."""
@@ -138,61 +142,3 @@ def dump_model(model: ModelIR) -> str:
         lines.append(f"  {name} in [{_fmt(v.lb)}, {_fmt(v.ub)}]{kind}")
     return "\n".join(lines) + "\n"
 
-
-def parse_dump(text: str) -> ModelIR:
-    """Inverse of dump_model, up to float round-trip at 12 significant digits."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("model "):
-        raise ModelError("dump must start with 'model <name>'")
-    model = ModelIR(lines[0][len("model "):])
-    section = None
-    pending_rows: list[tuple[str, str]] = []
-    pending_obj: str | None = None
-    pending_bilinear: list[str] = []
-    for ln in lines[1:]:
-        stripped = ln.strip()
-        if stripped in ("minimize", "subject to", "bilinear", "vars"):
-            section = stripped
-            continue
-        if section == "minimize":
-            pending_obj = stripped
-        elif section == "subject to":
-            name, rest = stripped.split(": ", 1)
-            pending_rows.append((name, rest))
-        elif section == "bilinear":
-            pending_bilinear.append(stripped)
-        elif section == "vars":
-            name, rest = stripped.split(" in ", 1)
-            binary = rest.endswith(" binary")
-            if binary:
-                rest = rest[: -len(" binary")]
-            lo, hi = rest.strip("[]").split(", ")
-            model.add_var(name, float(lo), float(hi), binary)
-        else:
-            raise ModelError(f"line outside any section: {ln!r}")
-
-    def parse_expr(s: str) -> dict[str, float]:
-        out: dict[str, float] = {}
-        if s == "0":
-            return out
-        for term in s.split(" + "):
-            c, v = term.split("*", 1)
-            out[v] = out.get(v, 0.0) + float(c)
-        return out
-
-    if pending_obj is not None:
-        model.set_objective(parse_expr(pending_obj))
-    for name, rest in pending_rows:
-        for sense in (LE, GE, EQ):
-            marker = f" {sense} "
-            if marker in rest:
-                expr, rhs = rest.rsplit(marker, 1)
-                model.add_row(name, parse_expr(expr), sense, float(rhs))
-                break
-        else:
-            raise ModelError(f"cannot parse row: {rest!r}")
-    for item in pending_bilinear:
-        x, rest = item.split(" == ", 1)
-        q, f = rest.split(" * ", 1)
-        model.add_bilinear(x, q, f)
-    return model

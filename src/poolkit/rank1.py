@@ -20,15 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 INF = math.inf
-
-ROW_FRACTION = "row-fraction"
-COLUMN_FRACTION = "column-fraction"
-CELL_FRACTION = "cell-fraction"
 
 
 class BoxError(ValueError):
@@ -149,37 +145,77 @@ def membership_T_tilde(X, box: BoundBox, tol: float = 1e-9,
     return membership_T(X, box, tol) and is_rank_le_one(X, rank_tol)
 
 
-# -- extended-formulation fragments --------------------------------------------
+# -- rows over one block --------------------------------------------------------
 
-# term keys: ("x", i, j) for the caller's matrix block, ("aux", name) for
-# fragment-owned variables.
+# A term is one variable of a block: ("x", i, j) the caller's matrix cell,
+# ("t", j), ("tp", i) and ("r", i, j) the column, row and cell fractions.
+# The fragments own the fractions; the RLT cuts act on x or on r.
 Term = tuple
 
 
 @dataclass(frozen=True)
-class FragRow:
+class LinearCut:
+    """One linear row over a block's terms: a fragment row or a cut."""
+
     name: str
     coeffs: tuple[tuple[Term, float], ...]
     sense: str  # "<=", ">=", "=="
     rhs: float
 
 
+def _term_var(term: Term, x_name, prefix: str) -> str:
+    """The model variable of a term: x cells through x_name(i, j), every
+    other term prefix:fam[idx]."""
+    if term[0] == "x":
+        return x_name(term[1], term[2])
+    return f"{prefix}:{term[0]}[{','.join(map(str, term[1:]))}]"
+
+
+def add_rows(model, rows, x_name, prefix: str) -> None:
+    """Write rows over a block's terms into a ModelIR, named under prefix."""
+    names: dict[Term, str] = {}  # one name format per term, not per coefficient
+    for row in rows:
+        coeffs: dict[str, float] = {}
+        for term, coeff in row.coeffs:
+            var = names.get(term)
+            if var is None:
+                var = names[term] = _term_var(term, x_name, prefix)
+            coeffs[var] = coeffs.get(var, 0.0) + coeff
+        model.add_row(f"{prefix}:{row.name}", coeffs, row.sense, row.rhs)
+
+
+def relabel(rows, prefix: str) -> list:
+    """The rows renamed under prefix, so that the rows of two fragments on
+    one block keep unique names; their terms are shared verbatim."""
+    return [replace(row, name=f"{prefix}:{row.name}") for row in rows]
+
+
+def _col_sum(space, j, m, w=1.0):
+    return {(space, i, j): w for i in range(m)}
+
+
+def _row_sum(space, i, n, w=1.0):
+    return {(space, i, j): w for j in range(n)}
+
+
+def _total(space, m, n, w=1.0):
+    return {(space, i, j): w for i in range(m) for j in range(n)}
+
+
+# -- extended-formulation fragments --------------------------------------------
+
 @dataclass
 class ModelFragment:
     """Linear constraints over an m x n block of x-variables plus fresh
-    auxiliary fraction variables (all nonnegative)."""
+    fraction variables, the aux terms (all nonnegative)."""
 
     m: int
     n: int
-    aux: list[tuple[str, str]] = field(default_factory=list)  # (name, role)
-    rows: list[FragRow] = field(default_factory=list)
-
-    def add_aux(self, name: str, role: str) -> Term:
-        self.aux.append((name, role))
-        return ("aux", name)
+    aux: list[Term] = field(default_factory=list)
+    rows: list[LinearCut] = field(default_factory=list)
 
     def add(self, name: str, coeffs: dict, sense: str, rhs: float) -> None:
-        self.rows.append(FragRow(name, tuple(coeffs.items()), sense, float(rhs)))
+        self.rows.append(LinearCut(name, tuple(coeffs.items()), sense, float(rhs)))
 
 
 def build_rowwise_extension(box: BoundBox) -> ModelFragment:
@@ -189,8 +225,8 @@ def build_rowwise_extension(box: BoundBox) -> ModelFragment:
     t_j = x_ij / (row sum i) for any nonzero row i.
     """
     m, n = box.m, box.n
-    frag = ModelFragment(m, n)
-    t = [frag.add_aux(f"t[{j}]", COLUMN_FRACTION) for j in range(n)]
+    frag = ModelFragment(m, n, [("t", j) for j in range(n)])
+    t = frag.aux
     for i in range(m):
         for j in range(n):
             frag.add(f"cell_lo[{i},{j}]", {("x", i, j): 1.0, t[j]: -box.l[i]}, ">=", 0.0)
@@ -208,8 +244,8 @@ def build_rowwise_extension(box: BoundBox) -> ModelFragment:
 def build_colwise_extension(box: BoundBox) -> ModelFragment:
     """Column-sum analogue of build_rowwise_extension (one variable per row)."""
     m, n = box.m, box.n
-    frag = ModelFragment(m, n)
-    tp = [frag.add_aux(f"tp[{i}]", ROW_FRACTION) for i in range(m)]
+    frag = ModelFragment(m, n, [("tp", i) for i in range(m)])
+    tp = frag.aux
     for i in range(m):
         for j in range(n):
             frag.add(f"cell_lo[{i},{j}]", {("x", i, j): 1.0, tp[i]: -box.lp[j]}, ">=", 0.0)
@@ -230,12 +266,6 @@ def build_intersection(box: BoundBox) -> ModelFragment:
     cw = build_colwise_extension(box)
     frag = ModelFragment(box.m, box.n)
     frag.aux = rw.aux + cw.aux  # t[.] and tp[.] never collide
-
-    def relabel(rows, prefix):
-        # row names must stay unique; the aux references are shared verbatim
-        return [FragRow(f"{prefix}:{row.name}", row.coeffs, row.sense, row.rhs)
-                for row in rows]
-
     frag.rows = relabel(rw.rows, "rw") + relabel(cw.rows, "cw")
     return frag
 
@@ -243,12 +273,11 @@ def build_intersection(box: BoundBox) -> ModelFragment:
 def build_rowcol_extension(box: BoundBox) -> ModelFragment:
     """Stronger fragment with one cell-fraction variable per entry."""
     m, n = box.m, box.n
-    frag = ModelFragment(m, n)
-    r = [[frag.add_aux(f"r[{i},{j}]", CELL_FRACTION) for j in range(n)] for i in range(m)]
+    frag = ModelFragment(m, n, list(_total("r", m, n)))
     for i in range(m):
         for j in range(n):
-            colsum = {r[i2][j]: 1.0 for i2 in range(m)}
-            rowsum = {r[i][j2]: 1.0 for j2 in range(n)}
+            colsum = _col_sum("r", j, m)
+            rowsum = _row_sum("r", i, n)
             frag.add(f"rowb_lo[{i},{j}]",
                      {("x", i, j): 1.0, **{k: -box.l[i] * v for k, v in colsum.items()}},
                      ">=", 0.0)
@@ -256,9 +285,9 @@ def build_rowcol_extension(box: BoundBox) -> ModelFragment:
                 frag.add(f"rowb_hi[{i},{j}]",
                          {("x", i, j): 1.0, **{k: -box.u[i] * v for k, v in colsum.items()}},
                          "<=", 0.0)
-            frag.add(f"tot_lo[{i},{j}]", {("x", i, j): 1.0, r[i][j]: -box.L}, ">=", 0.0)
+            frag.add(f"tot_lo[{i},{j}]", {("x", i, j): 1.0, ("r", i, j): -box.L}, ">=", 0.0)
             if math.isfinite(box.U):
-                frag.add(f"tot_hi[{i},{j}]", {("x", i, j): 1.0, r[i][j]: -box.U}, "<=", 0.0)
+                frag.add(f"tot_hi[{i},{j}]", {("x", i, j): 1.0, ("r", i, j): -box.U}, "<=", 0.0)
             frag.add(f"colb_lo[{i},{j}]",
                      {("x", i, j): 1.0, **{k: -box.lp[j] * v for k, v in rowsum.items()}},
                      ">=", 0.0)
@@ -266,7 +295,7 @@ def build_rowcol_extension(box: BoundBox) -> ModelFragment:
                 frag.add(f"colb_hi[{i},{j}]",
                          {("x", i, j): 1.0, **{k: -box.up[j] * v for k, v in rowsum.items()}},
                          "<=", 0.0)
-    frag.add("simplex", {r[i][j]: 1.0 for i in range(m) for j in range(n)}, "==", 1.0)
+    frag.add("simplex", _total("r", m, n), "==", 1.0)
     return frag
 
 
@@ -321,48 +350,17 @@ def _add_plain_rows(model, box: BoundBox) -> None:
 
 def attach_fragment(model, frag: ModelFragment, x_name, prefix: str = "F") -> None:
     """Instantiate a fragment into a ModelIR against an existing x block."""
-    for name, _role in frag.aux:
-        model.add_var(f"{prefix}:{name}")
-    for row in frag.rows:
-        coeffs = {}
-        for term, coeff in row.coeffs:
-            if term[0] == "x":
-                var = x_name(term[1], term[2])
-            else:
-                var = f"{prefix}:{term[1]}"
-            coeffs[var] = coeffs.get(var, 0.0) + coeff
-        model.add_row(f"{prefix}:{row.name}", coeffs, row.sense, row.rhs)
+    for term in frag.aux:
+        model.add_var(_term_var(term, x_name, prefix))
+    add_rows(model, frag.rows, x_name, prefix)
 
 
 # -- RLT cut generation ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearCut:
-    """space 'r' cuts reference ("r",i,j) terms, space 'x' cuts ("x",i,j)."""
-
-    name: str
-    space: str
-    coeffs: tuple[tuple[Term, float], ...]
-    sense: str
-    rhs: float
-
 
 @dataclass
 class CutSet:
     cuts: list[LinearCut] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-
-
-def _col_sum(space, j, m, w=1.0):
-    return {(space, i, j): w for i in range(m)}
-
-
-def _row_sum(space, i, n, w=1.0):
-    return {(space, i, j): w for j in range(n)}
-
-
-def _total(space, m, n, w=1.0):
-    return {(space, i, j): w for i in range(m) for j in range(n)}
 
 
 def _merge(*parts):
@@ -373,85 +371,81 @@ def _merge(*parts):
     return {k: v for k, v in out.items() if v != 0.0}
 
 
+def _rlt_guard(box: BoundBox, bounded: bool = True) -> CutSet | None:
+    """An empty CutSet that says why, for a box the cuts are not defined on:
+    they divide by L, and when bounded the RLT rows also need finite u, u'
+    and U."""
+    if box.L <= 0:
+        return CutSet(notes=["skipped: L=0"])
+    if bounded and not all(math.isfinite(b) for b in box.u + box.up + (box.U,)):
+        return CutSet(notes=["skipped: infinite bound"])
+    return None
+
+
+def _in_spaces(r_cuts: list[LinearCut], space: str, m: int, n: int) -> CutSet:
+    """The r-space cuts, their x-images, or both (r first).  A point's r is
+    x / total, so the x-image of  lhs(r) sense rhs  is
+    lhs(x) - rhs * total  sense  0."""
+    out = CutSet(list(r_cuts) if space != "x" else [])
+    if space != "r":
+        for cut in r_cuts:
+            lhs = _merge({("x", *term[1:]): v for term, v in cut.coeffs},
+                         _total("x", m, n, -cut.rhs))
+            out.cuts.append(LinearCut(cut.name.replace(":r[", ":x["),
+                                      tuple(lhs.items()), cut.sense, 0.0))
+    return out
+
+
 def gen_rlt_mccormick(box: BoundBox, space: str = "both") -> CutSet:
     """Four McCormick rows per cell: products of the fraction-variable bound
     inequalities, written in r variables and/or pushed to x variables."""
-    out = CutSet()
-    if box.L <= 0:
-        out.notes.append("skipped: L=0")
-        return out
+    skipped = _rlt_guard(box)
+    if skipped is not None:
+        return skipped
     m, n, = box.m, box.n
     l, u, lp, up, L, U = box.arrays()
-    if not (np.isfinite(u).all() and np.isfinite(up).all() and math.isfinite(U)):
-        out.notes.append("skipped: infinite bound")
-        return out
-    spaces = ("r", "x") if space == "both" else (space,)
-    for sp in spaces:
-        for i in range(m):
-            for j in range(n):
-                cs = _col_sum(sp, j, m)
-                rs = _row_sum(sp, i, n)
-                combos = [
-                    ("ll", ">=", l[i] / U, lp[j] / U, l[i] * lp[j] / U**2),
-                    ("lu", "<=", l[i] / U, up[j] / L, l[i] * up[j] / (U * L)),
-                    ("ul", "<=", u[i] / L, lp[j] / U, u[i] * lp[j] / (U * L)),
-                    ("uu", ">=", u[i] / L, up[j] / L, u[i] * up[j] / L**2),
-                ]
-                for tag, sense, a, b, const in combos:
-                    # r_ij  sense  a*colsum + b*rowsum - const*(1 or total)
-                    lhs = _merge({(sp, i, j): 1.0},
-                                 {k: -a * v for k, v in cs.items()},
-                                 {k: -b * v for k, v in rs.items()})
-                    if sp == "r":
-                        out.cuts.append(LinearCut(
-                            f"Vab:{tag}:r[{i},{j}]", "r",
-                            tuple(lhs.items()), sense, -const))
-                    else:
-                        lhs = _merge(lhs, {k: const * v
-                                           for k, v in _total("x", m, n).items()})
-                        out.cuts.append(LinearCut(
-                            f"Vab:{tag}:x[{i},{j}]", "x",
-                            tuple(lhs.items()), sense, 0.0))
-    return out
+    r_cuts = []
+    for i in range(m):
+        for j in range(n):
+            combos = [
+                ("ll", ">=", l[i] / U, lp[j] / U, l[i] * lp[j] / U**2),
+                ("lu", "<=", l[i] / U, up[j] / L, l[i] * up[j] / (U * L)),
+                ("ul", "<=", u[i] / L, lp[j] / U, u[i] * lp[j] / (U * L)),
+                ("uu", ">=", u[i] / L, up[j] / L, u[i] * up[j] / L**2),
+            ]
+            for tag, sense, a, b, const in combos:
+                # r_ij  sense  a*colsum + b*rowsum - const
+                lhs = _merge({("r", i, j): 1.0}, _col_sum("r", j, m, -a),
+                             _row_sum("r", i, n, -b))
+                r_cuts.append(LinearCut(f"Vab:{tag}:r[{i},{j}]",
+                                        tuple(lhs.items()), sense, -const))
+    return _in_spaces(r_cuts, space, m, n)
 
 
 def gen_rlt_reverse_convex(box: BoundBox, space: str = "both") -> CutSet:
     """Linearized reverse-convex rows, one per cell and orientation."""
-    out = CutSet()
-    if box.L <= 0:
-        out.notes.append("skipped: L=0")
-        return out
+    skipped = _rlt_guard(box)
+    if skipped is not None:
+        return skipped
     m, n = box.m, box.n
     l, u, lp, up, L, U = box.arrays()
-    if not (np.isfinite(u).all() and np.isfinite(up).all() and math.isfinite(U)):
-        out.notes.append("skipped: infinite bound")
-        return out
-    spaces = ("r", "x") if space == "both" else (space,)
+    r_cuts = []
 
-    def emit(sp, orient, i, j, big, small_l, axis_sum, other_sum):
-        # row orientation: big=(u_i, u'_j), small_l=l'_j, axis_sum=colsum_j,
-        # other_sum=rowsum_i; column orientation is the transpose image.
-        u_big, up_big = big
-        const = u_big * up_big * small_l / (U * L)
-        lhs = _merge({k: (u_big * up_big / L) * v for k, v in axis_sum.items()},
+    def emit(orient, i, j, big, small_l, axis_sum, other_sum):
+        # row orientation: big = u_i u'_j, small_l = l'_j, axis_sum = colsum_j,
+        # other_sum = rowsum_i; column orientation is the transpose image.
+        const = big * small_l / (U * L)
+        lhs = _merge({k: (big / L) * v for k, v in axis_sum.items()},
                      {k: (small_l**2 / U) * v for k, v in other_sum.items()},
-                     {(sp, i, j): -small_l})
-        if sp == "r":
-            out.cuts.append(LinearCut(f"Vac:{orient}:r[{i},{j}]", "r",
-                                      tuple(lhs.items()), ">=", const))
-        else:
-            lhs = _merge(lhs, {k: -const * v for k, v in _total("x", m, n).items()})
-            out.cuts.append(LinearCut(f"Vac:{orient}:x[{i},{j}]", "x",
-                                      tuple(lhs.items()), ">=", 0.0))
+                     {("r", i, j): -small_l})
+        r_cuts.append(LinearCut(f"Vac:{orient}:r[{i},{j}]",
+                                tuple(lhs.items()), ">=", const))
 
-    for sp in spaces:
-        for i in range(m):
-            for j in range(n):
-                emit(sp, "row", i, j, (u[i], up[j]), lp[j],
-                     _col_sum(sp, j, m), _row_sum(sp, i, n))
-                emit(sp, "col", i, j, (up[j], u[i]), l[i],
-                     _row_sum(sp, i, n), _col_sum(sp, j, m))
-    return out
+    for i in range(m):
+        for j in range(n):
+            emit("row", i, j, u[i] * up[j], lp[j], _col_sum("r", j, m), _row_sum("r", i, n))
+            emit("col", i, j, up[j] * u[i], l[i], _row_sum("r", i, n), _col_sum("r", j, m))
+    return _in_spaces(r_cuts, space, m, n)
 
 
 @dataclass(frozen=True)
@@ -494,17 +488,15 @@ class ConicCut:
 
 
 def gen_rlt_conic(box: BoundBox) -> CutSet:
+    skipped = _rlt_guard(box, bounded=False)
+    if skipped is not None:
+        return skipped
     out = CutSet()
-    if box.L <= 0:
-        out.notes.append("skipped: L=0")
-        return out
-    cuts = []
     for i in range(box.m):
         for j in range(box.n):
-            cuts.append(ConicCut(f"conic:cd[{i},{j}]", "cd", i, j))
-            cuts.append(ConicCut(f"conic:ac1-row[{i},{j}]", "ac1-row", i, j))
-            cuts.append(ConicCut(f"conic:ac1-col[{i},{j}]", "ac1-col", i, j))
-    out.cuts = cuts
+            out.cuts.append(ConicCut(f"conic:cd[{i},{j}]", "cd", i, j))
+            out.cuts.append(ConicCut(f"conic:ac1-row[{i},{j}]", "ac1-row", i, j))
+            out.cuts.append(ConicCut(f"conic:ac1-col[{i},{j}]", "ac1-col", i, j))
     return out
 
 
@@ -515,10 +507,12 @@ def _violation_rows(cuts: list[LinearCut], space: str, m: int, n: int):
     """Rows A and right-hand sides b of the ``space`` cuts, with each cut's
     sense folded into its sign, so that a point's violations are x @ A.T - b
     (x the flattened point): a '>=' cut is negated, an '==' cut gives both
-    signs."""
+    signs.  A cut's space is that of its terms: an x-space cut holds only
+    x terms, an r-space cut only r terms.  A cut whose terms all cancelled
+    is a constant, the same at every point; it counts as x."""
     rows, rhs = [], []
     for cut in cuts:
-        if cut.space != space:
+        if (cut.coeffs[0][0][0] if cut.coeffs else "x") != space:
             continue
         a = np.zeros(m * n)
         for (_, i, j), coeff in cut.coeffs:

@@ -21,8 +21,9 @@ from .formulations import (SOURCE_BASIS, TERMINAL_BASIS, BilinearModel,
                            build_terminal_based)
 from .instances import PoolingInstance
 from .modelir import ModelIR
-from .rank1 import (FRAGMENT_BUILDERS, attach_fragment, gen_rlt_mccormick,
-                    gen_rlt_reverse_convex, normalize)
+from .rank1 import (FRAGMENT_BUILDERS, add_rows, attach_fragment,
+                    gen_rlt_mccormick, gen_rlt_reverse_convex, normalize,
+                    relabel)
 
 F_KINDS = ("F1", "F2", "F3", "F4")
 M_KINDS = ("M1", "M2")
@@ -81,6 +82,8 @@ class MethodSpec:
         for cut in self.cuts:
             if cut not in ("Vab", "Vac"):
                 raise MethodError(f"unknown valid-inequality family {cut!r}")
+        if self.cuts and self.kind in ("MCF", "EXACT"):
+            raise MethodError(f"{self.kind} has no pool-block rows to add cuts to")
         if self.cut_space not in ("x", "r", "both"):
             raise MethodError(f"unknown cut space {self.cut_space!r}")
 
@@ -131,7 +134,6 @@ class BuiltMethod:
     """A built model plus bookkeeping needed downstream."""
 
     model: ModelIR
-    spec: MethodSpec
     backbone: BilinearModel
     skipped_blocks: list[str] = field(default_factory=list)
     cut_count: int = 0
@@ -157,23 +159,17 @@ def _attach_block_fragment(model: ModelIR, block: PoolBlock, kind: str) -> None:
     box, rows, cols = _normalized(model, block)
     if box.m == 0 or box.n == 0:
         return
-    frag = FRAGMENT_BUILDERS[kind](box)
-    attach_fragment(model, frag,
+    attach_fragment(model, FRAGMENT_BUILDERS[kind](box),
                     lambda i, j: block.var(rows[i], cols[j]),
                     prefix=_block_prefix(block.pool))
 
 
-def _cut_var(block: PoolBlock, term, rows, cols) -> str:
-    space, i, j = term
-    if space == "x":
-        return block.var(rows[i], cols[j])
-    return f"{_block_prefix(block.pool)}:r[{i},{j}]"
-
-
-def inject_valid_inequalities(built: BuiltMethod, inst: PoolingInstance,
-                              spec: MethodSpec) -> BuiltMethod:
+def inject_valid_inequalities(built: BuiltMethod, spec: MethodSpec) -> BuiltMethod:
     """Add Vab/Vac rows per pool block; blocks with L = 0 are skipped and
-    counted (the generators require a positive overall lower bound)."""
+    counted (the generators require a positive overall lower bound).  Cuts
+    in r act on the row-column fragment's cell fractions; where the label's
+    own fragment is another, that fragment is attached to host them, its
+    rows under rc:."""
     model = built.model
     for block in built.backbone.blocks:
         box, rows, cols = normalize(block.box)
@@ -182,27 +178,22 @@ def inject_valid_inequalities(built: BuiltMethod, inst: PoolingInstance,
         if box.L <= 0:
             built.skipped_blocks.append(block.pool)
             continue
-        spaces_needed = {"x": ("x",), "r": ("r",), "both": ("x", "r")}[spec.cut_space]
-        if "r" in spaces_needed:
-            rvar = f"{_block_prefix(block.pool)}:r[0,0]"
-            if rvar not in model.variables:
-                # cuts in r require the cell-fraction variables; attach the
-                # row-column fragment to host them
-                _attach_block_fragment(model, block, "rowcol")
-        sets = []
+        prefix = _block_prefix(block.pool)
+
+        def x_name(i, j):
+            return block.var(rows[i], cols[j])
+
+        if spec.cut_space != "x" and _FRAGMENT_FOR.get(spec.kind) != "rowcol":
+            host = FRAGMENT_BUILDERS["rowcol"](box)
+            host.rows = relabel(host.rows, "rc")
+            attach_fragment(model, host, x_name, prefix)
+        cuts = []
         if "Vab" in spec.cuts:
-            sets.append(gen_rlt_mccormick(box, spec.cut_space))
+            cuts += gen_rlt_mccormick(box, spec.cut_space).cuts
         if "Vac" in spec.cuts:
-            sets.append(gen_rlt_reverse_convex(box, spec.cut_space))
-        for cs in sets:
-            for cut in cs.cuts:
-                coeffs: dict[str, float] = {}
-                for term, c in cut.coeffs:
-                    var = _cut_var(block, term, rows, cols)
-                    coeffs[var] = coeffs.get(var, 0.0) + c
-                model.add_row(f"{_block_prefix(block.pool)}:{cut.name}",
-                              coeffs, cut.sense, cut.rhs)
-                built.cut_count += 1
+            cuts += gen_rlt_reverse_convex(box, spec.cut_space).cuts
+        add_rows(model, cuts, x_name, prefix)
+        built.cut_count += len(cuts)
     return built
 
 
@@ -315,9 +306,9 @@ def build_method(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
     if spec.kind == "EXACT":
         bm = (build_source_based(inst) if spec.basis == SOURCE_BASIS
               else build_terminal_based(inst))
-        return BuiltMethod(bm.model, spec, bm)
+        return BuiltMethod(bm.model, bm)
     bb = build_backbone(inst, spec.basis, f"{inst.name}:{spec.label()}")
-    built = BuiltMethod(bb.model, spec, bb)
+    built = BuiltMethod(bb.model, bb)
     if spec.kind == "MCF":
         return built
     for block in bb.blocks:
@@ -328,5 +319,5 @@ def build_method(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
                                    _VARIANT_FOR[(spec.kind, spec.basis)],
                                    restriction=spec.kind in G_KINDS)
     if spec.cuts:
-        inject_valid_inequalities(built, inst, spec)
+        inject_valid_inequalities(built, spec)
     return built

@@ -24,6 +24,9 @@ UNCHANGED = "unchanged"
 RECIPE_RESTRICTION = "G1:T:H=3"
 # the LP relaxation default_obbt_recipe's OBBT pass runs over
 RECIPE_RELAXATION = "F4:T"
+# names the recipe in bounds-cache file names: MCF:T below, G1:T:H=3 on the
+# k/7 grid above, OBBT over F4:T; a change to the recipe must change it
+RECIPE_LABEL = "mcfT+g1t3grid7+obbt(F4:T)"
 
 
 class TighteningError(RuntimeError):

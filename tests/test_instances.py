@@ -98,36 +98,6 @@ class TestGeneralize:
                             and haverly1.kind(a.head) == "pool")}
         assert len(haverly1.arcs) - len(stripped) == 2
 
-    def test_commodity_inneighbors_match_path_enumeration(self, haverly1):
-        # N_si^- definition against a brute-force path search
-        inst = generalize(haverly1)
-
-        def paths_exist(src, dst, banned_sources):
-            stack, seen = [src], {src}
-            while stack:
-                cur = stack.pop()
-                if cur == dst:
-                    return True
-                for nxt in inst.out_nbrs[cur]:
-                    if nxt in seen or (nxt in inst.sources and nxt != dst):
-                        continue
-                    seen.add(nxt)
-                    stack.append(nxt)
-            return False
-
-        for i in inst.pools:
-            for s in inst.S_i[i]:
-                got = set(inst.N_si_minus(s, i))
-                want = set()
-                for j in inst.in_nbrs[i]:
-                    if j in inst.sources and j != s:
-                        continue
-                    if j == s or s in inst.S_i[j]:
-                        want.add(j)
-                assert got == want
-                for j in got - {s}:
-                    assert paths_exist(s, j, None)
-
 
 class TestMiningConversion:
     def test_figure_shape_counts(self):

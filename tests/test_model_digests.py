@@ -4,6 +4,11 @@ builders must leave every model byte-identical.
 Each digest is the sha256 of the concatenated dumps of LABELS, in order, for
 one instance; they were recorded before the builders were merged into
 relaxations.build_method.
+
+Every pool block of the bundled instances has L = 0, so their models hold no
+Vab/Vac row.  CUT_DIGEST pins the cut rows on test_relaxations'
+positive_lower_instance, whose blocks all have L > 0; it was recorded before
+fragments and cuts were written by one function.
 """
 
 import hashlib
@@ -15,6 +20,7 @@ from poolkit.modelir import dump_model
 from poolkit.relaxations import build_method, parse_method
 
 from conftest import DATA
+from test_relaxations import positive_lower_instance
 
 LABELS = tuple(
     label
@@ -42,8 +48,23 @@ DIGESTS = {
 }
 
 
+CUT_LABELS = tuple(
+    label
+    for b in "ST"
+    for label in (
+        *(f"F{k}:{b}{cuts}" for k in range(1, 5)
+          for cuts in ("+Vab(x,r)", "+Vac(x,r)", "+Vab(r)", "+Vac(x)", "+Vab(x)+Vac(r)")),
+        *(f"{kind}:{b}:H=2{cuts}" for kind in ("M1", "M2", "G1", "G2")
+          for cuts in ("+Vab(x)", "+Vac(r)")),
+    )
+)
+
+CUT_DIGEST = "76b137f13c97f689d6585fa1be2d5a5eb40fda13cbbbfeb06984b92e2408ecb1"
+
+
 def test_labels():
     assert len(LABELS) == 44 and len(set(LABELS)) == 44
+    assert len(CUT_LABELS) == 56 and len(set(CUT_LABELS)) == 56
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -53,3 +74,13 @@ def test_dump_model_unchanged(name):
     for label in LABELS:
         digest.update(dump_model(build_method(inst, parse_method(label)).model).encode())
     assert digest.hexdigest() == DIGESTS[name]
+
+
+def test_cut_rows_unchanged():
+    inst = positive_lower_instance()
+    digest = hashlib.sha256()
+    for label in CUT_LABELS:
+        built = build_method(inst, parse_method(label))
+        assert built.cut_count > 0, label
+        digest.update(dump_model(built.model).encode())
+    assert digest.hexdigest() == CUT_DIGEST

@@ -109,7 +109,7 @@ class TestFragments:
         frag = build_rowwise_extension(box)
         for X in sample_rank_one_points(box, 20, rng):
             t = X.sum(axis=0) / X.sum()
-            values = {("aux", f"t[{j}]"): t[j] for j in range(box.n)}
+            values = {("t", j): t[j] for j in range(box.n)}
             for i in range(box.m):
                 for j in range(box.n):
                     values[("x", i, j)] = X[i, j]
@@ -127,7 +127,7 @@ class TestFragments:
         frag = build_rowcol_extension(box)
         for X in sample_rank_one_points(box, 20, rng):
             R = X / X.sum()
-            values = {("aux", f"r[{i},{j}]"): R[i, j]
+            values = {("r", i, j): R[i, j]
                       for i in range(box.m) for j in range(box.n)}
             for i in range(box.m):
                 for j in range(box.n):
@@ -179,7 +179,7 @@ class TestFragments:
                         idx = (term[2], term[1]) if swap else (term[1], term[2])
                         coeffs.append((("x",) + idx, c))
                     else:
-                        coeffs.append((("aux", term[1].split("[")[1]), c))
+                        coeffs.append((("aux", term[1]), c))
                 rows.append((tuple(sorted(coeffs)), row.sense, row.rhs))
             return sorted(rows)
 
@@ -438,7 +438,7 @@ def reference_linear(cuts, X):
     worst = 0.0
     for cut in cuts:
         for P in batch:
-            if cut.space == "r":
+            if cut.coeffs and cut.coeffs[0][0][0] == "r":  # r terms only
                 total = P.sum()
                 if total <= 0:
                     continue
@@ -546,12 +546,21 @@ class TestCutEvaluation:
         assert evaluate_linear_cuts([], X) == 0.0
         assert evaluate_linear_cuts([], X[0]) == 0.0
 
+    def test_cut_whose_terms_cancel(self):
+        # on a 1x1 box with l + l' = U the ll McCormick cut in r is 0 >= -const
+        box = make_box([2], [4], [3], [6], 1, 5)
+        cuts = gen_rlt_mccormick(box, "both").cuts
+        assert any(cut.coeffs == () for cut in cuts)
+        X = np.array([[[3.0]], [[0.0]], [[9.0]]])
+        assert evaluate_linear_cuts(cuts, X) == pytest.approx(
+            reference_linear(cuts, X), abs=1e-15)
+
     def test_hand_made_cuts(self):
         X = np.array([[[1.0, 2.0]], [[0.1, 0.1]], [[3.0, 1.0]]])
-        eq = LinearCut("eq", "x", ((("x", 0, 0), 1.0), (("x", 0, 1), 2.0)), "==", 1.0)
-        le = LinearCut("le", "x", ((("x", 0, 0), 1.0),), "<=", 0.5)
-        ge = LinearCut("ge", "x", ((("x", 0, 1), 1.0),), ">=", 3.0)
-        le_r = LinearCut("le_r", "r", ((("r", 0, 0), 1.0),), "<=", 0.25)
+        eq = LinearCut("eq", ((("x", 0, 0), 1.0), (("x", 0, 1), 2.0)), "==", 1.0)
+        le = LinearCut("le", ((("x", 0, 0), 1.0),), "<=", 0.5)
+        ge = LinearCut("ge", ((("x", 0, 1), 1.0),), ">=", 3.0)
+        le_r = LinearCut("le_r", ((("r", 0, 0), 1.0),), "<=", 0.25)
         # x00 + 2 x01 is 5, 0.3 and 5: 4 above and 0.7 below the rhs
         assert evaluate_linear_cuts([eq], X) == pytest.approx(4.0, abs=1e-15)
         assert evaluate_linear_cuts([eq], X[1]) == pytest.approx(0.7, abs=1e-15)

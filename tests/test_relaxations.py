@@ -36,6 +36,10 @@ class TestMethodParsing:
             parse_method("F1:S:H=3")  # H on an LP method
         with pytest.raises(MethodError):
             MethodSpec("G1", "source", 0)
+        # MCF and EXACT have no fraction variables for the cuts to act on
+        for text in ("MCF:S+Vab(x,r)", "MCF:T+Vac(r)", "EXACT:T+Vac(x)"):
+            with pytest.raises(MethodError):
+                parse_method(text)
 
 
 def positive_lower_instance():
@@ -88,7 +92,7 @@ class TestValidInequalities:
     def test_literature_blocks_with_zero_L_are_skipped(self, haverly1):
         built = build_method(haverly1, parse_method("F4:S"))
         before = len(built.model.rows)
-        inject_valid_inequalities(built, haverly1, parse_method("F4:S+Vab(x,r)"))
+        inject_valid_inequalities(built, parse_method("F4:S+Vab(x,r)"))
         assert built.cut_count == 0
         assert len(built.skipped_blocks) == len(haverly1.pools)
         assert len(built.model.rows) == before
@@ -113,6 +117,14 @@ class TestValidInequalities:
         built = build_method(inst, parse_method("F1:S+Vab(r)"))
         assert any(v.startswith("B[p1]:r[") for v in built.model.variables)
         assert built.cut_count > 0
+
+    def test_host_fragment_rows_have_unique_names(self):
+        # the row-column fragment that hosts r-space cuts has a simplex row
+        # of its own beside F1's and F2's
+        inst = positive_lower_instance()
+        for label in ("F1:S+Vab(r)", "F2:T+Vac(r)"):
+            names = [row.name for row in build_method(inst, parse_method(label)).model.rows]
+            assert len(names) == len(set(names)), label
 
 
 class TestMIP:
