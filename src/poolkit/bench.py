@@ -225,8 +225,6 @@ def run_cell(name: str, inst: PoolingInstance, method: str, obbt_flag: bool,
         gap = compute_gap(reference, res.dual_bound)
     elif kind == "P" and reference is not None and res.objective is not None:
         gap = compute_gap(res.objective, reference)
-    elif kind == "O" and res.gap is not None:
-        gap = res.gap * 100.0
     return RunRecord(name, method, obbt_flag, prep_seconds, elapsed,
                      res.objective, res.dual_bound, gap, kind, res.status)
 

@@ -21,12 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instances import SOURCE, PoolingInstance
+from .instances import SOURCE, SOURCE_BASIS, TERMINAL_BASIS, PoolingInstance
 from .modelir import INF, ModelIR
 from .rank1 import BoundBox, make_box, rank_residual
-
-SOURCE_BASIS = "source"
-TERMINAL_BASIS = "terminal"
 
 
 def fvar(a: str, b: str) -> str:
@@ -45,6 +42,12 @@ def vvar(t: str, k: int, side: str) -> str:
     return f"v[{t},{k},{side}]"
 
 
+def _arc(basis: str, pool: str, j: str) -> tuple[str, str]:
+    """The arc between a pool and a node j on its decomposed side; for a
+    commodity c, _arc(basis, c, pool) is its commodity pair."""
+    return (pool, j) if basis == SOURCE_BASIS else (j, pool)
+
+
 @dataclass(frozen=True)
 class PoolBlock:
     """One pool's decomposed-flow matrix: rows are commodities, columns are
@@ -57,9 +60,7 @@ class PoolBlock:
     box: BoundBox
 
     def var(self, r: int, c: int) -> str:
-        if self.basis == SOURCE_BASIS:
-            return xvar(self.pool, self.col_ids[c], self.row_ids[r])
-        return xvar(self.col_ids[c], self.pool, self.row_ids[r])
+        return xvar(*_arc(self.basis, self.pool, self.col_ids[c]), self.row_ids[r])
 
     def values(self, assignment: dict[str, float]) -> np.ndarray:
         out = np.zeros((len(self.row_ids), len(self.col_ids)))
@@ -89,8 +90,8 @@ def _decomposed_arcs(inst: PoolingInstance, basis: str, pool: str) -> tuple[str,
     return inst.out_nbrs[pool] if basis == SOURCE_BASIS else inst.in_nbrs[pool]
 
 
-def _commodity_pair(basis: str, pool: str, c: str) -> tuple[str, str]:
-    return (c, pool) if basis == SOURCE_BASIS else (pool, c)
+def _upstream(inst: PoolingInstance, basis: str, pool: str) -> tuple[str, ...]:
+    return inst.in_nbrs[pool] if basis == SOURCE_BASIS else inst.out_nbrs[pool]
 
 
 def _build_blocks(inst: PoolingInstance, basis: str) -> list[PoolBlock]:
@@ -102,16 +103,13 @@ def _build_blocks(inst: PoolingInstance, basis: str) -> list[PoolBlock]:
             continue
         l, u, lp, up = [], [], [], []
         for c in rows:
-            if basis == SOURCE_BASIS:
-                lo, hi = inst.commodity_bound(c, i)
-            else:
-                lo, hi = inst.terminal_commodity_bound(i, c)
+            lo, hi = inst.interval("ghost", _arc(basis, c, i))
             l.append(lo)
             u.append(hi)
         for j in cols:
-            arc = inst.arcs[(i, j) if basis == SOURCE_BASIS else (j, i)]
-            lp.append(arc.l)
-            up.append(arc.u)
+            lo, hi = inst.interval("arc", _arc(basis, i, j))
+            lp.append(lo)
+            up.append(hi)
         node = inst.nodes[i]
         blocks.append(PoolBlock(i, basis, rows, cols,
                                 make_box(l, u, lp, up, node.L, node.U)))
@@ -127,14 +125,13 @@ def build_backbone(inst: PoolingInstance, basis: str,
     for arc in inst.arcs.values():
         model.add_var(fvar(arc.tail, arc.head), arc.l, arc.u)
     for pair in inst.ghost_pairs(basis):
-        pool = pair[1] if basis == SOURCE_BASIS else pair[0]
-        lo, hi = inst.ghost_bound(pair, pool)
+        lo, hi = inst.interval("ghost", pair)
         model.add_var(fvar(*pair), lo, hi)
 
     # decomposed flows on physical arcs of the decomposed side
     for i in inst.pools:
         for j in _decomposed_arcs(inst, basis, i):
-            arc = inst.arcs[(i, j) if basis == SOURCE_BASIS else (j, i)]
+            arc = inst.arcs[_arc(basis, i, j)]
             for c in _commodities(inst, basis, i):
                 model.add_var(xvar(arc.tail, arc.head, c), 0.0,
                               arc.u if math.isfinite(arc.u) else INF)
@@ -153,7 +150,7 @@ def build_backbone(inst: PoolingInstance, basis: str,
     # flow decomposition on each decomposed physical arc
     for i in inst.pools:
         for j in _decomposed_arcs(inst, basis, i):
-            a, b = (i, j) if basis == SOURCE_BASIS else (j, i)
+            a, b = _arc(basis, i, j)
             coeffs = {xvar(a, b, c): 1.0 for c in _commodities(inst, basis, i)}
             coeffs[fvar(a, b)] = coeffs.get(fvar(a, b), 0.0) - 1.0
             model.add_row(f"dec[{a},{b}]", coeffs, "==", 0.0)
@@ -161,23 +158,17 @@ def build_backbone(inst: PoolingInstance, basis: str,
     # per-commodity balance and ghost/total definitions
     for i in inst.pools:
         for c in _commodities(inst, basis, i):
-            pair = _commodity_pair(basis, i, c)
-            if basis == SOURCE_BASIS:
-                outflow = {xvar(i, j, c): 1.0 for j in inst.out_nbrs[i]}
-                inflow: dict[str, float] = {}
-                for j in inst.in_nbrs[i]:
-                    if j == c:
-                        inflow[fvar(c, i)] = inflow.get(fvar(c, i), 0.0) + 1.0
-                    elif j in inst.pools and c in inst.S_i[j]:
-                        inflow[xvar(j, i, c)] = inflow.get(xvar(j, i, c), 0.0) + 1.0
-            else:
-                outflow = {xvar(j, i, c): 1.0 for j in inst.in_nbrs[i]}
-                inflow = {}
-                for j in inst.out_nbrs[i]:
-                    if j == c:
-                        inflow[fvar(i, c)] = inflow.get(fvar(i, c), 0.0) + 1.0
-                    elif j in inst.pools and c in inst.T_i[j]:
-                        inflow[xvar(i, j, c)] = inflow.get(xvar(i, j, c), 0.0) + 1.0
+            pair = _arc(basis, c, i)
+            outflow = {xvar(*_arc(basis, i, j), c): 1.0
+                       for j in _decomposed_arcs(inst, basis, i)}
+            # c's flow on the other side: its own pair, or the arc from a
+            # neighbouring pool that carries c too
+            inflow: dict[str, float] = {}
+            for j in _upstream(inst, basis, i):
+                if j == c:
+                    inflow[fvar(*pair)] = 1.0
+                elif j in inst.pools and c in _commodities(inst, basis, j):
+                    inflow[xvar(*_arc(basis, j, i), c)] = 1.0
             bal = dict(outflow)
             for k, v in inflow.items():
                 bal[k] = bal.get(k, 0.0) - v
@@ -252,7 +243,7 @@ def _attach_bilinear(bm: BilinearModel) -> None:
         for c in _commodities(inst, basis, i):
             model.add_var(qvar(i, c), 0.0, 1.0)
         for j in _decomposed_arcs(inst, basis, i):
-            a, b = (i, j) if basis == SOURCE_BASIS else (j, i)
+            a, b = _arc(basis, i, j)
             for c in _commodities(inst, basis, i):
                 model.add_bilinear(xvar(a, b, c), qvar(i, c), fvar(a, b))
 
@@ -339,8 +330,7 @@ def rederive_proportions(bm: BilinearModel, assignment: dict[str, float],
         comms = _commodities(inst, basis, i)
         totals = {}
         for c in comms:
-            pair = _commodity_pair(basis, i, c)
-            totals[c] = assignment.get(fvar(*pair), 0.0)
+            totals[c] = assignment.get(fvar(*_arc(basis, c, i)), 0.0)
         grand = sum(totals.values())
         for c in comms:
             out[qvar(i, c)] = totals[c] / grand if grand > tol else 0.0

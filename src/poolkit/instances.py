@@ -17,6 +17,11 @@ INF = math.inf
 SOURCE, POOL, TERMINAL = "source", "pool", "terminal"
 _KINDS = (SOURCE, POOL, TERMINAL)
 
+# the source basis decomposes a pool's flow by originating source, the
+# terminal basis by final destination: the commodity pairs are (s, i) with s
+# in S_i, or (i, t) with t in T_i
+SOURCE_BASIS, TERMINAL_BASIS = "source", "terminal"
+
 
 class SchemaError(ValueError):
     """Instance / schedule file does not match the documented schema."""
@@ -46,6 +51,22 @@ class Arc:
     @property
     def key(self) -> tuple[str, str]:
         return (self.tail, self.head)
+
+
+def _reached_from(ends, nbrs: dict[str, list[str]], nodes) -> dict[str, tuple[str, ...]]:
+    """For every node, the ends from which a walk along nbrs reaches it."""
+    found: dict[str, set[str]] = {n: set() for n in nodes}
+    for e in ends:
+        seen, stack = {e}, [e]
+        while stack:
+            cur = stack.pop()
+            for nxt in nbrs[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        for n in seen - {e}:
+            found[n].add(e)
+    return {n: tuple(sorted(v)) for n, v in found.items()}
 
 
 @dataclass(frozen=True)
@@ -87,70 +108,43 @@ class PoolingInstance:
         object.__setattr__(self, "in_nbrs",
                            {n: tuple(sorted(v)) for n, v in inn.items()})
         # forward reachability from each source / backward from each terminal
-        S_i: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for s in self.sources:
-            seen, stack = {s}, [s]
-            while stack:
-                cur = stack.pop()
-                for nxt in out[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            for n in seen - {s}:
-                S_i[n].add(s)
-        T_i: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for t in self.terminals:
-            seen, stack = {t}, [t]
-            while stack:
-                cur = stack.pop()
-                for prv in inn[cur]:
-                    if prv not in seen:
-                        seen.add(prv)
-                        stack.append(prv)
-            for n in seen - {t}:
-                T_i[n].add(t)
-        object.__setattr__(self, "S_i", {n: tuple(sorted(v)) for n, v in S_i.items()})
-        object.__setattr__(self, "T_i", {n: tuple(sorted(v)) for n, v in T_i.items()})
+        object.__setattr__(self, "S_i", _reached_from(self.sources, out, self.nodes))
+        object.__setattr__(self, "T_i", _reached_from(self.terminals, inn, self.nodes))
 
     # -- queries ----------------------------------------------------------------
 
     def kind(self, n: str) -> str:
         return self.nodes[n].kind
 
-    def ghost_pairs(self, basis: str = "source") -> list[tuple[str, str]]:
-        """(s, i) pairs with s in S_i but no arc (source basis), or (i, t)
-        pairs with t in T_i but no arc (terminal basis)."""
-        pairs = []
-        if basis == "source":
-            for i in self.pools:
-                for s in self.S_i[i]:
-                    if (s, i) not in self.arcs:
-                        pairs.append((s, i))
+    def ghost_pairs(self, basis: str = SOURCE_BASIS) -> list[tuple[str, str]]:
+        """The basis's commodity pairs that have no physical arc."""
+        if basis == SOURCE_BASIS:
+            pairs = [(s, i) for i in self.pools for s in self.S_i[i]]
         else:
-            for i in self.pools:
-                for t in self.T_i[i]:
-                    if (i, t) not in self.arcs:
-                        pairs.append((i, t))
-        return pairs
+            pairs = [(i, t) for i in self.pools for t in self.T_i[i]]
+        return [pair for pair in pairs if pair not in self.arcs]
+
+    def pair_pool(self, pair: tuple[str, str]) -> str:
+        """The pool end of a commodity pair (s, i) or (i, t)."""
+        return pair[1] if self.nodes[pair[1]].kind == POOL else pair[0]
 
     def ghost_bound(self, pair: tuple[str, str], pool: str) -> tuple[float, float]:
         if pair in self.ghost_bounds:
             return self.ghost_bounds[pair]
         return (0.0, self.nodes[pool].U)
 
-    def commodity_bound(self, s: str, i: str) -> tuple[float, float]:
-        """Bounds on the total commodity-s flow at pool i: the physical arc
-        interval when the arc exists, otherwise the ghost interval."""
-        arc = self.arcs.get((s, i))
-        if arc is not None:
+    def interval(self, kind: str, key) -> tuple[float, float]:
+        """The bounds of a "node" (L, U), an "arc" (l, u) or a "ghost"
+        commodity pair: the total flow of a commodity at its pool, bounded by
+        the physical arc's interval when the arc exists, otherwise by the
+        ghost interval."""
+        if kind == "node":
+            node = self.nodes[key]
+            return (node.L, node.U)
+        if kind == "arc" or key in self.arcs:
+            arc = self.arcs[key]
             return (arc.l, arc.u)
-        return self.ghost_bound((s, i), i)
-
-    def terminal_commodity_bound(self, i: str, t: str) -> tuple[float, float]:
-        arc = self.arcs.get((i, t))
-        if arc is not None:
-            return (arc.l, arc.u)
-        return self.ghost_bound((i, t), i)
+        return self.ghost_bound(key, self.pair_pool(key))
 
     def characteristics(self) -> dict[str, int]:
         """Node/arc counts; 'core' counts exclude the surplus machinery that

@@ -371,7 +371,7 @@ def _merge(*parts):
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-def _rlt_guard(box: BoundBox, bounded: bool = True) -> CutSet | None:
+def rlt_guard(box: BoundBox, bounded: bool = True) -> CutSet | None:
     """An empty CutSet that says why, for a box the cuts are not defined on:
     they divide by L, and when bounded the RLT rows also need finite u, u'
     and U."""
@@ -399,7 +399,7 @@ def _in_spaces(r_cuts: list[LinearCut], space: str, m: int, n: int) -> CutSet:
 def gen_rlt_mccormick(box: BoundBox, space: str = "both") -> CutSet:
     """Four McCormick rows per cell: products of the fraction-variable bound
     inequalities, written in r variables and/or pushed to x variables."""
-    skipped = _rlt_guard(box)
+    skipped = rlt_guard(box)
     if skipped is not None:
         return skipped
     m, n, = box.m, box.n
@@ -424,7 +424,7 @@ def gen_rlt_mccormick(box: BoundBox, space: str = "both") -> CutSet:
 
 def gen_rlt_reverse_convex(box: BoundBox, space: str = "both") -> CutSet:
     """Linearized reverse-convex rows, one per cell and orientation."""
-    skipped = _rlt_guard(box)
+    skipped = rlt_guard(box)
     if skipped is not None:
         return skipped
     m, n = box.m, box.n
@@ -488,7 +488,7 @@ class ConicCut:
 
 
 def gen_rlt_conic(box: BoundBox) -> CutSet:
-    skipped = _rlt_guard(box, bounded=False)
+    skipped = rlt_guard(box, bounded=False)
     if skipped is not None:
         return skipped
     out = CutSet()

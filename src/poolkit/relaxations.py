@@ -23,7 +23,7 @@ from .instances import PoolingInstance
 from .modelir import ModelIR
 from .rank1 import (FRAGMENT_BUILDERS, add_rows, attach_fragment,
                     gen_rlt_mccormick, gen_rlt_reverse_convex, normalize,
-                    relabel)
+                    relabel, rlt_guard)
 
 F_KINDS = ("F1", "F2", "F3", "F4")
 M_KINDS = ("M1", "M2")
@@ -165,17 +165,17 @@ def _attach_block_fragment(model: ModelIR, block: PoolBlock, kind: str) -> None:
 
 
 def inject_valid_inequalities(built: BuiltMethod, spec: MethodSpec) -> BuiltMethod:
-    """Add Vab/Vac rows per pool block; blocks with L = 0 are skipped and
-    counted (the generators require a positive overall lower bound).  Cuts
-    in r act on the row-column fragment's cell fractions; where the label's
-    own fragment is another, that fragment is attached to host them, its
-    rows under rc:."""
+    """Add Vab/Vac rows per pool block; blocks the generators are not
+    defined on (L = 0 or an infinite bound) get no rows and are listed in
+    skipped_blocks.  Cuts in r act on the row-column fragment's cell
+    fractions; where the label's own fragment is another, that fragment is
+    attached to host them, its rows under rc:."""
     model = built.model
     for block in built.backbone.blocks:
         box, rows, cols = normalize(block.box)
         if box.m == 0 or box.n == 0:
             continue
-        if box.L <= 0:
+        if rlt_guard(box) is not None:
             built.skipped_blocks.append(block.pool)
             continue
         prefix = _block_prefix(block.pool)
@@ -201,6 +201,20 @@ def inject_valid_inequalities(built: BuiltMethod, spec: MethodSpec) -> BuiltMeth
 
 def _finite(v: float, fallback: float) -> float:
     return v if math.isfinite(v) else fallback
+
+
+def _envelope(model: ModelIR, name: str, idx: str, p: str, w: str,
+              lane_sum: dict[str, float], lo: float, hi: float, eps: float) -> None:
+    """McCormick rows {name}l, u, e1, e2 [idx] for p = w * S, w in [0, eps]
+    and S = lane_sum in [lo, hi].  Written with add_row, which keeps the
+    -0 coefficient of -lo at lo = 0."""
+    model.add_row(f"{name}l[{idx}]", {p: 1.0, w: -lo}, ">=", 0.0)
+    model.add_row(f"{name}u[{idx}]", {p: 1.0, w: -hi}, "<=", 0.0)
+    for tag, bound, sense in (("e1", hi, ">="), ("e2", lo, "<=")):
+        env = {p: 1.0, w: -bound}
+        for var, c in lane_sum.items():
+            env[var] = env.get(var, 0.0) - eps * c
+        model.add_row(f"{name}{tag}[{idx}]", env, sense, -eps * bound)
 
 
 def _attach_discretization(model: ModelIR, block: PoolBlock, H: int,
@@ -266,34 +280,13 @@ def _attach_discretization(model: ModelIR, block: PoolBlock, H: int,
             for h in digits:
                 a = model.add_var(f"{pre}:a[{s},{g},{h}]", 0.0, hi)
                 link[a] = link.get(a, 0.0) - weights[h]
-                model.add_row(f"{pre}:zl[{s},{g},{h}]",
-                              {a: 1.0, z[g, h]: -lo}, ">=", 0.0)
-                model.add_row(f"{pre}:zu[{s},{g},{h}]",
-                              {a: 1.0, z[g, h]: -hi}, "<=", 0.0)
-                env1 = {a: 1.0, z[g, h]: -hi}
-                for var, c in lane_sum.items():
-                    env1[var] = env1.get(var, 0.0) - c
-                model.add_row(f"{pre}:ze1[{s},{g},{h}]", env1, ">=", -hi)
-                env2 = {a: 1.0, z[g, h]: -lo}
-                for var, c in lane_sum.items():
-                    env2[var] = env2.get(var, 0.0) - c
-                model.add_row(f"{pre}:ze2[{s},{g},{h}]", env2, "<=", -lo)
+                _envelope(model, f"{pre}:z", f"{s},{g},{h}", a, z[g, h],
+                          lane_sum, lo, hi, 1.0)
             if not restriction:
                 b = model.add_var(f"{pre}:b[{s},{g}]", 0.0, hi * 2.0 ** -H)
                 link[b] = link.get(b, 0.0) - 1.0
-                eps = 2.0 ** -H
-                model.add_row(f"{pre}:gl[{s},{g}]",
-                              {b: 1.0, gam[g]: -lo}, ">=", 0.0)
-                model.add_row(f"{pre}:gu[{s},{g}]",
-                              {b: 1.0, gam[g]: -hi}, "<=", 0.0)
-                env3 = {b: 1.0, gam[g]: -hi}
-                for var, c in lane_sum.items():
-                    env3[var] = env3.get(var, 0.0) - eps * c
-                model.add_row(f"{pre}:ge1[{s},{g}]", env3, ">=", -eps * hi)
-                env4 = {b: 1.0, gam[g]: -lo}
-                for var, c in lane_sum.items():
-                    env4[var] = env4.get(var, 0.0) - eps * c
-                model.add_row(f"{pre}:ge2[{s},{g}]", env4, "<=", -eps * lo)
+                _envelope(model, f"{pre}:g", f"{s},{g}", b, gam[g],
+                          lane_sum, lo, hi, 2.0 ** -H)
             model.add_row(f"{pre}:link[{s},{g}]", link, "==", 0.0)
 
 

@@ -73,7 +73,6 @@ class SolveResult:
     dual_bound: float | None
     assignment: dict[str, float] = field(default_factory=dict)
     seconds: float = 0.0
-    gap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,7 @@ def _result(cm: CompiledModel, status: str, objective: float | None,
         dual = objective
     if status == OPTIMAL and dual is None:
         dual = objective
-    gap = None
-    if objective is not None and dual is not None:
-        gap = abs(objective - dual) / max(1.0, abs(objective))
-    return SolveResult(status, objective, dual, assignment, seconds, gap)
+    return SolveResult(status, objective, dual, assignment, seconds)
 
 
 def solve_compiled(cm: CompiledModel, params: SolveParams | None = None,

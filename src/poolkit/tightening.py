@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formulations import SOURCE_BASIS, fvar
-from .instances import POOL, SOURCE, TERMINAL, InconsistencyError, PoolingInstance
+from .formulations import fvar
+from .instances import (POOL, SOURCE, SOURCE_BASIS, TERMINAL, TERMINAL_BASIS,
+                        InconsistencyError, PoolingInstance)
 from .modelir import INF
 from .relaxations import build_method, parse_method
 from .solver import OPTIMAL, Budget, Session, SolveParams, compile_model, solve
@@ -80,31 +81,24 @@ class BoundUpdate:
 
 
 def apply_bounds(inst: PoolingInstance, upd: BoundUpdate) -> PoolingInstance:
-    """Intersect the update into the instance; empty intervals are errors."""
-    def meet(old, new, what):
-        lo, hi = max(old[0], new[0]), min(old[1], new[1])
-        if lo > hi + 1e-9 * max(1.0, abs(hi)):
-            raise TighteningError(f"empty interval for {what}: [{lo}, {hi}]")
-        return lo, hi
-
-    node_b = {}
-    for nid, new in upd.node_bounds.items():
-        if nid not in inst.nodes:
-            raise TighteningError(f"update targets unknown node {nid!r}")
-        node = inst.nodes[nid]
-        node_b[nid] = meet((node.L, node.U), new, f"node {nid}")
-    arc_b = {}
-    for key, new in upd.arc_bounds.items():
-        if key not in inst.arcs:
-            raise TighteningError(f"update targets unknown arc {key}")
-        arc = inst.arcs[key]
-        arc_b[key] = meet((arc.l, arc.u), new, f"arc {key}")
-    ghost_b = {}
-    for key, new in upd.ghost_bounds.items():
-        pool = key[1] if inst.nodes.get(key[1], None) and inst.kind(key[1]) == POOL else key[0]
-        old = inst.ghost_bound(key, pool)
-        ghost_b[key] = meet(old, new, f"ghost {key}")
-    return inst.with_bounds(node_b, arc_b, ghost_b)
+    """Intersect the update into the instance; empty intervals are errors,
+    and so are keys the instance lacks: the update may come from a bounds
+    cache, and a ghost key must be a ghost pair of one of the bases."""
+    ghosts = inst.ghost_pairs(SOURCE_BASIS) + inst.ghost_pairs(TERMINAL_BASIS)
+    known = {"node": inst.nodes, "arc": inst.arcs, "ghost": set(ghosts)}
+    met: dict[str, dict] = {}
+    for kind, table in (("node", upd.node_bounds), ("arc", upd.arc_bounds),
+                        ("ghost", upd.ghost_bounds)):
+        met[kind] = {}
+        for key, new in table.items():
+            if key not in known[kind]:
+                raise TighteningError(f"update targets unknown {kind} {key!r}")
+            old = inst.interval(kind, key)
+            lo, hi = max(old[0], new[0]), min(old[1], new[1])
+            if lo > hi + 1e-9 * max(1.0, abs(hi)):
+                raise TighteningError(f"empty interval for {kind} {key}: [{lo}, {hi}]")
+            met[kind][key] = (lo, hi)
+    return inst.with_bounds(met["node"], met["arc"], met["ghost"])
 
 
 # -- OBBT ---------------------------------------------------------------------------
@@ -180,14 +174,7 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
         hi = proven_min(-c)
         lo = 0.0 if lo is None else max(lo, 0.0)
         hi = INF if hi is None else -hi
-        if kind == "arc":
-            arc = inst.arcs[key]
-            old = (arc.l, arc.u)
-        elif kind == "ghost":
-            old = inst.ghost_bound(key, key[1] if spec.basis == SOURCE_BASIS else key[0])
-        else:
-            node = inst.nodes[key]
-            old = (node.L, node.U)
+        old = inst.interval(kind, key)
         tag = "obbt-min" if lo > old[0] + slack else (
             "obbt-max" if hi < old[1] - slack else UNCHANGED)
         if lo > old[0] + slack and hi < old[1] - slack:

@@ -9,6 +9,12 @@ Every pool block of the bundled instances has L = 0, so their models hold no
 Vab/Vac row.  CUT_DIGEST pins the cut rows on test_relaxations'
 positive_lower_instance, whose blocks all have L > 0; it was recorded before
 fragments and cuts were written by one function.
+
+The bundled instances have no terminal-basis ghost pair (a pool-terminal
+pair reachable only through other pools).  MINING_DIGEST pins LABELS on the
+converted mining example, which has 9 source-basis and 10 terminal-basis
+ghost pairs; it was recorded before the two bases were written as one
+mirror.
 """
 
 import hashlib
@@ -16,6 +22,7 @@ import hashlib
 import pytest
 
 from poolkit import parse_instance
+from poolkit.instances import convert_mining, parse_mining
 from poolkit.modelir import dump_model
 from poolkit.relaxations import build_method, parse_method
 
@@ -48,6 +55,9 @@ DIGESTS = {
 }
 
 
+MINING_DIGEST = "260a4f95d6b37a279d630ecdf2cf791084f5e6829832a88958c0988d5cde3522"
+
+
 CUT_LABELS = tuple(
     label
     for b in "ST"
@@ -74,6 +84,15 @@ def test_dump_model_unchanged(name):
     for label in LABELS:
         digest.update(dump_model(build_method(inst, parse_method(label)).model).encode())
     assert digest.hexdigest() == DIGESTS[name]
+
+
+def test_mining_ghost_pairs_unchanged():
+    inst = convert_mining(parse_mining(DATA / "mining" / "example_schedule.json"))
+    assert (len(inst.ghost_pairs("source")), len(inst.ghost_pairs("terminal"))) == (9, 10)
+    digest = hashlib.sha256()
+    for label in LABELS:
+        digest.update(dump_model(build_method(inst, parse_method(label)).model).encode())
+    assert digest.hexdigest() == MINING_DIGEST
 
 
 def test_cut_rows_unchanged():

@@ -64,6 +64,23 @@ def positive_lower_instance():
     return parse_instance_dict(data)
 
 
+def unbounded_positive_lower_instance():
+    """one pool with L = 2 and no pool or arc capacity: L > 0 but the
+    block's row, column and total bounds are infinite"""
+    data = {"nodes": [{"id": "a", "kind": "source"},
+                      {"id": "b", "kind": "source"},
+                      {"id": "p1", "kind": "pool", "L": 2},
+                      {"id": "t1", "kind": "terminal"},
+                      {"id": "t2", "kind": "terminal"}],
+            "arcs": [{"from": "a", "to": "p1", "cost": 1.0},
+                     {"from": "b", "to": "p1", "cost": 2.0},
+                     {"from": "p1", "to": "t1", "cost": -3.0},
+                     {"from": "p1", "to": "t2", "cost": -4.0}],
+            "specs": {"K": 1, "lambda": {"a": [3.0], "b": [1.0]},
+                      "mu_hi": {"t1": [2.5], "t2": [2.0]}}}
+    return parse_instance_dict(data)
+
+
 class TestFRelaxations:
     def test_haverly1_f1_gap(self, haverly1):
         res = solve(build_method(haverly1, parse_method("F1:S")).model)
@@ -96,6 +113,18 @@ class TestValidInequalities:
         assert built.cut_count == 0
         assert len(built.skipped_blocks) == len(haverly1.pools)
         assert len(built.model.rows) == before
+
+    def test_blocks_with_an_infinite_bound_are_skipped(self):
+        # the generators need finite bounds; such a block gets neither cuts
+        # nor the row-column fragment that would host r-space cuts
+        inst = unbounded_positive_lower_instance()
+        for label in ("F1:S+Vab(r)", "F4:S+Vab(x)", "F2:T+Vac(x,r)"):
+            built = build_method(inst, parse_method(label))
+            plain = build_method(inst, parse_method(label.split("+")[0]))
+            assert built.cut_count == 0, label
+            assert built.skipped_blocks == ["p1"], label
+            assert [r.name for r in built.model.rows] == \
+                [r.name for r in plain.model.rows], label
 
     def test_vab_never_weakens_bound(self):
         inst = positive_lower_instance()

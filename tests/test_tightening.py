@@ -163,6 +163,18 @@ class TestBoundUpdate:
                    slack=1e-6)
         assert upd.node_bounds["p"] == pytest.approx((1.0 - 9e-7, 1.0))
 
+    def test_unknown_ghost_pair_raises(self, haverly1):
+        # bounds-cache files come from outside the program
+        upd = BoundUpdate(ghost_bounds={("zz", "yy"): (0.0, 1.0)})
+        with pytest.raises(TighteningError, match="unknown ghost"):
+            apply_bounds(haverly1, upd)
+
+    def test_physical_arc_as_ghost_key_raises(self, haverly1):
+        assert ("A", "p1") in haverly1.arcs
+        upd = BoundUpdate(ghost_bounds={("A", "p1"): (0.0, 1.0)})
+        with pytest.raises(TighteningError, match="unknown ghost"):
+            apply_bounds(haverly1, upd)
+
 
 class TestMiningTighten:
     def test_step1_supply_pins_source_and_arc(self):
