@@ -1,13 +1,13 @@
-"""LP/MILP solves over ModelIR through scipy's HiGHS interface.
+"""LP/MILP solves over ModelIR through scipy's HiGHS.
 
 HiGHS solves LPs and MILPs only.  Models that still carry bilinear terms
 must go through a relaxation or restriction first; sending one to ``solve``
 raises CapabilityError instead of silently dropping the nonconvex part.
 
-``solve_compiled`` is the one-shot path (``scipy.optimize.milp``, a fresh
-HiGHS model per call).  ``Session`` keeps one compiled model in HiGHS
-across many solves that change only the costs (OBBT); it is the only user
-of scipy's private ``_highspy`` binding in the package.
+``Session`` holds one compiled model in HiGHS through scipy's private
+``_highspy`` binding, the only user of it in the package; its solves may
+change the costs, as OBBT does.  ``solve_compiled`` is the one-shot path: an
+LP runs on a fresh ``Session``, a MIP through ``scipy.optimize.milp``.
 """
 
 from __future__ import annotations
@@ -99,21 +99,21 @@ def compile_model(model: ModelIR) -> CompiledModel:
     integrality = np.array(
         [1 if model.variables[v].binary else 0 for v in names], dtype=int)
 
-    data, rows_ix, cols_ix = [], [], []
-    row_lo = np.empty(len(model.rows))
-    row_hi = np.empty(len(model.rows))
-    for r, row in enumerate(model.rows):
-        for v, c in row.coeffs:
-            rows_ix.append(r)
-            cols_ix.append(index[v])
-            data.append(c)
-        if row.sense == LE:
-            row_lo[r], row_hi[r] = -INF, row.rhs
-        elif row.sense == GE:
-            row_lo[r], row_hi[r] = row.rhs, INF
-        else:
-            row_lo[r] = row_hi[r] = row.rhs
-    A = sp.csr_matrix((data, (rows_ix, cols_ix)), shape=(len(model.rows), n))
+    # each row's coefficients are sorted by name and unique, so they are
+    # already a CSR row: its column indices ascend
+    rows = model.rows
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum([len(row.coeffs) for row in rows])
+    nnz = int(indptr[-1])
+    indices = np.fromiter((index[v] for row in rows for v, _ in row.coeffs),
+                          dtype=np.int32, count=nnz)
+    data = np.fromiter((c for row in rows for _, c in row.coeffs),
+                       dtype=float, count=nnz)
+    A = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n))
+    senses = np.array([row.sense for row in rows], dtype=str)
+    rhs = np.array([row.rhs for row in rows], dtype=float)
+    row_lo = np.where(senses == LE, -INF, rhs)
+    row_hi = np.where(senses == GE, INF, rhs)
 
     c = np.zeros(n)
     for v, coeff in model.objective.items():
@@ -121,47 +121,39 @@ def compile_model(model: ModelIR) -> CompiledModel:
     return CompiledModel(names, index, A, row_lo, row_hi, lb, ub, integrality, c)
 
 
-def _status_from_highs(res) -> str:
-    if res.status == 0:
-        return OPTIMAL
-    if res.status == 1:  # iteration or time limit
-        return TIME_LIMIT
-    if res.status == 2:
-        return INFEASIBLE
-    if res.status == 3:
-        return UNBOUNDED
-    return ERROR
+# scipy.optimize.milp's status codes; 1 is an iteration or time limit
+_MILP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 def _result(cm: CompiledModel, status: str, objective: float | None,
             x, mip_dual: float | None, seconds: float) -> SolveResult:
     """A SolveResult from what HiGHS reported: ``x`` is its point (for a
-    MIP stopped by the time limit, the incumbent), or None."""
+    MIP stopped by the time limit, the incumbent), or None; ``mip_dual`` is
+    a MIP's dual bound, or None."""
     assignment: dict[str, float] = {}
     if x is None:
         objective = None
     else:
         objective = float(objective)
         assignment = {nm: float(v) for nm, v in zip(cm.names, x)}
-    dual = None
-    if cm.integrality.any():
-        if mip_dual is not None and math.isfinite(mip_dual):
-            dual = float(mip_dual)
-    elif objective is not None and status == OPTIMAL:
-        dual = objective
-    if status == OPTIMAL and dual is None:
-        dual = objective
+    dual = objective if status == OPTIMAL else None
+    if mip_dual is not None and math.isfinite(mip_dual):
+        dual = float(mip_dual)
     return SolveResult(status, objective, dual, assignment, seconds)
 
 
 def solve_compiled(cm: CompiledModel, params: SolveParams | None = None,
                    c_override: np.ndarray | None = None) -> SolveResult:
+    """Solve ``cm`` once, with the costs ``c_override`` if given."""
+    if not cm.integrality.any():
+        session = Session(cm)
+        # a solve from scratch is faster with HiGHS's default, the dual simplex
+        session._highs.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
+        return session.solve(params, c_override)
     params = params or SolveParams()
-    is_mip = bool(cm.integrality.any())
     c = cm.c if c_override is None else c_override
-    options = {"time_limit": float(params.time_limit_s)}
-    if is_mip:
-        options["mip_rel_gap"] = params.effective_gap(True)
+    options = {"time_limit": float(params.time_limit_s),
+               "mip_rel_gap": params.effective_gap(True)}
     t0 = time.perf_counter()
     constraints = None
     if cm.A.shape[0]:
@@ -172,7 +164,7 @@ def solve_compiled(cm: CompiledModel, params: SolveParams | None = None,
                options=options)
     elapsed = time.perf_counter() - t0
     # on a time limit the incumbent (if any) is still reported in res.x
-    return _result(cm, _status_from_highs(res), res.fun, res.x,
+    return _result(cm, _MILP_STATUS.get(res.status, ERROR), res.fun, res.x,
                    getattr(res, "mip_dual_bound", None), elapsed)
 
 
@@ -183,19 +175,20 @@ _MODEL_STATUS = {
     _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
     _highs.HighsModelStatus.kUnbounded: UNBOUNDED,
 }
-_PRIMAL_SIMPLEX = 4   # HiGHS option simplex_strategy
+_DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4   # HiGHS option simplex_strategy
 
 
 class Session:
     """One CompiledModel held in HiGHS across many solves that change only
-    the cost vector, as OBBT does.
+    the cost vector, as OBBT does; ``solve_compiled`` runs every LP on a
+    fresh one, set back to the dual simplex for its single solve.
 
     The model is passed to HiGHS once.  Each ``solve`` sets the costs and
     the time limit and runs again, so an LP starts from the basis of the
     previous solve instead of from scratch.  A MIP is solved afresh each
-    time, with the same ``mip_rel_gap`` as ``solve_compiled``.  Results
-    follow ``solve_compiled``: an LP has a point and a dual bound only at
-    OPTIMAL, a MIP has its incumbent and HiGHS's finite dual bound.  A
+    time, with the same ``mip_rel_gap`` as ``scipy.optimize.milp`` gets in
+    ``solve_compiled``.  An LP has a point and a dual bound only at
+    OPTIMAL; a MIP has its incumbent and HiGHS's finite dual bound.  A
     session is not safe to share between threads.
     """
 
@@ -203,16 +196,15 @@ class Session:
         self.cm = cm
         self._is_mip = bool(cm.integrality.any())
         n_rows, n_cols = cm.A.shape
-        A = cm.A.tocsc()
         lp = _highs.HighsLp()
         lp.num_col_, lp.num_row_ = n_cols, n_rows
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = cm.c, cm.lb, cm.ub
         lp.row_lower_, lp.row_upper_ = cm.row_lo, cm.row_hi
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
         lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n_cols, n_rows
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
+        lp.a_matrix_.start_ = cm.A.indptr
+        lp.a_matrix_.index_ = cm.A.indices
+        lp.a_matrix_.value_ = cm.A.data
         if self._is_mip:
             lp.integrality_ = [_highs.HighsVarType(int(k)) for k in cm.integrality]
         self._highs = _highs._Highs()

@@ -1,11 +1,47 @@
+import math
 import pathlib
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from poolkit import parse_instance
+from poolkit.solver import SolveParams, SolveResult
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "poolkit" / "data"
+
+
+_MILP_STATUS = {0: "optimal", 1: "time-limit", 2: "infeasible", 3: "unbounded"}
+
+
+def milp_oracle(cm, params=None, c=None):
+    """Solve a CompiledModel once through ``scipy.optimize.milp``, which
+    builds its own HiGHS model from the arrays: the reference the package's
+    HiGHS binding path is checked against.  Costs are ``c`` if given; the
+    result follows ``poolkit.solver``'s contract (a point only when HiGHS
+    reports one, a dual bound at OPTIMAL or from a finite MIP dual bound)."""
+    params = params or SolveParams()
+    is_mip = bool(cm.integrality.any())
+    options = {"time_limit": float(params.time_limit_s)}
+    if is_mip:
+        options["mip_rel_gap"] = params.effective_gap(True)
+    constraints = None
+    if cm.A.shape[0]:
+        constraints = LinearConstraint(cm.A, cm.row_lo, cm.row_hi)
+    res = milp(c=cm.c if c is None else c, constraints=constraints,
+               integrality=cm.integrality, bounds=Bounds(cm.lb, cm.ub),
+               options=options)
+    status = _MILP_STATUS.get(res.status, "error")
+    if res.x is None:
+        objective, assignment = None, {}
+    else:
+        objective = float(res.fun)
+        assignment = {nm: float(v) for nm, v in zip(cm.names, res.x)}
+    dual = getattr(res, "mip_dual_bound", None) if is_mip else None
+    dual = float(dual) if dual is not None and math.isfinite(dual) else None
+    if status == "optimal" and dual is None:
+        dual = objective
+    return SolveResult(status, objective, dual, assignment)
 
 
 @pytest.fixture(scope="session")

@@ -15,16 +15,23 @@ pair reachable only through other pools).  MINING_DIGEST pins LABELS on the
 converted mining example, which has 9 source-basis and 10 terminal-basis
 ghost pairs; it was recorded before the two bases were written as one
 mirror.
+
+COMPILE_DIGESTS pin what compile_model hands HiGHS for LABELS on every
+bundled instance: the column names and every array of the CompiledModel,
+with their dtypes.  They were recorded before the compile lost its loop
+over coefficients.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from poolkit import parse_instance
 from poolkit.instances import convert_mining, parse_mining
 from poolkit.modelir import dump_model
 from poolkit.relaxations import build_method, parse_method
+from poolkit.solver import compile_model
 
 from conftest import DATA
 from test_relaxations import positive_lower_instance
@@ -52,6 +59,20 @@ DIGESTS = {
     "haverly1": "390e9e836494a92c63bfd63749e539c74450074089c68db4e9e89629bb7d72c8",
     "haverly2": "469f4971e0b70fcebd3d4dba714ad951f15d6091691e4ec166fa3cdd4f57b015",
     "haverly3": "42c13c5fc5e69f4e9a36c016314b1a4fb5f19d070e1d1cad5b00bb03b919b412",
+}
+
+
+COMPILE_DIGESTS = {
+    "adhya1": "7f57111e05c70c9175e28efd3e879bf93e54ac529a7b9e14fb91a33e5916f3d0",
+    "adhya2": "c95bf323ed1e1ebe6bfa1c21ba4a45ba4ee147e61e93745f6c17abca1d156b8b",
+    "adhya3": "7348ea75fba9406d58b7cbc5c777ce9e6cb6dd8f41610dde56891f70a262210a",
+    "adhya4": "86b26a73e305595990774e016eaa9672bfcbdf1166b01ab00d97df416d59f268",
+    "bental4": "22517ad49062272d8f0d835dac21a0c0e9921eb3d458ace7df70d14f3ad3bba3",
+    "bental5": "208766dc6137c12545d142d54c24f2f0eb9de243fba5f5e9942342dc51c97c58",
+    "foulds2": "248a828a016984190267d3a7cd4ab3021acbbb13022c90413ad52db0bedb9b6e",
+    "haverly1": "a6cca76f2f09ee341aa9161ce305304ddaaf802b2a8bf977ba81818e77fe670e",
+    "haverly2": "ee069d05c07a863cac5cb424cdc1b781a0bdb28c0d52a815fe76a8081e2130ca",
+    "haverly3": "f952933ce1267b80ec5cb361b6fdbcde356328fa7236195ac7c3f4e32d11f4fa",
 }
 
 
@@ -84,6 +105,20 @@ def test_dump_model_unchanged(name):
     for label in LABELS:
         digest.update(dump_model(build_method(inst, parse_method(label)).model).encode())
     assert digest.hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(COMPILE_DIGESTS))
+def test_compiled_arrays_unchanged(name):
+    inst = parse_instance(DATA / f"{name}.json")
+    digest = hashlib.sha256()
+    for label in LABELS:
+        cm = compile_model(build_method(inst, parse_method(label)).model)
+        digest.update("\n".join(cm.names).encode())
+        for arr in (cm.A.indptr, cm.A.indices, cm.A.data, cm.row_lo, cm.row_hi,
+                    cm.lb, cm.ub, cm.integrality, cm.c):
+            digest.update(str(arr.dtype).encode())
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == COMPILE_DIGESTS[name]
 
 
 def test_mining_ghost_pairs_unchanged():

@@ -10,7 +10,12 @@ from poolkit import parse_instance
 from poolkit.modelir import EQ, GE, LE, ModelError, ModelIR, dump_model
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import (CapabilityError, Session, SolveParams, compile_model,
-                            solve, solve_compiled)
+                            solve)
+
+from conftest import DATA, milp_oracle
+
+LP_TABLE_LABELS = tuple(f"{kind}:{basis}" for basis in "ST"
+                        for kind in ("MCF", "F1", "F2", "F3", "F4"))
 
 
 def tiny_lp():
@@ -63,16 +68,38 @@ class TestSolve:
         assert m.variables["z"].lb == 0.0 and m.variables["z"].ub == 1.0
 
 
-class TestSession:
-    """A Session gives what solve_compiled gives, solve after solve."""
+def same(a, b):
+    assert a.status == b.status
+    for x, y in ((a.objective, b.objective), (a.dual_bound, b.dual_bound)):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x == pytest.approx(y, rel=1e-9, abs=1e-9)
 
-    @staticmethod
-    def same(a, b):
-        assert a.status == b.status
-        for x, y in ((a.objective, b.objective), (a.dual_bound, b.dual_bound)):
-            assert (x is None) == (y is None)
-            if x is not None:
-                assert x == pytest.approx(y, rel=1e-9, abs=1e-9)
+
+class TestOneShotLP:
+    """solve runs every LP on the HiGHS binding; scipy.optimize.milp on the
+    same arrays is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.json")))
+    def test_lp_table_matches_oracle(self, name):
+        inst = parse_instance(DATA / f"{name}.json")
+        for label in LP_TABLE_LABELS:
+            model = build_method(inst, parse_method(label)).model
+            res = solve(model)
+            assert res.status == "optimal", label
+            same(res, milp_oracle(compile_model(model)))
+
+    def test_zero_budget_gives_no_value(self, data_dir):
+        inst = parse_instance(data_dir / "adhya3.json")
+        res = solve(build_method(inst, parse_method("F4:T")).model,
+                    SolveParams(time_limit_s=0.0))
+        assert res.status == "time-limit"
+        assert res.objective is None and res.dual_bound is None
+        assert res.assignment == {}
+
+
+class TestSession:
+    """A Session gives what scipy.optimize.milp gives, solve after solve."""
 
     def test_statuses_match_one_shot(self):
         infeasible = tiny_lp()
@@ -82,7 +109,7 @@ class TestSession:
         unbounded.set_objective({"x": -1.0})
         for model in (tiny_lp(), infeasible, unbounded):
             cm = compile_model(model)
-            self.same(Session(cm).solve(), solve_compiled(cm))
+            same(Session(cm).solve(), milp_oracle(cm))
 
     def test_cost_swaps_match_one_shot(self, haverly1):
         cm = compile_model(build_method(haverly1, parse_method("F4:S")).model)
@@ -92,9 +119,9 @@ class TestSession:
             c = rng.normal(size=len(cm.names))
             res = session.solve(c=c)
             assert res.status == "optimal"
-            self.same(res, solve_compiled(cm, c_override=c))
+            same(res, milp_oracle(cm, c=c))
         # back to the model's own costs
-        self.same(session.solve(), solve_compiled(cm))
+        same(session.solve(), milp_oracle(cm))
 
     def test_mip_takes_the_dual_bound(self, haverly1):
         cm = compile_model(build_method(haverly1, parse_method("G1:S:H=3")).model)
@@ -103,7 +130,7 @@ class TestSession:
             for c in (cm.c, -cm.c):
                 res = session.solve(params, c)
                 assert res.status == "optimal" and res.dual_bound is not None
-                self.same(res, solve_compiled(cm, params, c_override=c))
+                same(res, milp_oracle(cm, params, c))
         # a loose gap stops at an incumbent the dual bound does not reach
         assert res.dual_bound < res.objective - 1.0
 

@@ -10,10 +10,10 @@ from poolkit.bench import compute_gap
 from poolkit.instances import Demand, MiningSchedule, Supply, convert_mining
 from poolkit.modelir import INF
 from poolkit.relaxations import build_method, parse_method
-from poolkit.solver import SolveParams, solve, solve_compiled
+from poolkit.solver import SolveParams, solve
 from poolkit.tightening import (BoundUpdate, TighteningError, apply_bounds,
                                 default_obbt_recipe, mining_tighten, obbt)
-from conftest import make_schedule
+from conftest import make_schedule, milp_oracle
 
 SWEEP_INSTANCES = ("adhya1", "adhya2", "adhya3", "adhya4", "bental4", "foulds2",
                    "haverly1", "haverly2", "haverly3")
@@ -97,13 +97,14 @@ class TestOBBT:
 
 
 class OneShotSession:
-    """The Session interface on solve_compiled: a fresh HiGHS model per solve."""
+    """The Session interface on scipy.optimize.milp: a fresh HiGHS model per
+    solve."""
 
     def __init__(self, cm):
         self.cm = cm
 
     def solve(self, params=None, c=None):
-        return solve_compiled(self.cm, params, c_override=c)
+        return milp_oracle(self.cm, params, c)
 
 
 def assert_same_update(a, b):
@@ -119,7 +120,7 @@ def assert_same_update(a, b):
 
 class TestSessionSweep:
     """obbt on one warm-started Session against the same costs solved one
-    by one through solve_compiled."""
+    by one through scipy.optimize.milp."""
 
     @pytest.mark.parametrize("name", SWEEP_INSTANCES)
     def test_f4_sweep_matches_one_shot(self, name, data_dir, monkeypatch):
