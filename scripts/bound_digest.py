@@ -1,0 +1,87 @@
+"""Print one sha256 for each of three sets of bounds the package computes.
+
+Run from the repository root:
+
+    python scripts/bound_digest.py
+
+A change meant to leave every bound bit-identical must print the same three
+lines before and after it.  The sets are
+
+  lp-table   status, objective and dual bound of ``run_cell`` on every
+             bundled instance x MCF and F1-F4 in both bases, no OBBT;
+  recipe     ``default_obbt_recipe(...)[0].to_json()`` on TABLE_INSTANCES;
+  grid       every cell of ``run_grid`` with OBBT on over TABLE_INSTANCES x
+             TABLE_LABELS, without its timings.
+
+Floats enter the digests through ``repr``, so a change in the last bit
+changes the digest.  The grid runs the OBBT recipe and the squeeze on each
+instance; the whole script takes about 15 s on a two-core x86-64 machine.
+"""
+
+import hashlib
+import os
+import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from poolkit import parse_instance  # noqa: E402
+from poolkit.bench import GridConfig, run_cell, run_grid  # noqa: E402
+from poolkit.solver import SolveParams  # noqa: E402
+from poolkit.tightening import default_obbt_recipe  # noqa: E402
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "poolkit" / "data"
+
+ALL_INSTANCES = ("adhya1", "adhya2", "adhya3", "adhya4", "bental4", "bental5",
+                 "foulds2", "haverly1", "haverly2", "haverly3")
+LP_LABELS = tuple(f"{kind}:{basis}" for basis in "ST"
+                  for kind in ("MCF", "F1", "F2", "F3", "F4"))
+# the bundled instances whose squeeze proves
+TABLE_INSTANCES = ("haverly1", "haverly2", "haverly3", "bental4", "foulds2",
+                   "adhya3", "adhya4")
+TABLE_LABELS = LP_LABELS + ("M2:S:H=3", "M2:T:H=3", "G2:S:H=3", "G2:T:H=3")
+
+
+def digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def digests() -> dict[str, str]:
+    instances = {n: parse_instance(DATA / f"{n}.json") for n in ALL_INSTANCES}
+    params = SolveParams()
+
+    cells = []
+    for name in ALL_INSTANCES:
+        for label in LP_LABELS:
+            rec = run_cell(name, instances[name], label, False, 0.0, None, params)
+            cells.append(f"{name} {label} {rec.status} {rec.objective!r} "
+                         f"{rec.dual_bound!r}")
+
+    recipes = [f"{name} {default_obbt_recipe(instances[name])[0].to_json()}"
+               for name in TABLE_INSTANCES]
+
+    records = run_grid(GridConfig([(n, instances[n]) for n in TABLE_INSTANCES],
+                                  list(TABLE_LABELS), obbt=True))
+    grid = [f"{r.instance} {r.method} {r.obbt} {r.objective!r} {r.dual_bound!r} "
+            f"{r.gap_percent!r} {r.gap_kind} {r.status}" for r in records]
+    return {"lp-table": digest(cells), "recipe": digest(recipes),
+            "grid": digest(grid)}
+
+
+def main() -> None:
+    # HiGHS's C++ code prints to fd 1: point it at stderr while the solves
+    # run, so that stdout carries nothing but the digests
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        out = digests()
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+    for name, value in out.items():
+        print(f"{name:<9}{value}")
+
+
+if __name__ == "__main__":
+    main()

@@ -5,7 +5,9 @@ flow by originating source; the terminal basis decomposes incoming flow by
 final destination.  Both carry the network/capacity/specification backbone;
 the bilinear proportion constraints are attached only for exact models.  The
 backbone alone is the multi-commodity-flow (MCF) relaxation, which
-relaxations.build_method builds for the MCF labels.
+relaxations.build_method builds for the MCF labels.  Each instance keeps
+the backbone of each basis once built, and every model starts from a copy
+of it (``backbone``).
 
 Variable naming (deterministic, used by dumps and tests):
     f[a,b]      arc flow, physical arcs and commodity ghost pairs
@@ -116,10 +118,9 @@ def _build_blocks(inst: PoolingInstance, basis: str) -> list[PoolBlock]:
     return blocks
 
 
-def build_backbone(inst: PoolingInstance, basis: str,
-                   name: str | None = None) -> BilinearModel:
+def build_backbone(inst: PoolingInstance, basis: str) -> BilinearModel:
     """Everything except the bilinear proportion constraints (pure LP)."""
-    model = ModelIR(name or f"{inst.name}:{basis}:mcf")
+    model = ModelIR(f"{inst.name}:{basis}:mcf")
     soft = tuple(t for t in inst.terminals if t in inst.penalty)
 
     for arc in inst.arcs.values():
@@ -237,6 +238,22 @@ def build_backbone(inst: PoolingInstance, basis: str,
     return BilinearModel(model, basis, inst, _build_blocks(inst, basis))
 
 
+def backbone(inst: PoolingInstance, basis: str, name: str) -> BilinearModel:
+    """The backbone in ``basis`` as a fresh model named ``name``, to extend.
+
+    ``build_backbone`` runs once per instance and basis; ``inst.backbones``
+    keeps its model and blocks, which refer to nothing of the instance, so
+    the cache dies with it.  The cached model is only ever copied.  Two
+    threads that miss at once both build it, and either result is the
+    same."""
+    cached = inst.backbones.get(basis)
+    if cached is None:
+        bm = build_backbone(inst, basis)
+        cached = inst.backbones[basis] = (bm.model, tuple(bm.blocks))
+    model, blocks = cached
+    return BilinearModel(model.copy(name), basis, inst, list(blocks))
+
+
 def _attach_bilinear(bm: BilinearModel) -> None:
     inst, basis, model = bm.inst, bm.basis, bm.model
     for i in inst.pools:
@@ -249,13 +266,13 @@ def _attach_bilinear(bm: BilinearModel) -> None:
 
 
 def build_source_based(inst: PoolingInstance) -> BilinearModel:
-    bm = build_backbone(inst, SOURCE_BASIS, f"{inst.name}:source:exact")
+    bm = backbone(inst, SOURCE_BASIS, f"{inst.name}:source:exact")
     _attach_bilinear(bm)
     return bm
 
 
 def build_terminal_based(inst: PoolingInstance) -> BilinearModel:
-    bm = build_backbone(inst, TERMINAL_BASIS, f"{inst.name}:terminal:exact")
+    bm = backbone(inst, TERMINAL_BASIS, f"{inst.name}:terminal:exact")
     _attach_bilinear(bm)
     return bm
 

@@ -3,7 +3,9 @@ time-indexed (mining) schedule converter.
 
 Instances are immutable after construction; all derived sets (reachable
 sources S_i, reachable terminals T_i, adjacency, commodity in-neighbor
-sets) are computed once in __post_init__ and shared freely.
+sets) are computed once in __post_init__ and shared freely.  The one
+mutable field, ``backbones``, is formulations' cache of the model backbone
+of each basis, which depends on nothing but the instance.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ class PoolingInstance:
     in_nbrs: dict[str, tuple[str, ...]] = field(init=False, default_factory=dict)
     S_i: dict[str, tuple[str, ...]] = field(init=False, default_factory=dict)
     T_i: dict[str, tuple[str, ...]] = field(init=False, default_factory=dict)
+    # formulations' backbone per basis, filled on first use; it lives and
+    # dies with this instance, and every instance made from it starts empty
+    backbones: dict = field(init=False, default_factory=dict, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sources",

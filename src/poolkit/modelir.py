@@ -108,6 +108,14 @@ class ModelIR:
                 raise ModelError(f"objective references unknown variable {v!r}")
         self.objective = {v: float(c) for v, c in d.items() if c != 0.0}
 
+    def copy(self, name: str) -> "ModelIR":
+        """The same model under ``name``; extending either one leaves the
+        other as it was (variables, rows and terms are immutable, so the
+        containers alone are copied)."""
+        return ModelIR(name, dict(self.variables), list(self.rows),
+                       list(self.bilinear), dict(self.objective),
+                       set(self.row_names))
+
 
 # -- canonical dump -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,7 +187,8 @@ def add_rows(model, rows, x_name, prefix: str) -> None:
 def relabel(rows, prefix: str) -> list:
     """The rows renamed under prefix, so that the rows of two fragments on
     one block keep unique names; their terms are shared verbatim."""
-    return [replace(row, name=f"{prefix}:{row.name}") for row in rows]
+    return [LinearCut(f"{prefix}:{row.name}", row.coeffs, row.sense, row.rhs)
+            for row in rows]
 
 
 def _col_sum(space, j, m, w=1.0):
@@ -461,30 +462,52 @@ class ConicCut:
         """lhs - rhs evaluated at a point of the rank-one set (<= 0 is valid).
 
         X may be a single (m, n) matrix or a batch (k, m, n).  The row sum,
-        column sum and total are matrix-vector products.
+        column sum and total are matrix-vector products; evaluate_conic_cuts
+        takes them once for all of a box's cuts.
         """
         X = np.asarray(X, dtype=float)
         batch = X if X.ndim == 3 else X[None]
         k, m, n = batch.shape
         i, j = self.i, self.j
-        li, ui, lpj, upj, U = box.l[i], box.u[i], box.lp[j], box.up[j], box.U
         cs = batch[:, :, j] @ np.ones(m)
         rs = batch[:, i, :] @ np.ones(n)
         tot = batch.reshape(k, -1) @ np.ones(m * n)
-        xij = batch[:, i, j]
-        if self.family == "cd":
-            lhs = li * ui * cs**2 + lpj * upj * rs**2
-            rhs = (li * lpj + ui * upj) * xij * tot
-        elif self.family == "ac1-row":
-            lhs = li * cs**2
-            rhs = ((li * lpj / U) * cs - (lpj * upj / U) * rs + upj * xij) * tot
-        elif self.family == "ac1-col":
-            lhs = lpj * rs**2
-            rhs = ((lpj * li / U) * rs - (li * ui / U) * cs + ui * xij) * tot
-        else:
-            raise ValueError(self.family)
-        v = lhs - rhs
+        v = _conic_value(self, box, cs, rs, tot, batch[:, i, j])
         return float(v.max()) if X.ndim == 3 else float(v[0])
+
+
+def _conic_value(cut: ConicCut, box: BoundBox, cs, rs, tot, xij):
+    """lhs - rhs of a conic cut at points with column sum ``cs`` (column
+    cut.j), row sum ``rs`` (row cut.i), total ``tot`` and cell ``xij``."""
+    i, j = cut.i, cut.j
+    li, ui, lpj, upj, U = box.l[i], box.u[i], box.lp[j], box.up[j], box.U
+    if cut.family == "cd":
+        lhs = li * ui * cs**2 + lpj * upj * rs**2
+        rhs = (li * lpj + ui * upj) * xij * tot
+    elif cut.family == "ac1-row":
+        lhs = li * cs**2
+        rhs = ((li * lpj / U) * cs - (lpj * upj / U) * rs + upj * xij) * tot
+    elif cut.family == "ac1-col":
+        lhs = lpj * rs**2
+        rhs = ((lpj * li / U) * rs - (li * ui / U) * cs + ui * xij) * tot
+    else:
+        raise ValueError(cut.family)
+    return lhs - rhs
+
+
+def evaluate_conic_cuts(cuts: list[ConicCut], X, box: BoundBox) -> list[float]:
+    """Each cut's maximum of lhs - rhs over a batch of points (k, m, n), or
+    at a single (m, n) matrix: what ``ConicCut.violation`` gives cut by cut,
+    with the batch's row sums, column sums and totals taken once."""
+    X = np.asarray(X, dtype=float)
+    batch = X if X.ndim == 3 else X[None]
+    k, m, n = batch.shape
+    rs = batch @ np.ones(n)                      # (k, m)
+    cs = np.ones(m) @ batch                      # (k, n)
+    tot = batch.reshape(k, -1) @ np.ones(m * n)
+    return [float(_conic_value(cut, box, cs[:, cut.j], rs[:, cut.i], tot,
+                               batch[:, cut.i, cut.j]).max())
+            for cut in cuts]
 
 
 def gen_rlt_conic(box: BoundBox) -> CutSet:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 from .formulations import (SOURCE_BASIS, TERMINAL_BASIS, BilinearModel,
-                           PoolBlock, build_backbone, build_source_based,
+                           PoolBlock, backbone, build_source_based,
                            build_terminal_based)
 from .instances import PoolingInstance
 from .modelir import ModelIR
@@ -300,7 +300,7 @@ def build_method(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
         bm = (build_source_based(inst) if spec.basis == SOURCE_BASIS
               else build_terminal_based(inst))
         return BuiltMethod(bm.model, bm)
-    bb = build_backbone(inst, spec.basis, f"{inst.name}:{spec.label()}")
+    bb = backbone(inst, spec.basis, f"{inst.name}:{spec.label()}")
     built = BuiltMethod(bb.model, bb)
     if spec.kind == "MCF":
         return built

@@ -176,6 +176,8 @@ _MODEL_STATUS = {
     _highs.HighsModelStatus.kUnbounded: UNBOUNDED,
 }
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4   # HiGHS option simplex_strategy
+_ROWWISE = int(_highs.MatrixFormat.kRowwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
 class Session:
@@ -196,17 +198,6 @@ class Session:
         self.cm = cm
         self._is_mip = bool(cm.integrality.any())
         n_rows, n_cols = cm.A.shape
-        lp = _highs.HighsLp()
-        lp.num_col_, lp.num_row_ = n_cols, n_rows
-        lp.col_cost_, lp.col_lower_, lp.col_upper_ = cm.c, cm.lb, cm.ub
-        lp.row_lower_, lp.row_upper_ = cm.row_lo, cm.row_hi
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
-        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n_cols, n_rows
-        lp.a_matrix_.start_ = cm.A.indptr
-        lp.a_matrix_.index_ = cm.A.indices
-        lp.a_matrix_.value_ = cm.A.data
-        if self._is_mip:
-            lp.integrality_ = [_highs.HighsVarType(int(k)) for k in cm.integrality]
         self._highs = _highs._Highs()
         self._highs.setOptionValue("output_flag", False)
         if not self._is_mip:
@@ -214,7 +205,15 @@ class Session:
             # primal simplex goes on from it, while the dual simplex would
             # first have to regain dual feasibility
             self._highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
-        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
+        # the array overload takes the CSR arrays whole, where filling a
+        # HighsLp field by field converts them element by element; it
+        # needs one integrality entry per column (an empty array is an error)
+        status = self._highs.passModel(
+            n_cols, n_rows, cm.A.nnz, _ROWWISE, _MINIMIZE, 0.0,
+            cm.c, cm.lb, cm.ub, cm.row_lo, cm.row_hi,
+            cm.A.indptr, cm.A.indices, cm.A.data,
+            cm.integrality.astype(np.int32))
+        if status == _highs.HighsStatus.kError:
             raise ValueError(f"HiGHS rejected the model ({n_rows} rows, {n_cols} columns)")
         self._cols = np.arange(n_cols, dtype=np.int32)
 

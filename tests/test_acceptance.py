@@ -22,7 +22,8 @@ from poolkit.bench import compute_gap, exact_value
 from poolkit.formulations import (build_source_based, check_solution,
                                   rederive_proportions)
 from poolkit.instances import Demand, MiningSchedule, Supply, convert_mining
-from poolkit.rank1 import (check_extreme_point_property, evaluate_linear_cuts,
+from poolkit.rank1 import (check_extreme_point_property, evaluate_conic_cuts,
+                           evaluate_linear_cuts,
                            fragment_lp_value, gen_rlt_conic, gen_rlt_mccormick,
                            gen_rlt_reverse_convex, grid_vertices, random_box,
                            sample_rank_one_points, normalize)
@@ -222,8 +223,8 @@ class TestCriterion8:
             v = evaluate_linear_cuts(cuts, X)
             worst = max(worst, v / max(tol, 1e-300) * 1e-8)
             assert v <= tol, f"linear cut violated by {v} (tol {tol})"
-            for cut in gen_rlt_conic(box).cuts:
-                v2 = cut.violation(X, box)
+            conic = gen_rlt_conic(box).cuts
+            for cut, v2 in zip(conic, evaluate_conic_cuts(conic, X, box)):
                 assert v2 <= 1e-8 * box.scale() ** 2, f"{cut.name} violated by {v2}"
         report(8, True, f"{boxes} boxes x {per_box} samples: no violation "
                         f"(worst scaled {worst:.2e})")

@@ -1,13 +1,22 @@
 """Source/terminal bilinear models, MCF relaxation, pool blocks and the
 solution checker."""
 
+import gc
+import weakref
+
 import pytest
 
+from poolkit import parse_instance
 from poolkit.formulations import (build_source_based, build_terminal_based,
-                                  check_solution, rederive_proportions)
-from poolkit.instances import parse_instance_dict
+                                  check_solution, fvar, rederive_proportions)
+from poolkit.instances import generalize, parse_instance_dict
+from poolkit.modelir import LE, dump_model
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import CapabilityError, solve
+from poolkit.tightening import apply_bounds, default_obbt_recipe
+
+from conftest import DATA
+from test_model_digests import LABELS
 
 
 def single_chain_instance(spec_free=True):
@@ -236,3 +245,56 @@ class TestMiningBlocks:
                 times = [float(r.split(":")[2]) for r in block.row_ids]
                 assert all(t <= float(tag) for t in times)
                 assert all(r.split(":")[1] == pile for r in block.row_ids)
+
+
+class TestBackboneCache:
+    """Each instance builds the backbone of a basis once; every model starts
+    from a copy of it."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.json")))
+    def test_extending_a_model_leaves_later_builds_alone(self, name):
+        inst = parse_instance(DATA / f"{name}.json")
+        for label in LABELS:
+            built = build_method(inst, parse_method(label))
+            model = built.model
+            model.add_var("extra:x", 0.0, 1.0)
+            model.add_var("extra:q", 0.0, 1.0)
+            model.add_var("extra:f", 0.0, 1.0)
+            first = next(iter(model.variables))
+            model.add_row("extra:row", {"extra:x": 1.0, first: 1.0}, LE, 1.0)
+            model.add_bilinear("extra:x", "extra:q", "extra:f")
+            model.set_objective({"extra:f": 1.0})
+            built.backbone.blocks.clear()
+        assert set(inst.backbones) == {"source", "terminal"}
+        for label in LABELS:
+            spec = parse_method(label)
+            fresh = parse_instance(DATA / f"{name}.json")
+            assert (dump_model(build_method(inst, spec).model)
+                    == dump_model(build_method(fresh, spec).model)), label
+
+    def test_tightened_instance_has_its_own_backbone(self):
+        inst = parse_instance(DATA / "haverly1.json")
+        loose = build_method(inst, parse_method("F4:T")).model
+        upd = default_obbt_recipe(inst)[0]
+        tight = apply_bounds(inst, upd)
+        assert tight.backbones == {} and generalize(inst).backbones == {}
+        model = build_method(tight, parse_method("F4:T")).model
+        changed = 0
+        for key, arc in tight.arcs.items():
+            var, before = model.variables[fvar(*key)], loose.variables[fvar(*key)]
+            assert (var.lb, var.ub) == (arc.l, arc.u)
+            changed += (var.lb, var.ub) != (before.lb, before.ub)
+        assert changed > 0
+
+    def test_cache_dies_with_its_instance(self):
+        inst = parse_instance(DATA / "haverly1.json")
+        build_method(inst, parse_method("F4:S"))
+        build_method(inst, parse_method("EXACT:T"))
+        assert set(inst.backbones) == {"source", "terminal"}
+        ref = weakref.ref(inst)
+        gc.disable()
+        try:
+            del inst
+            assert ref() is None
+        finally:
+            gc.enable()

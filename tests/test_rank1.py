@@ -10,7 +10,8 @@ from poolkit.rank1 import (BoxError, EmptySampleError, InfeasiblePointError,
                            brute_force_bound, build_colwise_extension,
                            build_intersection, build_rowcol_extension,
                            build_rowwise_extension, check_extreme_point_property,
-                           enumerate_hull_pieces, evaluate_linear_cuts,
+                           enumerate_hull_pieces, evaluate_conic_cuts,
+                           evaluate_linear_cuts,
                            fragment_lp_value, gen_rlt_conic, gen_rlt_mccormick,
                            gen_rlt_reverse_convex, grid_vertices, is_rank_le_one,
                            make_box, membership_T, normalize, piece_contains,
@@ -540,6 +541,24 @@ class TestCutEvaluation:
         X = off_set_points(box, 1, rng)
         for P in X:
             self.assert_parity(box, P)
+
+    @pytest.mark.parametrize("zero_l", [False, True])
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
+    def test_conic_batch_matches_cut_by_cut(self, m, n, zero_l):
+        rng = np.random.default_rng(10 * m + n)
+        box = random_box(rng, m, n, positive_lower=True)
+        if zero_l:
+            box = make_box([0.0] * m, box.u, box.lp, box.up, box.L, box.U)
+        X = off_set_points(box, 60, rng)
+        cuts = gen_rlt_conic(box).cuts
+        got = evaluate_conic_cuts(cuts, X, box)
+        assert len(got) == len(cuts) == 3 * m * n
+        tol = 1e-12 * box.scale() ** 2
+        for cut, v in zip(cuts, got):
+            assert abs(v - cut.violation(X, box)) <= tol, cut.name
+            assert abs(v - reference_conic(cut, X, box)) <= tol, cut.name
+        for cut, v in zip(cuts, evaluate_conic_cuts(cuts, X[0], box)):
+            assert abs(v - reference_conic(cut, X[0], box)) <= tol, cut.name
 
     def test_empty_cut_list(self, rng):
         X = off_set_points(box22(), 10, rng)

@@ -111,6 +111,39 @@ class TestSession:
             cm = compile_model(model)
             same(Session(cm).solve(), milp_oracle(cm))
 
+    def test_edge_shapes_of_the_arrays_match_one_shot(self):
+        # HiGHS gets the CSR arrays as they are: no rows, a row without
+        # coefficients, and an integrality array of binaries only
+        no_rows = ModelIR("no-rows")
+        no_rows.add_var("x", -1.0, 4.0)
+        no_rows.add_var("y", 2.0, 3.0)
+        no_rows.set_objective({"x": 1.0, "y": -2.0})
+        empty_row = ModelIR("empty-row")
+        empty_row.add_var("x", 0.0, 4.0)
+        empty_row.add_var("y", 0.0, 4.0)
+        empty_row.add_row("a", {"x": 1.0, "y": 1.0}, LE, 5.0)
+        empty_row.add_row("b", {}, LE, 1.0)
+        empty_row.add_row("c", {"x": 1.0, "y": -1.0}, GE, 1.0)
+        empty_row.set_objective({"x": -1.0, "y": -2.0})
+        only_empty = ModelIR("only-empty-row")
+        only_empty.add_var("x", 1.0, 2.0)
+        only_empty.add_row("b", {}, EQ, 0.0)
+        only_empty.set_objective({"x": 1.0})
+        binary = ModelIR("binary")
+        for v in ("z1", "z2", "z3"):
+            binary.add_var(v, binary=True)
+        binary.add_row("cap", {"z1": 3.0, "z2": 2.0, "z3": 4.0}, LE, 5.0)
+        binary.set_objective({"z1": -5.0, "z2": -3.0, "z3": -6.0})
+        for model in (no_rows, empty_row, only_empty, binary):
+            cm = compile_model(model)
+            session = Session(cm)
+            for c in (cm.c, -cm.c):
+                res = session.solve(c=c)
+                assert res.status == "optimal", model.name
+                same(res, milp_oracle(cm, c=c))
+        assert compile_model(binary).integrality.all()
+        assert compile_model(only_empty).A.nnz == 0
+
     def test_cost_swaps_match_one_shot(self, haverly1):
         cm = compile_model(build_method(haverly1, parse_method("F4:S")).model)
         session = Session(cm)
