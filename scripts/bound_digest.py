@@ -2,10 +2,12 @@
 
 Run from the repository root:
 
-    python scripts/bound_digest.py
+    python scripts/bound_digest.py [--json RECORDS.json]
 
 A change meant to leave every bound bit-identical must print the same three
-lines before and after it.  The sets are
+lines before and after it.  With ``--json`` the script also writes the
+records it hashes to RECORDS.json; ``scripts/bound_diff.py`` compares two
+such files, for a change that moves bounds within a tolerance.  The sets are
 
   lp-table   status, objective and dual bound of ``run_cell`` on every
              bundled instance x MCF and F1-F4 in both bases, no OBBT;
@@ -18,7 +20,9 @@ changes the digest.  The grid runs the OBBT recipe and the squeeze on each
 instance; the whole script takes about 15 s on a two-core x86-64 machine.
 """
 
+import argparse
 import hashlib
+import json
 import os
 import pathlib
 import sys
@@ -46,7 +50,8 @@ def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def digests() -> dict[str, str]:
+def records() -> dict[str, list[dict]]:
+    """The records of each set, in the order they are hashed."""
     instances = {n: parse_instance(DATA / f"{n}.json") for n in ALL_INSTANCES}
     params = SolveParams()
 
@@ -54,32 +59,52 @@ def digests() -> dict[str, str]:
     for name in ALL_INSTANCES:
         for label in LP_LABELS:
             rec = run_cell(name, instances[name], label, False, 0.0, None, params)
-            cells.append(f"{name} {label} {rec.status} {rec.objective!r} "
-                         f"{rec.dual_bound!r}")
+            cells.append({"instance": name, "method": label, "status": rec.status,
+                          "objective": rec.objective, "dual_bound": rec.dual_bound})
 
-    recipes = [f"{name} {default_obbt_recipe(instances[name])[0].to_json()}"
+    recipes = [{"instance": name,
+                "update": default_obbt_recipe(instances[name])[0].to_json()}
                for name in TABLE_INSTANCES]
 
-    records = run_grid(GridConfig([(n, instances[n]) for n in TABLE_INSTANCES],
-                                  list(TABLE_LABELS), obbt=True))
-    grid = [f"{r.instance} {r.method} {r.obbt} {r.objective!r} {r.dual_bound!r} "
-            f"{r.gap_percent!r} {r.gap_kind} {r.status}" for r in records]
+    grid = [{"instance": r.instance, "method": r.method, "obbt": r.obbt,
+             "objective": r.objective, "dual_bound": r.dual_bound,
+             "gap_percent": r.gap_percent, "gap_kind": r.gap_kind,
+             "status": r.status}
+            for r in run_grid(GridConfig([(n, instances[n]) for n in TABLE_INSTANCES],
+                                         list(TABLE_LABELS), obbt=True))]
+    return {"lp-table": cells, "recipe": recipes, "grid": grid}
+
+
+def digests(sets: dict[str, list[dict]]) -> dict[str, str]:
+    cells = [f"{c['instance']} {c['method']} {c['status']} {c['objective']!r} "
+             f"{c['dual_bound']!r}" for c in sets["lp-table"]]
+    recipes = [f"{r['instance']} {r['update']}" for r in sets["recipe"]]
+    grid = [f"{r['instance']} {r['method']} {r['obbt']} {r['objective']!r} "
+            f"{r['dual_bound']!r} {r['gap_percent']!r} {r['gap_kind']} "
+            f"{r['status']}" for r in sets["grid"]]
     return {"lp-table": digest(cells), "recipe": digest(recipes),
             "grid": digest(grid)}
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--json", metavar="RECORDS.json",
+                        help="also write the hashed records to this file")
+    args = parser.parse_args()
     # HiGHS's C++ code prints to fd 1: point it at stderr while the solves
     # run, so that stdout carries nothing but the digests
     sys.stdout.flush()
     saved = os.dup(1)
     os.dup2(2, 1)
     try:
-        out = digests()
+        sets = records()
     finally:
         os.dup2(saved, 1)
         os.close(saved)
-    for name, value in out.items():
+    if args.json:
+        with open(args.json, "w") as f:
+            json.dump(sets, f, indent=1)
+    for name, value in digests(sets).items():
         print(f"{name:<9}{value}")
 
 

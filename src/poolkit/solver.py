@@ -73,6 +73,8 @@ class SolveResult:
     dual_bound: float | None
     assignment: dict[str, float] = field(default_factory=dict)
     seconds: float = 0.0
+    # the point of ``assignment`` as HiGHS reported it, in column order
+    point: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -131,15 +133,17 @@ def _result(cm: CompiledModel, status: str, objective: float | None,
     MIP stopped by the time limit, the incumbent), or None; ``mip_dual`` is
     a MIP's dual bound, or None."""
     assignment: dict[str, float] = {}
+    point = None
     if x is None:
         objective = None
     else:
         objective = float(objective)
-        assignment = {nm: float(v) for nm, v in zip(cm.names, x)}
+        point = np.asarray(x, dtype=float)
+        assignment = dict(zip(cm.names, point.tolist()))
     dual = objective if status == OPTIMAL else None
     if mip_dual is not None and math.isfinite(mip_dual):
         dual = float(mip_dual)
-    return SolveResult(status, objective, dual, assignment, seconds)
+    return SolveResult(status, objective, dual, assignment, seconds, point)
 
 
 def solve_compiled(cm: CompiledModel, params: SolveParams | None = None,

@@ -121,6 +121,17 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
     ``params.time_limit_s`` is the budget of the whole sweep: each solve
     gets the time that remains, and targets not reached keep their bounds.
 
+    The sweep skips every solve whose answer it already knows (the LP
+    filtering of Gleixner, Berthold, Mueller and Weltge, 2017).  Each point
+    of a solve that reached OPTIMAL, the base solve's included, is feasible,
+    so the least and the greatest value a target has taken at those points
+    bound its minimum from above and its maximum from below.  A min solve
+    is skipped when that least value is within half the slack of the old
+    lower bound, and a max solve likewise at the upper bound: the solve
+    would return at most ``old_lo + slack/2``, which ``record`` widens by
+    the slack to below ``old_lo``, so the side keeps its old bound and its
+    provenance either way.
+
     The sweep is sequential on one ``Session``: the relaxation is passed to
     HiGHS once, and each target solve changes only the costs and starts
     from the previous basis.  ``workers`` has no effect."""
@@ -144,37 +155,57 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
     if base.status == "infeasible":
         raise TighteningError("relaxation with objective box is infeasible")
 
-    targets = ([("arc", key) for key in sorted(inst.arcs)]
-               + [("ghost", pair) for pair in sorted(inst.ghost_pairs(spec.basis))]
-               + [("node", nid) for nid in sorted(inst.nodes)])
-
     def expression(kind, key) -> dict[str, float]:
         if kind in ("arc", "ghost"):
             return {fvar(*key): 1.0}
         return _node_expression(inst, key)
+
+    targets, costs = [], []
+    for kind, key in ([("arc", key) for key in sorted(inst.arcs)]
+                      + [("ghost", pair) for pair in sorted(inst.ghost_pairs(spec.basis))]
+                      + [("node", nid) for nid in sorted(inst.nodes)]):
+        c = np.zeros(len(cm.names))
+        for v, coeff in expression(kind, key).items():
+            if v in cm.index:
+                c[cm.index[v]] = coeff
+        if c.any():
+            targets.append((kind, key))
+            costs.append(c)
+    # one row of costs per target; T @ x is every target's value at x
+    T = np.array(costs).reshape(len(targets), len(cm.names))
+    # the least and the greatest value of each target at the points seen
+    seen_lo = np.full(len(targets), INF)
+    seen_hi = np.full(len(targets), -INF)
+
+    def see(res) -> None:
+        if res.status == OPTIMAL and res.point is not None:
+            values = T @ res.point
+            np.minimum(seen_lo, values, out=seen_lo)
+            np.maximum(seen_hi, values, out=seen_hi)
 
     def proven_min(c):
         """A proven lower bound on min c.x (dual_bound is set only for an
         LP at OPTIMAL or from a MIP's dual bound), or None."""
         if budget.spent:
             return None
-        return session.solve(budget.params(), c).dual_bound
+        res = session.solve(budget.params(), c)
+        see(res)
+        return res.dual_bound
 
+    see(base)
     upd = BoundUpdate(z_box=(z_lb, z_ub))
     scale = max([1.0] + [abs(a.u) for a in inst.arcs.values() if math.isfinite(a.u)])
     slack = 1e-6 * scale
-    for kind, key in targets:
-        expr = {v: c for v, c in expression(kind, key).items() if v in cm.index}
-        if not expr:
-            continue
-        c = np.zeros(len(cm.names))
-        for v, coeff in expr.items():
-            c[cm.index[v]] = coeff
-        lo = proven_min(c)
-        hi = proven_min(-c)
+    for row, (kind, key) in enumerate(targets):
+        old = inst.interval(kind, key)
+        # a skipped side is left unproven, as a solve that proves nothing
+        lo = hi = None
+        if seen_lo[row] > old[0] + slack / 2:
+            lo = proven_min(T[row])
+        if seen_hi[row] < old[1] - slack / 2:
+            hi = proven_min(-T[row])
         lo = 0.0 if lo is None else max(lo, 0.0)
         hi = INF if hi is None else -hi
-        old = inst.interval(kind, key)
         tag = "obbt-min" if lo > old[0] + slack else (
             "obbt-max" if hi < old[1] - slack else UNCHANGED)
         if lo > old[0] + slack and hi < old[1] - slack:

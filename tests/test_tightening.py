@@ -1,26 +1,64 @@
 """OBBT and the mining single-pass tightening."""
 
+import functools
 import math
 
+import numpy as np
 import pytest
 
+import poolkit.solver
 import poolkit.tightening
 from poolkit import parse_instance
 from poolkit.bench import compute_gap
-from poolkit.instances import Demand, MiningSchedule, Supply, convert_mining
+from poolkit.formulations import fvar
+from poolkit.instances import (SOURCE, Demand, MiningSchedule, Supply,
+                               convert_mining)
 from poolkit.modelir import INF
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import SolveParams, solve
 from poolkit.tightening import (BoundUpdate, TighteningError, apply_bounds,
                                 default_obbt_recipe, mining_tighten, obbt)
-from conftest import make_schedule, milp_oracle
+from conftest import DATA, make_schedule, milp_oracle
 
+# bental5 is left out: the restriction that sets its box runs for minutes
 SWEEP_INSTANCES = ("adhya1", "adhya2", "adhya3", "adhya4", "bental4", "foulds2",
                    "haverly1", "haverly2", "haverly3")
 
 
 def mcf_value(inst, basis="S"):
     return solve(build_method(inst, parse_method(f"MCF:{basis}")).model).objective
+
+
+@functools.cache
+def recipe_box(name, basis="T"):
+    """The instance, the objective box default_obbt_recipe gives it (MCF:T
+    below, G1:T:H=3 above) and the G1:T:H=3 point, a feasible point inside
+    that box; with ``basis`` "S", the same in the source basis."""
+    inst = parse_instance(DATA / f"{name}.json")
+    low = solve(build_method(inst, parse_method(f"MCF:{basis}")).model)
+    high = solve(build_method(inst, parse_method(f"G1:{basis}:H=3")).model)
+    assert low.status == high.status == "optimal"
+    return inst, low.objective, high.objective, high.assignment
+
+
+def sweep_slack(inst):
+    return 1e-6 * max([1.0] + [a.u for a in inst.arcs.values() if math.isfinite(a.u)])
+
+
+def throughput_flows(inst, nid):
+    """The flow variables of a node's throughput: a source's outflow, any
+    other node's inflow."""
+    if inst.kind(nid) == SOURCE:
+        return [fvar(nid, j) for j in inst.out_nbrs[nid]]
+    return [fvar(j, nid) for j in inst.in_nbrs[nid]]
+
+
+def sweep_targets(inst, basis):
+    """Every OBBT target as (kind, key, the flow variables it sums), in the
+    sweep's order: arcs, ghost pairs and nodes, each sorted."""
+    return ([("arc", key, [fvar(*key)]) for key in sorted(inst.arcs)]
+            + [("ghost", key, [fvar(*key)]) for key in sorted(inst.ghost_pairs(basis))]
+            + [("node", nid, throughput_flows(inst, nid)) for nid in sorted(inst.nodes)])
 
 
 class TestOBBT:
@@ -98,7 +136,8 @@ class TestOBBT:
 
 class OneShotSession:
     """The Session interface on scipy.optimize.milp: a fresh HiGHS model per
-    solve."""
+    solve.  Its results carry no ``point``, so a sweep on it skips no solve:
+    the unfiltered reference for the warm, filtered sweep."""
 
     def __init__(self, cm):
         self.cm = cm
@@ -118,16 +157,71 @@ def assert_same_update(a, b):
                                   abs(x - y) <= 1e-9 * max(1.0, abs(x))), (kind, key)
 
 
+def solved_sides(sides, solves):
+    """Which of ``sides`` (cost tuples in sweep order) the recorded
+    ``solves`` ran, matching the solves to the sides in order; None when
+    two sides share their costs and the solves do not tell them apart."""
+    def first_fit(sides, solves):
+        ran, k = [], 0
+        for costs in sides:
+            ran.append(k < len(solves) and solves[k] == costs)
+            k += ran[-1]
+        return ran if k == len(solves) else None
+
+    early = first_fit(sides, solves)
+    late = first_fit(sides[::-1], solves[::-1])
+    return early if late is not None and early == late[::-1] else None
+
+
+def assert_skips_sound(monkeypatch, inst, relax, z_lb, z_ub, params=None):
+    """Run the sweep with a spy on Session.solve; solve every side it
+    skipped one-shot, and check that the side could not have moved its bound
+    past the slack.  The sweep must skip at least one side."""
+    models, solves = [], []
+    session_solve = poolkit.solver.Session.solve
+
+    def spy(self, params=None, c=None):
+        models.append(self.cm)
+        if c is not None:
+            solves.append(tuple(c))
+        return session_solve(self, params, c)
+
+    monkeypatch.setattr(poolkit.solver.Session, "solve", spy)
+    upd = obbt(inst, relax, z_lb, z_ub, params=params)
+    monkeypatch.undo()
+    cm = models[0]
+    assert all(m is cm for m in models)
+    sides = []   # in the sweep's order, min before max
+    for kind, key, flows in sweep_targets(inst, parse_method(relax).basis):
+        c = np.zeros(len(cm.names))
+        for v in flows:
+            if v in cm.index:
+                c[cm.index[v]] = 1.0
+        if not c.any():
+            continue
+        lo, hi = inst.interval(kind, key)
+        # min c.x proves lo' and max c.x proves hi' = -min(-c.x); the side
+        # keeps its bound when lo' <= lo + slack, or -hi' <= -hi + slack
+        sides += [(kind, key, c, lo), (kind, key, -c, -hi)]
+    assert len(sides) == 2 * len(upd.provenance)
+    ran = solved_sides([tuple(c) for _, _, c, _ in sides], solves)
+    assert ran is not None
+    slack = sweep_slack(inst)
+    assert len(solves) < len(sides)
+    skipped = [side for side, solved in zip(sides, ran) if not solved]
+    for kind, key, costs, bound in skipped:
+        res = milp_oracle(cm, params, costs)
+        assert res.status == "optimal", (kind, key)
+        assert res.dual_bound <= bound + slack, (kind, key, res.dual_bound)
+
+
 class TestSessionSweep:
     """obbt on one warm-started Session against the same costs solved one
     by one through scipy.optimize.milp."""
 
     @pytest.mark.parametrize("name", SWEEP_INSTANCES)
-    def test_f4_sweep_matches_one_shot(self, name, data_dir, monkeypatch):
-        # bental5 is left out: the restriction that sets its box runs for minutes
-        inst = parse_instance(data_dir / f"{name}.json")
-        z_lb = solve(build_method(inst, parse_method("MCF:T")).model).objective
-        z_ub = solve(build_method(inst, parse_method("G1:T:H=3")).model).objective
+    def test_f4_sweep_matches_one_shot(self, name, monkeypatch):
+        inst, z_lb, z_ub, _ = recipe_box(name)
         warm = obbt(inst, "F4:T", z_lb, z_ub)
         monkeypatch.setattr(poolkit.tightening, "Session", OneShotSession)
         assert_same_update(warm, obbt(inst, "F4:T", z_lb, z_ub))
@@ -141,6 +235,45 @@ class TestSessionSweep:
         monkeypatch.setattr(poolkit.tightening, "Session", OneShotSession)
         assert_same_update(warm, obbt(haverly1, "M1:T:H=1", -500.0, -400.0,
                                       params=params))
+
+    @pytest.mark.parametrize("name", SWEEP_INSTANCES)
+    def test_f4_skipped_solves_could_not_tighten(self, name, monkeypatch):
+        inst, z_lb, z_ub, _ = recipe_box(name)
+        assert_skips_sound(monkeypatch, inst, "F4:T", z_lb, z_ub)
+
+    def test_mip_skipped_solves_could_not_tighten(self, haverly1, monkeypatch):
+        assert_skips_sound(monkeypatch, haverly1, "M1:T:H=1", -500.0, -400.0)
+
+    # no bundled instance has a terminal-basis ghost pair; the source-basis
+    # cases (whose G1:S:H=3 restrictions solve in well under a second) have
+    # ghost intervals to check
+    @pytest.mark.parametrize("name,basis", [(n, "T") for n in SWEEP_INSTANCES]
+                             + [(n, "S") for n in ("bental4", "haverly1",
+                                                   "haverly2", "haverly3")])
+    def test_f4_sweep_keeps_the_restriction_point(self, name, basis):
+        # the G1:H=3 point is feasible and inside the objective box, so
+        # every tightened interval must hold it
+        inst, z_lb, z_ub, point = recipe_box(name, basis)
+        relax = f"F4:{basis}"
+        upd = obbt(inst, relax, z_lb, z_ub)
+        assert any(tag != "unchanged" for tag in upd.provenance.values())
+        slack = sweep_slack(inst)
+        bounds = {"arc": upd.arc_bounds, "ghost": upd.ghost_bounds,
+                  "node": upd.node_bounds}
+        checked = 0
+        for kind, key, names in sweep_targets(inst, parse_method(relax).basis):
+            if key not in bounds[kind]:
+                continue
+            if kind == "ghost":
+                old = inst.ghost_bound(key, inst.pair_pool(key))
+            else:
+                old = inst.interval(kind, key)
+            lo, hi = bounds[kind][key]
+            value = sum(point[v] for v in names)
+            assert old[0] <= lo <= hi <= old[1], (kind, key)
+            assert lo - slack <= value <= hi + slack, (kind, key, value)
+            checked += 1
+        assert checked == len(upd.provenance)
 
     def test_zero_budget_leaves_every_side_unchanged(self, haverly1):
         upd = obbt(haverly1, "F4:T", -500.0, -400.0,
