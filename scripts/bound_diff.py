@@ -4,20 +4,23 @@ Run from the repository root:
 
     python scripts/bound_diff.py BEFORE.json AFTER.json
 
-It prints every cell whose status differs and every OBBT target whose
-provenance differs, then the largest relative move in each group:
+It prints every cell whose status differs, every OBBT target whose
+provenance differs and every squeeze whose witness or status differs, then
+the largest relative move in each group:
 
   OBBT intervals  every node, arc and ghost interval and the objective box
                   of the ``recipe`` set;
   LP cells        objective and dual bound of the LP labels (MCF, F1-F4) in
                   the ``lp-table`` and ``grid`` sets;
   MIP cells       objective and dual bound of the MIP labels (M and G
-                  kinds) in the ``grid`` set.
+                  kinds) in the ``grid`` set;
+  squeezes        value, lower and upper bound of the ``squeeze`` set (a
+                  file without that set has no squeezes).
 
 A move is |a - b| / max(1, |a|), with ``a`` from BEFORE; two equal values,
 infinities included, move 0.  A value that one file has and the other
 lacks is printed as a difference.  The exit code is 1 when there is a
-status or provenance difference, else 0.
+status, provenance, witness or presence difference, else 0.
 """
 
 import json
@@ -66,6 +69,7 @@ def is_mip(label: str) -> bool:
 def compare(before: dict, after: dict) -> tuple[list[str], list[Largest]]:
     diffs = []
     intervals, lp, mip = Largest("OBBT intervals"), Largest("LP cells"), Largest("MIP cells")
+    squeezes = Largest("squeezes")
 
     def keyed(recs, *fields):
         return {tuple(r[f] for f in fields): r for r in recs}
@@ -109,7 +113,23 @@ def compare(before: dict, after: dict) -> tuple[list[str], list[Largest]]:
         for what, ia, ib in boxes:
             for side, x, y in zip(("lo", "hi"), ia, ib):
                 intervals.add(f"recipe {name} {what} {side}", x, y)
-    return diffs, [intervals, lp, mip]
+
+    old = keyed(before.get("squeeze", []), "instance")
+    new = keyed(after.get("squeeze", []), "instance")
+    for (name,) in sorted(old.keys() ^ new.keys()):
+        diffs.append(f"squeeze {name}: only in "
+                     f"{'BEFORE' if (name,) in old else 'AFTER'}")
+    for key in sorted(old.keys() & new.keys()):
+        a, b = old[key], new[key]
+        for field in ("witness", "status"):
+            if a[field] != b[field]:
+                diffs.append(f"squeeze {key[0]}: {field} {a[field]} -> {b[field]}")
+        for field in ("value", "lower", "upper"):
+            if (a[field] is None) != (b[field] is None):
+                diffs.append(f"squeeze {key[0]}: {field} {a[field]!r} -> {b[field]!r}")
+                continue
+            squeezes.add(f"squeeze {key[0]} {field}", a[field], b[field])
+    return diffs, [intervals, lp, mip, squeezes]
 
 
 def main() -> int:
@@ -122,7 +142,7 @@ def main() -> int:
     diffs, groups = compare(before, after)
     for line in diffs:
         print(line)
-    print(f"{len(diffs)} differences of status, provenance or presence")
+    print(f"{len(diffs)} differences of status, provenance, witness or presence")
     for group in groups:
         print(group.line())
     return 1 if diffs else 0

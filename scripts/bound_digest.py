@@ -1,10 +1,10 @@
-"""Print one sha256 for each of three sets of bounds the package computes.
+"""Print one sha256 for each of four sets of bounds the package computes.
 
 Run from the repository root:
 
     python scripts/bound_digest.py [--json RECORDS.json]
 
-A change meant to leave every bound bit-identical must print the same three
+A change meant to leave every bound bit-identical must print the same four
 lines before and after it.  With ``--json`` the script also writes the
 records it hashes to RECORDS.json; ``scripts/bound_diff.py`` compares two
 such files, for a change that moves bounds within a tolerance.  The sets are
@@ -13,11 +13,14 @@ such files, for a change that moves bounds within a tolerance.  The sets are
              bundled instance x MCF and F1-F4 in both bases, no OBBT;
   recipe     ``default_obbt_recipe(...)[0].to_json()`` on TABLE_INSTANCES;
   grid       every cell of ``run_grid`` with OBBT on over TABLE_INSTANCES x
-             TABLE_LABELS, without its timings.
+             TABLE_LABELS, without its timings;
+  squeeze    value, lower and upper bound, witness and status of
+             ``exact_value(inst, first_update=upd)`` on TABLE_INSTANCES,
+             with the ``recipe`` set's updates, as ``run_grid`` calls it.
 
 Floats enter the digests through ``repr``, so a change in the last bit
 changes the digest.  The grid runs the OBBT recipe and the squeeze on each
-instance; the whole script takes about 15 s on a two-core x86-64 machine.
+instance; the whole script takes about 10 s on a two-core x86-64 machine.
 """
 
 import argparse
@@ -30,7 +33,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from poolkit import parse_instance  # noqa: E402
-from poolkit.bench import GridConfig, run_cell, run_grid  # noqa: E402
+from poolkit.bench import GridConfig, exact_value, run_cell, run_grid  # noqa: E402
 from poolkit.solver import SolveParams  # noqa: E402
 from poolkit.tightening import default_obbt_recipe  # noqa: E402
 
@@ -62,9 +65,10 @@ def records() -> dict[str, list[dict]]:
             cells.append({"instance": name, "method": label, "status": rec.status,
                           "objective": rec.objective, "dual_bound": rec.dual_bound})
 
-    recipes = [{"instance": name,
-                "update": default_obbt_recipe(instances[name])[0].to_json()}
-               for name in TABLE_INSTANCES]
+    updates = {name: default_obbt_recipe(instances[name])[0]
+               for name in TABLE_INSTANCES}
+    recipes = [{"instance": name, "update": upd.to_json()}
+               for name, upd in updates.items()]
 
     grid = [{"instance": r.instance, "method": r.method, "obbt": r.obbt,
              "objective": r.objective, "dual_bound": r.dual_bound,
@@ -72,7 +76,15 @@ def records() -> dict[str, list[dict]]:
              "status": r.status}
             for r in run_grid(GridConfig([(n, instances[n]) for n in TABLE_INSTANCES],
                                          list(TABLE_LABELS), obbt=True))]
-    return {"lp-table": cells, "recipe": recipes, "grid": grid}
+
+    squeezes = []
+    for name, upd in updates.items():
+        ev = exact_value(instances[name], first_update=upd)
+        squeezes.append({"instance": name, "value": ev.value, "lower": ev.lower,
+                         "upper": ev.upper, "witness": ev.witness,
+                         "status": ev.status})
+    return {"lp-table": cells, "recipe": recipes, "grid": grid,
+            "squeeze": squeezes}
 
 
 def digests(sets: dict[str, list[dict]]) -> dict[str, str]:
@@ -82,8 +94,10 @@ def digests(sets: dict[str, list[dict]]) -> dict[str, str]:
     grid = [f"{r['instance']} {r['method']} {r['obbt']} {r['objective']!r} "
             f"{r['dual_bound']!r} {r['gap_percent']!r} {r['gap_kind']} "
             f"{r['status']}" for r in sets["grid"]]
+    squeezes = [f"{r['instance']} {r['value']!r} {r['lower']!r} {r['upper']!r} "
+                f"{r['witness']} {r['status']}" for r in sets["squeeze"]]
     return {"lp-table": digest(cells), "recipe": digest(recipes),
-            "grid": digest(grid)}
+            "grid": digest(grid), "squeeze": digest(squeezes)}
 
 
 def main() -> None:

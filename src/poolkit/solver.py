@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,10 +72,18 @@ class SolveResult:
     status: str
     objective: float | None
     dual_bound: float | None
-    assignment: dict[str, float] = field(default_factory=dict)
     seconds: float = 0.0
-    # the point of ``assignment`` as HiGHS reported it, in column order
+    # the point as HiGHS reported it, in column order, and the column names
     point: np.ndarray | None = None
+    names: tuple[str, ...] = field(default=(), repr=False)
+
+    @cached_property
+    def assignment(self) -> dict[str, float]:
+        """The point by column name ({} without a point), built on first
+        read: the OBBT sweep reads only ``point``."""
+        if self.point is None:
+            return {}
+        return dict(zip(self.names, self.point.tolist()))
 
 
 @dataclass(frozen=True)
@@ -132,18 +141,16 @@ def _result(cm: CompiledModel, status: str, objective: float | None,
     """A SolveResult from what HiGHS reported: ``x`` is its point (for a
     MIP stopped by the time limit, the incumbent), or None; ``mip_dual`` is
     a MIP's dual bound, or None."""
-    assignment: dict[str, float] = {}
     point = None
     if x is None:
         objective = None
     else:
         objective = float(objective)
         point = np.asarray(x, dtype=float)
-        assignment = dict(zip(cm.names, point.tolist()))
     dual = objective if status == OPTIMAL else None
     if mip_dual is not None and math.isfinite(mip_dual):
         dual = float(mip_dual)
-    return SolveResult(status, objective, dual, assignment, seconds, point)
+    return SolveResult(status, objective, dual, seconds, point, cm.names)
 
 
 def solve_compiled(cm: CompiledModel, params: SolveParams | None = None,

@@ -18,8 +18,9 @@ def milp_oracle(cm, params=None, c=None):
     """Solve a CompiledModel once through ``scipy.optimize.milp``, which
     builds its own HiGHS model from the arrays: the reference the package's
     HiGHS binding path is checked against.  Costs are ``c`` if given; the
-    result follows ``poolkit.solver``'s contract (a point only when HiGHS
-    reports one, a dual bound at OPTIMAL or from a finite MIP dual bound)."""
+    status, objective and dual bound follow ``poolkit.solver``'s contract
+    (a dual bound at OPTIMAL or from a finite MIP dual bound).  The result
+    carries no point, so a sweep on it skips no solve."""
     params = params or SolveParams()
     is_mip = bool(cm.integrality.any())
     options = {"time_limit": float(params.time_limit_s)}
@@ -32,16 +33,12 @@ def milp_oracle(cm, params=None, c=None):
                integrality=cm.integrality, bounds=Bounds(cm.lb, cm.ub),
                options=options)
     status = _MILP_STATUS.get(res.status, "error")
-    if res.x is None:
-        objective, assignment = None, {}
-    else:
-        objective = float(res.fun)
-        assignment = {nm: float(v) for nm, v in zip(cm.names, res.x)}
+    objective = None if res.x is None else float(res.fun)
     dual = getattr(res, "mip_dual_bound", None) if is_mip else None
     dual = float(dual) if dual is not None and math.isfinite(dual) else None
     if status == "optimal" and dual is None:
         dual = objective
-    return SolveResult(status, objective, dual, assignment)
+    return SolveResult(status, objective, dual)
 
 
 @pytest.fixture(scope="session")

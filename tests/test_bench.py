@@ -11,9 +11,10 @@ import time
 import pytest
 
 import poolkit.bench
-from poolkit.bench import (RESTRICTION_PORTFOLIO, GridConfig, RunRecord,
-                           compute_gap, exact_value, records_from_csv,
-                           records_to_csv, run_grid, summarize)
+from poolkit.bench import (REL_TOL, RESTRICTION_PORTFOLIO, GridConfig,
+                           RunRecord, compute_gap, exact_value,
+                           records_from_csv, records_to_csv, run_grid,
+                           summarize)
 from poolkit.cli import _load_instances, main
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import solve
@@ -40,8 +41,9 @@ class TestExactValue:
         from poolkit import parse_instance
         from poolkit.bench import exact_value
         from poolkit.solver import SolveParams
-        # each bental5 restriction MILP alone runs far past the limit
-        inst = parse_instance(data_dir / "bental5.json")
+        # adhya1's squeeze never closes: unbudgeted, its passes run every
+        # restriction for several seconds
+        inst = parse_instance(data_dir / "adhya1.json")
         t0 = time.perf_counter()
         ev = exact_value(inst, SolveParams(time_limit_s=2.0))
         assert time.perf_counter() - t0 < 4.0
@@ -55,7 +57,7 @@ class TestExactValue:
     def test_status_of_a_spent_budget(self, data_dir):
         from poolkit import parse_instance
         from poolkit.solver import SolveParams
-        inst = parse_instance(data_dir / "bental5.json")
+        inst = parse_instance(data_dir / "adhya1.json")
         ev = exact_value(inst, SolveParams(time_limit_s=2.0))
         assert (ev.proven, ev.status) == (False, "time-limit")
 
@@ -108,8 +110,29 @@ class TestExactValue:
         inst = parse_instance(data_dir / "foulds2.json")
         builds = record_builds(monkeypatch)
         ev = exact_value(inst)
-        assert [label for _, label in builds] == ["F4:S", "F4:T", "G1:S:H=3", "G2:S:H=3"]
+        assert [label for _, label in builds] == ["F4:S", "F4:T", "G2:S:H=3"]
         assert (ev.status, ev.witness) == ("proven", "G2:S:H=3")
+
+    def test_grid_squeeze_closes_at_the_first_restriction(self, data_dir,
+                                                          monkeypatch):
+        from poolkit import parse_instance
+        # run_grid's path: the recipe's update stands for the first pass
+        inst = parse_instance(data_dir / "adhya3.json")
+        upd = default_obbt_recipe(inst)[0]
+        builds = record_builds(monkeypatch)
+        ev = exact_value(inst, first_update=upd)
+        assert [label for _, label in builds] == ["F4:S", "F4:T", "G2:S:H=3"]
+        assert (ev.status, ev.witness) == ("proven", "G2:S:H=3")
+        assert ev.value == pytest.approx(-939.3181818181819, rel=REL_TOL)
+
+    def test_bental5_squeeze_proves_within_its_budget(self, data_dir):
+        from poolkit import parse_instance
+        from poolkit.solver import SolveParams
+        # the placeholder's own optimum, not the published -3500
+        inst = parse_instance(data_dir / "bental5.json")
+        ev = exact_value(inst, SolveParams(time_limit_s=30))
+        assert (ev.status, ev.witness) == ("proven", "G2:S:H=3")
+        assert ev.value == pytest.approx(ev.lower, rel=REL_TOL)
 
 
 def record_builds(monkeypatch) -> list:

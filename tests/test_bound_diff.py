@@ -14,7 +14,7 @@ spec.loader.exec_module(bound_diff)
 
 
 def records(f4=-500.0, m2_status="optimal", m2_dual=-401.0, arc_hi=100.0,
-            tag="obbt-max"):
+            tag="obbt-max", value=-400.0, witness="G2:S:H=3", status="proven"):
     update = {"nodes": {"p1": [0.0, 300.0]}, "arcs": {"A->p1": [0.0, arc_hi]},
               "ghosts": {}, "provenance": {"node:p1": "unchanged",
                                            "arc:('A', 'p1')": tag},
@@ -26,6 +26,8 @@ def records(f4=-500.0, m2_status="optimal", m2_dual=-401.0, arc_hi=100.0,
         "grid": [{"instance": "h", "method": "M2:S:H=3", "obbt": True,
                   "objective": -400.0, "dual_bound": m2_dual,
                   "gap_percent": 0.0, "gap_kind": "D", "status": m2_status}],
+        "squeeze": [{"instance": "h", "value": value, "lower": -400.01,
+                     "upper": value, "witness": witness, "status": status}],
     }
 
 
@@ -36,18 +38,20 @@ def moves(groups):
 def test_identical_records_move_nothing():
     diffs, groups = bound_diff.compare(records(), records())
     assert diffs == []
-    assert moves(groups) == {"OBBT intervals": 0.0, "LP cells": 0.0, "MIP cells": 0.0}
+    assert moves(groups) == {"OBBT intervals": 0.0, "LP cells": 0.0,
+                             "MIP cells": 0.0, "squeezes": 0.0}
 
 
 def test_moves_are_relative_and_grouped_by_label_kind():
     after = records(f4=-500.0 * (1 + 1e-12), m2_dual=-401.0 * (1 + 1e-7),
-                    arc_hi=100.0 * (1 + 1e-13))
+                    arc_hi=100.0 * (1 + 1e-13), value=-400.0 * (1 + 1e-10))
     diffs, groups = bound_diff.compare(records(), after)
     assert diffs == []
     got = moves(groups)
     assert got["LP cells"] == pytest.approx(1e-12, rel=1e-3)
     assert got["MIP cells"] == pytest.approx(1e-7, rel=1e-3)
     assert got["OBBT intervals"] == pytest.approx(1e-13, rel=1e-2)
+    assert got["squeezes"] == pytest.approx(1e-10, rel=1e-3)
 
 
 def test_status_and_provenance_differences_are_listed():
@@ -56,6 +60,22 @@ def test_status_and_provenance_differences_are_listed():
     assert len(diffs) == 2
     assert any("status optimal -> time-limit" in d for d in diffs)
     assert any("provenance obbt-max -> unchanged" in d for d in diffs)
+
+
+def test_squeeze_witness_and_status_differences_are_listed():
+    after = records(value=-399.0, witness="G1:S:H=3", status="open")
+    diffs, groups = bound_diff.compare(records(), after)
+    assert diffs == ["squeeze h: witness G2:S:H=3 -> G1:S:H=3",
+                     "squeeze h: status proven -> open"]
+    assert moves(groups)["squeezes"] == pytest.approx(1 / 400)
+
+
+def test_a_file_without_squeezes_lacks_each_one():
+    before = records()
+    del before["squeeze"]
+    diffs, groups = bound_diff.compare(before, records())
+    assert diffs == ["squeeze h: only in AFTER"]
+    assert groups[-1].line() == "squeezes       no values"
 
 
 def test_a_value_lost_on_one_side_is_a_difference():
