@@ -11,7 +11,7 @@ such files, for a change that moves bounds within a tolerance.  The sets are
 
   lp-table   status, objective and dual bound of ``run_cell`` on every
              bundled instance x MCF and F1-F4 in both bases, no OBBT;
-  recipe     ``default_obbt_recipe(...)[0].to_json()`` on TABLE_INSTANCES;
+  recipe     ``default_obbt_recipe(...).to_json()`` on TABLE_INSTANCES;
   grid       every cell of ``run_grid`` with OBBT on over TABLE_INSTANCES x
              TABLE_LABELS, without its timings;
   squeeze    value, lower and upper bound, witness and status of
@@ -65,7 +65,7 @@ def records() -> dict[str, list[dict]]:
             cells.append({"instance": name, "method": label, "status": rec.status,
                           "objective": rec.objective, "dual_bound": rec.dual_bound})
 
-    updates = {name: default_obbt_recipe(instances[name])[0]
+    updates = {name: default_obbt_recipe(instances[name])
                for name in TABLE_INSTANCES}
     recipes = [{"instance": name, "update": upd.to_json()}
                for name, upd in updates.items()]

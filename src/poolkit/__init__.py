@@ -9,8 +9,7 @@ from .rank1 import (BoundBox, brute_force_bound, build_colwise_extension,
                     enumerate_hull_pieces, gen_rlt_conic, gen_rlt_mccormick,
                     gen_rlt_reverse_convex, is_rank_le_one, make_box,
                     membership_T, normalize, sample_rank_one_points)
-from .formulations import (build_source_based, build_terminal_based,
-                           check_solution)
+from .formulations import build_exact, check_solution
 from .relaxations import (MethodSpec, build_method, inject_valid_inequalities,
                           parse_method)
 from .tightening import BoundUpdate, apply_bounds, mining_tighten, obbt

@@ -112,8 +112,8 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
                 break
             res = solve(build_method(work, parse_method(label)).model,
                         budget.params())
-            if res.status == "optimal" and (best_lb is None or res.objective > best_lb):
-                best_lb = res.objective
+            if res.dual_bound is not None and (best_lb is None or res.dual_bound > best_lb):
+                best_lb = res.dual_bound
         for label in RESTRICTION_PORTFOLIO:
             if budget.spent or closed():
                 break
@@ -136,8 +136,7 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
         if budget.spent or closed():
             break
         try:
-            upd, _, _ = default_obbt_recipe(work, params=budget.params())
-            work = apply_bounds(work, upd)
+            work = apply_bounds(work, default_obbt_recipe(work, params=budget.params()))
         except TighteningError:
             break
         squeeze(work)
@@ -204,7 +203,7 @@ def _cached_obbt(inst: PoolingInstance, cache_dir: str | None,
         path = pathlib.Path(cache_dir) / f"{content_hash(inst)}-{RECIPE_LABEL}.json"
         if path.exists():
             return BoundUpdate.from_json(path.read_text())
-    upd, _, _ = default_obbt_recipe(inst, params=params)
+    upd = default_obbt_recipe(inst, params=params)
     if cache_dir:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(upd.to_json())
@@ -244,7 +243,7 @@ def run_cell(name: str, inst: PoolingInstance, method: str, obbt_flag: bool,
 
 def run_grid(config: GridConfig) -> list[RunRecord]:
     params = SolveParams(time_limit_s=config.time_limit_s)
-    cells: list[tuple[int, str, PoolingInstance, str, bool, float, float | None]] = []
+    cells: list[tuple[str, PoolingInstance, str, bool, float, float | None]] = []
     for name, inst in config.instances:
         prep = 0.0
         work, upd = inst, None
@@ -259,20 +258,15 @@ def run_grid(config: GridConfig) -> list[RunRecord]:
         ref = exact_value(inst, params, use_obbt=upd is not None,
                           first_update=upd)
         for method in config.methods:
-            cells.append((len(cells), name, work, method, upd is not None, prep,
-                          ref.value))
+            cells.append((name, work, method, upd is not None, prep, ref.value))
 
     def run(cell):
-        i, name, work, method, tightened, prep, reference = cell
-        return i, run_cell(name, work, method, tightened, prep, reference, params)
+        return run_cell(*cell, params)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            out = list(pool.map(run, cells))
-    else:
-        out = [run(c) for c in cells]
-    out.sort(key=lambda pair: pair[0])
-    return [rec for _, rec in out]
+            return list(pool.map(run, cells))
+    return [run(c) for c in cells]
 
 
 def records_to_csv(records: list[RunRecord]) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instances import SOURCE, SOURCE_BASIS, TERMINAL_BASIS, PoolingInstance
-from .modelir import INF, ModelIR
+from .modelir import GE, INF, LE, ModelIR
 from .rank1 import BoundBox, make_box, rank_residual
 
 
@@ -118,16 +118,28 @@ def _build_blocks(inst: PoolingInstance, basis: str) -> list[PoolBlock]:
     return blocks
 
 
+def throughput(inst: PoolingInstance, nid: str) -> dict[str, float]:
+    """A node's throughput: the flows out of a source, into any other node."""
+    if inst.kind(nid) == SOURCE:
+        return {fvar(nid, j): 1.0 for j in inst.out_nbrs[nid]}
+    return {fvar(j, nid): 1.0 for j in inst.in_nbrs[nid]}
+
+
 def build_backbone(inst: PoolingInstance, basis: str) -> BilinearModel:
     """Everything except the bilinear proportion constraints (pure LP)."""
     model = ModelIR(f"{inst.name}:{basis}:mcf")
-    soft = tuple(t for t in inst.terminals if t in inst.penalty)
 
     for arc in inst.arcs.values():
         model.add_var(fvar(arc.tail, arc.head), arc.l, arc.u)
     for pair in inst.ghost_pairs(basis):
         lo, hi = inst.interval("ghost", pair)
         model.add_var(fvar(*pair), lo, hi)
+
+    # objective: arc costs, and below the penalty of each soft violation
+    obj: dict[str, float] = {}
+    for arc in inst.arcs.values():
+        if arc.cost != 0.0:
+            obj[fvar(arc.tail, arc.head)] = obj.get(fvar(arc.tail, arc.head), 0.0) + arc.cost
 
     # decomposed flows on physical arcs of the decomposed side
     for i in inst.pools:
@@ -138,15 +150,10 @@ def build_backbone(inst: PoolingInstance, basis: str) -> BilinearModel:
                               arc.u if math.isfinite(arc.u) else INF)
 
     # node capacities
-    for nid in inst.nodes:
-        node = inst.nodes[nid]
-        if node.kind == SOURCE:
-            expr = {fvar(nid, j): 1.0 for j in inst.out_nbrs[nid]}
-        else:
-            expr = {fvar(j, nid): 1.0 for j in inst.in_nbrs[nid]}
-        if not expr:
-            continue
-        model.add_range(f"cap[{nid}]", expr, node.L, node.U)
+    for nid, node in inst.nodes.items():
+        expr = throughput(inst, nid)
+        if expr:
+            model.add_range(f"cap[{nid}]", expr, node.L, node.U)
 
     # flow decomposition on each decomposed physical arc
     for i in inst.pools:
@@ -181,9 +188,11 @@ def build_backbone(inst: PoolingInstance, basis: str) -> BilinearModel:
             tot[fvar(*pair)] = tot.get(fvar(*pair), 0.0) - 1.0
             model.add_row(f"gho[{i},{c}]", tot, "==", 0.0)
 
-    # specification windows at terminals (hard, or soft with violation vars)
+    # specification windows at terminals: the upper side, then the lower, of
+    # each window a terminal bounds; a soft side has a violation variable,
+    # priced with the terminal's penalty
     for t in inst.terminals:
-        inflow_f = {fvar(j, t): 1.0 for j in inst.in_nbrs[t]}
+        inflow_f = [fvar(j, t) for j in inst.in_nbrs[t]]
         if not inflow_f or inst.n_specs == 0:
             continue
         for k in range(inst.n_specs):
@@ -204,35 +213,21 @@ def build_backbone(inst: PoolingInstance, basis: str) -> BilinearModel:
                             lam_x[xvar(s, i, t)] = lam_x.get(xvar(s, i, t), 0.0) + inst.lam[s][k]
             hi = inst.mu_hi.get(t, tuple([INF] * inst.n_specs))[k]
             lo = inst.mu_lo.get(t, tuple([0.0] * inst.n_specs))[k]
-            is_soft = t in inst.penalty
-            if math.isfinite(hi):
+            # each side: its sense, its bound, the sign its violation takes,
+            # and whether it bounds anything
+            for side, sense, mu, v_coeff, bounded in (
+                    ("hi", LE, hi, -1.0, math.isfinite(hi)),
+                    ("lo", GE, lo, 1.0, lo > 0)):
+                if not bounded:
+                    continue
                 coeffs = dict(lam_x)
-                for var, c in inflow_f.items():
-                    coeffs[var] = coeffs.get(var, 0.0) - hi * c
-                if is_soft:
-                    vname = model.add_var(vvar(t, k, "hi"))
-                    coeffs[vname] = -1.0
-                model.add_row(f"spec_hi[{t},{k}]", coeffs, "<=", 0.0)
-            if lo > 0:
-                coeffs = dict(lam_x)
-                for var, c in inflow_f.items():
-                    coeffs[var] = coeffs.get(var, 0.0) - lo * c
-                if is_soft:
-                    vname = model.add_var(vvar(t, k, "lo"))
-                    coeffs[vname] = 1.0
-                model.add_row(f"spec_lo[{t},{k}]", coeffs, ">=", 0.0)
-
-    # objective: arc costs plus soft-spec penalties
-    obj: dict[str, float] = {}
-    for arc in inst.arcs.values():
-        if arc.cost != 0.0:
-            obj[fvar(arc.tail, arc.head)] = obj.get(fvar(arc.tail, arc.head), 0.0) + arc.cost
-    for t in soft:
-        for k in range(inst.n_specs):
-            for side in ("hi", "lo"):
-                name = vvar(t, k, side)
-                if name in model.variables:
-                    obj[name] = inst.penalty[t][k]
+                for var in inflow_f:
+                    coeffs[var] = coeffs.get(var, 0.0) - mu
+                if t in inst.penalty:
+                    vname = model.add_var(vvar(t, k, side))
+                    coeffs[vname] = v_coeff
+                    obj[vname] = inst.penalty[t][k]
+                model.add_row(f"spec_{side}[{t},{k}]", coeffs, sense, 0.0)
     model.set_objective(obj)
 
     return BilinearModel(model, basis, inst, _build_blocks(inst, basis))
@@ -254,8 +249,11 @@ def backbone(inst: PoolingInstance, basis: str, name: str) -> BilinearModel:
     return BilinearModel(model.copy(name), basis, inst, list(blocks))
 
 
-def _attach_bilinear(bm: BilinearModel) -> None:
-    inst, basis, model = bm.inst, bm.basis, bm.model
+def build_exact(inst: PoolingInstance, basis: str) -> BilinearModel:
+    """The exact model in ``basis``: the backbone plus x = q * f for every
+    commodity on every decomposed arc of each pool."""
+    bm = backbone(inst, basis, f"{inst.name}:{basis}:exact")
+    model = bm.model
     for i in inst.pools:
         for c in _commodities(inst, basis, i):
             model.add_var(qvar(i, c), 0.0, 1.0)
@@ -263,17 +261,6 @@ def _attach_bilinear(bm: BilinearModel) -> None:
             a, b = _arc(basis, i, j)
             for c in _commodities(inst, basis, i):
                 model.add_bilinear(xvar(a, b, c), qvar(i, c), fvar(a, b))
-
-
-def build_source_based(inst: PoolingInstance) -> BilinearModel:
-    bm = backbone(inst, SOURCE_BASIS, f"{inst.name}:source:exact")
-    _attach_bilinear(bm)
-    return bm
-
-
-def build_terminal_based(inst: PoolingInstance) -> BilinearModel:
-    bm = backbone(inst, TERMINAL_BASIS, f"{inst.name}:terminal:exact")
-    _attach_bilinear(bm)
     return bm
 
 

@@ -210,8 +210,6 @@ class ModelFragment:
     """Linear constraints over an m x n block of x-variables plus fresh
     fraction variables, the aux terms (all nonnegative)."""
 
-    m: int
-    n: int
     aux: list[Term] = field(default_factory=list)
     rows: list[LinearCut] = field(default_factory=list)
 
@@ -226,7 +224,7 @@ def build_rowwise_extension(box: BoundBox) -> ModelFragment:
     t_j = x_ij / (row sum i) for any nonzero row i.
     """
     m, n = box.m, box.n
-    frag = ModelFragment(m, n, [("t", j) for j in range(n)])
+    frag = ModelFragment([("t", j) for j in range(n)])
     t = frag.aux
     for i in range(m):
         for j in range(n):
@@ -245,7 +243,7 @@ def build_rowwise_extension(box: BoundBox) -> ModelFragment:
 def build_colwise_extension(box: BoundBox) -> ModelFragment:
     """Column-sum analogue of build_rowwise_extension (one variable per row)."""
     m, n = box.m, box.n
-    frag = ModelFragment(m, n, [("tp", i) for i in range(m)])
+    frag = ModelFragment([("tp", i) for i in range(m)])
     tp = frag.aux
     for i in range(m):
         for j in range(n):
@@ -265,16 +263,15 @@ def build_intersection(box: BoundBox) -> ModelFragment:
     """Intersection of the row-wise and column-wise fragments on one block."""
     rw = build_rowwise_extension(box)
     cw = build_colwise_extension(box)
-    frag = ModelFragment(box.m, box.n)
-    frag.aux = rw.aux + cw.aux  # t[.] and tp[.] never collide
-    frag.rows = relabel(rw.rows, "rw") + relabel(cw.rows, "cw")
-    return frag
+    # t[.] and tp[.] never collide
+    return ModelFragment(rw.aux + cw.aux,
+                         relabel(rw.rows, "rw") + relabel(cw.rows, "cw"))
 
 
 def build_rowcol_extension(box: BoundBox) -> ModelFragment:
     """Stronger fragment with one cell-fraction variable per entry."""
     m, n = box.m, box.n
-    frag = ModelFragment(m, n, list(_total("r", m, n)))
+    frag = ModelFragment(list(_total("r", m, n)))
     for i in range(m):
         for j in range(n):
             colsum = _col_sum("r", j, m)
@@ -317,7 +314,7 @@ def fragment_lp_value(box: BoundBox, c, kind: str, include_plain: bool = False):
     a fragment rides on the full flow model in the pooling relaxations.
     """
     from .modelir import ModelIR
-    from .solver import solve
+    from .solver import OPTIMAL, solve
 
     c = np.asarray(c, dtype=float)
     model = ModelIR(f"fragment:{kind}")
@@ -332,7 +329,7 @@ def fragment_lp_value(box: BoundBox, c, kind: str, include_plain: bool = False):
     model.set_objective({f"x[{i},{j}]": c[i, j]
                          for i in range(box.m) for j in range(box.n)})
     res = solve(model)
-    if res.status != "optimal":
+    if res.status != OPTIMAL:
         return None
     return res.objective
 
@@ -865,7 +862,7 @@ def grid_vertices(box: BoundBox, density: int = 5, sigma_steps: int = 3,
     of the row/column sums; strictness testing should use it as tolerance.
     """
     from .modelir import ModelIR
-    from .solver import solve
+    from .solver import INFEASIBLE, solve
 
     lo, hi = _sigma_window(box)
     if lo > hi + 1e-12:
@@ -917,6 +914,6 @@ def grid_vertices(box: BoundBox, density: int = 5, sigma_steps: int = 3,
                            for p in range(npts) if p != k and flat[p][d] != 0.0},
                           "==", float(target[d]))
         res = solve(model)
-        if res.status == "infeasible":
+        if res.status == INFEASIBLE:
             vertices.append(target.reshape(box.m, box.n))
     return vertices, resolution

@@ -17,8 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 from .formulations import (SOURCE_BASIS, TERMINAL_BASIS, BilinearModel,
-                           PoolBlock, backbone, build_source_based,
-                           build_terminal_based)
+                           PoolBlock, backbone, build_exact)
 from .instances import PoolingInstance
 from .modelir import ModelIR
 from .rank1 import (FRAGMENT_BUILDERS, add_rows, attach_fragment,
@@ -103,7 +102,14 @@ _METHOD_RE = re.compile(r"^(?P<kind>[A-Z]+[0-9]?)"
                         r"(?P<cuts>(\+V[a-z]+(\([a-z,]*\))?)*)$")
 
 
+_CUT_SPACES = {frozenset({"x"}): "x", frozenset({"r"}): "r",
+               frozenset({"x", "r"}): "both"}
+
+
 def parse_method(text: str) -> MethodSpec:
+    """The spec of a label.  Every cut family names its space, ``x,r`` when
+    it has no parentheses, and they must all name the same one: a spec has
+    a single cut space."""
     m = _METHOD_RE.match(text.strip())
     if not m:
         raise MethodError(f"cannot parse method {text!r}")
@@ -111,19 +117,16 @@ def parse_method(text: str) -> MethodSpec:
     basis = {"S": SOURCE_BASIS, "T": TERMINAL_BASIS, None: SOURCE_BASIS}[m.group("basis")]
     H = int(m.group("H")) if m.group("H") else None
     cuts: list[str] = []
-    space = "both"
-    for cut, args in re.findall(r"\+(V[a-z]+)(?:\(([a-z,]*)\))?", m.group("cuts") or ""):
+    spaces: set[str] = set()
+    for cut, args in re.findall(r"\+(V[a-z]+)(\([a-z,]*\))?", m.group("cuts") or ""):
         cuts.append(cut)
-        if args:
-            names = set(args.split(","))
-            if names == {"x"}:
-                space = "x"
-            elif names == {"r"}:
-                space = "r"
-            elif names == {"x", "r"}:
-                space = "both"
-            else:
-                raise MethodError(f"unknown cut spaces {args!r}")
+        names = frozenset(args[1:-1].split(",")) if args else frozenset({"x", "r"})
+        if names not in _CUT_SPACES:
+            raise MethodError(f"unknown cut spaces {args!r}")
+        spaces.add(_CUT_SPACES[names])
+    if len(spaces) > 1:
+        raise MethodError(f"cut families of {text!r} name different spaces")
+    space = spaces.pop() if spaces else "both"
     return MethodSpec(kind, basis, H, tuple(dict.fromkeys(cuts)), space)
 
 
@@ -297,8 +300,7 @@ def build_method(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
     backbone alone for MCF, else the backbone plus the F fragment or the M/G
     discretization on each pool block and the label's valid inequalities."""
     if spec.kind == "EXACT":
-        bm = (build_source_based(inst) if spec.basis == SOURCE_BASIS
-              else build_terminal_based(inst))
+        bm = build_exact(inst, spec.basis)
         return BuiltMethod(bm.model, bm)
     bb = backbone(inst, spec.basis, f"{inst.name}:{spec.label()}")
     built = BuiltMethod(bb.model, bb)

@@ -153,23 +153,21 @@ def _result(cm: CompiledModel, status: str, objective: float | None,
     return SolveResult(status, objective, dual, seconds, point, cm.names)
 
 
-def solve_compiled(cm: CompiledModel, params: SolveParams | None = None,
-                   c_override: np.ndarray | None = None) -> SolveResult:
-    """Solve ``cm`` once, with the costs ``c_override`` if given."""
+def solve_compiled(cm: CompiledModel, params: SolveParams | None = None) -> SolveResult:
+    """Solve ``cm`` once."""
     if not cm.integrality.any():
         session = Session(cm)
         # a solve from scratch is faster with HiGHS's default, the dual simplex
         session._highs.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
-        return session.solve(params, c_override)
+        return session.solve(params)
     params = params or SolveParams()
-    c = cm.c if c_override is None else c_override
     options = {"time_limit": float(params.time_limit_s),
                "mip_rel_gap": params.effective_gap(True)}
     t0 = time.perf_counter()
     constraints = None
     if cm.A.shape[0]:
         constraints = LinearConstraint(cm.A, cm.row_lo, cm.row_hi)
-    res = milp(c=c, constraints=constraints,
+    res = milp(c=cm.c, constraints=constraints,
                integrality=cm.integrality,
                bounds=Bounds(cm.lb, cm.ub),
                options=options)

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formulations import fvar
-from .instances import (POOL, SOURCE, SOURCE_BASIS, TERMINAL, TERMINAL_BASIS,
+from .formulations import fvar, throughput
+from .instances import (POOL, SOURCE_BASIS, TERMINAL, TERMINAL_BASIS,
                         InconsistencyError, PoolingInstance)
 from .modelir import INF
 from .relaxations import build_method, parse_method
-from .solver import OPTIMAL, Budget, Session, SolveParams, compile_model, solve
+from .solver import (INFEASIBLE, OPTIMAL, Budget, Session, SolveParams,
+                     compile_model, solve)
 
 UNCHANGED = "unchanged"
 # the restriction whose value bounds the objective box of default_obbt_recipe
@@ -103,12 +104,6 @@ def apply_bounds(inst: PoolingInstance, upd: BoundUpdate) -> PoolingInstance:
 
 # -- OBBT ---------------------------------------------------------------------------
 
-def _node_expression(inst: PoolingInstance, nid: str) -> dict[str, float]:
-    if inst.kind(nid) == SOURCE:
-        return {fvar(nid, j): 1.0 for j in inst.out_nbrs[nid]}
-    return {fvar(j, nid): 1.0 for j in inst.in_nbrs[nid]}
-
-
 def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
          z_ub: float = INF, workers: int = 1,
          params: SolveParams | None = None) -> BoundUpdate:
@@ -152,13 +147,13 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
     cm = compile_model(model)
     session = Session(cm)
     base = session.solve(budget.params())
-    if base.status == "infeasible":
+    if base.status == INFEASIBLE:
         raise TighteningError("relaxation with objective box is infeasible")
 
     def expression(kind, key) -> dict[str, float]:
         if kind in ("arc", "ghost"):
             return {fvar(*key): 1.0}
-        return _node_expression(inst, key)
+        return throughput(inst, key)
 
     targets, costs = [], []
     for kind, key in ([("arc", key) for key in sorted(inst.arcs)]
@@ -215,28 +210,28 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
 
 
 def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
-                        ) -> tuple[BoundUpdate, float, float]:
+                        ) -> BoundUpdate:
     """The benchmark recipe: lower box bound from the terminal-basis MCF
     value, upper from the H=3 terminal restriction on the commodity
     proportions (``RECIPE_RESTRICTION``, G1:T:H=3), then a single OBBT pass
     over the terminal-basis row-column LP relaxation (``RECIPE_RELAXATION``,
-    F4:T).
+    F4:T).  The update's ``z_box`` is that objective box.
 
-    The lower box bound is taken only from an MCF LP that reached OPTIMAL;
-    the restriction's incumbent is a feasible point, so it bounds from above
-    even when the solve stops at the time limit.  A side with no value stays
-    unbounded.  ``params.time_limit_s`` is the budget of the whole recipe."""
+    The lower box bound is the MCF LP's proven bound (its ``dual_bound``,
+    set only at OPTIMAL); the restriction's incumbent is a feasible point,
+    so it bounds from above even when the solve stops at the time limit.  A
+    side with no value stays unbounded.  ``params.time_limit_s`` is the
+    budget of the whole recipe."""
     budget = Budget(params)
     lo_res = solve(build_method(inst, parse_method("MCF:T")).model, budget.params())
-    z_lb = lo_res.objective if lo_res.status == OPTIMAL else -INF
+    z_lb = -INF if lo_res.dual_bound is None else lo_res.dual_bound
     z_ub = INF
     if not budget.spent:
         hi_res = solve(build_method(inst, parse_method(RECIPE_RESTRICTION)).model,
                        budget.params())
         if hi_res.objective is not None:
             z_ub = hi_res.objective
-    upd = obbt(inst, RECIPE_RELAXATION, z_lb, z_ub, params=budget.params())
-    return upd, z_lb, z_ub
+    return obbt(inst, RECIPE_RELAXATION, z_lb, z_ub, params=budget.params())
 
 
 # -- mining single pass ----------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 
 from poolkit import parse_instance
 from poolkit.bench import compute_gap, exact_value
-from poolkit.formulations import (build_source_based, check_solution,
+from poolkit.formulations import (build_exact, check_solution,
                                   rederive_proportions)
 from poolkit.instances import Demand, MiningSchedule, Supply, convert_mining
 from poolkit.rank1 import (check_extreme_point_property, evaluate_conic_cuts,
@@ -98,7 +98,7 @@ class TestCriterion3:
         opt, wants = self.TABLE[name]
         inst = load(data_dir, name)
         t0 = time.perf_counter()
-        upd, _, _ = default_obbt_recipe(inst)
+        upd = default_obbt_recipe(inst)
         prep = time.perf_counter() - t0
         tightened = apply_bounds(inst, upd)
         gaps = []
@@ -121,7 +121,7 @@ class TestCriterion4:
             cases.append(random_box(rng, int(rng.integers(1, 5)),
                                     int(rng.integers(1, 5))))
         for name in ("haverly1", "haverly3", "bental4", "foulds2", "adhya1"):
-            bm = build_source_based(load(data_dir, name))
+            bm = build_exact(load(data_dir, name), "source")
             for block in bm.blocks:
                 box, _, _ = normalize(block.box)
                 if box.m and box.n and box.m * box.n <= 16:
@@ -153,7 +153,7 @@ class TestCriterion4:
 class TestCriterion5:
     def test_adhya3_strictness_witness(self, data_dir):
         inst = load(data_dir, "adhya3")
-        upd, _, _ = default_obbt_recipe(inst)
+        upd = default_obbt_recipe(inst)
         tightened = apply_bounds(inst, upd)
         res3 = solve(build_method(tightened, parse_method("F3:S")).model)
         res4 = solve(build_method(tightened, parse_method("F4:S")).model)
@@ -195,10 +195,8 @@ class TestCriterion7:
 
     @pytest.mark.parametrize("label", ["G1:S:H=3", "G2:S:H=3", "G1:T:H=3", "G2:T:H=3"])
     def test_restriction_solutions_feasible(self, haverly1, label):
-        from poolkit.formulations import build_terminal_based
         spec = parse_method(label)
-        bm = (build_source_based(haverly1) if spec.basis == "source"
-              else build_terminal_based(haverly1))
+        bm = build_exact(haverly1, spec.basis)
         res = solve(build_method(haverly1, spec).model)
         assignment = {v: res.assignment.get(v, 0.0) for v in bm.model.variables}
         assignment = rederive_proportions(bm, assignment)

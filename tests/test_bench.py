@@ -73,7 +73,7 @@ class TestExactValue:
         assert (ev.proven, ev.status) == (False, "open")
 
     def test_first_update_stands_for_the_first_recipe(self, haverly2, monkeypatch):
-        upd, _, _ = default_obbt_recipe(haverly2)
+        upd = default_obbt_recipe(haverly2)
         fresh = exact_value(haverly2)
         calls = count_recipe_calls(monkeypatch)
         ev = exact_value(haverly2, first_update=upd)
@@ -89,7 +89,7 @@ class TestExactValue:
 
     def test_first_update_solves_no_restriction_on_the_instance(self, haverly2,
                                                                 monkeypatch):
-        upd, _, _ = default_obbt_recipe(haverly2)
+        upd = default_obbt_recipe(haverly2)
         builds = record_builds(monkeypatch)
         ev = exact_value(haverly2, first_update=upd)
         assert ev.proven
@@ -98,11 +98,11 @@ class TestExactValue:
     def test_recipe_value_that_meets_the_lp_needs_no_restriction(self, haverly1,
                                                                  monkeypatch):
         # haverly1's tightened F4 bound is -400, its G1:T:H=3 value as well
-        upd, _, z_ub = default_obbt_recipe(haverly1)
+        upd = default_obbt_recipe(haverly1)
         builds = record_builds(monkeypatch)
         ev = exact_value(haverly1, first_update=upd)
         assert [label for _, label in builds] == ["F4:S", "F4:T"]
-        assert (ev.status, ev.witness, ev.value) == ("proven", RECIPE_RESTRICTION, z_ub)
+        assert (ev.status, ev.witness, ev.value) == ("proven", RECIPE_RESTRICTION, upd.z_box[1])
 
     def test_no_restriction_starts_once_the_squeeze_closes(self, data_dir, monkeypatch):
         from poolkit import parse_instance
@@ -118,7 +118,7 @@ class TestExactValue:
         from poolkit import parse_instance
         # run_grid's path: the recipe's update stands for the first pass
         inst = parse_instance(data_dir / "adhya3.json")
-        upd = default_obbt_recipe(inst)[0]
+        upd = default_obbt_recipe(inst)
         builds = record_builds(monkeypatch)
         ev = exact_value(inst, first_update=upd)
         assert [label for _, label in builds] == ["F4:S", "F4:T", "G2:S:H=3"]

@@ -7,8 +7,8 @@ import weakref
 import pytest
 
 from poolkit import parse_instance
-from poolkit.formulations import (build_source_based, build_terminal_based,
-                                  check_solution, fvar, rederive_proportions)
+from poolkit.formulations import (build_exact, check_solution, fvar,
+                                  rederive_proportions)
 from poolkit.instances import generalize, parse_instance_dict
 from poolkit.modelir import LE, dump_model
 from poolkit.relaxations import build_method, parse_method
@@ -46,7 +46,7 @@ def no_spec_two_source():
 
 class TestExactModels:
     def test_bilinear_terms_present_and_backend_refuses(self, haverly1):
-        bm = build_source_based(haverly1)
+        bm = build_exact(haverly1, "source")
         assert bm.model.bilinear
         with pytest.raises(CapabilityError):
             solve(bm.model)
@@ -60,7 +60,7 @@ class TestExactModels:
 
     def test_terminal_based_single_terminal_collapses(self):
         inst = no_spec_two_source()
-        bm = build_terminal_based(inst)
+        bm = build_exact(inst, "terminal")
         assert all(len(b.row_ids) == 1 for b in bm.blocks)
         res = solve(build_method(inst, parse_method("MCF:T")).model)
         assert res.objective == pytest.approx(10 * (1 - 4) + 2 * (2 - 4))
@@ -106,7 +106,7 @@ class TestPoolBlocks:
                           "mu_lo": {"t7": [0.0], "t9": [0.0]},
                           "mu_hi": {"t7": [9.0], "t9": [9.0]}}}
         inst = parse_instance_dict(data)
-        bm = build_source_based(inst)
+        bm = build_exact(inst, "source")
         block = next(b for b in bm.blocks if b.pool == "p6")
         assert block.row_ids == ("s1", "s2", "s3")
         assert block.col_ids == ("t7", "t9")
@@ -116,11 +116,11 @@ class TestPoolBlocks:
         assert block.box.u[0] == 30.0 and block.box.u[2] == 14.0
 
     def test_one_in_one_out_gives_1x1(self):
-        bm = build_source_based(single_chain_instance())
+        bm = build_exact(single_chain_instance(), "source")
         assert [ (len(b.row_ids), len(b.col_ids)) for b in bm.blocks ] == [(1, 1)]
 
     def test_blocks_deterministic_order(self, haverly1):
-        bm = build_source_based(haverly1)
+        bm = build_exact(haverly1, "source")
         assert [b.pool for b in bm.blocks] == sorted(b.pool for b in bm.blocks)
         for b in bm.blocks:
             assert b.row_ids == tuple(sorted(b.row_ids))
@@ -136,7 +136,7 @@ class TestMCF:
         # without specifications the bilinear constraint only redistributes
         # flow: a rank-one completion of the MCF optimum exists
         inst = no_spec_two_source()
-        bm = build_source_based(inst)
+        bm = build_exact(inst, "source")
         res = solve(build_method(inst, parse_method("MCF:S")).model)
         full = rederive_proportions(bm, res.assignment)
         report = check_solution(bm, full, tol=1e-6)
@@ -155,7 +155,7 @@ class TestMCF:
 
 class TestCheckSolution:
     def test_solver_output_passes(self, haverly1):
-        bm = build_source_based(haverly1)
+        bm = build_exact(haverly1, "source")
         built = build_method(haverly1, parse_method("F4:S"))
         res = solve(built.model)
         assignment = {v: res.assignment.get(v, 0.0) for v in bm.model.variables}
@@ -173,7 +173,7 @@ class TestCheckSolution:
                          {"from": "p", "to": "t", "u": 8, "cost": -3.0}],
                 "specs": {"K": 0}}
         inst = parse_instance_dict(data)
-        bm = build_source_based(inst)
+        bm = build_exact(inst, "source")
         zero = {v: 0.0 for v in bm.model.variables}
         report = check_solution(bm, zero)
         assert not report.ok
@@ -181,7 +181,7 @@ class TestCheckSolution:
 
     def test_perturbed_proportion_flags_bilinear(self, haverly1):
         from poolkit.bench import exact_value
-        bm = build_source_based(haverly1)
+        bm = build_exact(haverly1, "source")
         built = build_method(haverly1, parse_method("G1:S:H=3"))
         res = solve(built.model)
         assignment = {v: res.assignment.get(v, 0.0) for v in bm.model.variables}
@@ -195,7 +195,7 @@ class TestCheckSolution:
         assert report.families["bilinear"] > 1e-6
 
     def test_missing_variable_raises(self, haverly1):
-        bm = build_source_based(haverly1)
+        bm = build_exact(haverly1, "source")
         with pytest.raises(KeyError):
             check_solution(bm, {})
 
@@ -221,7 +221,7 @@ class TestMiningBlocks:
         from poolkit.instances import convert_mining
 
         inst = convert_mining(make_schedule(4, 3, 4))
-        bm = build_source_based(inst)
+        bm = build_exact(inst, "source")
         for block in bm.blocks:
             pool = block.pool
             want = set()
@@ -275,7 +275,7 @@ class TestBackboneCache:
     def test_tightened_instance_has_its_own_backbone(self):
         inst = parse_instance(DATA / "haverly1.json")
         loose = build_method(inst, parse_method("F4:T")).model
-        upd = default_obbt_recipe(inst)[0]
+        upd = default_obbt_recipe(inst)
         tight = apply_bounds(inst, upd)
         assert tight.backbones == {} and generalize(inst).backbones == {}
         model = build_method(tight, parse_method("F4:T")).model

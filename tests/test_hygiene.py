@@ -5,8 +5,12 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "poolkit"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the package's __init__ imports names to re-export them
+MODULES = (sorted(p for p in (ROOT / "src" / "poolkit").glob("*.py")
+                  if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py"))
+           + sorted((ROOT / "scripts").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

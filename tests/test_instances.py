@@ -1,7 +1,5 @@
 """Instance parsing, validation, generalization and mining conversion."""
 
-import json
-
 import pytest
 
 from poolkit.instances import (InconsistencyError, MiningSchedule, SchemaError,

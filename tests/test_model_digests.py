@@ -20,6 +20,12 @@ COMPILE_DIGESTS pin what compile_model hands HiGHS for LABELS on every
 bundled instance: the column names and every array of the CompiledModel,
 with their dtypes.  They were recorded before the compile lost its loop
 over coefficients.
+
+No bundled instance has a lower specification window (a spec_lo row), and
+the mining example has soft upper sides only.  SPEC_DIGEST pins the dumps
+and the compiled arrays of LABELS on spec_window_instance, whose two
+terminals, one hard and one soft, have both sides of their windows; it was
+recorded before the two sides were written by one loop.
 """
 
 import hashlib
@@ -28,7 +34,7 @@ import numpy as np
 import pytest
 
 from poolkit import parse_instance
-from poolkit.instances import convert_mining, parse_mining
+from poolkit.instances import convert_mining, parse_instance_dict, parse_mining
 from poolkit.modelir import dump_model
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import compile_model
@@ -79,12 +85,15 @@ COMPILE_DIGESTS = {
 MINING_DIGEST = "260a4f95d6b37a279d630ecdf2cf791084f5e6829832a88958c0988d5cde3522"
 
 
+SPEC_DIGEST = "83d6200da1874a86cba6991c4c3a5c26ee40ee77d00e935ea8bd0e489b216a0a"
+
+
 CUT_LABELS = tuple(
     label
     for b in "ST"
     for label in (
         *(f"F{k}:{b}{cuts}" for k in range(1, 5)
-          for cuts in ("+Vab(x,r)", "+Vac(x,r)", "+Vab(r)", "+Vac(x)", "+Vab(x)+Vac(r)")),
+          for cuts in ("+Vab(x,r)", "+Vac(x,r)", "+Vab(r)", "+Vac(x)", "+Vab(r)+Vac(r)")),
         *(f"{kind}:{b}:H=2{cuts}" for kind in ("M1", "M2", "G1", "G2")
           for cuts in ("+Vab(x)", "+Vac(r)")),
     )
@@ -107,17 +116,23 @@ def test_dump_model_unchanged(name):
     assert digest.hexdigest() == DIGESTS[name]
 
 
+def update_compiled(digest, model) -> None:
+    """Feed the column names and every array compile_model gives ``model``,
+    with their dtypes, to ``digest``."""
+    cm = compile_model(model)
+    digest.update("\n".join(cm.names).encode())
+    for arr in (cm.A.indptr, cm.A.indices, cm.A.data, cm.row_lo, cm.row_hi,
+                cm.lb, cm.ub, cm.integrality, cm.c):
+        digest.update(str(arr.dtype).encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+
+
 @pytest.mark.parametrize("name", sorted(COMPILE_DIGESTS))
 def test_compiled_arrays_unchanged(name):
     inst = parse_instance(DATA / f"{name}.json")
     digest = hashlib.sha256()
     for label in LABELS:
-        cm = compile_model(build_method(inst, parse_method(label)).model)
-        digest.update("\n".join(cm.names).encode())
-        for arr in (cm.A.indptr, cm.A.indices, cm.A.data, cm.row_lo, cm.row_hi,
-                    cm.lb, cm.ub, cm.integrality, cm.c):
-            digest.update(str(arr.dtype).encode())
-            digest.update(np.ascontiguousarray(arr).tobytes())
+        update_compiled(digest, build_method(inst, parse_method(label)).model)
     assert digest.hexdigest() == COMPILE_DIGESTS[name]
 
 
@@ -138,3 +153,46 @@ def test_cut_rows_unchanged():
         assert built.cut_count > 0, label
         digest.update(dump_model(built.model).encode())
     assert digest.hexdigest() == CUT_DIGEST
+
+
+def spec_window_instance():
+    """K = 2; terminal h is hard and s soft, and both have mu_lo > 0.  s's
+    second upper side is open, so it has no spec_hi row there.  A direct
+    source-terminal arc and a pool-pool arc give the window rows terms of
+    every kind in both bases."""
+    data = {"nodes": [{"id": "a", "kind": "source", "U": 10},
+                      {"id": "b", "kind": "source", "U": 10},
+                      {"id": "c", "kind": "source", "U": 5},
+                      {"id": "p1", "kind": "pool", "U": 12},
+                      {"id": "p2", "kind": "pool", "U": 12},
+                      {"id": "h", "kind": "terminal", "U": 9},
+                      {"id": "s", "kind": "terminal", "U": 9}],
+            "arcs": [{"from": "a", "to": "p1", "cost": 6.0},
+                     {"from": "b", "to": "p1", "cost": 16.0},
+                     {"from": "b", "to": "p2", "cost": 15.0},
+                     {"from": "c", "to": "s", "cost": 10.0},
+                     {"from": "p1", "to": "p2", "u": 6, "cost": 0.5},
+                     {"from": "p1", "to": "h", "cost": -9.0},
+                     {"from": "p2", "to": "h", "cost": -8.5},
+                     {"from": "p2", "to": "s", "cost": -15.0}],
+            "specs": {"K": 2,
+                      "lambda": {"a": [3.0, 0.5], "b": [1.0, 2.0], "c": [2.0, 1.5]},
+                      "mu_lo": {"h": [1.5, 0.8], "s": [1.2, 0.6]},
+                      "mu_hi": {"h": [2.5, 1.5], "s": [1.5, None]}},
+            "penalty": {"s": [40.0, 25.0]}}
+    return parse_instance_dict(data, "specwin")
+
+
+def test_spec_windows_unchanged():
+    inst = spec_window_instance()
+    digest = hashlib.sha256()
+    for label in LABELS:
+        model = build_method(inst, parse_method(label)).model
+        # every model has both sides at both terminals, and s's violations
+        assert {"spec_hi[h,1]", "spec_lo[h,1]", "spec_hi[s,0]",
+                "spec_lo[s,1]"} <= model.row_names, label
+        assert "spec_hi[s,1]" not in model.row_names, label
+        assert {"v[s,0,hi]", "v[s,0,lo]", "v[s,1,lo]"} <= model.variables.keys()
+        digest.update(dump_model(model).encode())
+        update_compiled(digest, model)
+    assert digest.hexdigest() == SPEC_DIGEST

@@ -3,7 +3,7 @@
 import pytest
 
 from poolkit.bench import compute_gap
-from poolkit.formulations import build_source_based, check_solution, rederive_proportions
+from poolkit.formulations import build_exact, check_solution, rederive_proportions
 from poolkit.instances import parse_instance_dict
 from poolkit.relaxations import (MethodError, MethodSpec, build_method,
                                  inject_valid_inequalities, parse_method)
@@ -22,6 +22,17 @@ class TestMethodParsing:
         assert spec.cuts == ("Vab",) and spec.cut_space == "both"
         spec = parse_method("F4:S+Vab(x)+Vac(x)")
         assert spec.cuts == ("Vab", "Vac") and spec.cut_space == "x"
+        # a family without parentheses names both spaces
+        spec = parse_method("F4:S+Vab+Vac(x,r)")
+        assert spec.cuts == ("Vab", "Vac") and spec.cut_space == "both"
+
+    def test_cut_families_name_one_space(self):
+        # a spec has one cut space, so a label whose families name different
+        # spaces would build a model its label does not describe
+        for text in ("F4:S+Vab(x)+Vac(r)", "F4:S+Vab+Vac(r)", "F4:S+Vab(x,r)+Vac(x)",
+                     "G1:T:H=2+Vab(r)+Vac"):
+            with pytest.raises(MethodError, match="different spaces"):
+                parse_method(text)
 
     def test_label_round_trip(self):
         for text in ["F1:S", "F4:T", "M1:S:H=3", "G2:T:H=3", "F3:S+Vab(x,r)"]:
@@ -199,7 +210,7 @@ class TestMIP:
         assert relax.dual_bound == pytest.approx(want, abs=1e-3)
 
     def test_restriction_solutions_are_feasible(self, haverly1):
-        bm = build_source_based(haverly1)
+        bm = build_exact(haverly1, "source")
         built = build_method(haverly1, parse_method("G2:S:H=3"))
         res = solve(built.model)
         assignment = {v: res.assignment.get(v, 0.0) for v in bm.model.variables}

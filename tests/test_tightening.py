@@ -63,8 +63,8 @@ def sweep_targets(inst, basis):
 
 class TestOBBT:
     def test_haverly1_closes_all_f_gaps(self, haverly1):
-        upd, zlb, zub = default_obbt_recipe(haverly1)
-        assert zlb == pytest.approx(-500.0) and zub == pytest.approx(-400.0)
+        upd = default_obbt_recipe(haverly1)
+        assert upd.z_box == pytest.approx((-500.0, -400.0))
         inst = apply_bounds(haverly1, upd)
         for label in ["F1:S", "F2:S", "F3:S", "F4:S"]:
             res = solve(build_method(inst, parse_method(label)).model)
@@ -72,15 +72,15 @@ class TestOBBT:
 
     def test_soundness_optimum_preserved(self, haverly3):
         from poolkit.bench import exact_value
-        upd, _, _ = default_obbt_recipe(haverly3)
+        upd = default_obbt_recipe(haverly3)
         inst = apply_bounds(haverly3, upd)
         ev = exact_value(inst, use_obbt=False)
         assert ev.value == pytest.approx(-750.0, rel=1e-4)
 
     def test_monotone_second_pass(self, haverly2):
-        upd1, zlb, zub = default_obbt_recipe(haverly2)
+        upd1 = default_obbt_recipe(haverly2)
         inst1 = apply_bounds(haverly2, upd1)
-        upd2 = obbt(inst1, "F4:T", zlb, zub, workers=4)
+        upd2 = obbt(inst1, "F4:T", *upd1.z_box, workers=4)
         for key, (lo, hi) in upd2.arc_bounds.items():
             arc = inst1.arcs[key]
             assert lo >= arc.l - 1e-7 and hi <= arc.u + 1e-7
@@ -100,9 +100,8 @@ class TestOBBT:
     def test_spent_budget_leaves_bounds_unchanged(self, haverly1):
         # no solve finishes, so neither the objective box nor any interval
         # has a proven side
-        upd, zlb, zub = default_obbt_recipe(haverly1,
-                                            params=SolveParams(time_limit_s=0.0))
-        assert (zlb, zub) == (-INF, INF)
+        upd = default_obbt_recipe(haverly1, params=SolveParams(time_limit_s=0.0))
+        assert upd.z_box == (-INF, INF)
         assert set(upd.provenance.values()) == {"unchanged"}
         inst = apply_bounds(haverly1, upd)
         assert inst.arcs == haverly1.arcs
@@ -127,7 +126,7 @@ class TestOBBT:
             apply_bounds(haverly1, upd)
 
     def test_json_round_trip(self, haverly1):
-        upd, _, _ = default_obbt_recipe(haverly1)
+        upd = default_obbt_recipe(haverly1)
         back = BoundUpdate.from_json(upd.to_json())
         assert back.arc_bounds == upd.arc_bounds
         assert back.node_bounds == upd.node_bounds
