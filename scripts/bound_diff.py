@@ -11,11 +11,13 @@ the largest relative move in each group:
   OBBT intervals  every node, arc and ghost interval and the objective box
                   of the ``recipe`` set;
   LP cells        objective and dual bound of the LP labels (MCF, F1-F4) in
-                  the ``lp-table`` and ``grid`` sets;
+                  the ``lp-table``, ``grid`` and ``grid-plain`` sets;
   MIP cells       objective and dual bound of the MIP labels (M and G
-                  kinds) in the ``grid`` set;
-  squeezes        value, lower and upper bound of the ``squeeze`` set (a
-                  file without that set has no squeezes).
+                  kinds) in the ``grid`` and ``grid-plain`` sets;
+  squeezes        value, lower and upper bound of the ``squeeze`` set.
+
+A file without the ``squeeze`` or ``grid-plain`` set has none of its
+records.
 
 A move is |a - b| / max(1, |a|), with ``a`` from BEFORE; two equal values,
 infinities included, move 0.  A value that one file has and the other
@@ -74,9 +76,9 @@ def compare(before: dict, after: dict) -> tuple[list[str], list[Largest]]:
     def keyed(recs, *fields):
         return {tuple(r[f] for f in fields): r for r in recs}
 
-    for group in ("lp-table", "grid"):
-        old = keyed(before[group], "instance", "method")
-        new = keyed(after[group], "instance", "method")
+    for group in ("lp-table", "grid", "grid-plain"):
+        old = keyed(before.get(group, []), "instance", "method")
+        new = keyed(after.get(group, []), "instance", "method")
         for key in sorted(old.keys() ^ new.keys()):
             diffs.append(f"{group} {' '.join(key)}: only in "
                          f"{'BEFORE' if key in old else 'AFTER'}")

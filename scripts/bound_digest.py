@@ -1,10 +1,10 @@
-"""Print one sha256 for each of four sets of bounds the package computes.
+"""Print one sha256 for each of five sets of bounds the package computes.
 
 Run from the repository root:
 
     python scripts/bound_digest.py [--json RECORDS.json]
 
-A change meant to leave every bound bit-identical must print the same four
+A change meant to leave every bound bit-identical must print the same five
 lines before and after it.  With ``--json`` the script also writes the
 records it hashes to RECORDS.json; ``scripts/bound_diff.py`` compares two
 such files, for a change that moves bounds within a tolerance.  The sets are
@@ -16,11 +16,14 @@ such files, for a change that moves bounds within a tolerance.  The sets are
              TABLE_LABELS, without its timings;
   squeeze    value, lower and upper bound, witness and status of
              ``exact_value(inst, first_update=upd)`` on TABLE_INSTANCES,
-             with the ``recipe`` set's updates, as ``run_grid`` calls it.
+             with the ``recipe`` set's updates, as ``run_grid`` calls it;
+  grid-plain every cell of ``run_grid`` with OBBT off over PLAIN_INSTANCES
+             x TABLE_LABELS, without its timings.
 
 Floats enter the digests through ``repr``, so a change in the last bit
-changes the digest.  The grid runs the OBBT recipe and the squeeze on each
-instance; the whole script takes about 10 s on a two-core x86-64 machine.
+changes the digest.  The grids run the squeeze on each instance, and the
+OBBT grid the recipe as well; the whole script takes about 16 s on a
+two-core x86-64 machine.
 """
 
 import argparse
@@ -47,6 +50,9 @@ LP_LABELS = tuple(f"{kind}:{basis}" for basis in "ST"
 TABLE_INSTANCES = ("haverly1", "haverly2", "haverly3", "bental4", "foulds2",
                    "adhya3", "adhya4")
 TABLE_LABELS = LP_LABELS + ("M2:S:H=3", "M2:T:H=3", "G2:S:H=3", "G2:T:H=3")
+# the instances of the OBBT-off grid: their untightened squeezes take
+# about 5 s together
+PLAIN_INSTANCES = ("haverly1", "haverly2", "haverly3", "bental4")
 
 
 def digest(lines) -> str:
@@ -70,12 +76,13 @@ def records() -> dict[str, list[dict]]:
     recipes = [{"instance": name, "update": upd.to_json()}
                for name, upd in updates.items()]
 
-    grid = [{"instance": r.instance, "method": r.method, "obbt": r.obbt,
-             "objective": r.objective, "dual_bound": r.dual_bound,
-             "gap_percent": r.gap_percent, "gap_kind": r.gap_kind,
-             "status": r.status}
-            for r in run_grid(GridConfig([(n, instances[n]) for n in TABLE_INSTANCES],
-                                         list(TABLE_LABELS), obbt=True))]
+    def grid(names, obbt):
+        config = GridConfig([(n, instances[n]) for n in names],
+                            list(TABLE_LABELS), obbt=obbt)
+        return [{"instance": r.instance, "method": r.method, "obbt": r.obbt,
+                 "objective": r.objective, "dual_bound": r.dual_bound,
+                 "gap_percent": r.gap_percent, "gap_kind": r.gap_kind,
+                 "status": r.status} for r in run_grid(config)]
 
     squeezes = []
     for name, upd in updates.items():
@@ -83,21 +90,26 @@ def records() -> dict[str, list[dict]]:
         squeezes.append({"instance": name, "value": ev.value, "lower": ev.lower,
                          "upper": ev.upper, "witness": ev.witness,
                          "status": ev.status})
-    return {"lp-table": cells, "recipe": recipes, "grid": grid,
-            "squeeze": squeezes}
+    return {"lp-table": cells, "recipe": recipes,
+            "grid": grid(TABLE_INSTANCES, True), "squeeze": squeezes,
+            "grid-plain": grid(PLAIN_INSTANCES, False)}
 
 
 def digests(sets: dict[str, list[dict]]) -> dict[str, str]:
     cells = [f"{c['instance']} {c['method']} {c['status']} {c['objective']!r} "
              f"{c['dual_bound']!r}" for c in sets["lp-table"]]
     recipes = [f"{r['instance']} {r['update']}" for r in sets["recipe"]]
-    grid = [f"{r['instance']} {r['method']} {r['obbt']} {r['objective']!r} "
-            f"{r['dual_bound']!r} {r['gap_percent']!r} {r['gap_kind']} "
-            f"{r['status']}" for r in sets["grid"]]
+
+    def grid(recs):
+        return [f"{r['instance']} {r['method']} {r['obbt']} {r['objective']!r} "
+                f"{r['dual_bound']!r} {r['gap_percent']!r} {r['gap_kind']} "
+                f"{r['status']}" for r in recs]
+
     squeezes = [f"{r['instance']} {r['value']!r} {r['lower']!r} {r['upper']!r} "
                 f"{r['witness']} {r['status']}" for r in sets["squeeze"]]
     return {"lp-table": digest(cells), "recipe": digest(recipes),
-            "grid": digest(grid), "squeeze": digest(squeezes)}
+            "grid": digest(grid(sets["grid"])), "squeeze": digest(squeezes),
+            "grid-plain": digest(grid(sets["grid-plain"]))}
 
 
 def main() -> None:
@@ -119,7 +131,7 @@ def main() -> None:
         with open(args.json, "w") as f:
             json.dump(sets, f, indent=1)
     for name, value in digests(sets).items():
-        print(f"{name:<9}{value}")
+        print(f"{name:<8} {value}")
 
 
 if __name__ == "__main__":

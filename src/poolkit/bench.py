@@ -6,6 +6,11 @@ value on the UB side.  Reference optima are computed at runtime (never read
 from tables): a restriction portfolio provides the upper bound and the
 tightened row-column relaxation the lower bound; when they agree to 1e-4
 relative the value is proven.
+
+A grid solves each model of an instance once: a cell whose label the
+squeeze's first pass solved to OPTIMAL, on an instance of the same content,
+takes that result and its build+solve seconds.  Each cell records the
+status of its gap reference (``ref_status``).
 """
 
 from __future__ import annotations
@@ -16,12 +21,12 @@ import math
 import pathlib
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .instances import PoolingInstance, content_hash
 from .modelir import INF
 from .relaxations import MethodSpec, build_method, parse_method
-from .solver import Budget, SolveParams, solve
+from .solver import OPTIMAL, Budget, SolveParams, SolveResult, solve
 from .tightening import (RECIPE_LABEL, RECIPE_RESTRICTION, BoundUpdate,
                          TighteningError, apply_bounds, default_obbt_recipe)
 
@@ -51,6 +56,11 @@ class ExactValue:
     seconds: float
     witness: str = ""
     status: str = "open"     # "proven", "time-limit" or "open"
+    # the first pass's OPTIMAL solves by label, each with its build+solve
+    # seconds, and the content hash of the instance they were solved on
+    first_pass: dict[str, tuple[SolveResult, float]] = field(
+        default_factory=dict, repr=False)
+    first_pass_hash: str = ""
 
 
 def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
@@ -93,7 +103,14 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     restriction on ``inst``.  That is valid because OBBT keeps every point
     whose objective lies in ``z_box``, and the optimum lies there.  Without
     it the first pass runs on ``inst``.  A pass whose tightening fails ends
-    the OBBT passes."""
+    the OBBT passes.
+
+    ``first_pass`` keeps the solves of the first pass that reached
+    OPTIMAL, by label, with the seconds each took to build and solve, and
+    ``first_pass_hash`` the ``content_hash`` of the instance they ran on
+    (the tightened one with ``first_update``, else ``inst``).  A solve
+    stopped by the squeeze's remaining budget is not kept: it must not
+    stand in for one that has the full limit."""
     t0 = time.perf_counter()
     budget = Budget(params)
     best_ub = best_lb = None
@@ -103,24 +120,34 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
         return (best_ub is not None and best_lb is not None
                 and best_ub - best_lb <= REL_TOL * max(1.0, abs(best_ub)))
 
-    def squeeze(work) -> None:
+    def squeeze(work) -> dict[str, tuple[SolveResult, float]]:
+        """One pass on ``work``; returns its OPTIMAL solves by label."""
         nonlocal best_ub, best_lb, witness
+        optimal = {}
+
+        def run(label: str) -> SolveResult:
+            t = time.perf_counter()
+            res = solve(build_method(work, parse_method(label)).model,
+                        budget.params())
+            if res.status == OPTIMAL:
+                optimal[label] = (res, time.perf_counter() - t)
+            return res
+
         # the LPs first: they are cheap, so a budget spent in a restriction
         # MILP still leaves a lower bound
         for label in ("F4:S", "F4:T"):
             if budget.spent:
                 break
-            res = solve(build_method(work, parse_method(label)).model,
-                        budget.params())
+            res = run(label)
             if res.dual_bound is not None and (best_lb is None or res.dual_bound > best_lb):
                 best_lb = res.dual_bound
         for label in RESTRICTION_PORTFOLIO:
             if budget.spent or closed():
                 break
-            res = solve(build_method(work, parse_method(label)).model,
-                        budget.params())
+            res = run(label)
             if res.objective is not None and (best_ub is None or res.objective < best_ub):
                 best_ub, witness = res.objective, label
+        return optimal
 
     work, passes = inst, 3 if use_obbt else 0
     if use_obbt and first_update is not None:
@@ -131,7 +158,7 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
             work, passes = apply_bounds(inst, first_update), passes - 1
         except TighteningError:
             passes = 0
-    squeeze(work)
+    first_pass, first_hash = squeeze(work), content_hash(work)
     for _ in range(passes):
         if budget.spent or closed():
             break
@@ -143,7 +170,8 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     elapsed = time.perf_counter() - t0
     proven = closed()
     status = "proven" if proven else "time-limit" if budget.spent else "open"
-    return ExactValue(best_ub, best_lb, best_ub, proven, elapsed, witness, status)
+    return ExactValue(best_ub, best_lb, best_ub, proven, elapsed, witness, status,
+                      first_pass, first_hash)
 
 
 @dataclass
@@ -158,6 +186,7 @@ class RunRecord:
     gap_percent: float
     gap_kind: str        # O, D or P
     status: str
+    ref_status: str = ""  # the reference's ExactValue.status; "" without one
 
     @classmethod
     def csv_header(cls) -> list[str]:
@@ -181,7 +210,8 @@ class RunRecord:
             return None if s == "" else float(s)
 
         return cls(row[0], row[1], row[2] == "1", float(row[3]), float(row[4]),
-                   num(row[5]), num(row[6]), float(row[7]), row[8], row[9])
+                   num(row[5]), num(row[6]), float(row[7]), row[8], row[9],
+                   row[10])
 
 
 @dataclass
@@ -220,30 +250,40 @@ def _gap_kind(spec: MethodSpec) -> str:
 
 def run_cell(name: str, inst: PoolingInstance, method: str, obbt_flag: bool,
              prep_seconds: float, reference: float | None,
-             params: SolveParams) -> RunRecord:
+             params: SolveParams, ref_status: str = "",
+             solved: tuple[SolveResult, float] | None = None) -> RunRecord:
+    """Build and solve one (instance, method) cell and measure its gap
+    against ``reference``, whose ``ExactValue.status`` is ``ref_status``.
+    ``solved``, when given, is this model's result on ``inst`` with the
+    seconds it took to build and solve; the cell takes it and solves
+    nothing."""
     spec = parse_method(method)
-    t0 = time.perf_counter()
-    try:
-        built = build_method(inst, spec)
-        res = solve(built.model, params)
-    except Exception as exc:  # record, never abort the grid
-        return RunRecord(name, method, obbt_flag, prep_seconds,
-                         time.perf_counter() - t0, None, None, GAP_UNDEFINED,
-                         _gap_kind(spec), f"error: {exc}")
-    elapsed = time.perf_counter() - t0
     kind = _gap_kind(spec)
+    if solved is not None:
+        res, elapsed = solved
+    else:
+        t0 = time.perf_counter()
+        try:
+            built = build_method(inst, spec)
+            res = solve(built.model, params)
+        except Exception as exc:  # record, never abort the grid
+            return RunRecord(name, method, obbt_flag, prep_seconds,
+                             time.perf_counter() - t0, None, None, GAP_UNDEFINED,
+                             kind, f"error: {exc}", ref_status)
+        elapsed = time.perf_counter() - t0
     gap = GAP_UNDEFINED
     if kind == "D" and reference is not None and res.dual_bound is not None:
         gap = compute_gap(reference, res.dual_bound)
     elif kind == "P" and reference is not None and res.objective is not None:
         gap = compute_gap(res.objective, reference)
     return RunRecord(name, method, obbt_flag, prep_seconds, elapsed,
-                     res.objective, res.dual_bound, gap, kind, res.status)
+                     res.objective, res.dual_bound, gap, kind, res.status,
+                     ref_status)
 
 
 def run_grid(config: GridConfig) -> list[RunRecord]:
     params = SolveParams(time_limit_s=config.time_limit_s)
-    cells: list[tuple[str, PoolingInstance, str, bool, float, float | None]] = []
+    cells = []
     for name, inst in config.instances:
         prep = 0.0
         work, upd = inst, None
@@ -257,11 +297,16 @@ def run_grid(config: GridConfig) -> list[RunRecord]:
             prep = time.perf_counter() - t0
         ref = exact_value(inst, params, use_obbt=upd is not None,
                           first_update=upd)
+        # a model the squeeze's first pass solved on the same content is
+        # not solved again
+        shared = ref.first_pass if ref.first_pass_hash == content_hash(work) else {}
+        ref_status = ref.status if ref.value is not None else ""
         for method in config.methods:
-            cells.append((name, work, method, upd is not None, prep, ref.value))
+            cells.append((name, work, method, upd is not None, prep, ref.value,
+                          params, ref_status, shared.get(method)))
 
     def run(cell):
-        return run_cell(*cell, params)
+        return run_cell(*cell)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

@@ -7,19 +7,23 @@ import pathlib
 import subprocess
 import sys
 import time
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import poolkit.bench
+from poolkit import parse_instance
 from poolkit.bench import (REL_TOL, RESTRICTION_PORTFOLIO, GridConfig,
                            RunRecord, compute_gap, exact_value,
-                           records_from_csv, records_to_csv, run_grid,
-                           summarize)
+                           records_from_csv, records_to_csv, run_cell,
+                           run_grid, summarize)
 from poolkit.cli import _load_instances, main
+from poolkit.instances import content_hash
 from poolkit.relaxations import build_method, parse_method
-from poolkit.solver import solve
+from poolkit.solver import TIME_LIMIT, SolveParams, SolveResult, solve
 from poolkit.tightening import (RECIPE_RESTRICTION, TighteningError,
-                                default_obbt_recipe)
+                                apply_bounds, default_obbt_recipe)
 
 
 class TestGap:
@@ -159,6 +163,122 @@ def count_recipe_calls(monkeypatch) -> list:
     return calls
 
 
+def record_solves(monkeypatch) -> tuple[list, list]:
+    """Record (phase, content hash, label) of every model bench builds and
+    solves, the phase being "squeeze" inside exact_value and "cell" outside
+    it, and every ExactValue the grid gets.  The OBBT recipe's own solves
+    are not bench's and are not recorded."""
+    solves, squeezes, built, phase = [], [], {}, ["cell"]
+
+    def recorded_build(inst, spec):
+        res = build_method(inst, spec)
+        built[id(res.model)] = (res.model, content_hash(inst), spec.label())
+        return res
+
+    def recorded_solve(model, params=None):
+        solves.append((phase[0],) + built[id(model)][1:])
+        return solve(model, params)
+
+    def squeeze(*args, **kw):
+        phase[0] = "squeeze"
+        try:
+            squeezes.append(exact_value(*args, **kw))
+        finally:
+            phase[0] = "cell"
+        return squeezes[-1]
+
+    monkeypatch.setattr(poolkit.bench, "build_method", recorded_build)
+    monkeypatch.setattr(poolkit.bench, "solve", recorded_solve)
+    monkeypatch.setattr(poolkit.bench, "exact_value", squeeze)
+    return solves, squeezes
+
+
+def timings_zeroed(records: list[RunRecord]) -> list[RunRecord]:
+    return [replace(r, prep_seconds=0.0, solve_seconds=0.0) for r in records]
+
+
+class TestSolveOnce:
+    LABELS = ["F4:S", "F4:T", "G2:S:H=3", "G2:T:H=3"]
+
+    @pytest.mark.parametrize("obbt", [True, False], ids=["obbt-on", "obbt-off"])
+    def test_each_model_is_solved_once(self, data_dir, monkeypatch, obbt):
+        names = ("haverly2", "bental4", "foulds2")
+        instances = [(n, parse_instance(data_dir / f"{n}.json")) for n in names]
+        solves, squeezes = record_solves(monkeypatch)
+        records = run_grid(GridConfig(instances, self.LABELS, obbt=obbt))
+        assert len(records) == len(names) * len(self.LABELS)
+        counts = Counter((h, label) for _, h, label in solves
+                         if label in self.LABELS)
+        assert counts and set(counts.values()) == {1}, counts
+        # the squeeze's F4 solves served the cells on every instance
+        for ev in squeezes:
+            assert {"F4:S", "F4:T"} <= set(ev.first_pass)
+        assert not any(phase == "cell" and label.startswith("F4")
+                       for phase, _, label in solves)
+
+    @pytest.mark.parametrize("name", ["bental4", "foulds2"])
+    def test_shared_cells_equal_fresh_cells(self, data_dir, monkeypatch, name):
+        inst = parse_instance(data_dir / f"{name}.json")
+        updates = []
+
+        def kept(inst, **kw):
+            updates.append(default_obbt_recipe(inst, **kw))
+            return updates[-1]
+
+        monkeypatch.setattr(poolkit.bench, "default_obbt_recipe", kept)
+        _, squeezes = record_solves(monkeypatch)
+        records = run_grid(GridConfig([(name, inst)], self.LABELS, obbt=True))
+        # the grid's recipe comes first; bental4's squeeze runs more passes
+        (ev,), upd = squeezes, updates[0]
+        # bental4 shares all four, foulds2 the F4 LPs and G2:S:H=3
+        assert set(ev.first_pass) >= {"F4:S", "F4:T", "G2:S:H=3"}
+        work = apply_bounds(inst, upd)
+        params = SolveParams(time_limit_s=GridConfig([], []).time_limit_s)
+        for rec in records:
+            fresh = run_cell(name, work, rec.method, True, 0.0, ev.value,
+                             params, ev.status)
+            assert repr(timings_zeroed([rec])) == repr(timings_zeroed([fresh]))
+            if rec.method in ev.first_pass:
+                assert rec.solve_seconds == ev.first_pass[rec.method][1]
+        assert {r.ref_status for r in records} == {"proven"}
+
+    def test_results_on_other_content_are_not_shared(self, haverly1, monkeypatch):
+        solves, _ = record_solves(monkeypatch)
+        squeeze = poolkit.bench.exact_value
+
+        def untightened(inst, params, **kw):
+            return squeeze(inst, params, use_obbt=False)
+
+        # the squeeze runs on haverly1 itself, the cells on its tightened copy
+        monkeypatch.setattr(poolkit.bench, "exact_value", untightened)
+        run_grid(GridConfig([("haverly1", haverly1)], ["F4:S", "F4:T"], obbt=True))
+        cells = [label for phase, _, label in solves if phase == "cell"]
+        assert cells == ["F4:S", "F4:T"]
+
+    def test_a_squeeze_solve_stopped_by_time_is_not_shared(self, haverly1,
+                                                           monkeypatch):
+        solves, _ = record_solves(monkeypatch)
+        recorded_solve = poolkit.bench.solve
+
+        def restrictions_stop(model, params=None):
+            res = recorded_solve(model, params)
+            if solves[-1][0] == "squeeze" and solves[-1][2].startswith("G"):
+                return SolveResult(TIME_LIMIT, res.objective, res.dual_bound,
+                                   res.seconds)
+            return res
+
+        monkeypatch.setattr(poolkit.bench, "solve", restrictions_stop)
+        labels = ["F4:S", "G2:S:H=3", "G2:T:H=3"]
+        records = run_grid(GridConfig([("haverly1", haverly1)], labels))
+        cells = [label for phase, _, label in solves if phase == "cell"]
+        assert cells == ["G2:S:H=3", "G2:T:H=3"]
+        assert [r.status for r in records] == ["optimal"] * 3
+        for rec in records[1:]:
+            fresh = run_cell("haverly1", haverly1, rec.method, False, 0.0, None,
+                             SolveParams())
+            assert rec.objective == fresh.objective
+
+
 class TestGridTightening:
     def test_recipe_runs_once_per_instance(self, haverly1, haverly2, monkeypatch):
         calls = count_recipe_calls(monkeypatch)
@@ -205,6 +325,17 @@ class TestGrid:
         assert byname[("haverly2", "F1:S")].gap_percent == pytest.approx(66.67, abs=0.05)
         assert all(r.status == "optimal" for r in records)
 
+    def test_threads_give_the_records_of_one_thread(self, haverly1, haverly2):
+        def grid(threads):
+            return run_grid(GridConfig(
+                instances=[("haverly1", haverly1), ("haverly2", haverly2)],
+                methods=["F1:S", "F4:S", "F4:T", "G2:S:H=3", "M2:T:H=3"],
+                obbt=True, threads=threads))
+
+        one, two = grid(1), grid(2)
+        assert repr(timings_zeroed(two)) == repr(timings_zeroed(one))
+        assert {r.ref_status for r in one} == {"proven"}
+
     def test_restriction_gap_kind(self, haverly1):
         config = GridConfig(instances=[("haverly1", haverly1)],
                             methods=["G1:S:H=3"], obbt=False)
@@ -222,10 +353,14 @@ class TestGrid:
     def test_csv_round_trip_bit_exact(self, haverly1):
         config = GridConfig(instances=[("haverly1", haverly1)],
                             methods=["F1:S", "F4:S"], obbt=False)
-        records = run_grid(config)
+        # haverly1's squeeze without OBBT ends open; a cell without a
+        # reference has no ref_status
+        records = run_grid(config) + [run_cell("haverly1", haverly1, "F1:S",
+                                               False, 0.0, None, SolveParams())]
+        assert [r.ref_status for r in records] == ["open", "open", ""]
         text = records_to_csv(records)
         back = records_from_csv(text)
-        assert back == records
+        assert repr(back) == repr(records)   # the last gap is NaN
         assert records_to_csv(back) == text
 
     def test_empty_methods_gives_header_only(self, haverly1):

@@ -14,7 +14,8 @@ spec.loader.exec_module(bound_diff)
 
 
 def records(f4=-500.0, m2_status="optimal", m2_dual=-401.0, arc_hi=100.0,
-            tag="obbt-max", value=-400.0, witness="G2:S:H=3", status="proven"):
+            tag="obbt-max", value=-400.0, witness="G2:S:H=3", status="proven",
+            plain_g2=-400.0):
     update = {"nodes": {"p1": [0.0, 300.0]}, "arcs": {"A->p1": [0.0, arc_hi]},
               "ghosts": {}, "provenance": {"node:p1": "unchanged",
                                            "arc:('A', 'p1')": tag},
@@ -28,6 +29,10 @@ def records(f4=-500.0, m2_status="optimal", m2_dual=-401.0, arc_hi=100.0,
                   "gap_percent": 0.0, "gap_kind": "D", "status": m2_status}],
         "squeeze": [{"instance": "h", "value": value, "lower": -400.01,
                      "upper": value, "witness": witness, "status": status}],
+        "grid-plain": [{"instance": "h", "method": "G2:S:H=3", "obbt": False,
+                        "objective": plain_g2, "dual_bound": plain_g2,
+                        "gap_percent": 0.0, "gap_kind": "P",
+                        "status": "optimal"}],
     }
 
 
@@ -76,6 +81,16 @@ def test_a_file_without_squeezes_lacks_each_one():
     diffs, groups = bound_diff.compare(before, records())
     assert diffs == ["squeeze h: only in AFTER"]
     assert groups[-1].line() == "squeezes       no values"
+
+
+def test_plain_grid_is_compared_like_the_grid():
+    diffs, groups = bound_diff.compare(records(), records(plain_g2=-400.0 * (1 + 1e-9)))
+    assert diffs == []
+    assert moves(groups)["MIP cells"] == pytest.approx(1e-9, rel=1e-3)
+    before = records()
+    del before["grid-plain"]
+    diffs, _ = bound_diff.compare(before, records())
+    assert diffs == ["grid-plain h G2:S:H=3: only in AFTER"]
 
 
 def test_a_value_lost_on_one_side_is_a_difference():
