@@ -10,8 +10,7 @@ from .rank1 import (BoundBox, brute_force_bound, build_colwise_extension,
                     gen_rlt_reverse_convex, is_rank_le_one, make_box,
                     membership_T, normalize, sample_rank_one_points)
 from .formulations import build_exact, check_solution
-from .relaxations import (MethodSpec, build_method, inject_valid_inequalities,
-                          parse_method)
+from .relaxations import MethodSpec, build_method, parse_method
 from .tightening import BoundUpdate, apply_bounds, mining_tighten, obbt
 from .bench import compute_gap, exact_value, run_grid
 from .modelir import ModelIR, dump_model

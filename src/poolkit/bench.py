@@ -7,10 +7,10 @@ from tables): a restriction portfolio provides the upper bound and the
 tightened row-column relaxation the lower bound; when they agree to 1e-4
 relative the value is proven.
 
-A grid solves each model of an instance once: a cell whose label the
-squeeze's first pass solved to OPTIMAL, on an instance of the same content,
-takes that result and its build+solve seconds.  Each cell records the
-status of its gap reference (``ref_status``).
+A grid solves each model of an instance once: its cells run on the
+instance of the squeeze's first pass, and a cell whose label that pass
+solved to OPTIMAL takes that result and its build+solve seconds.  Each
+cell records the status of its gap reference (``ref_status``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from .instances import PoolingInstance, content_hash
-from .modelir import INF
 from .relaxations import MethodSpec, build_method, parse_method
 from .solver import OPTIMAL, Budget, SolveParams, SolveResult, solve
 from .tightening import (RECIPE_LABEL, RECIPE_RESTRICTION, BoundUpdate,
@@ -56,11 +55,11 @@ class ExactValue:
     seconds: float
     witness: str = ""
     status: str = "open"     # "proven", "time-limit" or "open"
-    # the first pass's OPTIMAL solves by label, each with its build+solve
-    # seconds, and the content hash of the instance they were solved on
+    # the instance of the first pass, and its OPTIMAL solves by label, each
+    # with its build+solve seconds
+    instance: PoolingInstance | None = field(default=None, repr=False)
     first_pass: dict[str, tuple[SolveResult, float]] = field(
         default_factory=dict, repr=False)
-    first_pass_hash: str = ""
 
 
 def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
@@ -91,26 +90,28 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     further solve starts once it is spent.  The bounds found by then are
     returned, unproven if they do not meet.
 
-    ``status`` is "proven" when the bounds meet, "time-limit" when the
-    budget was spent before they did, and "open" when the passes ran out
-    or a tightening failed.
+    ``status`` is "proven" when the bounds meet to ``REL_TOL`` relative,
+    "time-limit" when the budget was spent before they did, and "open" when
+    the passes ran out or a tightening failed.  Bounds that cross by more
+    than ``REL_TOL`` do not meet: they show a fault, never a proof.
 
     ``first_update``, when given, is ``default_obbt_recipe``'s update of
     ``inst`` itself and stands for the first of the three OBBT passes: the
-    squeeze starts on the tightened instance it gives, with the recipe's
-    restriction value (``z_box``'s upper end, when finite) as the first
-    upper bound and ``RECIPE_RESTRICTION`` as its witness, and solves no
-    restriction on ``inst``.  That is valid because OBBT keeps every point
-    whose objective lies in ``z_box``, and the optimum lies there.  Without
-    it the first pass runs on ``inst``.  A pass whose tightening fails ends
-    the OBBT passes.
+    squeeze applies it and starts on the tightened instance it gives, with
+    the recipe's restriction value (``z_box``'s upper end, when finite) as
+    the first upper bound and ``RECIPE_RESTRICTION`` as its witness, and
+    solves no restriction on ``inst``.  That is valid because OBBT keeps
+    every point whose objective lies in ``z_box``, and the optimum lies
+    there.  An update that does not apply to ``inst`` (it may come from a
+    bounds cache) gives neither: the squeeze then runs its one pass on
+    ``inst``, without OBBT.  Without ``first_update`` the first pass runs
+    on ``inst``.  A pass whose tightening fails ends the OBBT passes.
 
-    ``first_pass`` keeps the solves of the first pass that reached
-    OPTIMAL, by label, with the seconds each took to build and solve, and
-    ``first_pass_hash`` the ``content_hash`` of the instance they ran on
-    (the tightened one with ``first_update``, else ``inst``).  A solve
-    stopped by the squeeze's remaining budget is not kept: it must not
-    stand in for one that has the full limit."""
+    ``instance`` is the instance of the first pass (the tightened one, or
+    ``inst`` itself), and ``first_pass`` keeps that pass's solves that
+    reached OPTIMAL, by label, with the seconds each took to build and
+    solve.  A solve stopped by the squeeze's remaining budget is not kept:
+    it must not stand in for one that has the full limit."""
     t0 = time.perf_counter()
     budget = Budget(params)
     best_ub = best_lb = None
@@ -118,7 +119,7 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
 
     def closed() -> bool:
         return (best_ub is not None and best_lb is not None
-                and best_ub - best_lb <= REL_TOL * max(1.0, abs(best_ub)))
+                and abs(best_ub - best_lb) <= REL_TOL * max(1.0, abs(best_ub)))
 
     def squeeze(work) -> dict[str, tuple[SolveResult, float]]:
         """One pass on ``work``; returns its OPTIMAL solves by label."""
@@ -151,14 +152,15 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
 
     work, passes = inst, 3 if use_obbt else 0
     if use_obbt and first_update is not None:
-        z_ub = first_update.z_box[1] if first_update.z_box else INF
-        if math.isfinite(z_ub):
-            best_ub, witness = z_ub, RECIPE_RESTRICTION
         try:
             work, passes = apply_bounds(inst, first_update), passes - 1
         except TighteningError:
             passes = 0
-    first_pass, first_hash = squeeze(work), content_hash(work)
+        else:   # the recipe's value bounds only an instance its update fits
+            z_ub = first_update.z_box[1] if first_update.z_box else math.inf
+            if math.isfinite(z_ub):
+                best_ub, witness = z_ub, RECIPE_RESTRICTION
+    first_work, first_pass = work, squeeze(work)
     for _ in range(passes):
         if budget.spent or closed():
             break
@@ -171,7 +173,7 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     proven = closed()
     status = "proven" if proven else "time-limit" if budget.spent else "open"
     return ExactValue(best_ub, best_lb, best_ub, proven, elapsed, witness, status,
-                      first_pass, first_hash)
+                      first_work, first_pass)
 
 
 @dataclass
@@ -285,25 +287,23 @@ def run_grid(config: GridConfig) -> list[RunRecord]:
     params = SolveParams(time_limit_s=config.time_limit_s)
     cells = []
     for name, inst in config.instances:
-        prep = 0.0
-        work, upd = inst, None
+        prep, upd = 0.0, None
         if config.obbt:
             t0 = time.perf_counter()
             try:
                 upd = _cached_obbt(inst, config.bounds_cache, params)
-                work = apply_bounds(inst, upd)
             except TighteningError:
-                upd = None   # the cells say obbt=0: this instance is not tightened
+                pass   # the cells say obbt=0: this instance is not tightened
             prep = time.perf_counter() - t0
         ref = exact_value(inst, params, use_obbt=upd is not None,
                           first_update=upd)
-        # a model the squeeze's first pass solved on the same content is
-        # not solved again
-        shared = ref.first_pass if ref.first_pass_hash == content_hash(work) else {}
         ref_status = ref.status if ref.value is not None else ""
+        # the cells run on the instance of the squeeze's first pass, so a
+        # model that pass solved is not solved again
+        work = ref.instance
         for method in config.methods:
-            cells.append((name, work, method, upd is not None, prep, ref.value,
-                          params, ref_status, shared.get(method)))
+            cells.append((name, work, method, work is not inst, prep, ref.value,
+                          params, ref_status, ref.first_pass.get(method)))
 
     def run(cell):
         return run_cell(*cell)

@@ -472,8 +472,14 @@ def to_dict(inst: PoolingInstance) -> dict:
 
 
 def content_hash(inst: PoolingInstance) -> str:
-    """Stable digest of the instance content (bounds-cache keying)."""
+    """Stable digest of the instance content (bounds-cache keying).  The
+    ghost intervals enter only when there are any, so a parsed instance
+    keeps the hash of its JSON form."""
     import hashlib
 
-    blob = json.dumps(to_dict(inst), sort_keys=True).encode()
+    data = to_dict(inst)
+    if inst.ghost_bounds:
+        data["ghost_bounds"] = [[*pair, lo, hi]
+                                for pair, (lo, hi) in sorted(inst.ghost_bounds.items())]
+    blob = json.dumps(data, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

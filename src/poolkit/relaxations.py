@@ -147,57 +147,45 @@ def _block_prefix(pool: str) -> str:
 
 
 def _normalized(model: ModelIR, block: PoolBlock):
-    """The block's normalized box and the kept row and column indices; the
-    cells of deleted rows and columns are forced to zero."""
+    """The block's normalized box and the name ``x_name(i, j)`` of its cell
+    (i, j), or None when no row or no column is left; the cells of deleted
+    rows and columns are forced to zero."""
     box, rows, cols = normalize(block.box)
     for r in range(len(block.row_ids)):
         for c in range(len(block.col_ids)):
             if r not in rows or c not in cols:
                 model.add_row(f"{_block_prefix(block.pool)}:zero[{r},{c}]",
                               {block.var(r, c): 1.0}, "==", 0.0)
-    return box, rows, cols
-
-
-def _attach_block_fragment(model: ModelIR, block: PoolBlock, kind: str) -> None:
-    box, rows, cols = _normalized(model, block)
     if box.m == 0 or box.n == 0:
+        return None
+
+    def x_name(i, j):
+        return block.var(rows[i], cols[j])
+
+    return box, x_name
+
+
+def _add_cuts(built: BuiltMethod, spec: MethodSpec, pool: str, box, x_name) -> None:
+    """The label's Vab/Vac rows on one normalized block; a block the
+    generators are not defined on (L = 0 or an infinite bound) gets no rows
+    and is listed in skipped_blocks.  Cuts in r act on the row-column
+    fragment's cell fractions; where the label's own fragment is another,
+    that fragment is attached to host them, its rows under rc:."""
+    if rlt_guard(box) is not None:
+        built.skipped_blocks.append(pool)
         return
-    attach_fragment(model, FRAGMENT_BUILDERS[kind](box),
-                    lambda i, j: block.var(rows[i], cols[j]),
-                    prefix=_block_prefix(block.pool))
-
-
-def inject_valid_inequalities(built: BuiltMethod, spec: MethodSpec) -> BuiltMethod:
-    """Add Vab/Vac rows per pool block; blocks the generators are not
-    defined on (L = 0 or an infinite bound) get no rows and are listed in
-    skipped_blocks.  Cuts in r act on the row-column fragment's cell
-    fractions; where the label's own fragment is another, that fragment is
-    attached to host them, its rows under rc:."""
-    model = built.model
-    for block in built.backbone.blocks:
-        box, rows, cols = normalize(block.box)
-        if box.m == 0 or box.n == 0:
-            continue
-        if rlt_guard(box) is not None:
-            built.skipped_blocks.append(block.pool)
-            continue
-        prefix = _block_prefix(block.pool)
-
-        def x_name(i, j):
-            return block.var(rows[i], cols[j])
-
-        if spec.cut_space != "x" and _FRAGMENT_FOR.get(spec.kind) != "rowcol":
-            host = FRAGMENT_BUILDERS["rowcol"](box)
-            host.rows = relabel(host.rows, "rc")
-            attach_fragment(model, host, x_name, prefix)
-        cuts = []
-        if "Vab" in spec.cuts:
-            cuts += gen_rlt_mccormick(box, spec.cut_space).cuts
-        if "Vac" in spec.cuts:
-            cuts += gen_rlt_reverse_convex(box, spec.cut_space).cuts
-        add_rows(model, cuts, x_name, prefix)
-        built.cut_count += len(cuts)
-    return built
+    prefix = _block_prefix(pool)
+    if spec.cut_space != "x" and _FRAGMENT_FOR.get(spec.kind) != "rowcol":
+        host = FRAGMENT_BUILDERS["rowcol"](box)
+        host.rows = relabel(host.rows, "rc")
+        attach_fragment(built.model, host, x_name, prefix)
+    cuts = []
+    if "Vab" in spec.cuts:
+        cuts += gen_rlt_mccormick(box, spec.cut_space).cuts
+    if "Vac" in spec.cuts:
+        cuts += gen_rlt_reverse_convex(box, spec.cut_space).cuts
+    add_rows(built.model, cuts, x_name, prefix)
+    built.cut_count += len(cuts)
 
 
 # -- binary-expansion MIP relaxations and restrictions ------------------------------
@@ -220,12 +208,13 @@ def _envelope(model: ModelIR, name: str, idx: str, p: str, w: str,
         model.add_row(f"{name}{tag}[{idx}]", env, sense, -eps * bound)
 
 
-def _attach_discretization(model: ModelIR, block: PoolBlock, H: int,
+def _attach_discretization(model: ModelIR, box, x_name, pre: str, H: int,
                            variant: str, restriction: bool) -> None:
-    """The displayed six-family discretization on one pool block.
+    """The displayed six-family discretization on one normalized pool block.
 
     variant "arc": binaries on column (physical-arc) fractions, envelopes on
-    row sums; variant "commodity": the transposed template.
+    row sums; variant "commodity" is the arc template on the transposed
+    block.
 
     The relaxation (M) expands each fraction as sum_h 2^-h z_h plus a
     continuous remainder in [0, 2^-H].  The restriction (G) has no
@@ -234,28 +223,17 @@ def _attach_discretization(model: ModelIR, block: PoolBlock, H: int,
     q = 1, and it is the grid on which the published restriction values
     are attained.
     """
-    box, rows, cols = _normalized(model, block)
-    if box.m == 0 or box.n == 0:
-        return
-
-    pre = _block_prefix(block.pool)
-    if variant == "arc":
-        groups = range(box.n)       # one z-vector per column
-        lanes = range(box.m)        # envelope side: rows
-        lane_lo = list(box.l)
-        lane_hi = list(box.u)
+    cell = x_name
+    if variant == "commodity":
+        box = box.transpose()
 
         def cell(lane, grp):
-            return block.var(rows[lane], cols[grp])
-    else:
-        groups = range(box.m)
-        lanes = range(box.n)
-        lane_lo = list(box.lp)
-        lane_hi = list(box.up)
+            return x_name(grp, lane)
 
-        def cell(lane, grp):
-            return block.var(rows[grp], cols[lane])
-
+    groups = range(box.n)       # one z-vector per column
+    lanes = range(box.m)        # envelope side: rows
+    lane_lo = list(box.l)
+    lane_hi = list(box.u)
     cap = box.U if math.isfinite(box.U) else sum(_finite(h, box.U) for h in lane_hi)
     lane_hi = [_finite(h, cap) for h in lane_hi]
 
@@ -306,13 +284,23 @@ def build_method(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
     built = BuiltMethod(bb.model, bb)
     if spec.kind == "MCF":
         return built
+    kept = []
     for block in bb.blocks:
+        normalized = _normalized(bb.model, block)
+        if normalized is None:
+            continue
+        box, x_name = normalized
+        prefix = _block_prefix(block.pool)
         if spec.kind in F_KINDS:
-            _attach_block_fragment(bb.model, block, _FRAGMENT_FOR[spec.kind])
+            attach_fragment(bb.model, FRAGMENT_BUILDERS[_FRAGMENT_FOR[spec.kind]](box),
+                            x_name, prefix)
         else:
-            _attach_discretization(bb.model, block, spec.H,
+            _attach_discretization(bb.model, box, x_name, prefix, spec.H,
                                    _VARIANT_FOR[(spec.kind, spec.basis)],
                                    restriction=spec.kind in G_KINDS)
+        kept.append((block.pool, box, x_name))
     if spec.cuts:
-        inject_valid_inequalities(built, spec)
+        # every block's own rows come before the first cut row
+        for pool, box, x_name in kept:
+            _add_cuts(built, spec, pool, box, x_name)
     return built

@@ -38,12 +38,7 @@ class CapabilityError(RuntimeError):
 @dataclass
 class SolveParams:
     time_limit_s: float = 3600.0      # one-hour default
-    rel_gap: float | None = None      # None = 1e-6 for LP-equivalent, 1e-4 for MILP
-
-    def effective_gap(self, is_mip: bool) -> float:
-        if self.rel_gap is not None:
-            return self.rel_gap
-        return 1e-4 if is_mip else 1e-6
+    rel_gap: float = 1e-4             # a MIP's mip_rel_gap; no LP reads it
 
 
 class Budget:
@@ -162,7 +157,7 @@ def solve_compiled(cm: CompiledModel, params: SolveParams | None = None) -> Solv
         return session.solve(params)
     params = params or SolveParams()
     options = {"time_limit": float(params.time_limit_s),
-               "mip_rel_gap": params.effective_gap(True)}
+               "mip_rel_gap": params.rel_gap}
     t0 = time.perf_counter()
     constraints = None
     if cm.A.shape[0]:
@@ -237,7 +232,7 @@ class Session:
         # over all the runs of one instance
         h.setOptionValue("time_limit", h.getRunTime() + float(params.time_limit_s))
         if self._is_mip:
-            h.setOptionValue("mip_rel_gap", params.effective_gap(True))
+            h.setOptionValue("mip_rel_gap", params.rel_gap)
         t0 = time.perf_counter()
         h.run()
         elapsed = time.perf_counter() - t0

@@ -25,7 +25,7 @@ def milp_oracle(cm, params=None, c=None):
     is_mip = bool(cm.integrality.any())
     options = {"time_limit": float(params.time_limit_s)}
     if is_mip:
-        options["mip_rel_gap"] = params.effective_gap(True)
+        options["mip_rel_gap"] = params.rel_gap
     constraints = None
     if cm.A.shape[0]:
         constraints = LinearConstraint(cm.A, cm.row_lo, cm.row_hi)

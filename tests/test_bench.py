@@ -21,9 +21,10 @@ from poolkit.bench import (REL_TOL, RESTRICTION_PORTFOLIO, GridConfig,
 from poolkit.cli import _load_instances, main
 from poolkit.instances import content_hash
 from poolkit.relaxations import build_method, parse_method
-from poolkit.solver import TIME_LIMIT, SolveParams, SolveResult, solve
-from poolkit.tightening import (RECIPE_RESTRICTION, TighteningError,
-                                apply_bounds, default_obbt_recipe)
+from poolkit.solver import OPTIMAL, TIME_LIMIT, SolveParams, SolveResult, solve
+from poolkit.tightening import (RECIPE_LABEL, RECIPE_RESTRICTION, BoundUpdate,
+                                TighteningError, apply_bounds,
+                                default_obbt_recipe)
 
 
 class TestGap:
@@ -107,6 +108,30 @@ class TestExactValue:
         ev = exact_value(haverly1, first_update=upd)
         assert [label for _, label in builds] == ["F4:S", "F4:T"]
         assert (ev.status, ev.witness, ev.value) == ("proven", RECIPE_RESTRICTION, upd.z_box[1])
+
+    def test_an_update_of_another_instance_proves_nothing(self, haverly1, data_dir):
+        # foulds2's update names arcs haverly1 lacks, and its restriction
+        # value -1030 lies below haverly1's optimum -400
+        upd = default_obbt_recipe(parse_instance(data_dir / "foulds2.json"))
+        ev = exact_value(haverly1, first_update=upd)
+        assert not ev.proven and ev.status != "proven"
+        assert ev.witness != RECIPE_RESTRICTION
+        assert ev.value == pytest.approx(-400.0, rel=REL_TOL)
+        assert ev.instance is haverly1
+
+    def test_crossed_bounds_are_not_a_proof(self, haverly1, monkeypatch):
+        # a restriction whose value lies below the F4 bound shows a fault
+        def below_the_bound(model, params=None):
+            res = solve(model, params)
+            if ":G" in model.name:
+                return SolveResult(OPTIMAL, -1000.0, -1000.0, res.seconds)
+            return res
+
+        monkeypatch.setattr(poolkit.bench, "solve", below_the_bound)
+        for use_obbt in (False, True):
+            ev = exact_value(haverly1, use_obbt=use_obbt)
+            assert ev.upper == -1000.0 < ev.lower
+            assert not ev.proven and ev.status != "proven"
 
     def test_no_restriction_starts_once_the_squeeze_closes(self, data_dir, monkeypatch):
         from poolkit import parse_instance
@@ -242,18 +267,24 @@ class TestSolveOnce:
                 assert rec.solve_seconds == ev.first_pass[rec.method][1]
         assert {r.ref_status for r in records} == {"proven"}
 
-    def test_results_on_other_content_are_not_shared(self, haverly1, monkeypatch):
+    def test_a_squeeze_that_ignores_its_update_serves_untightened_cells(
+            self, haverly1, monkeypatch):
         solves, _ = record_solves(monkeypatch)
         squeeze = poolkit.bench.exact_value
 
         def untightened(inst, params, **kw):
             return squeeze(inst, params, use_obbt=False)
 
-        # the squeeze runs on haverly1 itself, the cells on its tightened copy
+        # the cells run on the instance the squeeze solved, haverly1 itself,
+        # and take its solves
         monkeypatch.setattr(poolkit.bench, "exact_value", untightened)
-        run_grid(GridConfig([("haverly1", haverly1)], ["F4:S", "F4:T"], obbt=True))
-        cells = [label for phase, _, label in solves if phase == "cell"]
-        assert cells == ["F4:S", "F4:T"]
+        labels = ["F4:S", "F4:T"]
+        records = run_grid(GridConfig([("haverly1", haverly1)], labels, obbt=True))
+        assert [phase for phase, _, _ in solves if phase == "cell"] == []
+        assert [r.obbt for r in records] == [False, False]
+        for rec in records:
+            fresh = solve(build_method(haverly1, parse_method(rec.method)).model)
+            assert rec.dual_bound == fresh.dual_bound
 
     def test_a_squeeze_solve_stopped_by_time_is_not_shared(self, haverly1,
                                                            monkeypatch):
@@ -300,6 +331,31 @@ class TestGridTightening:
                 records_to_csv(run_grid(config)).splitlines()]
         column = rows[0].index("obbt")
         assert [row[column] for row in rows[1:]] == ["0", "0"]
+
+    def test_each_update_is_applied_once(self, haverly1, monkeypatch):
+        applied = []
+
+        def spy(inst, upd):
+            applied.append(inst)
+            return apply_bounds(inst, upd)
+
+        monkeypatch.setattr(poolkit.bench, "apply_bounds", spy)
+        records = run_grid(GridConfig([("haverly1", haverly1)], ["F4:S"], obbt=True))
+        assert [r.obbt for r in records] == [True]
+        assert sum(1 for inst in applied if inst is haverly1) == 1
+
+    def test_a_cached_update_that_does_not_fit_is_written_obbt_0(
+            self, haverly1, tmp_path):
+        # a cache file under haverly1's name that targets an arc it lacks
+        bad = BoundUpdate(arc_bounds={("X", "Y"): (0.0, 1.0)}, z_box=(-2000.0, -1000.0))
+        name = f"{content_hash(haverly1)}-{RECIPE_LABEL}.json"
+        (tmp_path / name).write_text(bad.to_json())
+        labels = ["F4:S", "G2:S:H=3"]
+        cached = run_grid(GridConfig([("haverly1", haverly1)], labels, obbt=True,
+                                     bounds_cache=str(tmp_path)))
+        plain = run_grid(GridConfig([("haverly1", haverly1)], labels))
+        assert [r.obbt for r in cached] == [False, False]
+        assert repr(timings_zeroed(cached)) == repr(timings_zeroed(plain))
 
     def test_other_faults_are_raised(self, haverly1, monkeypatch):
         def broken(inst, **kw):

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every top-level name of the package is used somewhere."""
 
 import ast
 import pathlib
@@ -41,3 +42,62 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == \
         ["os (line 1)", "tau (line 2)"]
+
+
+PACKAGE = sorted(p for p in (ROOT / "src" / "poolkit").glob("*.py")
+                 if p.name != "__init__.py")
+# the code that may use a package name: a perfbench target names its
+# function in a string
+USERS = [p for folder in ("src/poolkit", "tests", "scripts", "perfbench")
+         for p in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def top_level_names(source: str) -> dict[str, int]:
+    """The functions, classes and constants a module defines at top level."""
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return names
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name the code reads, imports or spells as a whole string."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+def unreferenced(defined: dict[str, dict[str, int]], users: list[str]) -> list[str]:
+    """``module.name (line)`` for each defined name no user refers to."""
+    used = set().union(*(referenced_names(source) for source in users))
+    return sorted(f"{module}.{name} (line {line})"
+                  for module, names in defined.items()
+                  for name, line in names.items() if name not in used)
+
+
+def test_every_package_name_is_referenced():
+    defined = {p.stem: top_level_names(p.read_text()) for p in PACKAGE}
+    assert unreferenced(defined, [p.read_text() for p in USERS]) == []
+
+
+def test_detects_an_unreferenced_name():
+    source = ("LIMIT = 3\n_SPARE = 4\nclass Box: pass\n"
+              "def used(): return LIMIT\ndef _left_over(): return Box\n")
+    assert unreferenced({"m": top_level_names(source)},
+                        [source, "from m import used\n"]) == \
+        ["m._SPARE (line 2)", "m._left_over (line 5)"]

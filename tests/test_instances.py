@@ -3,8 +3,8 @@
 import pytest
 
 from poolkit.instances import (InconsistencyError, MiningSchedule, SchemaError,
-                               Supply, Demand, convert_mining, generalize,
-                               parse_instance, parse_instance_dict,
+                               Supply, Demand, content_hash, convert_mining,
+                               generalize, parse_instance, parse_instance_dict,
                                parse_mining_dict)
 
 
@@ -53,6 +53,20 @@ class TestParsing:
         inst = parse_instance_dict(data)
         arc = inst.arcs[("s", "t")]
         assert arc.l == 0.0 and arc.u == float("inf")
+
+
+class TestContentHash:
+    def test_parsed_instance_keeps_its_hash(self, haverly1):
+        # bounds-cache files are named by this hash
+        assert content_hash(haverly1) == "4d3ae38db80a52c1"
+        assert content_hash(haverly1.with_bounds({}, {}, {})) == "4d3ae38db80a52c1"
+
+    def test_unequal_ghost_bounds_hash_apart(self, haverly1):
+        narrow = haverly1.with_bounds({}, {}, {("C", "p1"): (0.0, 1.0)})
+        wide = haverly1.with_bounds({}, {}, {("C", "p1"): (0.0, 50.0)})
+        assert narrow != wide
+        assert len({content_hash(haverly1), content_hash(narrow),
+                    content_hash(wide)}) == 3
 
 
 class TestGeneralize:

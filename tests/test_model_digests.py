@@ -26,6 +26,11 @@ the mining example has soft upper sides only.  SPEC_DIGEST pins the dumps
 and the compiled arrays of LABELS on spec_window_instance, whose two
 terminals, one hard and one soft, have both sides of their windows; it was
 recorded before the two sides were written by one loop.
+
+CUT_COMPILE_DIGEST pins the compiled arrays of CUT_LABELS on
+positive_lower_instance, whose two pools make the order of rows across
+blocks matter; it was recorded before fragments and cuts were attached in
+one pass over the blocks.
 """
 
 import hashlib
@@ -102,6 +107,9 @@ CUT_LABELS = tuple(
 CUT_DIGEST = "76b137f13c97f689d6585fa1be2d5a5eb40fda13cbbbfeb06984b92e2408ecb1"
 
 
+CUT_COMPILE_DIGEST = "e9b7264869bf47d68b6b191220060fadbd5b9ccc487e62abbfbc17f7c91c7dd7"
+
+
 def test_labels():
     assert len(LABELS) == 44 and len(set(LABELS)) == 44
     assert len(CUT_LABELS) == 56 and len(set(CUT_LABELS)) == 56
@@ -153,6 +161,14 @@ def test_cut_rows_unchanged():
         assert built.cut_count > 0, label
         digest.update(dump_model(built.model).encode())
     assert digest.hexdigest() == CUT_DIGEST
+
+
+def test_cut_compiled_arrays_unchanged():
+    inst = positive_lower_instance()
+    digest = hashlib.sha256()
+    for label in CUT_LABELS:
+        update_compiled(digest, build_method(inst, parse_method(label)).model)
+    assert digest.hexdigest() == CUT_COMPILE_DIGEST
 
 
 def spec_window_instance():

@@ -5,8 +5,7 @@ import pytest
 from poolkit.bench import compute_gap
 from poolkit.formulations import build_exact, check_solution, rederive_proportions
 from poolkit.instances import parse_instance_dict
-from poolkit.relaxations import (MethodError, MethodSpec, build_method,
-                                 inject_valid_inequalities, parse_method)
+from poolkit.relaxations import MethodError, MethodSpec, build_method, parse_method
 from poolkit.solver import solve
 
 
@@ -118,9 +117,8 @@ class TestFRelaxations:
 
 class TestValidInequalities:
     def test_literature_blocks_with_zero_L_are_skipped(self, haverly1):
-        built = build_method(haverly1, parse_method("F4:S"))
-        before = len(built.model.rows)
-        inject_valid_inequalities(built, parse_method("F4:S+Vab(x,r)"))
+        before = len(build_method(haverly1, parse_method("F4:S")).model.rows)
+        built = build_method(haverly1, parse_method("F4:S+Vab(x,r)"))
         assert built.cut_count == 0
         assert len(built.skipped_blocks) == len(haverly1.pools)
         assert len(built.model.rows) == before

@@ -227,8 +227,9 @@ class TestSessionSweep:
 
     @pytest.mark.parametrize("rel_gap", [None, 0.5])
     def test_mip_relaxation_takes_dual_bounds(self, haverly1, monkeypatch, rel_gap):
-        # with a loose gap the incumbents stop short of the dual bounds
-        params = SolveParams(rel_gap=rel_gap)
+        # with a loose gap the incumbents stop short of the dual bounds;
+        # None takes the default gap
+        params = SolveParams() if rel_gap is None else SolveParams(rel_gap=rel_gap)
         warm = obbt(haverly1, "M1:T:H=1", -500.0, -400.0, params=params)
         assert any(tag != "unchanged" for tag in warm.provenance.values())
         monkeypatch.setattr(poolkit.tightening, "Session", OneShotSession)
