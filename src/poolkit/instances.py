@@ -126,8 +126,10 @@ class PoolingInstance:
         """The basis's commodity pairs that have no physical arc."""
         if basis == SOURCE_BASIS:
             pairs = [(s, i) for i in self.pools for s in self.S_i[i]]
-        else:
+        elif basis == TERMINAL_BASIS:
             pairs = [(i, t) for i in self.pools for t in self.T_i[i]]
+        else:
+            raise ValueError(f"unknown basis {basis!r}")
         return [pair for pair in pairs if pair not in self.arcs]
 
     def pair_pool(self, pair: tuple[str, str]) -> str:
@@ -219,6 +221,11 @@ def validate(inst: PoolingInstance) -> PoolingInstance:
         if not inst.S_i[p] or not inst.T_i[p]:
             raise InconsistencyError(f"pool {p!r} is unreachable (no source path "
                                      "or no terminal path)")
+    if inst.ghost_bounds:  # parsing a file without them pays nothing
+        ghosts = inst.ghost_pairs(SOURCE_BASIS) + inst.ghost_pairs(TERMINAL_BASIS)
+        for pair in inst.ghost_bounds:
+            if pair not in ghosts:
+                raise InconsistencyError(f"ghost bound on {pair}: not a ghost pair")
     return inst
 
 
@@ -265,8 +272,13 @@ def parse_instance_dict(data: dict, name: str = "instance") -> PoolingInstance:
              for t, vec in specs.get("mu_hi", {}).items()}
     penalty = {str(t): tuple(float(v) for v in vec)
                for t, vec in data.get("penalty", {}).items()}
+    try:
+        ghosts = {(str(a), str(b)): (float(lo), _num(hi, INF))
+                  for a, b, lo, hi in data.get("ghost_bounds", [])}
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"ghost_bounds entries are [a, b, lo, hi]: {exc}") from exc
     inst = PoolingInstance(str(data.get("name", name)), nodes, arcs, k,
-                           lam, mu_lo, mu_hi, penalty)
+                           lam, mu_lo, mu_hi, penalty, ghosts)
     return validate(inst)
 
 
@@ -449,11 +461,13 @@ def convert_mining(sched: MiningSchedule,
 
 
 def to_dict(inst: PoolingInstance) -> dict:
-    """Plain-JSON form of an instance (inverse of parse_instance_dict)."""
+    """Plain-JSON form of an instance (inverse of parse_instance_dict).  The
+    ghost intervals enter, as [a, b, lo, hi], only when there are any, so an
+    instance without them keeps its form and its content_hash."""
     def clean(v):
         return None if math.isinf(v) else v
 
-    return {
+    data = {
         "name": inst.name,
         "nodes": [{"id": n.id, "kind": n.kind, "L": n.L, "U": clean(n.U)}
                   for n in sorted(inst.nodes.values(), key=lambda n: n.id)],
@@ -469,17 +483,15 @@ def to_dict(inst: PoolingInstance) -> dict:
         },
         "penalty": {t: list(v) for t, v in sorted(inst.penalty.items())},
     }
+    if inst.ghost_bounds:
+        data["ghost_bounds"] = [[*pair, lo, clean(hi)]
+                                for pair, (lo, hi) in sorted(inst.ghost_bounds.items())]
+    return data
 
 
 def content_hash(inst: PoolingInstance) -> str:
-    """Stable digest of the instance content (bounds-cache keying).  The
-    ghost intervals enter only when there are any, so a parsed instance
-    keeps the hash of its JSON form."""
+    """Stable digest of the instance content (bounds-cache keying)."""
     import hashlib
 
-    data = to_dict(inst)
-    if inst.ghost_bounds:
-        data["ghost_bounds"] = [[*pair, lo, hi]
-                                for pair, (lo, hi) in sorted(inst.ghost_bounds.items())]
-    blob = json.dumps(data, sort_keys=True).encode()
+    blob = json.dumps(to_dict(inst), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -9,9 +9,10 @@ rank <= 1 condition.  This module provides
     that outer-approximate the convex hull,
   * RLT-generated linear cut families (McCormick and reverse-convex) plus
     conic descriptors used for point-wise validity checking only,
-  * an enumeration of the hull pieces used in the exactness argument,
-  * brute-force and sampling oracles that are independent of the fragment
-    builders and are used to cross-check them in the test suite.
+  * the hull pieces of the exactness argument, and on them ``hull_bound``,
+    the exact minimum of a linear cost over the set with a witness point,
+  * a sampler of the set; with ``hull_bound`` it is independent of the
+    fragment builders and cross-checks them in the test suite.
 
 All samplers take an explicit numpy Generator so results are reproducible.
 """
@@ -36,8 +37,8 @@ class InfeasiblePointError(ValueError):
 
 
 class EmptySampleError(RuntimeError):
-    """The sampling grid produced no feasible point (the set itself may or
-    may not be empty)."""
+    """No feasible point was found.  From ``hull_bound`` the set is empty;
+    the sampler also gives up when its draws miss a nonempty set."""
 
 
 @dataclass(frozen=True)
@@ -584,91 +585,76 @@ def evaluate_linear_cuts(cuts: list[LinearCut], X) -> float:
     return worst
 
 
-# -- hull pieces (exactness argument) --------------------------------------------
+# -- hull pieces and the exact oracle --------------------------------------
+
+MAX_PIECE_CELLS = 16  # a 4 x 4 box has 16 * 2^6 = 1,024 pieces
+
 
 @dataclass(frozen=True)
 class HullPiece:
+    """One pivot cell; every other row and column sum at its lower ("l") or
+    upper ("u") bound, "*" marking the pivot's row and column."""
+
     pivot: tuple[int, int]
-    row_choice: tuple[str, ...]   # "l"/"u" per non-pivot row, "*" at the pivot
+    row_choice: tuple[str, ...]
     col_choice: tuple[str, ...]
-    case: str                     # quadratic-4var | zero-rows | zero-columns
-    I: int | None = None
-    J: int | None = None
-    B: float | None = None
-    Bp: float | None = None
-
-    def row_values(self, box: BoundBox) -> list[float | None]:
-        return [None if c == "*" else (box.l[i] if c == "l" else box.u[i])
-                for i, c in enumerate(self.row_choice)]
-
-    def col_values(self, box: BoundBox) -> list[float | None]:
-        return [None if c == "*" else (box.lp[j] if c == "l" else box.up[j])
-                for j, c in enumerate(self.col_choice)]
 
 
-def enumerate_hull_pieces(box: BoundBox, max_cells: int = 16) -> list[HullPiece]:
+def enumerate_hull_pieces(box: BoundBox) -> list[HullPiece]:
     m, n = box.m, box.n
-    if m * n > max_cells:
-        raise BoxError(f"enumeration guard: m*n = {m * n} > {max_cells}")
-    pieces = []
-    for i in range(m):
-        for j in range(n):
-            other_rows = [r for r in range(m) if r != i]
-            other_cols = [c for c in range(n) if c != j]
-            for rsel in itertools.product("lu", repeat=len(other_rows)):
-                for csel in itertools.product("lu", repeat=len(other_cols)):
-                    row_choice = ["*"] * m
-                    col_choice = ["*"] * n
-                    bvals, bpvals = {}, {}
-                    for r, ch in zip(other_rows, rsel):
-                        row_choice[r] = ch
-                        bvals[r] = box.l[r] if ch == "l" else box.u[r]
-                    for c, ch in zip(other_cols, csel):
-                        col_choice[c] = ch
-                        bpvals[c] = box.lp[c] if ch == "l" else box.up[c]
-                    Is = [r for r in other_rows if bvals[r] > 0]
-                    Js = [c for c in other_cols if bpvals[c] > 0]
-                    if Is and Js:
-                        I, J = Is[0], Js[0]
-                        B = sum(bvals[r] for r in other_rows) / bvals[I]
-                        Bp = sum(bpvals[c] for c in other_cols) / bpvals[J]
-                        piece = HullPiece((i, j), tuple(row_choice),
-                                          tuple(col_choice), "quadratic-4var",
-                                          I, J, B, Bp)
-                    elif not Is:
-                        piece = HullPiece((i, j), tuple(row_choice),
-                                          tuple(col_choice), "zero-rows")
-                    else:
-                        piece = HullPiece((i, j), tuple(row_choice),
-                                          tuple(col_choice), "zero-columns")
-                    pieces.append(piece)
-    return pieces
+    if m * n > MAX_PIECE_CELLS:
+        raise BoxError(f"enumeration guard: m*n = {m * n} > {MAX_PIECE_CELLS}")
+    return [HullPiece((i, j), rsel[:i] + ("*",) + rsel[i:],
+                      csel[:j] + ("*",) + csel[j:])
+            for i, j in itertools.product(range(m), range(n))
+            for rsel in itertools.product("lu", repeat=m - 1)
+            for csel in itertools.product("lu", repeat=n - 1)]
 
 
-def piece_contains(piece: HullPiece, X, box: BoundBox, tol: float = 1e-7) -> bool:
-    """Does the feasible rank-one point X satisfy the piece's sum equalities?"""
-    X = np.asarray(X, dtype=float)
-    if not membership_T_tilde(X, box, tol, tol):
-        return False
-    scale = max(1.0, box.scale())
-    rs, cs = X.sum(axis=1), X.sum(axis=0)
-    for i, b in enumerate(piece.row_values(box)):
-        if b is not None and abs(rs[i] - b) > tol * scale:
-            return False
-    for j, b in enumerate(piece.col_values(box)):
-        if b is not None and abs(cs[j] - b) > tol * scale:
-            return False
-    if piece.case == "zero-rows":
-        i = piece.pivot[0]
-        others = np.abs(np.delete(X, i, axis=0))
-        if others.size and others.max() > tol * scale:
-            return False
-    if piece.case == "zero-columns":
-        j = piece.pivot[1]
-        others = np.abs(np.delete(X, j, axis=1))
-        if others.size and others.max() > tol * scale:
-            return False
-    return True
+def hull_bound(box: BoundBox, c) -> tuple[float, np.ndarray]:
+    """The exact minimum of <c, X> over the rank-one set, with a point X of
+    the set that attains it.
+
+    At an extreme point of the set's hull at most one row sum and one column
+    sum lie strictly between their bounds, so the minimum lies on a hull
+    piece.  There the total sigma is the one free parameter: the sums are
+    r(sigma) = r0 + sigma e_i and s(sigma) = s0 + sigma e_j, and
+    <c, X> = r^T c s / sigma = c_ij sigma + beta + delta / sigma with
+    delta = r0^T c s0.  Its minimum over the piece's sigma-interval lies at
+    an end or at sqrt(delta / c_ij).  Raises BoxError on an infinite bound
+    or more than MAX_PIECE_CELLS cells, and EmptySampleError when the set is
+    empty.
+    """
+    if not all(map(math.isfinite, box.u + box.up + (box.U,))):
+        raise BoxError("hull_bound needs finite bounds")
+    c = np.asarray(c, dtype=float)
+    l, u, lp, up, L, U = box.arrays()
+    best_value, best_X = INF, None
+    for piece in enumerate_hull_pieces(box):
+        i, j = piece.pivot
+        r0 = np.where(np.array(piece.row_choice) == "u", u, l)
+        s0 = np.where(np.array(piece.col_choice) == "u", up, lp)
+        r0[i] = s0[j] = 0.0
+        B, Bp = r0.sum(), s0.sum()
+        lo = max(L, B + l[i], Bp + lp[j])
+        hi = min(U, B + u[i], Bp + up[j])
+        if lo > hi:
+            continue
+        r0[i], s0[j] = -B, -Bp
+        a, delta = c[i, j], r0 @ c @ s0
+        sigmas = [lo, hi]
+        if a > 0 and a * lo * lo < delta < a * hi * hi:  # lo < sqrt(delta/a) < hi
+            sigmas.append(math.sqrt(delta / a))
+        for sigma in sigmas:
+            r0[i], s0[j] = sigma - B, sigma - Bp
+            # sigma = 0 needs B = B' = 0, so the piece's only point is X = 0
+            X = np.outer(r0, s0) / sigma if sigma > 0 else np.zeros((box.m, box.n))
+            value = float((c * X).sum())
+            if value < best_value:
+                best_value, best_X = value, X
+    if best_X is None:
+        raise EmptySampleError("no hull piece has a feasible total")
+    return best_value, best_X
 
 
 # -- extreme point counting ---------------------------------------------------
@@ -690,7 +676,7 @@ def check_extreme_point_property(X, box: BoundBox,
     return count_row, count_col
 
 
-# -- sampling and brute-force oracles -------------------------------------------
+# -- sampling -------------------------------------------------------------------
 
 def _sigma_window(box: BoundBox) -> tuple[float, float]:
     lo = max(box.L, sum(box.l), sum(box.lp))
@@ -754,80 +740,6 @@ def sample_rank_one_points(box: BoundBox, count: int,
     return np.concatenate(chunks, axis=0)[:count]
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def brute_force_bound(box: BoundBox, c, grid_density: int = 12) -> float:
-    """Best rank-one feasible value of <c, X> over a column-fraction grid.
-
-    z runs over the simplex grid {k/D}; for each z the row-sum vector is
-    optimized exactly (linear objective over a box with one budget window),
-    so the result is an upper bound on the true minimum over the rank-one
-    set and hence on the minimum over its convex hull.
-    """
-    m, n = box.m, box.n
-    if m * n > 9:
-        raise BoxError("brute_force_bound guard: m*n > 9")
-    c = np.asarray(c, dtype=float)
-    l, u, lp, up, L, U = box.arrays()
-    best = None
-    D = grid_density
-    for comp in _compositions(D, n):
-        z = np.array(comp, dtype=float) / D
-        # budget window for S = sum of row sums
-        s_lo, s_hi = L, U
-        ok = True
-        for j in range(n):
-            if z[j] > 0:
-                s_lo = max(s_lo, lp[j] / z[j])
-                s_hi = min(s_hi, up[j] / z[j])
-            elif lp[j] > 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        s_lo = max(s_lo, l.sum())
-        s_hi = min(s_hi, u.sum())
-        if s_lo > s_hi + 1e-12:
-            continue
-        g = c @ z  # per-row unit cost
-        y = np.where(g > 0, l, np.minimum(u, s_hi))
-        y = np.minimum(np.maximum(y, l), u)
-        S = y.sum()
-        if S < s_lo - 1e-12:
-            for i in np.argsort(g):
-                room = u[i] - y[i]
-                step = min(room, s_lo - S)
-                y[i] += step
-                S += step
-                if S >= s_lo - 1e-12:
-                    break
-            if S < s_lo - 1e-12:
-                continue
-        elif S > s_hi + 1e-12:
-            for i in np.argsort(-g):
-                room = y[i] - l[i]
-                step = min(room, S - s_hi)
-                y[i] -= step
-                S -= step
-                if S <= s_hi + 1e-12:
-                    break
-            if S > s_hi + 1e-12:
-                continue
-        val = float(g @ y)
-        if best is None or val < best:
-            best = val
-    if best is None:
-        raise EmptySampleError("no feasible grid point (set may still be nonempty)")
-    return best
-
-
 def random_box(rng: np.random.Generator, m: int, n: int,
                positive_lower: bool = False, zero_lower_prob: float = 0.35,
                scale: float = 10.0) -> BoundBox:
@@ -851,69 +763,3 @@ def random_box(rng: np.random.Generator, m: int, n: int,
     if positive_lower and L <= 0:
         L = tot * 0.3
     return make_box(l, u, lp, up, L, U)
-
-
-def grid_vertices(box: BoundBox, density: int = 5, sigma_steps: int = 3,
-                  max_points: int = 110) -> tuple[list[np.ndarray], float]:
-    """Approximate extreme points of the rank-one set via a product grid and
-    convex-combination elimination.
-
-    Returns (vertices, resolution) where resolution bounds the grid spacing
-    of the row/column sums; strictness testing should use it as tolerance.
-    """
-    from .modelir import ModelIR
-    from .solver import INFEASIBLE, solve
-
-    lo, hi = _sigma_window(box)
-    if lo > hi + 1e-12:
-        return [], 0.0
-    sigmas = np.linspace(max(lo, 1e-9), hi, sigma_steps) if hi > lo else [hi]
-    l, u, lp, up, _, _ = box.arrays()
-    pts: list[np.ndarray] = []
-    for sigma in sigmas:
-        if sigma <= 0:
-            continue
-        tps = [np.array(cmp, dtype=float) / density
-               for cmp in _compositions(density, box.m)]
-        ts = [np.array(cmp, dtype=float) / density
-              for cmp in _compositions(density, box.n)]
-        for tp in tps:
-            rsum = sigma * tp
-            if (rsum < l - 1e-9).any() or (rsum > u + 1e-9).any():
-                continue
-            for t in ts:
-                csum = sigma * t
-                if (csum < lp - 1e-9).any() or (csum > up + 1e-9).any():
-                    continue
-                pts.append(sigma * np.outer(tp, t))
-    if not pts:
-        return [], 0.0
-    flat = np.array([p.ravel() for p in pts])
-    flat = np.unique(np.round(flat, 9), axis=0)
-    if len(flat) > max_points:
-        idx = np.linspace(0, len(flat) - 1, max_points).astype(int)
-        flat = flat[idx]
-    sigma_step = (hi - lo) / max(1, sigma_steps - 1) if hi > lo else 0.0
-    resolution = sigma_step + hi / density
-
-    vertices = []
-    npts = len(flat)
-    if npts == 1:
-        return [flat[0].reshape(box.m, box.n)], resolution
-    for k in range(npts):
-        target = flat[k]
-        model = ModelIR("convex-combo")
-        for p in range(npts):
-            if p != k:
-                model.add_var(f"lam[{p}]", 0.0, 1.0)
-        model.add_row("sum", {f"lam[{p}]": 1.0 for p in range(npts) if p != k},
-                      "==", 1.0)
-        for d in range(flat.shape[1]):
-            model.add_row(f"dim[{d}]",
-                          {f"lam[{p}]": float(flat[p][d])
-                           for p in range(npts) if p != k and flat[p][d] != 0.0},
-                          "==", float(target[d]))
-        res = solve(model)
-        if res.status == INFEASIBLE:
-            vertices.append(target.reshape(box.m, box.n))
-    return vertices, resolution

@@ -236,13 +236,10 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
 
 # -- mining single pass ----------------------------------------------------------------
 
-def _mining_times(inst: PoolingInstance):
-    """Node time tags from the converter's id scheme 'kind:pile:time'."""
-    def time_of(nid: str) -> float:
-        tag = nid.rsplit(":", 1)[1]
-        return INF if tag == "inf" else float(tag)
-
-    return time_of
+def _time_of(nid: str) -> float:
+    """A node's time tag in the converter's id scheme 'kind:pile:time'."""
+    tag = nid.rsplit(":", 1)[1]
+    return INF if tag == "inf" else float(tag)
 
 
 def mining_tighten(inst: PoolingInstance) -> BoundUpdate:
@@ -251,7 +248,6 @@ def mining_tighten(inst: PoolingInstance) -> BoundUpdate:
     Steps 3 and 4 read the pre-pass pool capacities; step 5 then overwrites
     every pool's bounds with the sums of its incoming arc bounds.
     """
-    time_of = _mining_times(inst)
     for s in inst.sources:
         if len(inst.out_nbrs[s]) != 1:
             raise InconsistencyError(f"source {s!r} must feed exactly one pool")
@@ -291,8 +287,8 @@ def mining_tighten(inst: PoolingInstance) -> BoundUpdate:
         upd.record("arc", (i, t), (arc.l, arc.u), (lo, hi), "mining-step-3")
 
     # step 4: pool-to-pool arcs, capped by the running supply surplus
-    supplies = sorted((time_of(s), inst.nodes[s].U) for s in inst.sources)
-    demands = sorted((time_of(t), inst.nodes[t].U) for t in inst.terminals
+    supplies = sorted((_time_of(s), inst.nodes[s].U) for s in inst.sources)
+    demands = sorted((_time_of(t), inst.nodes[t].U) for t in inst.terminals
                      if not t.endswith(":inf"))
 
     def surplus_before(tau: float) -> float:
@@ -309,7 +305,7 @@ def mining_tighten(inst: PoolingInstance) -> BoundUpdate:
                     for t in inst.out_nbrs[i] if inst.kind(t) == TERMINAL)
         lo = max(pre_L[i] - out_U, 0.0)
         hi = max(pre_U[i] - out_l, 0.0)
-        hi = min(hi, surplus_before(time_of(j)))
+        hi = min(hi, surplus_before(_time_of(j)))
         arc_new[(i, j)] = (max(arc.l, lo), min(arc.u, hi))
         upd.record("arc", (i, j), (arc.l, arc.u), (lo, hi), "mining-step-4")
 

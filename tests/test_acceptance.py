@@ -25,7 +25,7 @@ from poolkit.instances import Demand, MiningSchedule, Supply, convert_mining
 from poolkit.rank1 import (check_extreme_point_property, evaluate_conic_cuts,
                            evaluate_linear_cuts,
                            fragment_lp_value, gen_rlt_conic, gen_rlt_mccormick,
-                           gen_rlt_reverse_convex, grid_vertices, random_box,
+                           gen_rlt_reverse_convex, hull_bound, random_box,
                            sample_rank_one_points, normalize)
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import SolveParams, solve
@@ -230,23 +230,26 @@ class TestCriterion8:
 
 class TestCriterion9:
     def test_vertices_have_single_strict_row_and_column(self):
+        # the exact oracle's witness is an extreme point of the hull; no
+        # sampled point may beat it, or a wrong oracle would pass vacuously
         rng = np.random.default_rng(909)
-        exceptions = 0
-        total_vertices = 0
+        witnesses = exceptions = beaten = 0
         for _ in range(50):
             box = random_box(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-            vertices, resolution = grid_vertices(box, density=4, sigma_steps=3,
-                                                 max_points=60)
-            tol = max(resolution / max(1.0, box.scale()), 1e-9)
-            for X in vertices:
-                total_vertices += 1
-                cr, cc = check_extreme_point_property(X, box, tol=tol)
-                if cr > 1 or cc > 1:
-                    exceptions += 1
-        report(9, exceptions == 0,
-               f"{total_vertices} grid vertices over 50 boxes: {exceptions} exceptions")
-        assert total_vertices > 0
+            points = sample_rank_one_points(box, 2000, rng)
+            for _ in range(4):
+                c = rng.normal(size=(box.m, box.n))
+                value, X = hull_bound(box, c)
+                witnesses += 1
+                cr, cc = check_extreme_point_property(X, box)
+                exceptions += cr > 1 or cc > 1
+                sampled = np.einsum("kij,ij->k", points, c).min()
+                beaten += sampled < value - 1e-9 * max(1.0, abs(value))
+        report(9, exceptions == beaten == 0,
+               f"{witnesses} oracle witnesses over 50 boxes: {exceptions} with "
+               f"two strict rows or columns, {beaten} beaten by a sample")
         assert exceptions == 0
+        assert beaten == 0
 
 
 def random_schedule(rng) -> MiningSchedule:

@@ -7,8 +7,8 @@ import weakref
 import pytest
 
 from poolkit import parse_instance
-from poolkit.formulations import (build_exact, check_solution, fvar,
-                                  rederive_proportions)
+from poolkit.formulations import (build_backbone, build_exact, check_solution,
+                                  fvar, rederive_proportions)
 from poolkit.instances import generalize, parse_instance_dict
 from poolkit.modelir import LE, dump_model
 from poolkit.relaxations import build_method, parse_method
@@ -245,6 +245,20 @@ class TestMiningBlocks:
                 times = [float(r.split(":")[2]) for r in block.row_ids]
                 assert all(t <= float(tag) for t in times)
                 assert all(r.split(":")[1] == pile for r in block.row_ids)
+
+
+class TestUnknownBasis:
+    @pytest.mark.parametrize("basis", ["S", "sauce"])
+    def test_rejected_before_the_cache(self, basis):
+        # "S" once built spec rows with no quality term for either basis
+        inst = parse_instance(DATA / "haverly1.json")
+        with pytest.raises(ValueError, match="unknown basis"):
+            build_exact(inst, basis)
+        with pytest.raises(ValueError, match="unknown basis"):
+            build_backbone(inst, basis)
+        with pytest.raises(ValueError, match="unknown basis"):
+            inst.ghost_pairs(basis)
+        assert inst.backbones == {}
 
 
 class TestBackboneCache:

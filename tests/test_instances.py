@@ -5,7 +5,7 @@ import pytest
 from poolkit.instances import (InconsistencyError, MiningSchedule, SchemaError,
                                Supply, Demand, content_hash, convert_mining,
                                generalize, parse_instance, parse_instance_dict,
-                               parse_mining_dict)
+                               parse_mining_dict, to_dict)
 
 
 from conftest import make_schedule
@@ -67,6 +67,23 @@ class TestContentHash:
         assert narrow != wide
         assert len({content_hash(haverly1), content_hash(narrow),
                     content_hash(wide)}) == 3
+
+    def test_ghost_bounds_survive_the_json_form(self, haverly1):
+        narrow = haverly1.with_bounds({}, {}, {("C", "p1"): (0, 1)})
+        assert content_hash(narrow) == "13511204d8c43eed"
+        open_ended = haverly1.with_bounds({}, {}, {("A", "p2"): (2.0, float("inf"))})
+        for inst in (haverly1, narrow, open_ended):
+            assert parse_instance_dict(to_dict(inst)) == inst
+        assert "ghost_bounds" not in to_dict(haverly1)
+
+    def test_ghost_bound_must_name_a_ghost_pair(self, haverly1):
+        data = to_dict(haverly1)
+        data["ghost_bounds"] = [["A", "p1", 0.0, 1.0]]  # a physical arc
+        with pytest.raises(InconsistencyError, match="not a ghost pair"):
+            parse_instance_dict(data)
+        data["ghost_bounds"] = [["C", "p1", 0.0]]
+        with pytest.raises(SchemaError):
+            parse_instance_dict(data)
 
 
 class TestGeneralize:

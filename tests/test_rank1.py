@@ -1,25 +1,45 @@
 """Geometry of the rank-one bounded-sum sets: membership, fragments, cuts,
-hull pieces and the independent oracles."""
+hull pieces, the exact oracle and the sampler."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolkit import rank1
-from poolkit.rank1 import (BoxError, EmptySampleError, InfeasiblePointError,
+from poolkit.rank1 import (INF, BoxError, EmptySampleError, InfeasiblePointError,
                            LinearCut,
-                           brute_force_bound, build_colwise_extension,
+                           build_colwise_extension,
                            build_intersection, build_rowcol_extension,
                            build_rowwise_extension, check_extreme_point_property,
                            enumerate_hull_pieces, evaluate_conic_cuts,
                            evaluate_linear_cuts,
                            fragment_lp_value, gen_rlt_conic, gen_rlt_mccormick,
-                           gen_rlt_reverse_convex, grid_vertices, is_rank_le_one,
-                           make_box, membership_T, normalize, piece_contains,
+                           gen_rlt_reverse_convex, hull_bound, is_rank_le_one,
+                           make_box, membership_T, membership_T_tilde, normalize,
                            random_box, sample_rank_one_points)
 
 
 def box22():
     return make_box([1.0, 2.0], [4.0, 5.0], [2.0, 1.0], [5.0, 4.0], 3.0, 8.0)
+
+
+FRAGMENTS = ("colwise", "rowwise", "intersection", "rowcol")  # F1-F4
+
+
+def assert_hull_sandwich(box, c, rng, kinds=FRAGMENTS, samples=2000):
+    """Every fragment LP <= hull_bound <= every sampled value, and the
+    oracle's witness is a point of the set that attains its value."""
+    value, X = hull_bound(box, c)
+    tol = 1e-7 * max(1.0, abs(value))
+    assert membership_T_tilde(X, box, 1e-7 * box.scale())
+    assert float((c * X).sum()) == pytest.approx(value, abs=tol)
+    for kind in kinds:
+        bound = fragment_lp_value(box, c, kind, include_plain=True)
+        assert bound is not None and bound <= value + 1e-6 * max(1.0, abs(value)), kind
+    sampled = np.einsum("kij,ij->k", sample_rank_one_points(box, samples, rng), c)
+    assert value <= sampled.min() + tol
+    return X
 
 
 class TestMembership:
@@ -228,11 +248,9 @@ class TestSandwich:
     @pytest.mark.parametrize("seed", range(4))
     def test_oracle_upper_bounds_fragments(self, seed):
         rng = np.random.default_rng(100 + seed)
-        box = random_box(rng, 2, 2)
-        c = rng.normal(size=(2, 2))
-        oracle = brute_force_bound(box, c, grid_density=24)
-        v4 = fragment_lp_value(box, c, "rowcol")
-        assert v4 <= oracle + 1e-6 * max(1.0, abs(oracle))
+        for m, n in [(1 + seed, 4 - seed), (2, 1 + seed), (4, 4)]:
+            box = random_box(rng, m, n, positive_lower=bool(rng.random() < 0.3))
+            assert_hull_sandwich(box, rng.normal(size=(m, n)), rng)
 
 
 class TestRLT:
@@ -321,44 +339,14 @@ class TestRLT:
 
 class TestHullPieces:
     def test_2x2_piece_count(self):
-        box = box22()
-        pieces = enumerate_hull_pieces(box)
+        pieces = enumerate_hull_pieces(box22())
         assert len(pieces) == 4 * 2 * 2  # mn pivots x 2^(m+n-2) selections
-        assert all(p.case == "quadratic-4var" for p in pieces)
-
-    def test_case_aggregates(self):
-        box = box22()
-        piece = next(p for p in enumerate_hull_pieces(box)
-                     if p.pivot == (0, 0) and p.row_choice[1] == "u"
-                     and p.col_choice[1] == "u")
-        assert piece.I == 1 and piece.J == 1
-        assert piece.B == pytest.approx(box.u[1] / box.u[1])
-        assert piece.Bp == pytest.approx(box.up[1] / box.up[1])
-
-    def test_zero_row_selection_tags_degenerate_case(self):
-        box = make_box([0, 0], [3, 3], [0, 0], [3, 3], 0, 6)
-        pieces = enumerate_hull_pieces(box)
-        tags = {p.case for p in pieces}
-        assert "zero-rows" in tags and "zero-columns" in tags
+        assert len({(p.pivot, p.row_choice, p.col_choice) for p in pieces}) == 16
 
     def test_guard(self):
         big = make_box([0] * 5, [1] * 5, [0] * 4, [1] * 4, 0, 5)
         with pytest.raises(BoxError):
             enumerate_hull_pieces(big)
-
-    def test_sampled_extreme_point_lies_in_a_piece(self, rng):
-        box = make_box([0, 0], [2, 3], [0, 0], [3, 2], 1, 4)
-        c = rng.normal(size=(2, 2))
-        # take the best grid point as an (approximate) extreme point, then
-        # polish rows to their bounds
-        vertices, _ = grid_vertices(box, density=4, sigma_steps=3, max_points=40)
-        assert vertices, "grid produced no candidate vertices"
-        hits = 0
-        for X in vertices:
-            if any(piece_contains(p, X, box, tol=1e-6)
-                   for p in enumerate_hull_pieces(box)):
-                hits += 1
-        assert hits >= 1
 
 
 class TestExtremePoints:
@@ -383,38 +371,77 @@ class TestExtremePoints:
         count_row, _ = check_extreme_point_property(mid, box, tol=1e-9)
         assert count_row == 2
 
-    def test_grid_vertices_have_single_strict_row_and_column(self):
-        rng = np.random.default_rng(7)
-        box = random_box(rng, 2, 3)
-        vertices, resolution = grid_vertices(box, density=4, sigma_steps=3,
-                                             max_points=60)
-        for X in vertices:
-            cr, cc = check_extreme_point_property(
-                X, box, tol=max(resolution / max(1.0, box.scale()), 1e-9))
-            assert cr <= 1 and cc <= 1
 
-
-class TestBruteForce:
+class TestHullBound:
     def test_zero_cost_gives_zero(self):
         box = box22()
-        assert brute_force_bound(box, np.zeros((2, 2)), 8) == pytest.approx(0.0)
+        value, X = hull_bound(box, np.zeros((2, 2)))
+        assert value == 0.0 and membership_T_tilde(X, box)
+
+    def test_zero_point_when_every_lower_bound_is_zero(self):
+        box = make_box([0, 0], [2, 2], [0, 0], [2, 2], 0, 4)
+        value, X = hull_bound(box, np.ones((2, 2)))
+        assert value == 0.0 and not X.any()
 
     def test_1x1_exact_interval(self):
         box = make_box([1], [4], [2], [5], 3, 8)
-        lo = max(1, 2, 3)
-        assert brute_force_bound(box, np.array([[2.0]]), 5) == pytest.approx(2.0 * lo)
-        assert brute_force_bound(box, np.array([[-2.0]]), 5) == pytest.approx(-2.0 * 4)
+        assert hull_bound(box, np.array([[2.0]]))[0] == pytest.approx(2.0 * max(1, 2, 3))
+        assert hull_bound(box, np.array([[-2.0]]))[0] == pytest.approx(-2.0 * min(4, 5, 8))
+
+    def test_minimum_inside_the_total_interval(self):
+        # row 1 and column 1 fixed at 1: the set is the curve r = s =
+        # (sigma - 1, 1), where <I, X> = sigma - 2 + 2 / sigma has its
+        # minimum 2 sqrt(2) - 2 at sigma = sqrt(2), inside [1, 11]
+        box = make_box([0, 1], [10, 1], [0, 1], [10, 1], 0, 20)
+        value, X = hull_bound(box, np.eye(2))
+        assert value == pytest.approx(2 * np.sqrt(2) - 2, abs=1e-12)
+        assert X.sum() == pytest.approx(np.sqrt(2), abs=1e-12)
 
     def test_guard(self):
-        box = make_box([0] * 4, [1] * 4, [0] * 3, [1] * 3, 0, 4)
+        box = make_box([0] * 5, [1] * 5, [0] * 4, [1] * 4, 0, 5)
         with pytest.raises(BoxError):
-            brute_force_bound(box, np.zeros((4, 3)), 4)
+            hull_bound(box, np.zeros((5, 4)))
+        with pytest.raises(BoxError):
+            hull_bound(make_box([0], [INF], [0], [1], 0, 1), np.ones((1, 1)))
 
     def test_empty_sample_reported(self):
         box = make_box([2, 2], [3, 3], [0, 0], [0.5, 0.5], 4, 6)
         # column capacity (1.0 total) cannot carry the required row mass (4)
         with pytest.raises(EmptySampleError):
-            brute_force_bound(box, np.ones((2, 2)), 6)
+            hull_bound(box, np.ones((2, 2)))
+
+
+@st.composite
+def boxes_and_costs(draw):
+    """A box of up to 3 x 3 around a rank-one point, as random_box builds
+    one, and a cost matrix."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def vector(size, lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    y, z = 10.0 * vector(m, 0.2, 1.0), vector(n, 0.2, 1.0)
+    X0 = np.outer(y, z / z.sum())
+
+    def windows(sums):
+        lo = sums * vector(len(sums), 0.3, 0.95)
+        lo[vector(len(sums), 0.0, 1.0) < 0.35] = 0.0
+        return lo, sums * vector(len(sums), 1.05, 1.9)
+
+    (l, u), (lp, up) = windows(X0.sum(axis=1)), windows(X0.sum(axis=0))
+    (L,), (U,) = windows(np.array([X0.sum()]))
+    return make_box(l, u, lp, up, L, U), vector(m * n, -1.0, 1.0).reshape(m, n)
+
+
+class TestHullBoundProperties:
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(boxes_and_costs())
+    def test_between_F4_and_the_samples(self, box_and_cost):
+        box, c = box_and_cost
+        X = assert_hull_sandwich(box, c, np.random.default_rng(0), kinds=("rowcol",),
+                                 samples=500)
+        count_row, count_col = check_extreme_point_property(X, box)
+        assert count_row <= 1 and count_col <= 1
 
 
 class TestSampling:
