@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 from .instances import PoolingInstance, content_hash
 from .relaxations import MethodSpec, build_method, parse_method
-from .solver import OPTIMAL, Budget, SolveParams, SolveResult, solve
+from .solver import OPTIMAL, TIME_LIMIT, Budget, SolveParams, SolveResult, solve
 from .tightening import (RECIPE_LABEL, RECIPE_RESTRICTION, BoundUpdate,
                          TighteningError, apply_bounds, default_obbt_recipe)
 
@@ -230,12 +230,17 @@ class GridConfig:
 def _cached_obbt(inst: PoolingInstance, cache_dir: str | None,
                  params: SolveParams):
     """Run the default recipe, consulting the cache keyed by instance hash
-    and recipe label when a cache directory is configured."""
+    and recipe label when a cache directory is configured.  A recipe that
+    spends the time of ``params`` may be cut short: it raises
+    TighteningError and is not cached, as the key records no time limit."""
     if cache_dir:
         path = pathlib.Path(cache_dir) / f"{content_hash(inst)}-{RECIPE_LABEL}.json"
         if path.exists():
             return BoundUpdate.from_json(path.read_text())
-    upd = default_obbt_recipe(inst, params=params)
+    budget = Budget(params)
+    upd = default_obbt_recipe(inst, params=budget.params())
+    if budget.spent:
+        raise TighteningError("the OBBT recipe ran out of time")
     if cache_dir:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(upd.to_json())
@@ -258,11 +263,14 @@ def run_cell(name: str, inst: PoolingInstance, method: str, obbt_flag: bool,
     against ``reference``, whose ``ExactValue.status`` is ``ref_status``.
     ``solved``, when given, is this model's result on ``inst`` with the
     seconds it took to build and solve; the cell takes it and solves
-    nothing."""
+    nothing.  Without it, a cell whose ``params`` leave no time is recorded
+    as time-limit, and nothing is built or solved."""
     spec = parse_method(method)
     kind = _gap_kind(spec)
     if solved is not None:
         res, elapsed = solved
+    elif params.time_limit_s <= 0:
+        res, elapsed = SolveResult(TIME_LIMIT, None, None), 0.0
     else:
         t0 = time.perf_counter()
         try:
@@ -284,34 +292,35 @@ def run_cell(name: str, inst: PoolingInstance, method: str, obbt_flag: bool,
 
 
 def run_grid(config: GridConfig) -> list[RunRecord]:
-    params = SolveParams(time_limit_s=config.time_limit_s)
-    cells = []
-    for name, inst in config.instances:
-        prep, upd = 0.0, None
-        if config.obbt:
-            t0 = time.perf_counter()
-            try:
-                upd = _cached_obbt(inst, config.bounds_cache, params)
-            except TighteningError:
-                pass   # the cells say obbt=0: this instance is not tightened
-            prep = time.perf_counter() - t0
-        ref = exact_value(inst, params, use_obbt=upd is not None,
-                          first_update=upd)
-        ref_status = ref.status if ref.value is not None else ""
-        # the cells run on the instance of the squeeze's first pass, so a
-        # model that pass solved is not solved again
-        work = ref.instance
-        for method in config.methods:
-            cells.append((name, work, method, work is not inst, prep, ref.value,
-                          params, ref_status, ref.first_pass.get(method)))
+    """One record per (instance, method) cell.  ``time_limit_s`` is the
+    grid's budget: instance by instance, the tightening, the squeeze and
+    then the cells get the time that remains, and a cell that starts once
+    it is spent, unless the squeeze solved it, is recorded as time-limit."""
+    budget = Budget(SolveParams(time_limit_s=config.time_limit_s))
+    records = []
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        for name, inst in config.instances:
+            prep, upd = 0.0, None
+            if config.obbt:
+                t0 = time.perf_counter()
+                try:
+                    upd = _cached_obbt(inst, config.bounds_cache, budget.params())
+                except TighteningError:
+                    pass   # the cells say obbt=0: this instance is not tightened
+                prep = time.perf_counter() - t0
+            ref = exact_value(inst, budget.params(), use_obbt=upd is not None,
+                              first_update=upd)
+            ref_status = ref.status if ref.value is not None else ""
+            # the cells run on the instance of the squeeze's first pass, so
+            # a model that pass solved is not solved again
+            work = ref.instance
 
-    def run(cell):
-        return run_cell(*cell)
+            def run(method):   # a cell gets the time that remains when it starts
+                return run_cell(name, work, method, work is not inst, prep, ref.value,
+                                budget.params(), ref_status, ref.first_pass.get(method))
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(run, cells))
-    return [run(c) for c in cells]
+            records += (pool.map if config.threads > 1 else map)(run, config.methods)
+    return records
 
 
 def records_to_csv(records: list[RunRecord]) -> str:

@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--obbt", choices=("on", "off"), default="off")
     run.add_argument("--generalize", action="store_true",
                      help="add pool-pool arcs before solving")
-    run.add_argument("--time-limit", type=float, default=3600.0)
+    run.add_argument("--time-limit", type=float, default=3600.0,
+                     help="seconds for the whole grid, instance by instance")
     run.add_argument("--threads", type=int, default=1)
     run.add_argument("--bounds-cache",
                      help="directory for cached tightening results, keyed by "

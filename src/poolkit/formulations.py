@@ -325,9 +325,10 @@ def check_solution(bm: BilinearModel, assignment: dict[str, float],
     return CheckReport(fam, tol)
 
 
-def rederive_proportions(bm: BilinearModel, assignment: dict[str, float],
-                         tol: float = 1e-9) -> dict[str, float]:
-    """Fill q values consistent with the flows (restriction outputs omit q)."""
+def rederive_proportions(bm: BilinearModel,
+                         assignment: dict[str, float]) -> dict[str, float]:
+    """Fill q values consistent with the flows (restriction outputs omit q);
+    a pool whose commodity total is at most 1e-9 gets q = 0."""
     out = dict(assignment)
     inst, basis = bm.inst, bm.basis
     for i in inst.pools:
@@ -337,5 +338,5 @@ def rederive_proportions(bm: BilinearModel, assignment: dict[str, float],
             totals[c] = assignment.get(fvar(*_arc(basis, c, i)), 0.0)
         grand = sum(totals.values())
         for c in comms:
-            out[qvar(i, c)] = totals[c] / grand if grand > tol else 0.0
+            out[qvar(i, c)] = totals[c] / grand if grand > 1e-9 else 0.0
     return out

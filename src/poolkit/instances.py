@@ -463,28 +463,30 @@ def convert_mining(sched: MiningSchedule,
 def to_dict(inst: PoolingInstance) -> dict:
     """Plain-JSON form of an instance (inverse of parse_instance_dict).  The
     ghost intervals enter, as [a, b, lo, hi], only when there are any, so an
-    instance without them keeps its form and its content_hash."""
+    instance without them keeps its form and its content_hash.  Every bound,
+    cost and spec number is written as a float, as parsing reads it, so
+    equal instances have one form whether their numbers are ints or not."""
     def clean(v):
-        return None if math.isinf(v) else v
+        return None if math.isinf(v) else float(v)
 
     data = {
         "name": inst.name,
-        "nodes": [{"id": n.id, "kind": n.kind, "L": n.L, "U": clean(n.U)}
+        "nodes": [{"id": n.id, "kind": n.kind, "L": float(n.L), "U": clean(n.U)}
                   for n in sorted(inst.nodes.values(), key=lambda n: n.id)],
-        "arcs": [{"from": a.tail, "to": a.head, "l": a.l, "u": clean(a.u),
-                  "cost": a.cost}
+        "arcs": [{"from": a.tail, "to": a.head, "l": float(a.l), "u": clean(a.u),
+                  "cost": float(a.cost)}
                  for a in sorted(inst.arcs.values(), key=lambda a: a.key)],
         "specs": {
             "K": inst.n_specs,
-            "lambda": {s: list(v) for s, v in sorted(inst.lam.items())},
-            "mu_lo": {t: list(v) for t, v in sorted(inst.mu_lo.items())},
+            "lambda": {s: list(map(float, v)) for s, v in sorted(inst.lam.items())},
+            "mu_lo": {t: list(map(float, v)) for t, v in sorted(inst.mu_lo.items())},
             "mu_hi": {t: [clean(x) for x in v]
                       for t, v in sorted(inst.mu_hi.items())},
         },
-        "penalty": {t: list(v) for t, v in sorted(inst.penalty.items())},
+        "penalty": {t: list(map(float, v)) for t, v in sorted(inst.penalty.items())},
     }
     if inst.ghost_bounds:
-        data["ghost_bounds"] = [[*pair, lo, clean(hi)]
+        data["ghost_bounds"] = [[*pair, float(lo), clean(hi)]
                                 for pair, (lo, hi) in sorted(inst.ghost_bounds.items())]
     return data
 

@@ -14,6 +14,10 @@ rank <= 1 condition.  This module provides
   * a sampler of the set; with ``hull_bound`` it is independent of the
     fragment builders and cross-checks them in the test suite.
 
+It imports nothing else of the package and solves nothing: the LP or MIP
+value of a method on a box is ``relaxations.block_value``, which solves the
+box as a one-pool instance through the builder of every other model.
+
 All samplers take an explicit numpy Generator so results are reproducible.
 """
 
@@ -89,17 +93,12 @@ def make_box(l, u, lp, up, L, U) -> BoundBox:
 def normalize(box: BoundBox) -> tuple[BoundBox, list[int], list[int]]:
     """Delete zero-u rows and columns; returns (box, kept_rows, kept_cols).
 
-    Deleted rows/columns are forced to zero by their bounds, so a solution
-    of the reduced problem re-inflates by inserting zero rows/columns.
+    Deleted rows/columns are forced to zero by their bounds (a BoundBox has
+    0 <= l <= u), so a solution of the reduced problem re-inflates by
+    inserting zero rows/columns.
     """
     rows = [i for i in range(box.m) if box.u[i] > 0]
     cols = [j for j in range(box.n) if box.up[j] > 0]
-    for i in range(box.m):
-        if box.u[i] == 0 and box.l[i] > 0:
-            raise BoxError(f"row {i} has u=0 but l>0")
-    for j in range(box.n):
-        if box.up[j] == 0 and box.lp[j] > 0:
-            raise BoxError(f"column {j} has u'=0 but l'>0")
     if len(rows) == box.m and len(cols) == box.n:
         return box, rows, cols
     sub = BoundBox(tuple(box.l[i] for i in rows), tuple(box.u[i] for i in rows),
@@ -296,55 +295,6 @@ def build_rowcol_extension(box: BoundBox) -> ModelFragment:
                          "<=", 0.0)
     frag.add("simplex", _total("r", m, n), "==", 1.0)
     return frag
-
-
-FRAGMENT_BUILDERS = {
-    "rowwise": build_rowwise_extension,
-    "colwise": build_colwise_extension,
-    "intersection": build_intersection,
-    "rowcol": build_rowcol_extension,
-}
-
-
-# -- fragment LP oracle ---------------------------------------------------------
-
-def fragment_lp_value(box: BoundBox, c, kind: str, include_plain: bool = False):
-    """min <c, X> over the fragment's polyhedron (x >= 0 plus fragment rows).
-
-    include_plain adds the bounded-sum polytope rows as well, mirroring how
-    a fragment rides on the full flow model in the pooling relaxations.
-    """
-    from .modelir import ModelIR
-    from .solver import OPTIMAL, solve
-
-    c = np.asarray(c, dtype=float)
-    model = ModelIR(f"fragment:{kind}")
-    for i in range(box.m):
-        for j in range(box.n):
-            model.add_var(f"x[{i},{j}]")
-    if kind == "plain" or include_plain:
-        _add_plain_rows(model, box)
-    if kind != "plain":
-        frag = FRAGMENT_BUILDERS[kind](box)
-        attach_fragment(model, frag, lambda i, j: f"x[{i},{j}]", prefix="F")
-    model.set_objective({f"x[{i},{j}]": c[i, j]
-                         for i in range(box.m) for j in range(box.n)})
-    res = solve(model)
-    if res.status != OPTIMAL:
-        return None
-    return res.objective
-
-
-def _add_plain_rows(model, box: BoundBox) -> None:
-    for i in range(box.m):
-        row = {f"x[{i},{j}]": 1.0 for j in range(box.n)}
-        model.add_range(f"row[{i}]", row, box.l[i], box.u[i])
-    for j in range(box.n):
-        col = {f"x[{i},{j}]": 1.0 for i in range(box.m)}
-        model.add_range(f"col[{j}]", col, box.lp[j], box.up[j])
-    model.add_range("total", {f"x[{i},{j}]": 1.0
-                              for i in range(box.m) for j in range(box.n)},
-                    box.L, box.U)
 
 
 def attach_fragment(model, frag: ModelFragment, x_name, prefix: str = "F") -> None:
@@ -741,10 +691,10 @@ def sample_rank_one_points(box: BoundBox, count: int,
 
 
 def random_box(rng: np.random.Generator, m: int, n: int,
-               positive_lower: bool = False, zero_lower_prob: float = 0.35,
-               scale: float = 10.0) -> BoundBox:
-    """A nonempty random box built around a random rank-one point."""
-    y = rng.uniform(0.2, 1.0, size=m) * scale
+               positive_lower: bool = False) -> BoundBox:
+    """A nonempty random box built around a random rank-one point; without
+    positive_lower, each lower bound is 0 with probability 0.35."""
+    y = rng.uniform(0.2, 1.0, size=m) * 10.0
     z = rng.uniform(0.2, 1.0, size=n)
     z /= z.sum()
     X0 = np.outer(y, z)
@@ -753,7 +703,7 @@ def random_box(rng: np.random.Generator, m: int, n: int,
     def interval(v):
         lo = v * rng.uniform(0.3, 0.95)
         hi = v * rng.uniform(1.05, 1.9)
-        if not positive_lower and rng.random() < zero_lower_prob:
+        if not positive_lower and rng.random() < 0.35:
             lo = 0.0
         return lo, hi
 

@@ -7,7 +7,8 @@ applied in different bases.  parse_method handles strings like
 
     "F4:S"  "MCF:T"  "M2:T:H=3"  "F3:S+Vab(x,r)"  "F4:S+Vab(x)+Vac(x)"
 
-and build_method builds the model of every such label.
+and build_method builds the model of every such label; block_value solves
+one on a bare pool block, the box of the rank-one set.
 """
 
 from __future__ import annotations
@@ -18,11 +19,14 @@ from dataclasses import dataclass, field
 
 from .formulations import (SOURCE_BASIS, TERMINAL_BASIS, BilinearModel,
                            PoolBlock, backbone, build_exact)
-from .instances import PoolingInstance
+from .instances import PoolingInstance, parse_instance_dict
 from .modelir import ModelIR
-from .rank1 import (FRAGMENT_BUILDERS, add_rows, attach_fragment,
+from .rank1 import (BoundBox, add_rows, attach_fragment,
+                    build_colwise_extension, build_intersection,
+                    build_rowcol_extension, build_rowwise_extension,
                     gen_rlt_mccormick, gen_rlt_reverse_convex, normalize,
                     relabel, rlt_guard)
+from .solver import OPTIMAL, solve
 
 F_KINDS = ("F1", "F2", "F3", "F4")
 M_KINDS = ("M1", "M2")
@@ -33,8 +37,8 @@ ALL_KINDS = F_KINDS + M_KINDS + G_KINDS + ("MCF", "EXACT")
 # F2 the commodity (row) bounds, in both bases; what "row/column wise" means
 # in the benchmark notation then swaps with the basis because the two bases
 # transpose the block.
-_FRAGMENT_FOR = {"F1": "colwise", "F2": "rowwise", "F3": "intersection",
-                 "F4": "rowcol"}
+_FRAGMENT_FOR = {"F1": build_colwise_extension, "F2": build_rowwise_extension,
+                 "F3": build_intersection, "F4": build_rowcol_extension}
 
 # discretization template per (kind, basis): "arc" puts binaries on the
 # physical-arc fractions, "commodity" on the commodity proportions.  The
@@ -175,8 +179,8 @@ def _add_cuts(built: BuiltMethod, spec: MethodSpec, pool: str, box, x_name) -> N
         built.skipped_blocks.append(pool)
         return
     prefix = _block_prefix(pool)
-    if spec.cut_space != "x" and _FRAGMENT_FOR.get(spec.kind) != "rowcol":
-        host = FRAGMENT_BUILDERS["rowcol"](box)
+    if spec.cut_space != "x" and spec.kind != "F4":
+        host = build_rowcol_extension(box)
         host.rows = relabel(host.rows, "rc")
         attach_fragment(built.model, host, x_name, prefix)
     cuts = []
@@ -292,8 +296,7 @@ def build_method(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
         box, x_name = normalized
         prefix = _block_prefix(block.pool)
         if spec.kind in F_KINDS:
-            attach_fragment(bb.model, FRAGMENT_BUILDERS[_FRAGMENT_FOR[spec.kind]](box),
-                            x_name, prefix)
+            attach_fragment(bb.model, _FRAGMENT_FOR[spec.kind](box), x_name, prefix)
         else:
             _attach_discretization(bb.model, box, x_name, prefix, spec.H,
                                    _VARIANT_FOR[(spec.kind, spec.basis)],
@@ -304,3 +307,33 @@ def build_method(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
         for pool, box, x_name in kept:
             _add_cuts(built, spec, pool, box, x_name)
     return built
+
+
+def block_value(box: BoundBox, c, label: str) -> float | None:
+    """min <c, X> over the model of ``label`` on a pool block with the
+    bounds of ``box``: the dual bound (F, M, MCF), the objective (G), or
+    None short of OPTIMAL; EXACT raises CapabilityError, as solve does.  The
+    box is a one-pool instance: sources s000... feed pool p, which has
+    [L, U], over arcs bounded by the row sums, and p feeds terminals
+    t000... over arcs bounded by the column sums (a :T block is the box's
+    transpose)."""
+    sources = [f"s{i:03d}" for i in range(box.m)]
+    terminals = [f"t{j:03d}" for j in range(box.n)]
+    inst = parse_instance_dict({
+        "nodes": ([{"id": s, "kind": "source"} for s in sources]
+                  + [{"id": "p", "kind": "pool", "L": box.L, "U": box.U}]
+                  + [{"id": t, "kind": "terminal"} for t in terminals]),
+        "arcs": ([{"from": s, "to": "p", "l": lo, "u": hi}
+                  for s, lo, hi in zip(sources, box.l, box.u)]
+                 + [{"from": "p", "to": t, "l": lo, "u": hi}
+                    for t, lo, hi in zip(terminals, box.lp, box.up)])}, "box")
+    spec = parse_method(label)
+    built = build_method(inst, spec)
+    block = built.backbone.blocks[0]
+    cell = block.var if spec.basis == SOURCE_BASIS else lambda i, j: block.var(j, i)
+    built.model.set_objective({cell(i, j): c[i][j]
+                               for i in range(box.m) for j in range(box.n)})
+    res = solve(built.model)
+    if res.status != OPTIMAL:
+        return None
+    return res.objective if spec.kind in G_KINDS else res.dual_bound

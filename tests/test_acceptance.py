@@ -23,11 +23,10 @@ from poolkit.formulations import (build_exact, check_solution,
                                   rederive_proportions)
 from poolkit.instances import Demand, MiningSchedule, Supply, convert_mining
 from poolkit.rank1 import (check_extreme_point_property, evaluate_conic_cuts,
-                           evaluate_linear_cuts,
-                           fragment_lp_value, gen_rlt_conic, gen_rlt_mccormick,
+                           evaluate_linear_cuts, gen_rlt_conic, gen_rlt_mccormick,
                            gen_rlt_reverse_convex, hull_bound, random_box,
                            sample_rank_one_points, normalize)
-from poolkit.relaxations import build_method, parse_method
+from poolkit.relaxations import block_value, build_method, parse_method
 from poolkit.solver import SolveParams, solve
 from poolkit.tightening import apply_bounds, default_obbt_recipe, mining_tighten
 
@@ -130,13 +129,10 @@ class TestCriterion4:
         strict = 0  # cases where the row-column fragment beats the intersection
         for box in cases:
             c = rng.normal(size=(box.m, box.n))
-            plain = fragment_lp_value(box, c, "plain")
+            plain = block_value(box, c, "MCF:S")
             if plain is None:
                 continue
-            v1 = fragment_lp_value(box, c, "colwise", include_plain=True)
-            v2 = fragment_lp_value(box, c, "rowwise", include_plain=True)
-            v3 = fragment_lp_value(box, c, "intersection", include_plain=True)
-            v4 = fragment_lp_value(box, c, "rowcol", include_plain=True)
+            v1, v2, v3, v4 = (block_value(box, c, f"F{k}:S") for k in range(1, 5))
             tol = 1e-7 * max(1.0, abs(v4), box.scale())
             if not (v4 >= v3 - tol and v3 >= max(v1, v2) - tol
                     and min(v1, v2) >= plain - tol):

@@ -357,6 +357,21 @@ class TestGridTightening:
         assert [r.obbt for r in cached] == [False, False]
         assert repr(timings_zeroed(cached)) == repr(timings_zeroed(plain))
 
+    def test_a_recipe_out_of_time_is_not_cached(self, haverly1, tmp_path):
+        # the cache key records no time limit, so an update cut short by one
+        # must not stand in for a full one in a later grid
+        labels = ["F4:S"]
+        spent = run_grid(GridConfig([("haverly1", haverly1)], labels, obbt=True,
+                                    time_limit_s=0.0, bounds_cache=str(tmp_path)))
+        assert [r.obbt for r in spent] == [False]
+        assert list(tmp_path.iterdir()) == []
+        full = run_grid(GridConfig([("haverly1", haverly1)], labels, obbt=True,
+                                   bounds_cache=str(tmp_path)))
+        fresh = run_grid(GridConfig([("haverly1", haverly1)], labels, obbt=True))
+        assert [r.obbt for r in full] == [True]
+        assert len(list(tmp_path.iterdir())) == 1
+        assert repr(timings_zeroed(full)) == repr(timings_zeroed(fresh))
+
     def test_other_faults_are_raised(self, haverly1, monkeypatch):
         def broken(inst, **kw):
             raise ZeroDivisionError("a fault, not a tightening result")
@@ -418,6 +433,48 @@ class TestGrid:
         back = records_from_csv(text)
         assert repr(back) == repr(records)   # the last gap is NaN
         assert records_to_csv(back) == text
+
+    @pytest.mark.parametrize("obbt", [False, True], ids=["obbt-off", "obbt-on"])
+    def test_a_spent_budget_records_every_cell_as_time_limit(
+            self, haverly1, haverly2, monkeypatch, obbt):
+        built = []
+
+        def spy(inst, spec):
+            built.append(spec)
+            return build_method(inst, spec)
+
+        monkeypatch.setattr(poolkit.bench, "build_method", spy)
+        config = GridConfig([("haverly1", haverly1), ("haverly2", haverly2)],
+                            ["F1:S", "G2:S:H=3"], obbt=obbt, time_limit_s=0.0)
+        records = run_grid(config)
+        assert [r.status for r in records] == [TIME_LIMIT] * 4
+        assert built == []   # neither the squeeze nor a cell built a model
+        text = records_to_csv(records)
+        assert repr(records_from_csv(text)) == repr(records)
+        assert records_to_csv(records_from_csv(text)) == text
+
+    def test_a_later_squeeze_that_spends_the_budget_leaves_earlier_cells(
+            self, haverly1, haverly2, monkeypatch):
+        def slow(inst, params, **kw):
+            ref = exact_value(inst, params, **kw)
+            if inst is haverly2:
+                time.sleep(params.time_limit_s)   # what the grid has left
+            return ref
+
+        monkeypatch.setattr(poolkit.bench, "exact_value", slow)
+        config = GridConfig([("haverly1", haverly1), ("haverly2", haverly2)],
+                            ["MCF:S", "F4:S"], time_limit_s=1.0)
+        # each instance's cells run right after its own squeeze, and a cell
+        # the squeeze solved keeps that result
+        assert [(r.instance, r.method, r.status) for r in run_grid(config)] == [
+            ("haverly1", "MCF:S", OPTIMAL), ("haverly1", "F4:S", OPTIMAL),
+            ("haverly2", "MCF:S", TIME_LIMIT), ("haverly2", "F4:S", OPTIMAL)]
+
+    @pytest.mark.parametrize("text", ["", "instance,method\nhaverly1,F1:S\n"],
+                             ids=["empty", "foreign-header"])
+    def test_a_foreign_csv_is_refused(self, text):
+        with pytest.raises(ValueError, match="unrecognized CSV header"):
+            records_from_csv(text)
 
     def test_empty_methods_gives_header_only(self, haverly1):
         config = GridConfig(instances=[("haverly1", haverly1)], methods=[])

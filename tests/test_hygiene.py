@@ -101,3 +101,29 @@ def test_detects_an_unreferenced_name():
     assert unreferenced({"m": top_level_names(source)},
                         [source, "from m import used\n"]) == \
         ["m._SPARE (line 2)", "m._left_over (line 5)"]
+
+
+def package_imports(source: str) -> list[str]:
+    """The modules of the package that the source imports anywhere, also
+    inside a function."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "poolkit"):
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "poolkit"]
+    return found
+
+
+def test_rank1_imports_nothing_of_the_package():
+    # the geometry stands alone; models and solves of a box go through
+    # relaxations.block_value
+    assert package_imports((ROOT / "src" / "poolkit" / "rank1.py").read_text()) == []
+
+
+def test_detects_a_package_import():
+    source = ("import numpy\nimport poolkit.solver\n"
+              "def f():\n    from .modelir import ModelIR\n    from . import bench\n")
+    assert package_imports(source) == ["poolkit.solver", ".modelir", "."]

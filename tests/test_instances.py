@@ -46,6 +46,48 @@ class TestParsing:
         with pytest.raises(InconsistencyError, match="unknown node"):
             parse_instance_dict(data)
 
+    @staticmethod
+    def one_pool():
+        return {"nodes": [{"id": "s", "kind": "source"},
+                          {"id": "p", "kind": "pool", "U": 10},
+                          {"id": "t", "kind": "terminal"}],
+                "arcs": [{"from": "s", "to": "p"}, {"from": "p", "to": "t"}],
+                "specs": {"K": 1, "lambda": {"s": [1.0]},
+                          "mu_lo": {"t": [0.0]}, "mu_hi": {"t": [2.0]}}}
+
+    @pytest.mark.parametrize("edit,error,message", [
+        (lambda d: d["nodes"][0].update(kind="sink"), SchemaError, "unknown kind"),
+        (lambda d: d["nodes"][1].update(L=20), InconsistencyError, "bad capacity"),
+        (lambda d: d["arcs"].append({"from": "t", "to": "p"}), InconsistencyError,
+         "not allowed"),
+        (lambda d: d["specs"]["lambda"].update(s=[1.0, 2.0]), SchemaError,
+         "spec vector"),
+        (lambda d: d["specs"]["mu_hi"].update(t=[2.0, 3.0]), SchemaError,
+         "spec window has wrong length"),
+        (lambda d: d["specs"]["mu_lo"].update(t=[3.0]), InconsistencyError,
+         "empty spec window"),
+        (lambda d: d["nodes"].append({"id": "p", "kind": "pool"}), InconsistencyError,
+         "duplicate node"),
+        (lambda d: d["arcs"].append({"from": "s", "to": "p"}), InconsistencyError,
+         "duplicate arc"),
+        (lambda d: d["arcs"][0].pop("to"), SchemaError, "arc entry missing field"),
+        (lambda d: d.pop("arcs"), SchemaError, "missing top-level field"),
+    ], ids=["node-kind", "capacity", "arc-direction", "spec-vector", "spec-window",
+            "empty-window", "duplicate-node", "duplicate-arc", "arc-field",
+            "top-level-field"])
+    def test_rejects(self, edit, error, message):
+        data = self.one_pool()
+        parse_instance_dict(data)
+        edit(data)
+        with pytest.raises(error, match=message):
+            parse_instance_dict(data)
+
+    def test_a_file_that_is_not_json(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"nodes": [')
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            parse_instance(path)
+
     def test_missing_bounds_default_to_zero_and_inf(self):
         data = {"nodes": [{"id": "s", "kind": "source"},
                           {"id": "t", "kind": "terminal"}],
@@ -70,11 +112,20 @@ class TestContentHash:
 
     def test_ghost_bounds_survive_the_json_form(self, haverly1):
         narrow = haverly1.with_bounds({}, {}, {("C", "p1"): (0, 1)})
-        assert content_hash(narrow) == "13511204d8c43eed"
+        assert content_hash(narrow) == "321747d6f7a01eae"
         open_ended = haverly1.with_bounds({}, {}, {("A", "p2"): (2.0, float("inf"))})
         for inst in (haverly1, narrow, open_ended):
             assert parse_instance_dict(to_dict(inst)) == inst
         assert "ghost_bounds" not in to_dict(haverly1)
+
+    def test_int_and_float_bounds_hash_alike(self, haverly1):
+        ints = haverly1.with_bounds({"p1": (0, 300)}, {("A", "p1"): (0, 300)},
+                                    {("C", "p1"): (0, 1)})
+        floats = haverly1.with_bounds({"p1": (0.0, 300.0)},
+                                      {("A", "p1"): (0.0, 300.0)},
+                                      {("C", "p1"): (0.0, 1.0)})
+        assert ints == floats
+        assert content_hash(ints) == content_hash(floats)
 
     def test_ghost_bound_must_name_a_ghost_pair(self, haverly1):
         data = to_dict(haverly1)

@@ -8,35 +8,48 @@ from hypothesis import strategies as st
 
 from poolkit import rank1
 from poolkit.rank1 import (INF, BoxError, EmptySampleError, InfeasiblePointError,
-                           LinearCut,
+                           LinearCut, attach_fragment,
                            build_colwise_extension,
                            build_intersection, build_rowcol_extension,
                            build_rowwise_extension, check_extreme_point_property,
                            enumerate_hull_pieces, evaluate_conic_cuts,
-                           evaluate_linear_cuts,
-                           fragment_lp_value, gen_rlt_conic, gen_rlt_mccormick,
+                           evaluate_linear_cuts, gen_rlt_conic, gen_rlt_mccormick,
                            gen_rlt_reverse_convex, hull_bound, is_rank_le_one,
                            make_box, membership_T, membership_T_tilde, normalize,
                            random_box, sample_rank_one_points)
+from poolkit.modelir import ModelIR
+from poolkit.relaxations import block_value
+from poolkit.solver import OPTIMAL, solve
 
 
 def box22():
     return make_box([1.0, 2.0], [4.0, 5.0], [2.0, 1.0], [5.0, 4.0], 3.0, 8.0)
 
 
-FRAGMENTS = ("colwise", "rowwise", "intersection", "rowcol")  # F1-F4
+FRAGMENTS = ("F1:S", "F2:S", "F3:S", "F4:S")
 
 
-def assert_hull_sandwich(box, c, rng, kinds=FRAGMENTS, samples=2000):
+def fragment_alone(box, build):
+    """min of the single cell over x >= 0 and the rows of ``build(box)``."""
+    model = ModelIR("fragment")
+    model.add_var("x")
+    attach_fragment(model, build(box), lambda i, j: "x")
+    model.set_objective({"x": 1.0})
+    res = solve(model)
+    assert res.status == OPTIMAL
+    return res.objective
+
+
+def assert_hull_sandwich(box, c, rng, labels=FRAGMENTS, samples=2000):
     """Every fragment LP <= hull_bound <= every sampled value, and the
     oracle's witness is a point of the set that attains its value."""
     value, X = hull_bound(box, c)
     tol = 1e-7 * max(1.0, abs(value))
     assert membership_T_tilde(X, box, 1e-7 * box.scale())
     assert float((c * X).sum()) == pytest.approx(value, abs=tol)
-    for kind in kinds:
-        bound = fragment_lp_value(box, c, kind, include_plain=True)
-        assert bound is not None and bound <= value + 1e-6 * max(1.0, abs(value)), kind
+    for label in labels:
+        bound = block_value(box, c, label)
+        assert bound is not None and bound <= value + 1e-6 * max(1.0, abs(value)), label
     sampled = np.einsum("kij,ij->k", sample_rank_one_points(box, samples, rng), c)
     assert value <= sampled.min() + tol
     return X
@@ -112,17 +125,17 @@ class TestFragments:
         assert len(frag.rows) == 6 * box.m * box.n + 1
         assert len(frag.aux) == box.m * box.n
 
+    # on a 1x1 box the bounded-sum rows alone give the interval, so these
+    # solve the fragment alone: x >= 0 and the fragment's rows
     def test_1x1_rowwise_collapses_to_interval(self):
         box = make_box([1], [4], [2], [5], 3, 8)
-        val = fragment_lp_value(box, np.array([[1.0]]), "rowwise")
         # t1 = 1 forces max(l1, L) <= x <= min(u1, U); columns are relaxed
-        assert val == pytest.approx(3.0)
+        assert fragment_alone(box, build_rowwise_extension) == pytest.approx(3.0)
 
     def test_1x1_rowcol_is_interval_intersection(self):
         box = make_box([1], [4], [2], [5], 0.5, 8)
         lo = max(box.l[0], box.lp[0], box.L)
-        val = fragment_lp_value(box, np.array([[1.0]]), "rowcol")
-        assert val == pytest.approx(lo)
+        assert fragment_alone(box, build_rowcol_extension) == pytest.approx(lo)
 
     def test_rank_one_points_extend_rowwise(self, rng):
         # the explicit construction t_j = x_ij / (row sum) satisfies every row
@@ -209,8 +222,8 @@ class TestFragments:
     def test_colwise_lp_matches_rowwise_on_transpose(self, rng):
         box = random_box(rng, 2, 3)
         c = rng.normal(size=(2, 3))
-        a = fragment_lp_value(box, c, "colwise")
-        b = fragment_lp_value(box.transpose(), c.T, "rowwise")
+        a = block_value(box, c, "F1:S")
+        b = block_value(box.transpose(), c.T, "F2:S")
         assert a == pytest.approx(b, rel=1e-7, abs=1e-7)
 
     def test_single_column_recovers_row_fractions(self, rng):
@@ -230,16 +243,13 @@ class TestFragments:
 class TestSandwich:
     @pytest.mark.parametrize("seed", range(6))
     def test_fragment_dominance_chain(self, seed):
-        # fragments attached on top of the bounded-sum rows, as in the flow
-        # relaxations where the backbone carries all capacity constraints
+        # each label's model of the box as a one-pool instance, whose
+        # backbone carries the bounded-sum rows
         rng = np.random.default_rng(seed)
         box = random_box(rng, rng.integers(1, 4), rng.integers(1, 4))
         c = rng.normal(size=(box.m, box.n))
-        plain = fragment_lp_value(box, c, "plain")
-        v1 = fragment_lp_value(box, c, "colwise", include_plain=True)
-        v2 = fragment_lp_value(box, c, "rowwise", include_plain=True)
-        v3 = fragment_lp_value(box, c, "intersection", include_plain=True)
-        v4 = fragment_lp_value(box, c, "rowcol", include_plain=True)
+        plain, v1, v2, v3, v4 = (block_value(box, c, label)
+                                 for label in ("MCF:S",) + FRAGMENTS)
         scale = 1e-7 * max(1.0, abs(v4))
         assert v4 >= v3 - scale
         assert v3 >= max(v1, v2) - scale
@@ -251,6 +261,31 @@ class TestSandwich:
         for m, n in [(1 + seed, 4 - seed), (2, 1 + seed), (4, 4)]:
             box = random_box(rng, m, n, positive_lower=bool(rng.random() < 0.3))
             assert_hull_sandwich(box, rng.normal(size=(m, n)), rng)
+
+    # each label with cuts, and the F label it adds them to
+    CUT_LABELS = {"F1:S+Vab(r)": "F1:S", "F2:S+Vab(x,r)": "F2:S",
+                  "F3:S+Vab(x)+Vac(x)": "F3:S", "F4:S+Vab(x,r)": "F4:S",
+                  "F4:S+Vac(x,r)": "F4:S"}
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_cut_and_discretized_labels_against_the_oracle(self, m, n):
+        """A +V label lies between its F label and the oracle, an M
+        relaxation at most at the oracle, a feasible G restriction at
+        least at it."""
+        rng = np.random.default_rng(1700 + 10 * m + n)
+        for _ in range(3):
+            box = random_box(rng, m, n, positive_lower=True)
+            c = rng.normal(size=(m, n))
+            hull, _ = hull_bound(box, c)
+            tol = 1e-6 * max(1.0, abs(hull))
+            for label, base in self.CUT_LABELS.items():
+                value = block_value(box, c, label)
+                assert block_value(box, c, base) - tol <= value <= hull + tol, label
+            for label in ("M1:S:H=2", "M2:S:H=2"):
+                assert block_value(box, c, label) <= hull + tol, label
+            for label in ("G1:S:H=2", "G2:S:H=2"):
+                value = block_value(box, c, label)
+                assert value is None or value >= hull - tol, label
 
 
 class TestRLT:
@@ -438,7 +473,7 @@ class TestHullBoundProperties:
     @given(boxes_and_costs())
     def test_between_F4_and_the_samples(self, box_and_cost):
         box, c = box_and_cost
-        X = assert_hull_sandwich(box, c, np.random.default_rng(0), kinds=("rowcol",),
+        X = assert_hull_sandwich(box, c, np.random.default_rng(0), labels=("F4:S",),
                                  samples=500)
         count_row, count_col = check_extreme_point_property(X, box)
         assert count_row <= 1 and count_col <= 1

@@ -5,7 +5,9 @@ import pytest
 from poolkit.bench import compute_gap
 from poolkit.formulations import build_exact, check_solution, rederive_proportions
 from poolkit.instances import parse_instance_dict
-from poolkit.relaxations import MethodError, MethodSpec, build_method, parse_method
+from poolkit.rank1 import hull_bound, make_box, normalize
+from poolkit.relaxations import (MethodError, MethodSpec, block_value, build_method,
+                                 parse_method)
 from poolkit.solver import solve
 
 
@@ -36,6 +38,14 @@ class TestMethodParsing:
     def test_label_round_trip(self):
         for text in ["F1:S", "F4:T", "M1:S:H=3", "G2:T:H=3", "F3:S+Vab(x,r)"]:
             assert parse_method(parse_method(text).label()) == parse_method(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("F4:S:", "cannot parse"), ("f4:s", "cannot parse"),
+        ("F4:S+Vab(x", "cannot parse"), ("F4:S+Vab(y)", "unknown cut spaces"),
+        ("F4:S+Vab(x,y)", "unknown cut spaces"), ("F4:S+Vab()", "unknown cut spaces")])
+    def test_unparseable_labels(self, text, message):
+        with pytest.raises(MethodError, match=message):
+            parse_method(text)
 
     def test_errors(self):
         with pytest.raises(MethodError):
@@ -89,6 +99,60 @@ def unbounded_positive_lower_instance():
             "specs": {"K": 1, "lambda": {"a": [3.0], "b": [1.0]},
                       "mu_hi": {"t1": [2.5], "t2": [2.0]}}}
     return parse_instance_dict(data)
+
+
+def zero_arc_instance(closed):
+    """one pool fed by sources a, b and c and feeding terminals t1 and t2;
+    the arcs in ``closed`` have u = 0"""
+    arcs = [("a", "p"), ("b", "p"), ("c", "p"), ("p", "t1"), ("p", "t2")]
+    data = {"nodes": [{"id": n, "kind": "source"} for n in "abc"]
+            + [{"id": "p", "kind": "pool", "L": 1, "U": 9},
+               {"id": "t1", "kind": "terminal"}, {"id": "t2", "kind": "terminal"}],
+            "arcs": [{"from": a, "to": b, "u": 0 if (a, b) in closed else 5,
+                      "cost": -1.0 if b == "t1" else 0.5} for a, b in arcs]}
+    return parse_instance_dict(data)
+
+
+class TestZeroBlocks:
+    def test_closed_rows_and_columns_are_forced_to_zero(self):
+        inst = zero_arc_instance({("b", "p"), ("p", "t2")})
+        plain = build_method(inst, parse_method("MCF:S")).model
+        model = build_method(inst, parse_method("F4:S")).model
+        zero = {row.name: row for row in model.rows if ":zero[" in row.name}
+        # rows are sources a, b, c and columns terminals t1, t2
+        assert sorted(zero) == [f"B[p]:zero[{r},{c}]"
+                                for r, c in [(0, 1), (1, 0), (1, 1), (2, 1)]]
+        assert zero["B[p]:zero[1,0]"].coeffs == (("x[p,t1,b]", 1.0),)
+        # the fragment covers the 2 x 1 block that is left
+        assert "B[p]:r[1,0]" in model.variables and "B[p]:r[0,1]" not in model.variables
+        assert len(model.rows) > len(plain.rows) + len(zero)
+
+    @pytest.mark.parametrize("label", ["F4:S", "F2:T+Vab(x,r)", "M1:S:H=2"])
+    def test_an_emptied_block_gets_its_zero_rows_alone(self, label):
+        inst = zero_arc_instance({("p", "t1"), ("p", "t2")})
+        spec = parse_method(label)
+        plain = build_method(inst, MethodSpec("MCF", spec.basis)).model
+        built = build_method(inst, spec)
+        extra = [row.name for row in built.model.rows][len(plain.rows):]
+        assert len(extra) == 6 and all(":zero[" in name for name in extra)
+        assert set(built.model.variables) == set(plain.variables)
+        assert built.cut_count == 0 and built.skipped_blocks == []
+
+    @pytest.mark.parametrize("label", ["MCF:S", "F1:S", "F4:T", "F3:S+Vab(x)",
+                                       "M2:S:H=2", "G1:S:H=2"])
+    def test_block_value_on_a_box_with_closed_rows_and_columns(self, label):
+        box = make_box([1, 0, 2], [4, 0, 5], [0, 1], [0, 6], 2, 9)
+        c = [[0.5, -1.0], [-3.0, 2.0], [1.5, -0.5]]
+        sub, rows, cols = normalize(box)
+        assert (rows, cols) == ([0, 2], [1])
+        hull, _ = hull_bound(box, c)
+        value = block_value(box, c, label)
+        assert value == pytest.approx(
+            block_value(sub, [[c[i][j] for j in cols] for i in rows], label), abs=1e-9)
+        if label.startswith("G"):
+            assert value >= hull - 1e-9
+        else:
+            assert value <= hull + 1e-9
 
 
 class TestFRelaxations:
