@@ -221,19 +221,23 @@ def build_rowwise_extension(box: BoundBox) -> ModelFragment:
     """Hull of the set with row-sum and overall bounds kept (columns relaxed).
 
     One fraction variable per column; a rank-one point X extends via
-    t_j = x_ij / (row sum i) for any nonzero row i.
+    t_j = x_ij / (row sum i) for any nonzero row i.  A lower row is written
+    only for a positive bound, as an upper row only for a finite one: at a
+    zero bound it would read x >= 0, which the cells' own bounds say.
     """
     m, n = box.m, box.n
     frag = ModelFragment([("t", j) for j in range(n)])
     t = frag.aux
     for i in range(m):
         for j in range(n):
-            frag.add(f"cell_lo[{i},{j}]", {("x", i, j): 1.0, t[j]: -box.l[i]}, ">=", 0.0)
+            if box.l[i] > 0:
+                frag.add(f"cell_lo[{i},{j}]", {("x", i, j): 1.0, t[j]: -box.l[i]}, ">=", 0.0)
             if math.isfinite(box.u[i]):
                 frag.add(f"cell_hi[{i},{j}]", {("x", i, j): 1.0, t[j]: -box.u[i]}, "<=", 0.0)
     for j in range(n):
         col = {("x", i, j): 1.0 for i in range(m)}
-        frag.add(f"col_lo[{j}]", {**col, t[j]: -box.L}, ">=", 0.0)
+        if box.L > 0:
+            frag.add(f"col_lo[{j}]", {**col, t[j]: -box.L}, ">=", 0.0)
         if math.isfinite(box.U):
             frag.add(f"col_hi[{j}]", {**col, t[j]: -box.U}, "<=", 0.0)
     frag.add("simplex", {tj: 1.0 for tj in t}, "==", 1.0)
@@ -241,18 +245,21 @@ def build_rowwise_extension(box: BoundBox) -> ModelFragment:
 
 
 def build_colwise_extension(box: BoundBox) -> ModelFragment:
-    """Column-sum analogue of build_rowwise_extension (one variable per row)."""
+    """Column-sum analogue of build_rowwise_extension (one variable per row),
+    which likewise writes a lower row only for a positive bound."""
     m, n = box.m, box.n
     frag = ModelFragment([("tp", i) for i in range(m)])
     tp = frag.aux
     for i in range(m):
         for j in range(n):
-            frag.add(f"cell_lo[{i},{j}]", {("x", i, j): 1.0, tp[i]: -box.lp[j]}, ">=", 0.0)
+            if box.lp[j] > 0:
+                frag.add(f"cell_lo[{i},{j}]", {("x", i, j): 1.0, tp[i]: -box.lp[j]}, ">=", 0.0)
             if math.isfinite(box.up[j]):
                 frag.add(f"cell_hi[{i},{j}]", {("x", i, j): 1.0, tp[i]: -box.up[j]}, "<=", 0.0)
     for i in range(m):
         row = {("x", i, j): 1.0 for j in range(n)}
-        frag.add(f"row_lo[{i}]", {**row, tp[i]: -box.L}, ">=", 0.0)
+        if box.L > 0:
+            frag.add(f"row_lo[{i}]", {**row, tp[i]: -box.L}, ">=", 0.0)
         if math.isfinite(box.U):
             frag.add(f"row_hi[{i}]", {**row, tp[i]: -box.U}, "<=", 0.0)
     frag.add("simplex", {ti: 1.0 for ti in tp}, "==", 1.0)
@@ -269,26 +276,30 @@ def build_intersection(box: BoundBox) -> ModelFragment:
 
 
 def build_rowcol_extension(box: BoundBox) -> ModelFragment:
-    """Stronger fragment with one cell-fraction variable per entry."""
+    """Stronger fragment with one cell-fraction variable per entry; like
+    build_rowwise_extension it writes a lower row only for a positive bound."""
     m, n = box.m, box.n
     frag = ModelFragment(list(_total("r", m, n)))
     for i in range(m):
         for j in range(n):
             colsum = _col_sum("r", j, m)
             rowsum = _row_sum("r", i, n)
-            frag.add(f"rowb_lo[{i},{j}]",
-                     {("x", i, j): 1.0, **{k: -box.l[i] * v for k, v in colsum.items()}},
-                     ">=", 0.0)
+            if box.l[i] > 0:
+                frag.add(f"rowb_lo[{i},{j}]",
+                         {("x", i, j): 1.0, **{k: -box.l[i] * v for k, v in colsum.items()}},
+                         ">=", 0.0)
             if math.isfinite(box.u[i]):
                 frag.add(f"rowb_hi[{i},{j}]",
                          {("x", i, j): 1.0, **{k: -box.u[i] * v for k, v in colsum.items()}},
                          "<=", 0.0)
-            frag.add(f"tot_lo[{i},{j}]", {("x", i, j): 1.0, ("r", i, j): -box.L}, ">=", 0.0)
+            if box.L > 0:
+                frag.add(f"tot_lo[{i},{j}]", {("x", i, j): 1.0, ("r", i, j): -box.L}, ">=", 0.0)
             if math.isfinite(box.U):
                 frag.add(f"tot_hi[{i},{j}]", {("x", i, j): 1.0, ("r", i, j): -box.U}, "<=", 0.0)
-            frag.add(f"colb_lo[{i},{j}]",
-                     {("x", i, j): 1.0, **{k: -box.lp[j] * v for k, v in rowsum.items()}},
-                     ">=", 0.0)
+            if box.lp[j] > 0:
+                frag.add(f"colb_lo[{i},{j}]",
+                         {("x", i, j): 1.0, **{k: -box.lp[j] * v for k, v in rowsum.items()}},
+                         ">=", 0.0)
             if math.isfinite(box.up[j]):
                 frag.add(f"colb_hi[{i},{j}]",
                          {("x", i, j): 1.0, **{k: -box.up[j] * v for k, v in rowsum.items()}},

@@ -18,8 +18,8 @@ from .instances import (POOL, SOURCE_BASIS, TERMINAL, TERMINAL_BASIS,
                         InconsistencyError, PoolingInstance)
 from .modelir import INF
 from .relaxations import build_method, parse_method
-from .solver import (INFEASIBLE, OPTIMAL, Budget, Session, SolveParams,
-                     compile_model, solve)
+from .solver import (INFEASIBLE, OPTIMAL, TIME_LIMIT, Budget, Session,
+                     SolveParams, compile_model, solve)
 
 UNCHANGED = "unchanged"
 # the restriction whose value bounds the objective box of default_obbt_recipe
@@ -115,6 +115,8 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
     OPTIMAL, or a MIP dual bound); otherwise that side is left unchanged.
     ``params.time_limit_s`` is the budget of the whole sweep: each solve
     gets the time that remains, and targets not reached keep their bounds.
+    A base solve that ends at the time limit raises TighteningError: the
+    sweep would then tighten nothing.
 
     The sweep skips every solve whose answer it already knows (the LP
     filtering of Gleixner, Berthold, Mueller and Weltge, 2017).  Each point
@@ -149,6 +151,8 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
     base = session.solve(budget.params())
     if base.status == INFEASIBLE:
         raise TighteningError("relaxation with objective box is infeasible")
+    if base.status == TIME_LIMIT:
+        raise TighteningError("the base solve of the OBBT sweep ran out of time")
 
     def expression(kind, key) -> dict[str, float]:
         if kind in ("arc", "ghost"):
@@ -221,8 +225,12 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
     set only at OPTIMAL); the restriction's incumbent is a feasible point,
     so it bounds from above even when the solve stops at the time limit.  A
     side with no value stays unbounded.  ``params.time_limit_s`` is the
-    budget of the whole recipe."""
+    budget of the whole recipe.  A budget spent before the first solve
+    raises TighteningError, as does a sweep whose base solve runs out of
+    time (see ``obbt``): the update would tighten nothing."""
     budget = Budget(params)
+    if budget.spent:
+        raise TighteningError("the OBBT recipe has no time to run")
     lo_res = solve(build_method(inst, parse_method("MCF:T")).model, budget.params())
     z_lb = -INF if lo_res.dual_bound is None else lo_res.dual_bound
     z_ub = INF

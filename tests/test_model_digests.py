@@ -31,6 +31,12 @@ CUT_COMPILE_DIGEST pins the compiled arrays of CUT_LABELS on
 positive_lower_instance, whose two pools make the order of rows across
 blocks matter; it was recorded before fragments and cuts were attached in
 one pass over the blocks.
+
+Every pin above was re-recorded when the F1-F4 fragment builders stopped
+writing a lower row whose bound is 0 (x >= 0, which the cells' own bounds
+say).  ``scripts/model_diff.py`` showed that change to remove only such
+rows, each implied by its variables' bounds, and to add or alter no row
+and no variable.
 """
 
 import hashlib
@@ -41,7 +47,7 @@ import pytest
 from poolkit import parse_instance
 from poolkit.instances import convert_mining, parse_instance_dict, parse_mining
 from poolkit.modelir import dump_model
-from poolkit.relaxations import build_method, parse_method
+from poolkit.relaxations import F_KINDS, build_method, parse_method
 from poolkit.solver import compile_model
 
 from conftest import DATA
@@ -60,37 +66,37 @@ LABELS = tuple(
 )
 
 DIGESTS = {
-    "adhya1": "8885cdc7bc7e1eb6fba08be2dc2eadcd4486927e992683d31bb557715bfd446b",
-    "adhya2": "5fd7dbc1265933e03a4ddaea26d631742a49afbcfc615206874e62387455866d",
-    "adhya3": "04a3dca72026c496b8df61454ba8fa7c095e2d8fe98e5f7067e367f6b5f49f85",
-    "adhya4": "435629d39918e27488025374875a8e0be77fc4656caff9561e61cb4b48cb7ee6",
-    "bental4": "95d354a7c8f4b3cd08c9b2c1b379e1ad7837cbec6046065f5dfe31d5c435193a",
-    "bental5": "a65f9ec096f2b4096d3d5a3b2f012589b1dcc795b2f540d0cd6236807f076373",
-    "foulds2": "806c00e2cbf012ea8543174fe4109b10832471b80c579301a4a23e8ec79e94c9",
-    "haverly1": "390e9e836494a92c63bfd63749e539c74450074089c68db4e9e89629bb7d72c8",
-    "haverly2": "469f4971e0b70fcebd3d4dba714ad951f15d6091691e4ec166fa3cdd4f57b015",
-    "haverly3": "42c13c5fc5e69f4e9a36c016314b1a4fb5f19d070e1d1cad5b00bb03b919b412",
+    "adhya1": "d554bb09e5dcf43cc26203ebb1db28ea5a11bf07e7bd4d6c2b5262fa40d16726",
+    "adhya2": "985858cce2246d67cdfb94ce72abfd709ae119b93a81a777d8fc984b513e7d52",
+    "adhya3": "88c6efff0413c71c2b8d8d4891539a4217fd438f0c395c52d14e7adc8fe8265b",
+    "adhya4": "7f722fc567b720b8dcaf1427bd5ccd1d461ace944499519c9b7c68370a539178",
+    "bental4": "10ddb70d08809c21befa838495660683ab24868ea5e41cbef2b6e8a7f9bddc5e",
+    "bental5": "0bdf66058c75c80bf7a662b3bd8f01cfb381c44a134e2d94ba80bb916b363797",
+    "foulds2": "b3a9f1125603085e8f0d632dcbddaf68ee72a56f6bdde9e4e96528ee45219f4e",
+    "haverly1": "7a6a459417cf45a0703340c2fbde913de9620eaeee103a6273b065be71ae2d10",
+    "haverly2": "3355663a97f2ee7ee1acb00b2ed9b5cd4b210fcafd26887e19e97b5c21082fc3",
+    "haverly3": "dae48d95ccb158d0c3e0bcd3149c5c983791b9c4d130517cde4ccba86daf1673",
 }
 
 
 COMPILE_DIGESTS = {
-    "adhya1": "7f57111e05c70c9175e28efd3e879bf93e54ac529a7b9e14fb91a33e5916f3d0",
-    "adhya2": "c95bf323ed1e1ebe6bfa1c21ba4a45ba4ee147e61e93745f6c17abca1d156b8b",
-    "adhya3": "7348ea75fba9406d58b7cbc5c777ce9e6cb6dd8f41610dde56891f70a262210a",
-    "adhya4": "86b26a73e305595990774e016eaa9672bfcbdf1166b01ab00d97df416d59f268",
-    "bental4": "22517ad49062272d8f0d835dac21a0c0e9921eb3d458ace7df70d14f3ad3bba3",
-    "bental5": "208766dc6137c12545d142d54c24f2f0eb9de243fba5f5e9942342dc51c97c58",
-    "foulds2": "248a828a016984190267d3a7cd4ab3021acbbb13022c90413ad52db0bedb9b6e",
-    "haverly1": "a6cca76f2f09ee341aa9161ce305304ddaaf802b2a8bf977ba81818e77fe670e",
-    "haverly2": "ee069d05c07a863cac5cb424cdc1b781a0bdb28c0d52a815fe76a8081e2130ca",
-    "haverly3": "f952933ce1267b80ec5cb361b6fdbcde356328fa7236195ac7c3f4e32d11f4fa",
+    "adhya1": "9f9778dcf380f347464185c9b19e5ee8fe9f4839836b256251f45007cb2324d6",
+    "adhya2": "be56daf0da2188cf2a47586780d7babbbd84adeff3ed709f476ac51eed024083",
+    "adhya3": "d8ff83595bc82a2de31a45da25fa6d83c0b321465609b39956ff3c0775416478",
+    "adhya4": "4f1c310e39efffee08b82f08c220356a85973122897d84c5ac39dc335f31da3d",
+    "bental4": "849e0f20887e7448966b1cba773d03b79fdc7a25c1b0423715993d3caafe551e",
+    "bental5": "857aeee206b47efa4dd90021329ad4f0ae8d05a712e8386aa8052b9522a25acf",
+    "foulds2": "d52a2cb7d7d9b2719a9d7a2975ddf1c40db76b7c9201f7c33357ad55ef4d3149",
+    "haverly1": "30d1da9f11f24fc94351de6374937a6f9d531806beca2579cea4389dd43dd5ed",
+    "haverly2": "b4d568dbb7e247924b777ac363ae0490245e0d9fb322adebecebe59dc9c57cf5",
+    "haverly3": "044364b76752bd49cae00f9a57860ff2c626771c143c579443f38d36e1e30d71",
 }
 
 
-MINING_DIGEST = "260a4f95d6b37a279d630ecdf2cf791084f5e6829832a88958c0988d5cde3522"
+MINING_DIGEST = "bce58542cbdca5cabb3ebb4c3420f070d3cf75564a37ca4d7dbf4c4131407269"
 
 
-SPEC_DIGEST = "83d6200da1874a86cba6991c4c3a5c26ee40ee77d00e935ea8bd0e489b216a0a"
+SPEC_DIGEST = "ac3c01e21a68b67d02455dbf59910592b7abc497961e6ef7e3d12287e1f81e2a"
 
 
 CUT_LABELS = tuple(
@@ -104,10 +110,10 @@ CUT_LABELS = tuple(
     )
 )
 
-CUT_DIGEST = "76b137f13c97f689d6585fa1be2d5a5eb40fda13cbbbfeb06984b92e2408ecb1"
+CUT_DIGEST = "42b58629edeb65edd9f6eb62139a718ff4ad51c938b6e072658e55cac365609e"
 
 
-CUT_COMPILE_DIGEST = "e9b7264869bf47d68b6b191220060fadbd5b9ccc487e62abbfbc17f7c91c7dd7"
+CUT_COMPILE_DIGEST = "09ef56e2e24e5bbda1b78d534337347201a9a6c44c1085882e8c1c396b3b8e4b"
 
 
 def test_labels():
@@ -212,3 +218,30 @@ def test_spec_windows_unchanged():
         digest.update(dump_model(model).encode())
         update_compiled(digest, model)
     assert digest.hexdigest() == SPEC_DIGEST
+
+
+# every F1-F4 label of LABELS and CUT_LABELS, with and without cuts
+FRAGMENT_LABELS = tuple(label for label in dict.fromkeys(LABELS + CUT_LABELS)
+                        if parse_method(label).kind in F_KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS) + ["mining", "positive_lower",
+                                                    "specwin"])
+def test_fragment_models_have_no_explicit_zero(name):
+    """A fragment row whose bound is 0 would carry a zero coefficient; it
+    is implied by its cells' bounds and is not written.  (The M and G
+    discretizations keep theirs: their McCormick rows at a zero lane
+    bound.)"""
+    if name == "mining":
+        inst = convert_mining(parse_mining(DATA / "mining" / "example_schedule.json"))
+    elif name == "positive_lower":
+        inst = positive_lower_instance()
+    elif name == "specwin":
+        inst = spec_window_instance()
+    else:
+        inst = parse_instance(DATA / f"{name}.json")
+    for label in FRAGMENT_LABELS:
+        model = build_method(inst, parse_method(label)).model
+        zeros = [(row.name, var) for row in model.rows
+                 for var, coeff in row.coeffs if coeff == 0]
+        assert zeros == [], (label, zeros[:3])

@@ -211,18 +211,29 @@ class TestDump:
         f3_bodies = {body for name, body in f3}
         assert f1_bodies <= f3_bodies
 
-    def test_1x1_f4_block_has_seven_fragment_rows(self):
+    @staticmethod
+    def f4_fragment_rows(lower):
+        """The F4:S fragment rows of a 1x1 block whose every lower bound
+        (arcs and pool) is ``lower``."""
         from poolkit.instances import parse_instance_dict
         inst = parse_instance_dict(
             {"nodes": [{"id": "s", "kind": "source", "U": 5},
-                       {"id": "p", "kind": "pool", "U": 5},
+                       {"id": "p", "kind": "pool", "L": lower, "U": 5},
                        {"id": "t", "kind": "terminal", "U": 5}],
-             "arcs": [{"from": "s", "to": "p", "u": 5, "cost": 1.0},
-                      {"from": "p", "to": "t", "u": 5, "cost": -2.0}],
+             "arcs": [{"from": "s", "to": "p", "l": lower, "u": 5, "cost": 1.0},
+                      {"from": "p", "to": "t", "l": lower, "u": 5, "cost": -2.0}],
              "specs": {"K": 0}})
         model = build_method(inst, parse_method("F4:S")).model
-        frag_rows = [r for r in model.rows if r.name.startswith("B[p]:")]
-        assert len(frag_rows) == 7  # 6*m*n + 1 for the 1x1 block
+        return [r for r in model.rows if r.name.startswith("B[p]:")]
+
+    def test_1x1_f4_block_has_seven_fragment_rows(self):
+        assert len(self.f4_fragment_rows(1.0)) == 7  # 6*m*n + 1
+
+    def test_1x1_zero_lower_f4_block_has_four_fragment_rows(self):
+        # a lower row at a zero bound is implied by x >= 0 and not written
+        rows = self.f4_fragment_rows(0.0)
+        assert len(rows) == 4  # 3*m*n + 1
+        assert not any(r.name.endswith("_lo[0,0]") for r in rows)
 
     def test_twelve_significant_digits(self):
         m = ModelIR("digits")

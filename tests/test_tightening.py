@@ -13,7 +13,6 @@ from poolkit.bench import compute_gap
 from poolkit.formulations import fvar
 from poolkit.instances import (SOURCE, Demand, MiningSchedule, Supply,
                                convert_mining)
-from poolkit.modelir import INF
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import SolveParams, solve
 from poolkit.tightening import (BoundUpdate, TighteningError, apply_bounds,
@@ -97,15 +96,16 @@ class TestOBBT:
         # with a vacuous objective box some targets keep their bounds
         assert any(tag == "unchanged" for tag in upd.provenance.values())
 
-    def test_spent_budget_leaves_bounds_unchanged(self, haverly1):
-        # no solve finishes, so neither the objective box nor any interval
-        # has a proven side
-        upd = default_obbt_recipe(haverly1, params=SolveParams(time_limit_s=0.0))
-        assert upd.z_box == (-INF, INF)
-        assert set(upd.provenance.values()) == {"unchanged"}
-        inst = apply_bounds(haverly1, upd)
-        assert inst.arcs == haverly1.arcs
-        assert inst.nodes == haverly1.nodes
+    def test_spent_budget_raises_before_any_solve(self, haverly1, monkeypatch):
+        # no solve could finish, so the update would tighten nothing
+        started = []
+        monkeypatch.setattr(poolkit.tightening, "solve",
+                            lambda *a, **kw: started.append("solve"))
+        monkeypatch.setattr(poolkit.tightening, "Session",
+                            lambda *a, **kw: started.append("Session"))
+        with pytest.raises(TighteningError, match="no time"):
+            default_obbt_recipe(haverly1, params=SolveParams(time_limit_s=0.0))
+        assert started == []
 
     def test_bad_box_rejected(self, haverly1):
         with pytest.raises(TighteningError):
@@ -275,13 +275,10 @@ class TestSessionSweep:
             checked += 1
         assert checked == len(upd.provenance)
 
-    def test_zero_budget_leaves_every_side_unchanged(self, haverly1):
-        upd = obbt(haverly1, "F4:T", -500.0, -400.0,
-                   params=SolveParams(time_limit_s=0.0))
-        assert set(upd.provenance.values()) == {"unchanged"}
-        inst = apply_bounds(haverly1, upd)
-        assert inst.arcs == haverly1.arcs
-        assert inst.nodes == haverly1.nodes
+    def test_zero_budget_base_solve_raises(self, haverly1):
+        with pytest.raises(TighteningError, match="ran out of time"):
+            obbt(haverly1, "F4:T", -500.0, -400.0,
+                 params=SolveParams(time_limit_s=0.0))
 
 
 class TestBoundUpdate:
