@@ -8,8 +8,10 @@ It prints every cell whose status differs, every OBBT target whose
 provenance differs and every squeeze whose witness or status differs, then
 the largest relative move in each group:
 
-  OBBT intervals  every node, arc and ghost interval and the objective box
-                  of the ``recipe`` set;
+  OBBT intervals  every node, arc and ghost interval of the ``recipe`` set;
+  objective box   both ends of each ``recipe`` update's ``z_box``, apart
+                  from the intervals: a box end that turns infinite moves
+                  by inf, and would hide every interval's move;
   LP cells        objective and dual bound of the LP labels (MCF, F1-F4) in
                   the ``lp-table``, ``grid`` and ``grid-plain`` sets;
   MIP cells       objective and dual bound of the MIP labels (M and G
@@ -71,7 +73,7 @@ def is_mip(label: str) -> bool:
 def compare(before: dict, after: dict) -> tuple[list[str], list[Largest]]:
     diffs = []
     intervals, lp, mip = Largest("OBBT intervals"), Largest("LP cells"), Largest("MIP cells")
-    squeezes = Largest("squeezes")
+    z_boxes, squeezes = Largest("objective box"), Largest("squeezes")
 
     def keyed(recs, *fields):
         return {tuple(r[f] for f in fields): r for r in recs}
@@ -104,17 +106,17 @@ def compare(before: dict, after: dict) -> tuple[list[str], list[Largest]]:
             pa, pb = a["provenance"].get(label), b["provenance"].get(label)
             if pa != pb:
                 diffs.append(f"recipe {name} {label}: provenance {pa} -> {pb}")
-        boxes = [("z_box", a["z_box"] or [None, None], b["z_box"] or [None, None])]
+        for side, x, y in zip(("lo", "hi"), a["z_box"] or [None, None],
+                              b["z_box"] or [None, None]):
+            z_boxes.add(f"recipe {name} z_box {side}", x, y)
         for kind in ("nodes", "arcs", "ghosts"):
             for key in sorted(a[kind].keys() | b[kind].keys()):
                 ia, ib = a[kind].get(key), b[kind].get(key)
                 if ia is None or ib is None:
                     diffs.append(f"recipe {name} {kind} {key}: {ia} -> {ib}")
                     continue
-                boxes.append((f"{kind} {key}", ia, ib))
-        for what, ia, ib in boxes:
-            for side, x, y in zip(("lo", "hi"), ia, ib):
-                intervals.add(f"recipe {name} {what} {side}", x, y)
+                for side, x, y in zip(("lo", "hi"), ia, ib):
+                    intervals.add(f"recipe {name} {kind} {key} {side}", x, y)
 
     old = keyed(before.get("squeeze", []), "instance")
     new = keyed(after.get("squeeze", []), "instance")
@@ -131,7 +133,7 @@ def compare(before: dict, after: dict) -> tuple[list[str], list[Largest]]:
                 diffs.append(f"squeeze {key[0]}: {field} {a[field]!r} -> {b[field]!r}")
                 continue
             squeezes.add(f"squeeze {key[0]} {field}", a[field], b[field])
-    return diffs, [intervals, lp, mip, squeezes]
+    return diffs, [intervals, z_boxes, lp, mip, squeezes]
 
 
 def main() -> int:

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field, fields
 from .instances import PoolingInstance, content_hash
 from .relaxations import MethodSpec, build_method, parse_method
 from .solver import OPTIMAL, TIME_LIMIT, Budget, SolveParams, SolveResult, solve
-from .tightening import (RECIPE_LABEL, RECIPE_RESTRICTION, BoundUpdate,
-                         TighteningError, apply_bounds, default_obbt_recipe)
+from .tightening import (RECIPE_LABEL, RECIPE_RELAXATION, RECIPE_RESTRICTION,
+                         BoundUpdate, TighteningError, apply_bounds,
+                         default_obbt_recipe, obbt)
 
 GAP_UNDEFINED = float("nan")
 
@@ -95,17 +96,21 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     the passes ran out or a tightening failed.  Bounds that cross by more
     than ``REL_TOL`` do not meet: they show a fault, never a proof.
 
+    With ``use_obbt``, up to three OBBT passes tighten the instance, each
+    followed by a pass.  The squeeze's own is one ``obbt`` sweep over
+    ``RECIPE_RELAXATION`` with the objective boxed into its best [lower,
+    upper] (infinite where a bound is missing): OBBT keeps every point in
+    that box, the optimum among them.  A tightening that fails ends the
+    passes; one over bounds that cross fails.
+
     ``first_update``, when given, is ``default_obbt_recipe``'s update of
-    ``inst`` itself and stands for the first of the three OBBT passes: the
-    squeeze applies it and starts on the tightened instance it gives, with
-    the recipe's restriction value (``z_box``'s upper end, when finite) as
-    the first upper bound and ``RECIPE_RESTRICTION`` as its witness, and
-    solves no restriction on ``inst``.  That is valid because OBBT keeps
-    every point whose objective lies in ``z_box``, and the optimum lies
-    there.  An update that does not apply to ``inst`` (it may come from a
-    bounds cache) gives neither: the squeeze then runs its one pass on
-    ``inst``, without OBBT.  Without ``first_update`` the first pass runs
-    on ``inst``.  A pass whose tightening fails ends the OBBT passes.
+    ``inst`` itself and stands for the first OBBT pass, with ``z_box`` as
+    its box: the squeeze applies it and starts on the tightened instance it
+    gives, with the recipe's restriction value (``z_box``'s upper end, when
+    finite) as the first upper bound and ``RECIPE_RESTRICTION`` as its
+    witness, and solves no restriction on ``inst``.  An update that does
+    not apply to ``inst`` (it may come from a bounds cache) gives neither:
+    the squeeze then runs its one pass on ``inst``, without OBBT.
 
     ``instance`` is the instance of the first pass (the tightened one, or
     ``inst`` itself), and ``first_pass`` keeps that pass's solves that
@@ -164,8 +169,11 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     for _ in range(passes):
         if budget.spent or closed():
             break
+        box = (-math.inf if best_lb is None else best_lb,
+               math.inf if best_ub is None else best_ub)
         try:
-            work = apply_bounds(work, default_obbt_recipe(work, params=budget.params()))
+            upd = obbt(work, RECIPE_RELAXATION, *box, params=budget.params())
+            work = apply_bounds(work, upd)
         except TighteningError:
             break
         squeeze(work)

@@ -93,6 +93,7 @@ class PoolingInstance:
     T_i: dict[str, tuple[str, ...]] = field(init=False, default_factory=dict)
     # formulations' backbone per basis, filled on first use; it lives and
     # dies with this instance, and every instance made from it starts empty
+    # (``replace`` does not copy an init=False field)
     backbones: dict = field(init=False, default_factory=dict, repr=False,
                             compare=False)
 
@@ -187,10 +188,8 @@ class PoolingInstance:
         arcs = dict(self.arcs)
         for k, (lo, hi) in arc_bounds.items():
             arcs[k] = replace(arcs[k], l=lo, u=hi)
-        gb = dict(self.ghost_bounds)
-        gb.update(ghost_bounds)
-        return PoolingInstance(self.name, nodes, arcs, self.n_specs, self.lam,
-                               self.mu_lo, self.mu_hi, self.penalty, gb)
+        return replace(self, nodes=nodes, arcs=arcs,
+                       ghost_bounds={**self.ghost_bounds, **ghost_bounds})
 
 
 def validate(inst: PoolingInstance) -> PoolingInstance:
@@ -300,9 +299,7 @@ def generalize(inst: PoolingInstance) -> PoolingInstance:
             if i != j and (i, j) not in arcs:
                 cap = min(inst.nodes[i].U, inst.nodes[j].U)
                 arcs[(i, j)] = Arc(i, j, 0.0, cap, 0.0)
-    return validate(PoolingInstance(inst.name, inst.nodes, arcs, inst.n_specs,
-                                    inst.lam, inst.mu_lo, inst.mu_hi,
-                                    inst.penalty, inst.ghost_bounds))
+    return validate(replace(inst, arcs=arcs))
 
 
 # -- mining schedules -------------------------------------------------------------

@@ -26,9 +26,9 @@ UNCHANGED = "unchanged"
 RECIPE_RESTRICTION = "G1:T:H=3"
 # the LP relaxation default_obbt_recipe's OBBT pass runs over
 RECIPE_RELAXATION = "F4:T"
-# names the recipe in bounds-cache file names: MCF:T below, G1:T:H=3 on the
-# k/7 grid above, OBBT over F4:T; a change to the recipe must change it
-RECIPE_LABEL = "mcfT+g1t3grid7+obbt(F4:T)"
+# names the recipe in bounds-cache file names: G1:T:H=3 on the k/7 grid
+# above, OBBT over F4:T; a change to the recipe must change it
+RECIPE_LABEL = "g1t3grid7+obbt(F4:T)"
 
 
 class TighteningError(RuntimeError):
@@ -215,31 +215,26 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
 
 def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
                         ) -> BoundUpdate:
-    """The benchmark recipe: lower box bound from the terminal-basis MCF
-    value, upper from the H=3 terminal restriction on the commodity
-    proportions (``RECIPE_RESTRICTION``, G1:T:H=3), then a single OBBT pass
-    over the terminal-basis row-column LP relaxation (``RECIPE_RELAXATION``,
-    F4:T).  The update's ``z_box`` is that objective box.
+    """The benchmark recipe: one OBBT pass over the terminal-basis
+    row-column LP relaxation (``RECIPE_RELAXATION``, F4:T) with the
+    objective at most the value of the H=3 terminal restriction on the
+    commodity proportions (``RECIPE_RESTRICTION``, G1:T:H=3).  The update's
+    ``z_box`` is that box.  It has no lower end: F4:T, the MCF:T backbone
+    plus rows, already implies the MCF:T bound.
 
-    The lower box bound is the MCF LP's proven bound (its ``dual_bound``,
-    set only at OPTIMAL); the restriction's incumbent is a feasible point,
-    so it bounds from above even when the solve stops at the time limit.  A
-    side with no value stays unbounded.  ``params.time_limit_s`` is the
-    budget of the whole recipe.  A budget spent before the first solve
-    raises TighteningError, as does a sweep whose base solve runs out of
-    time (see ``obbt``): the update would tighten nothing."""
+    The restriction's incumbent is a feasible point, so it bounds from
+    above even when the solve stops at the time limit; without one the box
+    is unbounded.  ``params.time_limit_s`` is the budget of the whole
+    recipe.  A budget spent before the first solve raises TighteningError,
+    as does a sweep whose base solve runs out of time (see ``obbt``): the
+    update would tighten nothing."""
     budget = Budget(params)
     if budget.spent:
         raise TighteningError("the OBBT recipe has no time to run")
-    lo_res = solve(build_method(inst, parse_method("MCF:T")).model, budget.params())
-    z_lb = -INF if lo_res.dual_bound is None else lo_res.dual_bound
-    z_ub = INF
-    if not budget.spent:
-        hi_res = solve(build_method(inst, parse_method(RECIPE_RESTRICTION)).model,
-                       budget.params())
-        if hi_res.objective is not None:
-            z_ub = hi_res.objective
-    return obbt(inst, RECIPE_RELAXATION, z_lb, z_ub, params=budget.params())
+    res = solve(build_method(inst, parse_method(RECIPE_RESTRICTION)).model,
+                budget.params())
+    z_ub = INF if res.objective is None else res.objective
+    return obbt(inst, RECIPE_RELAXATION, -INF, z_ub, params=budget.params())
 
 
 # -- mining single pass ----------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 import poolkit.bench
+import poolkit.tightening
 from poolkit import parse_instance
 from poolkit.bench import (REL_TOL, RESTRICTION_PORTFOLIO, GridConfig,
                            RunRecord, compute_gap, exact_value,
@@ -70,10 +71,10 @@ class TestExactValue:
         # haverly1's squeeze closes only after OBBT: F4 gives -500, G1:S -400
         assert exact_value(haverly1, use_obbt=False).status == "open"
 
-        def failing(inst, **kw):
+        def failing(*args, **kw):
             raise TighteningError("crossed interval")
 
-        monkeypatch.setattr(poolkit.bench, "default_obbt_recipe", failing)
+        monkeypatch.setattr(poolkit.bench, "obbt", failing)
         ev = exact_value(haverly1)
         assert (ev.proven, ev.status) == (False, "open")
 
@@ -82,7 +83,7 @@ class TestExactValue:
         fresh = exact_value(haverly2)
         calls = count_recipe_calls(monkeypatch)
         ev = exact_value(haverly2, first_update=upd)
-        assert all(inst is not haverly2 for inst in calls)
+        assert calls == []   # the squeeze's own passes run no recipe
         assert ev.proven == fresh.proven
         assert ev.value == pytest.approx(fresh.value, rel=1e-9)
         assert ev.lower == pytest.approx(fresh.lower, rel=1e-9)
@@ -189,10 +190,11 @@ def count_recipe_calls(monkeypatch) -> list:
 
 
 def record_solves(monkeypatch) -> tuple[list, list]:
-    """Record (phase, content hash, label) of every model bench builds and
-    solves, the phase being "squeeze" inside exact_value and "cell" outside
-    it, and every ExactValue the grid gets.  The OBBT recipe's own solves
-    are not bench's and are not recorded."""
+    """Record (phase, content hash, label) of every model that bench or
+    tightening builds and solves, and every ExactValue the grid gets.  The
+    phase is "squeeze" inside exact_value; outside it, "cell" for bench's
+    solves and "recipe" for tightening's.  An OBBT sweep's solves run on
+    its own session and are not recorded."""
     solves, squeezes, built, phase = [], [], {}, ["cell"]
 
     def recorded_build(inst, spec):
@@ -204,6 +206,11 @@ def record_solves(monkeypatch) -> tuple[list, list]:
         solves.append((phase[0],) + built[id(model)][1:])
         return solve(model, params)
 
+    def recorded_recipe_solve(model, params=None):
+        solves.append(("squeeze" if phase[0] == "squeeze" else "recipe",)
+                      + built[id(model)][1:])
+        return solve(model, params)
+
     def squeeze(*args, **kw):
         phase[0] = "squeeze"
         try:
@@ -212,8 +219,10 @@ def record_solves(monkeypatch) -> tuple[list, list]:
             phase[0] = "cell"
         return squeezes[-1]
 
-    monkeypatch.setattr(poolkit.bench, "build_method", recorded_build)
+    for module in (poolkit.bench, poolkit.tightening):
+        monkeypatch.setattr(module, "build_method", recorded_build)
     monkeypatch.setattr(poolkit.bench, "solve", recorded_solve)
+    monkeypatch.setattr(poolkit.tightening, "solve", recorded_recipe_solve)
     monkeypatch.setattr(poolkit.bench, "exact_value", squeeze)
     return solves, squeezes
 
@@ -240,6 +249,21 @@ class TestSolveOnce:
             assert {"F4:S", "F4:T"} <= set(ev.first_pass)
         assert not any(phase == "cell" and label.startswith("F4")
                        for phase, _, label in solves)
+
+    @pytest.mark.parametrize("name,recipe", [("haverly1", False), ("bental4", True)],
+                             ids=["haverly1", "bental4-recipe"])
+    def test_a_squeeze_solves_no_model_twice(self, data_dir, monkeypatch, name,
+                                             recipe):
+        # both squeezes run a second pass, whose OBBT box is the squeeze's
+        # own: it solves no restriction again on the instance it tightens
+        inst = parse_instance(data_dir / f"{name}.json")
+        upd = default_obbt_recipe(inst) if recipe else None
+        solves, _ = record_solves(monkeypatch)
+        ev = poolkit.bench.exact_value(inst, first_update=upd)
+        assert ev.status == "proven"
+        counts = Counter((h, label) for _, h, label in solves)
+        assert len({h for h, _ in counts}) == 2
+        assert set(counts.values()) == {1}, counts
 
     @pytest.mark.parametrize("name", ["bental4", "foulds2"])
     def test_shared_cells_equal_fresh_cells(self, data_dir, monkeypatch, name):
@@ -317,8 +341,7 @@ class TestGridTightening:
                             methods=["F1:S"], obbt=True)
         records = run_grid(config)
         assert [r.obbt for r in records] == [True, True]
-        for inst in (haverly1, haverly2):
-            assert sum(1 for c in calls if c is inst) == 1
+        assert calls == [haverly1, haverly2]
 
     def test_failed_tightening_is_written_obbt_0(self, haverly1, monkeypatch):
         def fail(inst, **kw):

@@ -15,11 +15,11 @@ spec.loader.exec_module(bound_diff)
 
 def records(f4=-500.0, m2_status="optimal", m2_dual=-401.0, arc_hi=100.0,
             tag="obbt-max", value=-400.0, witness="G2:S:H=3", status="proven",
-            plain_g2=-400.0):
+            plain_g2=-400.0, z_lo=-500.0):
     update = {"nodes": {"p1": [0.0, 300.0]}, "arcs": {"A->p1": [0.0, arc_hi]},
               "ghosts": {}, "provenance": {"node:p1": "unchanged",
                                            "arc:('A', 'p1')": tag},
-              "z_box": [-500.0, -400.0]}
+              "z_box": [z_lo, -400.0]}
     return {
         "lp-table": [{"instance": "h", "method": "F4:S", "status": "optimal",
                       "objective": f4, "dual_bound": f4}],
@@ -43,8 +43,8 @@ def moves(groups):
 def test_identical_records_move_nothing():
     diffs, groups = bound_diff.compare(records(), records())
     assert diffs == []
-    assert moves(groups) == {"OBBT intervals": 0.0, "LP cells": 0.0,
-                             "MIP cells": 0.0, "squeezes": 0.0}
+    assert moves(groups) == {"OBBT intervals": 0.0, "objective box": 0.0,
+                             "LP cells": 0.0, "MIP cells": 0.0, "squeezes": 0.0}
 
 
 def test_moves_are_relative_and_grouped_by_label_kind():
@@ -57,6 +57,21 @@ def test_moves_are_relative_and_grouped_by_label_kind():
     assert got["MIP cells"] == pytest.approx(1e-7, rel=1e-3)
     assert got["OBBT intervals"] == pytest.approx(1e-13, rel=1e-2)
     assert got["squeezes"] == pytest.approx(1e-10, rel=1e-3)
+
+
+def test_an_objective_box_end_is_not_an_interval():
+    # a box end that turns infinite moves by inf; the interval moves stay
+    # visible beside it
+    after = records(arc_hi=100.0 * (1 + 1e-11), z_lo=-math.inf)
+    diffs, groups = bound_diff.compare(records(), after)
+    assert diffs == []
+    got = moves(groups)
+    assert got["OBBT intervals"] == pytest.approx(1e-11, rel=1e-2)
+    assert got["objective box"] == math.inf
+    assert "recipe h z_box lo: -500.0 -> -inf" in groups[1].line()
+    moved = bound_diff.compare(records(), records(z_lo=-500.0 * (1 + 1e-9)))[1]
+    assert moves(moved)["objective box"] == pytest.approx(1e-9, rel=1e-3)
+    assert moves(moved)["OBBT intervals"] == 0.0
 
 
 def test_status_and_provenance_differences_are_listed():

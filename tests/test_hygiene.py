@@ -2,6 +2,7 @@
 every top-level name of the package is used somewhere."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -127,3 +128,36 @@ def test_detects_a_package_import():
     source = ("import numpy\nimport poolkit.solver\n"
               "def f():\n    from .modelir import ModelIR\n    from . import bench\n")
     assert package_imports(source) == ["poolkit.solver", ".modelir", "."]
+
+
+def span_targets(source: str) -> list[tuple[str, str]]:
+    """(owner, attribute) of each ``Target(...)`` in the source's
+    ``TARGETS`` tuple, read without importing it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets
+                                             if isinstance(t, ast.Name)] == ["TARGETS"]:
+            return [(call.args[1].value, call.args[2].value) for call in node.value.elts]
+    return []
+
+
+def test_every_perfbench_span_target_resolves():
+    # perfbench/run.py --trace 1 wraps each target and crashes on one that
+    # is gone, so a rename in the package fails here first
+    targets = span_targets((ROOT / "perfbench" / "spans.py").read_text())
+    assert len(targets) > 20
+    missing = []
+    for owner, attr in targets:
+        module_name, _, cls_name = owner.partition(":")
+        obj = importlib.import_module(module_name)
+        if cls_name:
+            obj = getattr(obj, cls_name, None)
+        if not hasattr(obj, attr):
+            missing.append(f"{owner}.{attr}")
+    assert missing == []
+
+
+def test_detects_a_span_target():
+    source = ("X = 1\nTARGETS = (\n    Target('a.b', 'poolkit.solver', 'milp', f),\n"
+              "    Target(g, 'poolkit.rank1:ConicCut', 'violation'),\n)\n")
+    assert span_targets(source) == [("poolkit.solver", "milp"),
+                                    ("poolkit.rank1:ConicCut", "violation")]

@@ -30,9 +30,11 @@ def mcf_value(inst, basis="S"):
 
 @functools.cache
 def recipe_box(name, basis="T"):
-    """The instance, the objective box default_obbt_recipe gives it (MCF:T
-    below, G1:T:H=3 above) and the G1:T:H=3 point, a feasible point inside
-    that box; with ``basis`` "S", the same in the source basis."""
+    """The instance, an objective box that holds its optimum (the MCF value
+    in ``basis`` below, the G1:H=3 restriction value above) and that
+    restriction's point, a feasible point inside the box.  It is not
+    default_obbt_recipe's box, which has no lower end and is always taken
+    in the terminal basis."""
     inst = parse_instance(DATA / f"{name}.json")
     low = solve(build_method(inst, parse_method(f"MCF:{basis}")).model)
     high = solve(build_method(inst, parse_method(f"G1:{basis}:H=3")).model)
@@ -63,7 +65,8 @@ def sweep_targets(inst, basis):
 class TestOBBT:
     def test_haverly1_closes_all_f_gaps(self, haverly1):
         upd = default_obbt_recipe(haverly1)
-        assert upd.z_box == pytest.approx((-500.0, -400.0))
+        # F4:T implies the MCF:T bound, so the box has no lower end
+        assert upd.z_box == pytest.approx((-math.inf, -400.0))
         inst = apply_bounds(haverly1, upd)
         for label in ["F1:S", "F2:S", "F3:S", "F4:S"]:
             res = solve(build_method(inst, parse_method(label)).model)
