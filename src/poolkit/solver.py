@@ -71,6 +71,10 @@ class SolveResult:
     # the point as HiGHS reported it, in column order, and the column names
     point: np.ndarray | None = None
     names: tuple[str, ...] = field(default=(), repr=False)
+    # HiGHS's simplex iterations (a MIP's over all its LPs) and a MIP's
+    # branch-and-bound nodes; None where the path does not report them
+    iterations: int | None = None
+    nodes: int | None = None
 
     @cached_property
     def assignment(self) -> dict[str, float]:
@@ -132,7 +136,8 @@ _MILP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 def _result(cm: CompiledModel, status: str, objective: float | None,
-            x, mip_dual: float | None, seconds: float) -> SolveResult:
+            x, mip_dual: float | None, seconds: float,
+            iterations: int | None = None, nodes: int | None = None) -> SolveResult:
     """A SolveResult from what HiGHS reported: ``x`` is its point (for a
     MIP stopped by the time limit, the incumbent), or None; ``mip_dual`` is
     a MIP's dual bound, or None."""
@@ -145,7 +150,8 @@ def _result(cm: CompiledModel, status: str, objective: float | None,
     dual = objective if status == OPTIMAL else None
     if mip_dual is not None and math.isfinite(mip_dual):
         dual = float(mip_dual)
-    return SolveResult(status, objective, dual, seconds, point, cm.names)
+    return SolveResult(status, objective, dual, seconds, point, cm.names,
+                       iterations, nodes)
 
 
 def solve_compiled(cm: CompiledModel, params: SolveParams | None = None) -> SolveResult:
@@ -169,7 +175,8 @@ def solve_compiled(cm: CompiledModel, params: SolveParams | None = None) -> Solv
     elapsed = time.perf_counter() - t0
     # on a time limit the incumbent (if any) is still reported in res.x
     return _result(cm, _MILP_STATUS.get(res.status, ERROR), res.fun, res.x,
-                   getattr(res, "mip_dual_bound", None), elapsed)
+                   getattr(res, "mip_dual_bound", None), elapsed,
+                   nodes=getattr(res, "mip_node_count", None))
 
 
 _MODEL_STATUS = {
@@ -245,7 +252,9 @@ class Session:
             has_point = status == OPTIMAL
         x = h.getSolution().col_value if has_point else None
         mip_dual = info.mip_dual_bound if self._is_mip and has_point else None
-        return _result(self.cm, status, objective, x, mip_dual, elapsed)
+        return _result(self.cm, status, objective, x, mip_dual, elapsed,
+                       info.simplex_iteration_count,
+                       info.mip_node_count if self._is_mip else None)
 
 
 def solve(model: ModelIR, params: SolveParams | None = None) -> SolveResult:

@@ -104,6 +104,12 @@ def apply_bounds(inst: PoolingInstance, upd: BoundUpdate) -> PoolingInstance:
 
 # -- OBBT ---------------------------------------------------------------------------
 
+def _nearest_side(pending: np.ndarray, gap: np.ndarray) -> int:
+    """The pending side with the least ``gap``; ties go to the lower index."""
+    candidates = np.flatnonzero(pending)
+    return int(candidates[np.argmin(gap[candidates])])
+
+
 def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
          z_ub: float = INF, workers: int = 1,
          params: SolveParams | None = None) -> BoundUpdate:
@@ -128,6 +134,19 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
     would return at most ``old_lo + slack/2``, which ``record`` widens by
     the slack to below ``old_lo``, so the side keeps its old bound and its
     provenance either way.
+
+    The sides left are solved nearest first (the ordering of the same
+    paper): the next side is the one whose target lies closest to its old
+    bound at the last optimal point, the distance divided by the old
+    interval's width (1 where that is infinite or 0), with ties going to min
+    sides before max sides and then to the target order (arcs, ghost pairs,
+    then nodes).  Before any optimal point every distance counts as 0, so
+    the sides go in that tie order.  A near side starts the warm-started
+    primal simplex close to its optimum, and its points are the likeliest
+    to settle other sides.  The order changes only that path: every bound
+    still comes from an LP at OPTIMAL (or a MIP dual bound) over the same
+    model, whose optimal value does not depend on the basis it starts
+    from, and a side is skipped only as above.
 
     The sweep is sequential on one ``Session``: the relaxation is passed to
     HiGHS once, and each target solve changes only the costs and starts
@@ -170,39 +189,49 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
         if c.any():
             targets.append((kind, key))
             costs.append(c)
-    # one row of costs per target; T @ x is every target's value at x
-    T = np.array(costs).reshape(len(targets), len(cm.names))
-    # the least and the greatest value of each target at the points seen
-    seen_lo = np.full(len(targets), INF)
-    seen_hi = np.full(len(targets), -INF)
+    # one row of costs per side: a target's min, then (negated) its max;
+    # S @ x >= b at every point inside the old intervals
+    n = len(targets)
+    T = np.array(costs).reshape(n, len(cm.names))
+    S = np.vstack([T, -T])
+    olds = [inst.interval(kind, key) for kind, key in targets]
+    lo_old, hi_old = np.array(olds, dtype=float).reshape(n, 2).T
+    b = np.concatenate([lo_old, -hi_old])
+    width = np.tile(hi_old - lo_old, 2)
+    width[~np.isfinite(width) | (width <= 0)] = 1.0
+    # the least value of each side at the points seen, and each side's
+    # distance to its old bound at the last of them (0 before the first)
+    seen = np.full(2 * n, INF)
+    gap = np.zeros(2 * n)
 
     def see(res) -> None:
+        nonlocal gap
         if res.status == OPTIMAL and res.point is not None:
-            values = T @ res.point
-            np.minimum(seen_lo, values, out=seen_lo)
-            np.maximum(seen_hi, values, out=seen_hi)
-
-    def proven_min(c):
-        """A proven lower bound on min c.x (dual_bound is set only for an
-        LP at OPTIMAL or from a MIP's dual bound), or None."""
-        if budget.spent:
-            return None
-        res = session.solve(budget.params(), c)
-        see(res)
-        return res.dual_bound
+            values = S @ res.point
+            np.minimum(seen, values, out=seen)
+            gap = (values - b) / width
 
     see(base)
-    upd = BoundUpdate(z_box=(z_lb, z_ub))
     scale = max([1.0] + [abs(a.u) for a in inst.arcs.values() if math.isfinite(a.u)])
     slack = 1e-6 * scale
-    for row, (kind, key) in enumerate(targets):
-        old = inst.interval(kind, key)
-        # a skipped side is left unproven, as a solve that proves nothing
-        lo = hi = None
-        if seen_lo[row] > old[0] + slack / 2:
-            lo = proven_min(T[row])
-        if seen_hi[row] < old[1] - slack / 2:
-            hi = proven_min(-T[row])
+    # a proven lower bound on min S[k] @ x per side (dual_bound is set only
+    # for an LP at OPTIMAL or from a MIP's dual bound); a side left unsolved
+    # stays unproven, as a solve that proves nothing
+    proven: list[float | None] = [None] * (2 * n)
+    pending = np.ones(2 * n, dtype=bool)
+    while not budget.spent:
+        pending &= seen > b + slack / 2
+        if not pending.any():
+            break
+        k = _nearest_side(pending, gap)
+        pending[k] = False
+        res = session.solve(budget.params(), S[k])
+        see(res)
+        proven[k] = res.dual_bound
+
+    upd = BoundUpdate(z_box=(z_lb, z_ub))
+    for row, ((kind, key), old) in enumerate(zip(targets, olds)):
+        lo, hi = proven[row], proven[n + row]
         lo = 0.0 if lo is None else max(lo, 0.0)
         hi = INF if hi is None else -hi
         tag = "obbt-min" if lo > old[0] + slack else (

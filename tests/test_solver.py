@@ -10,7 +10,7 @@ from poolkit import parse_instance
 from poolkit.modelir import EQ, GE, LE, ModelError, ModelIR, dump_model
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import (CapabilityError, Session, SolveParams, compile_model,
-                            solve)
+                            solve, solve_compiled)
 
 from conftest import DATA, milp_oracle
 
@@ -166,6 +166,20 @@ class TestSession:
                 same(res, milp_oracle(cm, params, c))
         # a loose gap stops at an incumbent the dual bound does not reach
         assert res.dual_bound < res.objective - 1.0
+
+    def test_work_counts(self, haverly1):
+        # an LP reports the simplex iterations of its own run and no nodes;
+        # a MIP its nodes on both paths, its iterations on the binding only
+        lp = compile_model(build_method(haverly1, parse_method("F4:S")).model)
+        session = Session(lp)
+        first, again = session.solve(), session.solve()
+        assert first.iterations > 0 and again.iterations == 0
+        assert first.nodes is None and again.nodes is None
+        mip = compile_model(build_method(haverly1, parse_method("G1:S:H=3")).model)
+        res = Session(mip).solve()
+        assert res.iterations > 0 and res.nodes >= 1
+        one_shot = solve_compiled(mip)
+        assert one_shot.iterations is None and one_shot.nodes >= 1
 
     def test_time_limit_is_per_solve(self, data_dir):
         # HiGHS's run clock keeps counting over the runs of one instance;
