@@ -192,16 +192,21 @@ class PoolingInstance:
                        ghost_bounds={**self.ghost_bounds, **ghost_bounds})
 
 
+def _bad_interval(lo: float, hi: float) -> bool:
+    """Not 0 <= lo <= hi with lo finite; JSON's NaN and Infinity parse."""
+    return not 0 <= lo <= hi or lo == INF  # a NaN end fails the chain
+
+
 def validate(inst: PoolingInstance) -> PoolingInstance:
     for n, node in inst.nodes.items():
         if node.kind not in _KINDS:
             raise SchemaError(f"node {n!r}: unknown kind {node.kind!r}")
-        if node.L < 0 or node.L > node.U:
+        if _bad_interval(node.L, node.U):
             raise InconsistencyError(f"node {n!r}: bad capacity [{node.L}, {node.U}]")
     for (t, h), arc in inst.arcs.items():
         if t not in inst.nodes or h not in inst.nodes:
             raise InconsistencyError(f"arc ({t}, {h}) references unknown node")
-        if arc.l < 0 or arc.l > arc.u:
+        if _bad_interval(arc.l, arc.u):
             raise InconsistencyError(f"arc ({t}, {h}): bad interval [{arc.l}, {arc.u}]")
         kt, kh = inst.kind(t), inst.kind(h)
         if kt == TERMINAL or kh == SOURCE or (kt == POOL and kh == SOURCE):
@@ -222,9 +227,11 @@ def validate(inst: PoolingInstance) -> PoolingInstance:
                                      "or no terminal path)")
     if inst.ghost_bounds:  # parsing a file without them pays nothing
         ghosts = inst.ghost_pairs(SOURCE_BASIS) + inst.ghost_pairs(TERMINAL_BASIS)
-        for pair in inst.ghost_bounds:
+        for pair, (lo, hi) in inst.ghost_bounds.items():
             if pair not in ghosts:
                 raise InconsistencyError(f"ghost bound on {pair}: not a ghost pair")
+            if _bad_interval(lo, hi):
+                raise InconsistencyError(f"ghost bound on {pair}: bad interval [{lo}, {hi}]")
     return inst
 
 

@@ -9,8 +9,8 @@ rank <= 1 condition.  This module provides
     that outer-approximate the convex hull,
   * RLT-generated linear cut families (McCormick and reverse-convex) plus
     conic descriptors used for point-wise validity checking only,
-  * the hull pieces of the exactness argument, and on them ``hull_bound``,
-    the exact minimum of a linear cost over the set with a witness point,
+  * ``hull_bound``, the exact minimum of a linear cost over the set with a
+    witness point, in closed form on all the hull pieces at once,
   * a sampler of the set; with ``hull_bound`` it is independent of the
     fragment builders and cross-checks them in the test suite.
 
@@ -61,7 +61,7 @@ class BoundBox:
         if len(self.l) != len(self.u) or len(self.lp) != len(self.up):
             raise BoxError("row/column bound vectors have mismatched lengths")
         for lo, hi in zip(self.l + self.lp + (self.L,), self.u + self.up + (self.U,)):
-            if lo < 0 or hi < lo:
+            if not 0 <= lo <= hi or lo == INF:  # a NaN end fails the chain
                 raise BoxError(f"bad interval [{lo}, {hi}]")
 
     @property
@@ -546,30 +546,19 @@ def evaluate_linear_cuts(cuts: list[LinearCut], X) -> float:
     return worst
 
 
-# -- hull pieces and the exact oracle --------------------------------------
+# -- the exact oracle ------------------------------------------------------
 
-MAX_PIECE_CELLS = 16  # a 4 x 4 box has 16 * 2^6 = 1,024 pieces
-
-
-@dataclass(frozen=True)
-class HullPiece:
-    """One pivot cell; every other row and column sum at its lower ("l") or
-    upper ("u") bound, "*" marking the pivot's row and column."""
-
-    pivot: tuple[int, int]
-    row_choice: tuple[str, ...]
-    col_choice: tuple[str, ...]
+MAX_HULL_PIECES = 2 ** 19  # m n 2^(m+n-2) pieces: a 1 x 16 box has exactly this many
 
 
-def enumerate_hull_pieces(box: BoundBox) -> list[HullPiece]:
-    m, n = box.m, box.n
-    if m * n > MAX_PIECE_CELLS:
-        raise BoxError(f"enumeration guard: m*n = {m * n} > {MAX_PIECE_CELLS}")
-    return [HullPiece((i, j), rsel[:i] + ("*",) + rsel[i:],
-                      csel[:j] + ("*",) + csel[j:])
-            for i, j in itertools.product(range(m), range(n))
-            for rsel in itertools.product("lu", repeat=m - 1)
-            for csel in itertools.product("lu", repeat=n - 1)]
+def _bound_choices(lo, hi, k: int) -> np.ndarray:
+    """Every lower/upper choice for the entries other than k, as the rows of
+    a (2^(len-1), len) array whose column k is 0."""
+    others = np.delete(np.arange(len(lo)), k)
+    upper = (np.arange(2 ** len(others))[:, None] >> np.arange(len(others))) & 1
+    out = np.zeros((len(upper), len(lo)))
+    out[:, others] = np.where(upper, hi[others], lo[others])
+    return out
 
 
 def hull_bound(box: BoundBox, c) -> tuple[float, np.ndarray]:
@@ -578,44 +567,48 @@ def hull_bound(box: BoundBox, c) -> tuple[float, np.ndarray]:
 
     At an extreme point of the set's hull at most one row sum and one column
     sum lie strictly between their bounds, so the minimum lies on a hull
-    piece.  There the total sigma is the one free parameter: the sums are
+    piece: a pivot cell (i, j), every other row and column sum at a bound.
+    There the total sigma is the one free parameter: the sums are
     r(sigma) = r0 + sigma e_i and s(sigma) = s0 + sigma e_j, and
     <c, X> = r^T c s / sigma = c_ij sigma + beta + delta / sigma with
     delta = r0^T c s0.  Its minimum over the piece's sigma-interval lies at
-    an end or at sqrt(delta / c_ij).  Raises BoxError on an infinite bound
-    or more than MAX_PIECE_CELLS cells, and EmptySampleError when the set is
-    empty.
+    an end or at sqrt(delta / c_ij).  Each pivot's pieces are evaluated as
+    one (row choice x column choice) array.  Raises BoxError on an infinite
+    bound or more than MAX_HULL_PIECES pieces, and EmptySampleError when the
+    set is empty.
     """
+    m, n = box.m, box.n
     if not all(map(math.isfinite, box.u + box.up + (box.U,))):
         raise BoxError("hull_bound needs finite bounds")
+    if m * n * 2 ** (m + n - 2) > MAX_HULL_PIECES:
+        raise BoxError(f"piece guard: {m} x {n} has {m * n} * 2^{m + n - 2} pieces")
     c = np.asarray(c, dtype=float)
     l, u, lp, up, L, U = box.arrays()
+    rows = [_bound_choices(l, u, i) for i in range(m)]
+    cols = [_bound_choices(lp, up, j) for j in range(n)]
     best_value, best_X = INF, None
-    for piece in enumerate_hull_pieces(box):
-        i, j = piece.pivot
-        r0 = np.where(np.array(piece.row_choice) == "u", u, l)
-        s0 = np.where(np.array(piece.col_choice) == "u", up, lp)
-        r0[i] = s0[j] = 0.0
-        B, Bp = r0.sum(), s0.sum()
-        lo = max(L, B + l[i], Bp + lp[j])
-        hi = min(U, B + u[i], Bp + up[j])
-        if lo > hi:
-            continue
-        r0[i], s0[j] = -B, -Bp
-        a, delta = c[i, j], r0 @ c @ s0
-        sigmas = [lo, hi]
-        if a > 0 and a * lo * lo < delta < a * hi * hi:  # lo < sqrt(delta/a) < hi
-            sigmas.append(math.sqrt(delta / a))
-        for sigma in sigmas:
-            r0[i], s0[j] = sigma - B, sigma - Bp
+    for i, j in itertools.product(range(m), range(n)):
+        R, S = rows[i].copy(), cols[j].copy()
+        B, Bp = R.sum(axis=1)[:, None], S.sum(axis=1)
+        lo = np.maximum(np.maximum(L, B + l[i]), Bp + lp[j])
+        hi = np.minimum(np.minimum(U, B + u[i]), Bp + up[j])
+        R[:, [i]], S[:, j] = -B, -Bp
+        a, delta = c[i, j], R @ c @ S.T
+        beta = R @ c[:, [j]] + S @ c[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = (a > 0) & (a * lo * lo < delta) & (delta < a * hi * hi)
+            sigma = np.stack([lo, hi, np.where(inside, np.sqrt(delta / a), lo)])
             # sigma = 0 needs B = B' = 0, so the piece's only point is X = 0
-            X = np.outer(r0, s0) / sigma if sigma > 0 else np.zeros((box.m, box.n))
-            value = float((c * X).sum())
-            if value < best_value:
-                best_value, best_X = value, X
+            value = np.where(sigma > 0, a * sigma + beta + delta / sigma, 0.0)
+        value[:, lo > hi] = INF
+        k = np.unravel_index(value.argmin(), value.shape)
+        if value[k] < best_value:
+            r, s, t = R[k[1]], S[k[2]], sigma[k]
+            r[i], s[j] = r[i] + t, s[j] + t
+            best_value, best_X = value[k], np.outer(r, s) / t if t > 0 else np.zeros((m, n))
     if best_X is None:
         raise EmptySampleError("no hull piece has a feasible total")
-    return best_value, best_X
+    return float((c * best_X).sum()), best_X
 
 
 # -- extreme point counting ---------------------------------------------------

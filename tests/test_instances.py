@@ -1,5 +1,8 @@
 """Instance parsing, validation, generalization and mining conversion."""
 
+import json
+import math
+
 import pytest
 
 from poolkit.instances import (InconsistencyError, MiningSchedule, SchemaError,
@@ -9,6 +12,14 @@ from poolkit.instances import (InconsistencyError, MiningSchedule, SchemaError,
 
 
 from conftest import make_schedule
+
+
+def arc_entry(data, tail, head):
+    return next(a for a in data["arcs"] if (a["from"], a["to"]) == (tail, head))
+
+
+def node_entry(data, nid):
+    return next(n for n in data["nodes"] if n["id"] == nid)
 
 
 class TestParsing:
@@ -95,6 +106,25 @@ class TestParsing:
         inst = parse_instance_dict(data)
         arc = inst.arcs[("s", "t")]
         assert arc.l == 0.0 and arc.u == float("inf")
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: arc_entry(d, "A", "p1").update(u=math.nan),
+        lambda d: arc_entry(d, "A", "p1").update(l=math.inf, u=None),
+        lambda d: node_entry(d, "p1").update(U=math.nan),
+        lambda d: node_entry(d, "p1").update(L=math.inf, U=None),
+        lambda d: d.update(ghost_bounds=[["C", "p1", 5.0, 1.0]]),
+        lambda d: d.update(ghost_bounds=[["C", "p1", -3.0, 1.0]]),
+        lambda d: d.update(ghost_bounds=[["C", "p1", math.nan, 1.0]]),
+        lambda d: d.update(ghost_bounds=[["C", "p1", math.inf, math.inf]]),
+    ], ids=["arc-u-nan", "arc-l-infinity", "node-u-nan", "node-l-infinity",
+            "ghost-reversed", "ghost-negative", "ghost-l-nan", "ghost-l-infinity"])
+    def test_nan_and_bad_intervals_are_inconsistent(self, haverly1, edit):
+        # json reads NaN and Infinity, and NaN fails every comparison, so
+        # each of these once parsed and failed later in a model or a solve
+        data = to_dict(haverly1)
+        edit(data)
+        with pytest.raises(InconsistencyError, match="bad"):
+            parse_instance_dict(json.loads(json.dumps(data)))
 
 
 class TestContentHash:

@@ -1,5 +1,8 @@
 """Geometry of the rank-one bounded-sum sets: membership, fragments, cuts,
-hull pieces, the exact oracle and the sampler."""
+the exact oracle against its piece-by-piece reference, and the sampler."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,14 +15,18 @@ from poolkit.rank1 import (INF, BoxError, EmptySampleError, InfeasiblePointError
                            build_colwise_extension,
                            build_intersection, build_rowcol_extension,
                            build_rowwise_extension, check_extreme_point_property,
-                           enumerate_hull_pieces, evaluate_conic_cuts,
+                           evaluate_conic_cuts,
                            evaluate_linear_cuts, gen_rlt_conic, gen_rlt_mccormick,
                            gen_rlt_reverse_convex, hull_bound, is_rank_le_one,
                            make_box, membership_T, membership_T_tilde, normalize,
                            random_box, sample_rank_one_points)
+from poolkit.formulations import build_exact
+from poolkit.instances import parse_instance
 from poolkit.modelir import ModelIR
 from poolkit.relaxations import block_value
 from poolkit.solver import OPTIMAL, solve
+
+from conftest import DATA
 
 
 def box22():
@@ -109,6 +116,14 @@ class TestNormalize:
     def test_zero_u_with_positive_l_is_an_error(self):
         with pytest.raises(BoxError):
             normalize(make_box([1, 0], [0, 2], [0, 0], [2, 2], 0, 4))
+
+    @pytest.mark.parametrize("l,u", [(np.nan, 1), (0, np.nan), (INF, INF), (-1, 1)])
+    def test_nan_infinite_or_negative_lower_is_an_error(self, l, u):
+        # a NaN row bound once made hull_bound return (0.0, zeros)
+        with pytest.raises(BoxError):
+            make_box([l], [u], [0], [1], 0, 1)
+        with pytest.raises(BoxError):
+            make_box([0], [1], [0], [1], l, u)
 
 
 class TestFragments:
@@ -374,14 +389,16 @@ class TestRLT:
 
 class TestHullPieces:
     def test_2x2_piece_count(self):
-        pieces = enumerate_hull_pieces(box22())
+        pieces = list(reference_hull_pieces(box22()))
         assert len(pieces) == 4 * 2 * 2  # mn pivots x 2^(m+n-2) selections
-        assert len({(p.pivot, p.row_choice, p.col_choice) for p in pieces}) == 16
+        assert len({(p, tuple(r), tuple(s)) for p, r, s in pieces}) == 16
 
     def test_guard(self):
-        big = make_box([0] * 5, [1] * 5, [0] * 4, [1] * 4, 0, 5)
-        with pytest.raises(BoxError):
-            enumerate_hull_pieces(big)
+        # the piece guard admits every box the old 16-cell guard did: the
+        # most pieces of m x n <= 16 are 1 x 16's, exactly the guard
+        counts = {(m, n): m * n * 2 ** (m + n - 2)
+                  for m in range(1, 17) for n in range(1, 17) if m * n <= 16}
+        assert max(counts.values()) == counts[1, 16] == rank1.MAX_HULL_PIECES
 
 
 class TestExtremePoints:
@@ -433,9 +450,15 @@ class TestHullBound:
         assert X.sum() == pytest.approx(np.sqrt(2), abs=1e-12)
 
     def test_guard(self):
-        box = make_box([0] * 5, [1] * 5, [0] * 4, [1] * 4, 0, 5)
-        with pytest.raises(BoxError):
-            hull_bound(box, np.zeros((5, 4)))
+        class Unread:
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("the cost was read before the guard")
+
+        # 48 * 2^47 and 48 * 2^24 pieces: refused before any array is made
+        for m, n in [(1, 48), (2, 24)]:
+            box = make_box([0] * m, [1] * m, [0] * n, [1] * n, 0, 5)
+            with pytest.raises(BoxError, match="piece guard"):
+                hull_bound(box, Unread())
         with pytest.raises(BoxError):
             hull_bound(make_box([0], [INF], [0], [1], 0, 1), np.ones((1, 1)))
 
@@ -477,6 +500,28 @@ class TestHullBoundProperties:
                                  samples=500)
         count_row, count_col = check_extreme_point_property(X, box)
         assert count_row <= 1 and count_col <= 1
+        assert_matches_reference(box, c)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_matches_the_reference_up_to_5x5(self, m):
+        rng = np.random.default_rng(2100 + m)
+        for n in range(1, 6):
+            for positive_lower in (False, True):
+                box = random_box(rng, m, n, positive_lower=positive_lower)
+                assert_matches_reference(box, rng.normal(size=(m, n)))
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.stem)
+def test_every_bundled_pool_block_fits_the_oracle(path):
+    """Every normalized pool block of the bundled instances, in both bases,
+    up to adhya3's and adhya4's 8 x 6, lies under the piece guard."""
+    rng = np.random.default_rng(sum(map(ord, path.stem)))
+    inst = parse_instance(path)
+    for basis in ("source", "terminal"):
+        for block in build_exact(inst, basis).blocks:
+            box, _, _ = normalize(block.box)
+            assert_hull_sandwich(box, rng.normal(size=(box.m, box.n)), rng,
+                                 labels=("F4:S",), samples=500)
 
 
 class TestSampling:
@@ -492,6 +537,54 @@ class TestSampling:
         for x in X:
             assert membership_T(x, box, 1e-7)
             assert is_rank_le_one(x)
+
+
+def reference_hull_pieces(box):
+    """Each hull piece as (pivot, r0, s0): every row and column sum but the
+    pivot's at its lower or upper bound, the pivot's entries 0."""
+    l, u, lp, up, _, _ = box.arrays()
+    for i, j in itertools.product(range(box.m), range(box.n)):
+        for rsel in itertools.product("lu", repeat=box.m - 1):
+            for csel in itertools.product("lu", repeat=box.n - 1):
+                r0 = np.where(np.array(rsel[:i] + ("*",) + rsel[i:]) == "u", u, l)
+                s0 = np.where(np.array(csel[:j] + ("*",) + csel[j:]) == "u", up, lp)
+                r0[i] = s0[j] = 0.0
+                yield (i, j), r0, s0
+
+
+def reference_hull_bound(box, c):
+    """The exact minimum over the rank-one set piece by piece, sigma by
+    sigma, in closed form: the oracle's reference."""
+    c = np.asarray(c, dtype=float)
+    l, u, lp, up, L, U = box.arrays()
+    best = math.inf
+    for (i, j), r0, s0 in reference_hull_pieces(box):
+        B, Bp = r0.sum(), s0.sum()
+        lo = max(L, B + l[i], Bp + lp[j])
+        hi = min(U, B + u[i], Bp + up[j])
+        if lo > hi:
+            continue
+        r0[i], s0[j] = -B, -Bp
+        a, delta = c[i, j], r0 @ c @ s0
+        sigmas = [lo, hi]
+        if a > 0 and a * lo * lo < delta < a * hi * hi:  # lo < sqrt(delta/a) < hi
+            sigmas.append(math.sqrt(delta / a))
+        for sigma in sigmas:
+            r0[i], s0[j] = sigma - B, sigma - Bp
+            # sigma = 0 needs B = B' = 0, so the piece's only point is X = 0
+            X = np.outer(r0, s0) / sigma if sigma > 0 else np.zeros((box.m, box.n))
+            best = min(best, float((c * X).sum()))
+    return best
+
+
+def assert_matches_reference(box, c):
+    """hull_bound within 1e-12 (relative above 1) of the reference, at a
+    point of the set that attains it."""
+    value, X = hull_bound(box, c)
+    want = reference_hull_bound(box, c)
+    assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+    assert membership_T_tilde(X, box, 1e-7 * box.scale())
+    assert float((c * X).sum()) == value
 
 
 def reference_linear(cuts, X):
