@@ -208,19 +208,32 @@ def validate(inst: PoolingInstance) -> PoolingInstance:
             raise InconsistencyError(f"arc ({t}, {h}) references unknown node")
         if _bad_interval(arc.l, arc.u):
             raise InconsistencyError(f"arc ({t}, {h}): bad interval [{arc.l}, {arc.u}]")
+        if not math.isfinite(arc.cost):
+            raise InconsistencyError(f"arc ({t}, {h}): cost {arc.cost} is not finite")
         kt, kh = inst.kind(t), inst.kind(h)
         if kt == TERMINAL or kh == SOURCE or (kt == POOL and kh == SOURCE):
             raise InconsistencyError(f"arc ({t}, {h}): {kt} -> {kh} not allowed")
     for s in inst.sources:
-        if len(inst.lam.get(s, ())) != inst.n_specs:
+        lam = inst.lam.get(s, ())
+        if len(lam) != inst.n_specs:
             raise SchemaError(f"source {s!r}: spec vector missing or wrong length")
+        if not all(map(math.isfinite, lam)):
+            raise InconsistencyError(f"source {s!r}: spec vector {lam} is not finite")
     for t in inst.terminals:
         lo = inst.mu_lo.get(t, tuple([0.0] * inst.n_specs))
         hi = inst.mu_hi.get(t, tuple([INF] * inst.n_specs))
         if len(lo) != inst.n_specs or len(hi) != inst.n_specs:
             raise SchemaError(f"terminal {t!r}: spec window has wrong length")
-        if any(a > b for a, b in zip(lo, hi)):
-            raise InconsistencyError(f"terminal {t!r}: empty spec window")
+        # mu_hi may be +inf, no upper side; a NaN end fails a <= b
+        if not all(a <= b and math.isfinite(a) for a, b in zip(lo, hi)):
+            raise InconsistencyError(f"terminal {t!r}: empty spec window [{lo}, {hi}], "
+                                     "or a NaN or infinite lower end")
+    for t, weights in inst.penalty.items():
+        if len(weights) != inst.n_specs:
+            raise SchemaError(f"penalty on {t!r}: vector has wrong length")
+        if t not in inst.terminals or not all(0 <= w < INF for w in weights):  # NaN fails
+            raise InconsistencyError(f"penalty on {t!r}: not a terminal, or a weight of "
+                                     f"{weights} not finite and >= 0")
     for p in inst.pools:
         if not inst.S_i[p] or not inst.T_i[p]:
             raise InconsistencyError(f"pool {p!r} is unreachable (no source path "

@@ -6,7 +6,9 @@ rank <= 1 condition.  This module provides
 
   * membership tests for the polyhedral set and the rank condition,
   * the row-wise / column-wise / row-column extended-formulation fragments
-    that outer-approximate the convex hull,
+    that outer-approximate the convex hull: one builder serves both
+    orientations, and one writer, ``_bound_rows``, writes every bound row
+    (a lower row only for a positive bound, an upper one only for a finite),
   * RLT-generated linear cut families (McCormick and reverse-convex) plus
     conic descriptors used for point-wise validity checking only,
   * ``hull_bound``, the exact minimum of a linear cost over the set with a
@@ -213,57 +215,55 @@ class ModelFragment:
     aux: list[Term] = field(default_factory=list)
     rows: list[LinearCut] = field(default_factory=list)
 
-    def add(self, name: str, coeffs: dict, sense: str, rhs: float) -> None:
-        self.rows.append(LinearCut(name, tuple(coeffs.items()), sense, float(rhs)))
+    def add(self, name: str, coeffs, sense: str, rhs: float) -> None:
+        """Append a row; coeffs are (term, coefficient) pairs, each term once."""
+        self.rows.append(LinearCut(name, tuple(coeffs), sense, float(rhs)))
+
+
+def _bound_rows(frag: ModelFragment, name: str, idx, lhs, line,
+                lo: float, hi: float) -> None:
+    """lo * sum(line) <= sum(lhs) <= hi * sum(line), over two disjoint
+    iterables of terms, as the rows name_lo[idx] and name_hi[idx].  A lower
+    row is written only for a positive bound, an upper row only for a
+    finite one: at a zero bound the lower row reads sum(lhs) >= 0, which
+    the nonnegative terms already say."""
+    head = [(term, 1.0) for term in lhs]
+    if lo > 0:
+        frag.add(f"{name}_lo[{idx}]", head + [(term, -lo) for term in line], ">=", 0.0)
+    if math.isfinite(hi):
+        frag.add(f"{name}_hi[{idx}]", head + [(term, -hi) for term in line], "<=", 0.0)
+
+
+def _line_extension(box: BoundBox, rowwise: bool) -> ModelFragment:
+    """The row-wise fragment, or with rowwise False its transpose image, the
+    column-wise one; either writes its cells row by row."""
+    m, n = box.m, box.n
+    fam, lo, hi, sums, lines = (("t", box.l, box.u, "col", n) if rowwise
+                                else ("tp", box.lp, box.up, "row", m))
+    frag = ModelFragment([(fam, k) for k in range(lines)])
+    for i in range(m):
+        for j in range(n):
+            k, b = (j, i) if rowwise else (i, j)  # the cell's fraction and kept sum
+            _bound_rows(frag, "cell", f"{i},{j}", [("x", i, j)], [(fam, k)], lo[b], hi[b])
+    for k in range(lines):
+        cells = _col_sum("x", k, m) if rowwise else _row_sum("x", k, n)
+        _bound_rows(frag, sums, k, cells, [(fam, k)], box.L, box.U)
+    frag.add("simplex", [(a, 1.0) for a in frag.aux], "==", 1.0)
+    return frag
 
 
 def build_rowwise_extension(box: BoundBox) -> ModelFragment:
     """Hull of the set with row-sum and overall bounds kept (columns relaxed).
 
     One fraction variable per column; a rank-one point X extends via
-    t_j = x_ij / (row sum i) for any nonzero row i.  A lower row is written
-    only for a positive bound, as an upper row only for a finite one: at a
-    zero bound it would read x >= 0, which the cells' own bounds say.
+    t_j = x_ij / (row sum i) for any nonzero row i.
     """
-    m, n = box.m, box.n
-    frag = ModelFragment([("t", j) for j in range(n)])
-    t = frag.aux
-    for i in range(m):
-        for j in range(n):
-            if box.l[i] > 0:
-                frag.add(f"cell_lo[{i},{j}]", {("x", i, j): 1.0, t[j]: -box.l[i]}, ">=", 0.0)
-            if math.isfinite(box.u[i]):
-                frag.add(f"cell_hi[{i},{j}]", {("x", i, j): 1.0, t[j]: -box.u[i]}, "<=", 0.0)
-    for j in range(n):
-        col = {("x", i, j): 1.0 for i in range(m)}
-        if box.L > 0:
-            frag.add(f"col_lo[{j}]", {**col, t[j]: -box.L}, ">=", 0.0)
-        if math.isfinite(box.U):
-            frag.add(f"col_hi[{j}]", {**col, t[j]: -box.U}, "<=", 0.0)
-    frag.add("simplex", {tj: 1.0 for tj in t}, "==", 1.0)
-    return frag
+    return _line_extension(box, rowwise=True)
 
 
 def build_colwise_extension(box: BoundBox) -> ModelFragment:
-    """Column-sum analogue of build_rowwise_extension (one variable per row),
-    which likewise writes a lower row only for a positive bound."""
-    m, n = box.m, box.n
-    frag = ModelFragment([("tp", i) for i in range(m)])
-    tp = frag.aux
-    for i in range(m):
-        for j in range(n):
-            if box.lp[j] > 0:
-                frag.add(f"cell_lo[{i},{j}]", {("x", i, j): 1.0, tp[i]: -box.lp[j]}, ">=", 0.0)
-            if math.isfinite(box.up[j]):
-                frag.add(f"cell_hi[{i},{j}]", {("x", i, j): 1.0, tp[i]: -box.up[j]}, "<=", 0.0)
-    for i in range(m):
-        row = {("x", i, j): 1.0 for j in range(n)}
-        if box.L > 0:
-            frag.add(f"row_lo[{i}]", {**row, tp[i]: -box.L}, ">=", 0.0)
-        if math.isfinite(box.U):
-            frag.add(f"row_hi[{i}]", {**row, tp[i]: -box.U}, "<=", 0.0)
-    frag.add("simplex", {ti: 1.0 for ti in tp}, "==", 1.0)
-    return frag
+    """Column-sum analogue of build_rowwise_extension (one variable per row)."""
+    return _line_extension(box, rowwise=False)
 
 
 def build_intersection(box: BoundBox) -> ModelFragment:
@@ -276,35 +276,21 @@ def build_intersection(box: BoundBox) -> ModelFragment:
 
 
 def build_rowcol_extension(box: BoundBox) -> ModelFragment:
-    """Stronger fragment with one cell-fraction variable per entry; like
-    build_rowwise_extension it writes a lower row only for a positive bound."""
+    """Stronger fragment with one cell-fraction variable per entry: each cell
+    is bounded by its row's bounds times its column's fractions (rowb), by
+    the overall bounds times its own fraction (tot) and by its column's
+    bounds times its row's fractions (colb)."""
     m, n = box.m, box.n
     frag = ModelFragment(list(_total("r", m, n)))
+    cols = [[("r", i, j) for i in range(m)] for j in range(n)]
+    rows = [[("r", i, j) for j in range(n)] for i in range(m)]
     for i in range(m):
         for j in range(n):
-            colsum = _col_sum("r", j, m)
-            rowsum = _row_sum("r", i, n)
-            if box.l[i] > 0:
-                frag.add(f"rowb_lo[{i},{j}]",
-                         {("x", i, j): 1.0, **{k: -box.l[i] * v for k, v in colsum.items()}},
-                         ">=", 0.0)
-            if math.isfinite(box.u[i]):
-                frag.add(f"rowb_hi[{i},{j}]",
-                         {("x", i, j): 1.0, **{k: -box.u[i] * v for k, v in colsum.items()}},
-                         "<=", 0.0)
-            if box.L > 0:
-                frag.add(f"tot_lo[{i},{j}]", {("x", i, j): 1.0, ("r", i, j): -box.L}, ">=", 0.0)
-            if math.isfinite(box.U):
-                frag.add(f"tot_hi[{i},{j}]", {("x", i, j): 1.0, ("r", i, j): -box.U}, "<=", 0.0)
-            if box.lp[j] > 0:
-                frag.add(f"colb_lo[{i},{j}]",
-                         {("x", i, j): 1.0, **{k: -box.lp[j] * v for k, v in rowsum.items()}},
-                         ">=", 0.0)
-            if math.isfinite(box.up[j]):
-                frag.add(f"colb_hi[{i},{j}]",
-                         {("x", i, j): 1.0, **{k: -box.up[j] * v for k, v in rowsum.items()}},
-                         "<=", 0.0)
-    frag.add("simplex", _total("r", m, n), "==", 1.0)
+            idx, x = f"{i},{j}", [("x", i, j)]
+            _bound_rows(frag, "rowb", idx, x, cols[j], box.l[i], box.u[i])
+            _bound_rows(frag, "tot", idx, x, [("r", i, j)], box.L, box.U)
+            _bound_rows(frag, "colb", idx, x, rows[i], box.lp[j], box.up[j])
+    frag.add("simplex", [(a, 1.0) for a in frag.aux], "==", 1.0)
     return frag
 
 
@@ -443,12 +429,11 @@ def _conic_value(cut: ConicCut, box: BoundBox, cs, rs, tot, xij):
     if cut.family == "cd":
         lhs = li * ui * cs**2 + lpj * upj * rs**2
         rhs = (li * lpj + ui * upj) * xij * tot
-    elif cut.family == "ac1-row":
-        lhs = li * cs**2
-        rhs = ((li * lpj / U) * cs - (lpj * upj / U) * rs + upj * xij) * tot
-    elif cut.family == "ac1-col":
-        lhs = lpj * rs**2
-        rhs = ((lpj * li / U) * rs - (li * ui / U) * cs + ui * xij) * tot
+    elif cut.family in ("ac1-row", "ac1-col"):  # ac1-col: rows and columns swapped
+        a, s, b, bu, bs = ((li, cs, lpj, upj, rs) if cut.family == "ac1-row"
+                           else (lpj, rs, li, ui, cs))
+        lhs = a * s**2
+        rhs = ((a * b / U) * s - (b * bu / U) * bs + bu * xij) * tot
     else:
         raise ValueError(cut.family)
     return lhs - rhs

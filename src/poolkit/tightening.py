@@ -96,7 +96,7 @@ def apply_bounds(inst: PoolingInstance, upd: BoundUpdate) -> PoolingInstance:
                 raise TighteningError(f"update targets unknown {kind} {key!r}")
             old = inst.interval(kind, key)
             lo, hi = max(old[0], new[0]), min(old[1], new[1])
-            if lo > hi + 1e-9 * max(1.0, abs(hi)):
+            if lo > hi:  # a crossing kept as lo > hi would fail every block's box
                 raise TighteningError(f"empty interval for {kind} {key}: [{lo}, {hi}]")
             met[kind][key] = (lo, hi)
     return inst.with_bounds(met["node"], met["arc"], met["ghost"])

@@ -380,6 +380,15 @@ class TestGridTightening:
         assert [r.obbt for r in cached] == [False, False]
         assert repr(timings_zeroed(cached)) == repr(timings_zeroed(plain))
 
+    def test_a_cached_update_that_crosses_is_written_obbt_0(self, haverly1, tmp_path):
+        # a crossing within rounding of p1's capacity: kept, it raised BoxError
+        bad = BoundUpdate(node_bounds={"p1": (100.0, 100.0 - 5e-8)})
+        name = f"{content_hash(haverly1)}-{RECIPE_LABEL}.json"
+        (tmp_path / name).write_text(bad.to_json())
+        records = run_grid(GridConfig([("haverly1", haverly1)], ["F4:S"], obbt=True,
+                                      bounds_cache=str(tmp_path)))
+        assert [r.obbt for r in records] == [False]
+
     def test_a_recipe_out_of_time_is_not_cached(self, haverly1, tmp_path):
         # the cache key records no time limit, so an update cut short by one
         # must not stand in for a full one in a later grid

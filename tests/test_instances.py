@@ -126,6 +126,34 @@ class TestParsing:
         with pytest.raises(InconsistencyError, match="bad"):
             parse_instance_dict(json.loads(json.dumps(data)))
 
+    @pytest.mark.parametrize("edit, error", [
+        (lambda d: arc_entry(d, "A", "p1").update(cost=math.nan), InconsistencyError),
+        (lambda d: arc_entry(d, "A", "p1").update(cost=math.inf), InconsistencyError),
+        (lambda d: d["specs"]["lambda"].update(A=[math.nan]), InconsistencyError),
+        (lambda d: d["specs"]["mu_hi"].update(X=[math.nan]), InconsistencyError),
+        (lambda d: d["specs"]["mu_lo"].update(X=[math.nan]), InconsistencyError),
+        (lambda d: d.update(penalty={"X": []}), SchemaError),
+        (lambda d: d.update(penalty={"X": [math.nan]}), InconsistencyError),
+        (lambda d: d.update(penalty={"X": [-1.0]}), InconsistencyError),
+        (lambda d: d.update(penalty={"p1": [1.0]}), InconsistencyError),
+    ], ids=["cost-nan", "cost-infinity", "lambda-nan", "mu-hi-nan", "mu-lo-nan",
+            "penalty-short", "penalty-nan", "penalty-negative", "penalty-not-a-terminal"])
+    def test_numbers_the_models_cannot_use_are_rejected(self, haverly1, edit, error):
+        # each once parsed, then solved to nan, to a wrong value or unbounded,
+        # or raised IndexError while the model was built
+        data = to_dict(haverly1)
+        edit(data)
+        with pytest.raises(error):
+            parse_instance_dict(json.loads(json.dumps(data)))
+
+    def test_open_spec_window_and_penalties_parse(self, haverly1):
+        data = to_dict(haverly1)
+        data["specs"]["mu_hi"]["X"] = [None]
+        data["penalty"] = {"X": [0.0], "Y": [2.5]}
+        inst = parse_instance_dict(json.loads(json.dumps(data)))
+        assert inst.mu_hi["X"] == (math.inf,)
+        assert inst.penalty == {"X": (0.0,), "Y": (2.5,)}
+
 
 class TestContentHash:
     def test_parsed_instance_keeps_its_hash(self, haverly1):

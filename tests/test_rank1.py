@@ -3,6 +3,7 @@ the exact oracle against its piece-by-piece reference, and the sampler."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,10 +215,14 @@ class TestFragments:
         assert res.status == "optimal"
         assert not is_rank_le_one(X)
 
-    def test_colwise_is_transposed_rowwise(self):
-        box = box22()
-        cw = build_colwise_extension(box)
-        rw_t = build_rowwise_extension(box.transpose())
+    def test_colwise_is_transposed_rowwise(self, rng):
+        # zero lower bounds and infinite upper bounds drop rows, so both
+        # builders must drop the same ones
+        boxes = [box22(), *(random_box(rng, m, n) for m, n in
+                            [(1, 3), (2, 2), (2, 3), (3, 2), (3, 4), (4, 3)]),
+                 make_box([1, 0], [4, INF], [0, 2], [INF, 5], 1, INF),
+                 make_box([0, 2, 1], [3, 6, INF], [1, 0], [5, 4], 0, 9)]
+        assert any(0.0 in box.l + box.lp for box in boxes[1:7])
 
         def canon(frag, swap):
             rows = []
@@ -229,10 +234,17 @@ class TestFragments:
                         coeffs.append((("x",) + idx, c))
                     else:
                         coeffs.append((("aux", term[1]), c))
-                rows.append((tuple(sorted(coeffs)), row.sense, row.rhs))
+                name = row.name
+                if swap:  # cell[i,j] <-> cell[j,i], col_* <-> row_*
+                    name = re.sub(r"\[(\d+),(\d+)\]", r"[\2,\1]", name)
+                    name = re.sub(r"^col_", "row_", name)
+                rows.append((name, tuple(sorted(coeffs)), row.sense, row.rhs))
             return sorted(rows)
 
-        assert canon(cw, swap=False) == canon(rw_t, swap=True)
+        for box in boxes:
+            cw = build_colwise_extension(box)
+            rw_t = build_rowwise_extension(box.transpose())
+            assert canon(cw, swap=False) == canon(rw_t, swap=True)
 
     def test_colwise_lp_matches_rowwise_on_transpose(self, rng):
         box = random_box(rng, 2, 3)

@@ -129,6 +129,12 @@ class TestOBBT:
         with pytest.raises(TighteningError, match="empty interval"):
             apply_bounds(haverly1, upd)
 
+    def test_a_crossing_within_rounding_is_empty(self, haverly1):
+        # kept as [100, 99.99999995], it made every block box of p1 raise BoxError
+        upd = BoundUpdate(node_bounds={"p1": (100.0, 100.0 - 5e-8)})
+        with pytest.raises(TighteningError, match="empty interval"):
+            apply_bounds(haverly1, upd)
+
     def test_json_round_trip(self, haverly1):
         upd = default_obbt_recipe(haverly1)
         back = BoundUpdate.from_json(upd.to_json())
