@@ -6,7 +6,9 @@ Run from the repository root:
     python scripts/model_diff.py diff BEFORE.json AFTER.json
 
 ``dump`` builds every bundled instance x LABELS model (the labels of
-``tests/test_model_digests.py``) with ``relaxations.build_method`` and
+``tests/test_model_digests.py``) with ``relaxations.build_method``, and
+the same for the converted mining example (as ``mining``, the instance of
+``MINING_DIGEST``, the only one with terminal-basis ghost pairs), and
 writes each model's variables and rows, in model order, with every bound
 and coefficient as the builder gave it.  ``diff`` compares two such files
 and prints every difference but a removed implied row (a variable
@@ -32,7 +34,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from poolkit import parse_instance  # noqa: E402
+from poolkit import convert_mining, parse_instance, parse_mining  # noqa: E402
 from poolkit.relaxations import build_method, parse_method  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "poolkit" / "data"
@@ -61,13 +63,14 @@ def model_record(model) -> dict:
 
 
 def dump() -> dict[str, dict[str, dict]]:
-    """instance -> label -> model record, for INSTANCES x LABELS."""
-    out = {}
-    for name in INSTANCES:
-        inst = parse_instance(DATA / f"{name}.json")
-        out[name] = {label: model_record(build_method(inst, parse_method(label)).model)
-                     for label in LABELS}
-    return out
+    """instance -> label -> model record, for INSTANCES and ``mining`` x
+    LABELS."""
+    instances = {name: parse_instance(DATA / f"{name}.json") for name in INSTANCES}
+    instances["mining"] = convert_mining(parse_mining(DATA / "mining" /
+                                                      "example_schedule.json"))
+    return {name: {label: model_record(build_method(inst, parse_method(label)).model)
+                   for label in LABELS}
+            for name, inst in instances.items()}
 
 
 def family(row_name: str) -> str:

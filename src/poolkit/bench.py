@@ -18,17 +18,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-import pathlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
-from .instances import PoolingInstance, content_hash
+from .instances import PoolingInstance
 from .relaxations import MethodSpec, build_method, parse_method
 from .solver import OPTIMAL, TIME_LIMIT, Budget, SolveParams, SolveResult, solve
-from .tightening import (RECIPE_LABEL, RECIPE_RELAXATION, RECIPE_RESTRICTION,
-                         BoundUpdate, TighteningError, apply_bounds,
-                         default_obbt_recipe, obbt)
+from .tightening import (RECIPE_RELAXATION, RECIPE_RESTRICTION, BoundUpdate,
+                         TighteningError, apply_bounds, default_obbt_recipe, obbt)
 
 GAP_UNDEFINED = float("nan")
 
@@ -216,12 +214,16 @@ class RunRecord:
 
     @classmethod
     def from_csv_row(cls, row: list[str]) -> "RunRecord":
-        def num(s):
-            return None if s == "" else float(s)
+        """The inverse of ``csv_row``, column by field; a row may stop
+        before the fields that have defaults."""
+        def read(f, s):
+            if f.type == "str":
+                return s
+            if f.type == "bool":
+                return s == "1"
+            return None if s == "" and "None" in f.type else float(s)
 
-        return cls(row[0], row[1], row[2] == "1", float(row[3]), float(row[4]),
-                   num(row[5]), num(row[6]), float(row[7]), row[8], row[9],
-                   row[10])
+        return cls(*(read(f, s) for f, s in zip(fields(cls), row)))
 
 
 @dataclass
@@ -233,26 +235,6 @@ class GridConfig:
     threads: int = 1
     obbt_workers: int = 8             # no effect: OBBT sweeps are sequential
     bounds_cache: str | None = None   # directory for cached BoundUpdate JSON
-
-
-def _cached_obbt(inst: PoolingInstance, cache_dir: str | None,
-                 params: SolveParams):
-    """Run the default recipe, consulting the cache keyed by instance hash
-    and recipe label when a cache directory is configured.  A recipe that
-    spends the time of ``params`` may be cut short: it raises
-    TighteningError and is not cached, as the key records no time limit."""
-    if cache_dir:
-        path = pathlib.Path(cache_dir) / f"{content_hash(inst)}-{RECIPE_LABEL}.json"
-        if path.exists():
-            return BoundUpdate.from_json(path.read_text())
-    budget = Budget(params)
-    upd = default_obbt_recipe(inst, params=budget.params())
-    if budget.spent:
-        raise TighteningError("the OBBT recipe ran out of time")
-    if cache_dir:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(upd.to_json())
-    return upd
 
 
 def _gap_kind(spec: MethodSpec) -> str:
@@ -312,7 +294,8 @@ def run_grid(config: GridConfig) -> list[RunRecord]:
             if config.obbt:
                 t0 = time.perf_counter()
                 try:
-                    upd = _cached_obbt(inst, config.bounds_cache, budget.params())
+                    upd = default_obbt_recipe(inst, params=budget.params(),
+                                              cache_dir=config.bounds_cache)
                 except TighteningError:
                     pass   # the cells say obbt=0: this instance is not tightened
                 prep = time.perf_counter() - t0

@@ -195,6 +195,7 @@ def build_backbone(inst: PoolingInstance, basis: str) -> BilinearModel:
         inflow_f = [fvar(j, t) for j in inst.in_nbrs[t]]
         if not inflow_f or inst.n_specs == 0:
             continue
+        los, his = inst.window(t)
         for k in range(inst.n_specs):
             lam_x: dict[str, float] = {}
             for j in inst.in_nbrs[t]:
@@ -211,8 +212,7 @@ def build_backbone(inst: PoolingInstance, basis: str) -> BilinearModel:
                     for s in inst.in_nbrs[i]:
                         if s in inst.sources:
                             lam_x[xvar(s, i, t)] = lam_x.get(xvar(s, i, t), 0.0) + inst.lam[s][k]
-            hi = inst.mu_hi.get(t, tuple([INF] * inst.n_specs))[k]
-            lo = inst.mu_lo.get(t, tuple([0.0] * inst.n_specs))[k]
+            lo, hi = los[k], his[k]
             # each side: its sense, its bound, the sign its violation takes,
             # and whether it bounds anything
             for side, sense, mu, v_coeff, bounded in (

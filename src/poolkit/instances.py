@@ -123,6 +123,11 @@ class PoolingInstance:
     def kind(self, n: str) -> str:
         return self.nodes[n].kind
 
+    def window(self, t: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Terminal t's spec window (mu_lo, mu_hi); [0, inf) where absent."""
+        return (self.mu_lo.get(t, (0.0,) * self.n_specs),
+                self.mu_hi.get(t, (INF,) * self.n_specs))
+
     def ghost_pairs(self, basis: str = SOURCE_BASIS) -> list[tuple[str, str]]:
         """The basis's commodity pairs that have no physical arc."""
         if basis == SOURCE_BASIS:
@@ -158,10 +163,7 @@ class PoolingInstance:
     def characteristics(self) -> dict[str, int]:
         """Node/arc counts; 'core' counts exclude the surplus machinery that
         the mining converter appends (ids carrying the 'inf' time tag)."""
-        def is_surplus(n: str) -> bool:
-            return n.endswith(":inf")
-
-        core_nodes = {n for n in self.nodes if not is_surplus(n)}
+        core_nodes = {n for n in self.nodes if node_time(n) != INF}
         core_arcs = [(a, b) for (a, b) in self.arcs
                      if a in core_nodes and b in core_nodes]
         asi = sum(1 for (a, b) in core_arcs
@@ -213,27 +215,27 @@ def validate(inst: PoolingInstance) -> PoolingInstance:
         kt, kh = inst.kind(t), inst.kind(h)
         if kt == TERMINAL or kh == SOURCE or (kt == POOL and kh == SOURCE):
             raise InconsistencyError(f"arc ({t}, {h}): {kt} -> {kh} not allowed")
-    for s in inst.sources:
-        lam = inst.lam.get(s, ())
-        if len(lam) != inst.n_specs:
-            raise SchemaError(f"source {s!r}: spec vector missing or wrong length")
-        if not all(map(math.isfinite, lam)):
-            raise InconsistencyError(f"source {s!r}: spec vector {lam} is not finite")
+    # every spec map: its name, the node kind that keys it, its vectors
+    # (a source without lambda has an empty one), and the entry test
+    for label, owner, table, good, need in (
+            ("spec vector", SOURCE, {**dict.fromkeys(inst.sources, ()), **inst.lam},
+             math.isfinite, "finite"),
+            ("spec window", TERMINAL, inst.mu_lo, math.isfinite, "finite"),
+            ("spec window", TERMINAL, inst.mu_hi, lambda v: not math.isnan(v), "not NaN"),
+            ("penalty", TERMINAL, inst.penalty, lambda w: 0 <= w < INF,
+             "finite and >= 0")):
+        for key, vec in table.items():
+            if key not in inst.nodes or inst.kind(key) != owner:
+                raise InconsistencyError(f"{label} on {key!r}: not a {owner}")
+            if len(vec) != inst.n_specs:
+                raise SchemaError(f"{owner} {key!r}: {label} has wrong length "
+                                  f"({len(vec)}, not {inst.n_specs})")
+            if not all(map(good, vec)):
+                raise InconsistencyError(f"{owner} {key!r}: {label} {vec} is not {need}")
     for t in inst.terminals:
-        lo = inst.mu_lo.get(t, tuple([0.0] * inst.n_specs))
-        hi = inst.mu_hi.get(t, tuple([INF] * inst.n_specs))
-        if len(lo) != inst.n_specs or len(hi) != inst.n_specs:
-            raise SchemaError(f"terminal {t!r}: spec window has wrong length")
-        # mu_hi may be +inf, no upper side; a NaN end fails a <= b
-        if not all(a <= b and math.isfinite(a) for a, b in zip(lo, hi)):
-            raise InconsistencyError(f"terminal {t!r}: empty spec window [{lo}, {hi}], "
-                                     "or a NaN or infinite lower end")
-    for t, weights in inst.penalty.items():
-        if len(weights) != inst.n_specs:
-            raise SchemaError(f"penalty on {t!r}: vector has wrong length")
-        if t not in inst.terminals or not all(0 <= w < INF for w in weights):  # NaN fails
-            raise InconsistencyError(f"penalty on {t!r}: not a terminal, or a weight of "
-                                     f"{weights} not finite and >= 0")
+        lo, hi = inst.window(t)
+        if any(a > b for a, b in zip(lo, hi)):
+            raise InconsistencyError(f"terminal {t!r}: empty spec window [{lo}, {hi}]")
     for p in inst.pools:
         if not inst.S_i[p] or not inst.T_i[p]:
             raise InconsistencyError(f"pool {p!r} is unreachable (no source path "
@@ -397,6 +399,17 @@ def _tag(time: float) -> str:
     return f"{time:g}"
 
 
+def node_time(nid: str) -> float | None:
+    """The time ``_tag`` wrote after the last ':' of a converted node id
+    ('s:pile:time', 'i:pile:time', 't:time'), inf on the surplus nodes
+    ('i:pile:inf', 't:inf'); None for an id without one."""
+    head, _, tag = nid.rpartition(":")
+    try:
+        return float(tag) if head else None
+    except ValueError:
+        return None
+
+
 def convert_mining(sched: MiningSchedule,
                    default_penalty: float = 1.0) -> PoolingInstance:
     """Time-indexed pooling instance: one source+pool per supply, a pool
@@ -437,7 +450,7 @@ def convert_mining(sched: MiningSchedule,
             arcs[(sid, pid)] = Arc(sid, pid, 0.0, s.qty, 0.0)
             pool_of[(pile, s.time)] = pid
         # chain within the stockpile, ending in the surplus pool
-        surplus_pool = f"i:{pile}:inf"
+        surplus_pool = f"i:{pile}:{_tag(INF)}"
         nodes[surplus_pool] = Node(surplus_pool, POOL, 0.0, cum)
         chain = [pool_of[(pile, s.time)] for s in sups] + [surplus_pool]
         for a, b in zip(chain, chain[1:]):
@@ -464,12 +477,12 @@ def convert_mining(sched: MiningSchedule,
 
     # surplus terminal takes everything that is not demanded
     surplus = sched.surplus()
-    tsur = "t:inf"
+    tsur = f"t:{_tag(INF)}"
     nodes[tsur] = Node(tsur, TERMINAL, surplus, surplus)
     mu_lo[tsur] = tuple([0.0] * k)
     mu_hi[tsur] = tuple([INF] * k)
     for pile in sched.stockpiles:
-        sp = f"i:{pile}:inf"
+        sp = f"i:{pile}:{_tag(INF)}"
         if sp in nodes:
             arcs[(sp, tsur)] = Arc(sp, tsur, 0.0, nodes[sp].U, 0.0)
 

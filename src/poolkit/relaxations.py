@@ -40,24 +40,15 @@ ALL_KINDS = F_KINDS + M_KINDS + G_KINDS + ("MCF", "EXACT")
 _FRAGMENT_FOR = {"F1": build_colwise_extension, "F2": build_rowwise_extension,
                  "F3": build_intersection, "F4": build_rowcol_extension}
 
-# discretization template per (kind, basis): "arc" puts binaries on the
-# physical-arc fractions, "commodity" on the commodity proportions.  The
-# index pairing across bases follows the benchmark method catalog (the
-# method, not the index, is basis-invariant), calibrated against the
-# published per-instance bounds.  G is numbered like M (G1:S and M1:S
-# discretize the same side); with that numbering every published Haverly
+# the side of a block that M and G discretize: M1/G1 put their binaries on
+# the terminal side, M2/G2 on the source side.  The terminal side is the
+# physical-arc fractions in the source basis and the commodity proportions
+# in the terminal basis.  The pairing follows the benchmark method catalog
+# (the method, not the index, is basis-invariant), calibrated against the
+# published per-instance bounds; with it every published Haverly
 # restriction cell is reproduced, including the haverly3 G2 cells
 # (3.45% / 4.17%).
-_VARIANT_FOR = {
-    ("M1", SOURCE_BASIS): "arc",
-    ("M2", SOURCE_BASIS): "commodity",
-    ("M1", TERMINAL_BASIS): "commodity",
-    ("M2", TERMINAL_BASIS): "arc",
-    ("G1", SOURCE_BASIS): "arc",
-    ("G2", SOURCE_BASIS): "commodity",
-    ("G1", TERMINAL_BASIS): "commodity",
-    ("G2", TERMINAL_BASIS): "arc",
-}
+_TERMINAL_SIDE = ("M1", "G1")
 
 
 class MethodError(ValueError):
@@ -213,12 +204,11 @@ def _envelope(model: ModelIR, name: str, idx: str, p: str, w: str,
 
 
 def _attach_discretization(model: ModelIR, box, x_name, pre: str, H: int,
-                           variant: str, restriction: bool) -> None:
+                           on_commodities: bool, restriction: bool) -> None:
     """The displayed six-family discretization on one normalized pool block.
 
-    variant "arc": binaries on column (physical-arc) fractions, envelopes on
-    row sums; variant "commodity" is the arc template on the transposed
-    block.
+    Binaries on the column (physical-arc) fractions, envelopes on the row
+    sums; ``on_commodities`` puts them on the transposed block.
 
     The relaxation (M) expands each fraction as sum_h 2^-h z_h plus a
     continuous remainder in [0, 2^-H].  The restriction (G) has no
@@ -228,7 +218,7 @@ def _attach_discretization(model: ModelIR, box, x_name, pre: str, H: int,
     are attained.
     """
     cell = x_name
-    if variant == "commodity":
+    if on_commodities:
         box = box.transpose()
 
         def cell(lane, grp):
@@ -298,8 +288,8 @@ def build_method(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
         if spec.kind in F_KINDS:
             attach_fragment(bb.model, _FRAGMENT_FOR[spec.kind](box), x_name, prefix)
         else:
-            _attach_discretization(bb.model, box, x_name, prefix, spec.H,
-                                   _VARIANT_FOR[(spec.kind, spec.basis)],
+            on_commodities = (spec.kind in _TERMINAL_SIDE) != (spec.basis == SOURCE_BASIS)
+            _attach_discretization(bb.model, box, x_name, prefix, spec.H, on_commodities,
                                    restriction=spec.kind in G_KINDS)
         kept.append((block.pool, box, x_name))
     if spec.cuts:

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .formulations import fvar, throughput
 from .instances import (POOL, SOURCE_BASIS, TERMINAL, TERMINAL_BASIS,
-                        InconsistencyError, PoolingInstance)
+                        InconsistencyError, PoolingInstance, content_hash, node_time)
 from .modelir import INF
 from .relaxations import build_method, parse_method
 from .solver import (INFEASIBLE, OPTIMAL, TIME_LIMIT, Budget, Session,
@@ -242,8 +243,8 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
     return upd
 
 
-def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
-                        ) -> BoundUpdate:
+def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None,
+                        cache_dir: str | None = None) -> BoundUpdate:
     """The benchmark recipe: one OBBT pass over the terminal-basis
     row-column LP relaxation (``RECIPE_RELAXATION``, F4:T) with the
     objective at most the value of the H=3 terminal restriction on the
@@ -254,25 +255,34 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
     The restriction's incumbent is a feasible point, so it bounds from
     above even when the solve stops at the time limit; without one the box
     is unbounded.  ``params.time_limit_s`` is the budget of the whole
-    recipe.  A budget spent before the first solve raises TighteningError,
-    as does a sweep whose base solve runs out of time (see ``obbt``): the
-    update would tighten nothing."""
+    recipe, and a recipe that spends it raises TighteningError: the update
+    may be cut short.
+
+    With ``cache_dir``, the update is read from, or else written to, the
+    file ``{content_hash(inst)}-{RECIPE_LABEL}.json`` there.  The name
+    records no time limit, which is why an update cut short is never
+    written."""
+    path = None
+    if cache_dir:
+        path = pathlib.Path(cache_dir) / f"{content_hash(inst)}-{RECIPE_LABEL}.json"
+        if path.exists():
+            return BoundUpdate.from_json(path.read_text())
     budget = Budget(params)
     if budget.spent:
         raise TighteningError("the OBBT recipe has no time to run")
     res = solve(build_method(inst, parse_method(RECIPE_RESTRICTION)).model,
                 budget.params())
     z_ub = INF if res.objective is None else res.objective
-    return obbt(inst, RECIPE_RELAXATION, -INF, z_ub, params=budget.params())
+    upd = obbt(inst, RECIPE_RELAXATION, -INF, z_ub, params=budget.params())
+    if budget.spent:
+        raise TighteningError("the OBBT recipe ran out of time")
+    if path:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(upd.to_json())
+    return upd
 
 
 # -- mining single pass ----------------------------------------------------------------
-
-def _time_of(nid: str) -> float:
-    """A node's time tag in the converter's id scheme 'kind:pile:time'."""
-    tag = nid.rsplit(":", 1)[1]
-    return INF if tag == "inf" else float(tag)
-
 
 def mining_tighten(inst: PoolingInstance) -> BoundUpdate:
     """Single pass over the converter's graph in the fixed step order.
@@ -319,9 +329,9 @@ def mining_tighten(inst: PoolingInstance) -> BoundUpdate:
         upd.record("arc", (i, t), (arc.l, arc.u), (lo, hi), "mining-step-3")
 
     # step 4: pool-to-pool arcs, capped by the running supply surplus
-    supplies = sorted((_time_of(s), inst.nodes[s].U) for s in inst.sources)
-    demands = sorted((_time_of(t), inst.nodes[t].U) for t in inst.terminals
-                     if not t.endswith(":inf"))
+    supplies = sorted((node_time(s), inst.nodes[s].U) for s in inst.sources)
+    # the surplus terminal's time, inf, comes before no time
+    demands = sorted((node_time(t), inst.nodes[t].U) for t in inst.terminals)
 
     def surplus_before(tau: float) -> float:
         sup = sum(q for tt, q in supplies if tt < tau)
@@ -337,7 +347,7 @@ def mining_tighten(inst: PoolingInstance) -> BoundUpdate:
                     for t in inst.out_nbrs[i] if inst.kind(t) == TERMINAL)
         lo = max(pre_L[i] - out_U, 0.0)
         hi = max(pre_U[i] - out_l, 0.0)
-        hi = min(hi, surplus_before(_time_of(j)))
+        hi = min(hi, surplus_before(node_time(j)))
         arc_new[(i, j)] = (max(arc.l, lo), min(arc.u, hi))
         upd.record("arc", (i, j), (arc.l, arc.u), (lo, hi), "mining-step-4")
 

@@ -466,6 +466,17 @@ class TestGrid:
         assert repr(back) == repr(records)   # the last gap is NaN
         assert records_to_csv(back) == text
 
+    def test_a_row_without_ref_status_reads(self):
+        # a row written before the ref_status column: each column is read
+        # by its field, and the fields with defaults may be left out
+        row = ["haverly1", "F1:S", "1", "0.5", "0.25", "", "-500.0", "25.0", "D",
+               "optimal"]
+        rec = RunRecord.from_csv_row(row)
+        assert rec == RunRecord("haverly1", "F1:S", True, 0.5, 0.25, None, -500.0,
+                                25.0, "D", "optimal")
+        assert rec.ref_status == ""
+        assert rec.csv_row() == row + [""]
+
     @pytest.mark.parametrize("obbt", [False, True], ids=["obbt-off", "obbt-on"])
     def test_a_spent_budget_records_every_cell_as_time_limit(
             self, haverly1, haverly2, monkeypatch, obbt):

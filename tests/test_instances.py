@@ -136,11 +136,16 @@ class TestParsing:
         (lambda d: d.update(penalty={"X": [math.nan]}), InconsistencyError),
         (lambda d: d.update(penalty={"X": [-1.0]}), InconsistencyError),
         (lambda d: d.update(penalty={"p1": [1.0]}), InconsistencyError),
+        (lambda d: d["specs"]["lambda"].update(p1=[1.0]), InconsistencyError),
+        (lambda d: d["specs"]["mu_lo"].update(A=[0.5]), InconsistencyError),
+        (lambda d: d["specs"]["mu_hi"].update(p1=[1.0]), InconsistencyError),
     ], ids=["cost-nan", "cost-infinity", "lambda-nan", "mu-hi-nan", "mu-lo-nan",
-            "penalty-short", "penalty-nan", "penalty-negative", "penalty-not-a-terminal"])
+            "penalty-short", "penalty-nan", "penalty-negative", "penalty-not-a-terminal",
+            "lambda-on-a-pool", "mu-lo-on-a-source", "mu-hi-on-a-pool"])
     def test_numbers_the_models_cannot_use_are_rejected(self, haverly1, edit, error):
         # each once parsed, then solved to nan, to a wrong value or unbounded,
-        # or raised IndexError while the model was built
+        # or raised IndexError while the model was built; a spec map keyed by
+        # a node of another kind was dropped by every model without a word
         data = to_dict(haverly1)
         edit(data)
         with pytest.raises(error):

@@ -107,9 +107,31 @@ class TestSession:
         unbounded = ModelIR("unb")
         unbounded.add_var("x", 0.0)
         unbounded.set_objective({"x": -1.0})
-        for model in (tiny_lp(), infeasible, unbounded):
+        # MIPs that do not reach OPTIMAL: a binary row that cannot hold, one
+        # that fails only for integral points (its LP relaxation holds
+        # z = w = 1/4), and an unbounded one
+        binary_row = ModelIR("binary-row")
+        binary_row.add_var("z", binary=True)
+        binary_row.add_var("y", binary=True)
+        binary_row.add_row("cover", {"z": 1.0, "y": 1.0}, GE, 3.0)
+        odd = ModelIR("odd")
+        odd.add_var("z", binary=True)
+        odd.add_var("w", binary=True)
+        odd.add_row("half", {"z": 2.0, "w": 2.0}, EQ, 1.0)
+        odd.set_objective({"z": 1.0})
+        unbounded_mip = ModelIR("unbounded-mip")
+        unbounded_mip.add_var("z", binary=True)
+        unbounded_mip.add_var("x", 0.0)
+        unbounded_mip.set_objective({"x": -1.0, "z": 1.0})
+        for model, status in ((tiny_lp(), "optimal"), (infeasible, "infeasible"),
+                              (unbounded, "unbounded"), (binary_row, "infeasible"),
+                              (odd, "infeasible"), (unbounded_mip, "error")):
             cm = compile_model(model)
-            same(Session(cm).solve(), milp_oracle(cm))
+            oracle = milp_oracle(cm)
+            assert oracle.status == status, model.name
+            # solve_compiled sends a MIP to scipy.optimize.milp, an LP to the binding
+            same(Session(cm).solve(), oracle)
+            same(solve_compiled(cm), oracle)
 
     def test_edge_shapes_of_the_arrays_match_one_shot(self):
         # HiGHS gets the CSR arrays as they are: no rows, a row without

@@ -13,11 +13,12 @@ from poolkit import parse_instance
 from poolkit.bench import compute_gap
 from poolkit.formulations import fvar
 from poolkit.instances import (SOURCE, Demand, MiningSchedule, Supply,
-                               convert_mining)
+                               content_hash, convert_mining)
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import SolveParams, solve
-from poolkit.tightening import (BoundUpdate, TighteningError, apply_bounds,
-                                default_obbt_recipe, mining_tighten, obbt)
+from poolkit.tightening import (RECIPE_LABEL, BoundUpdate, TighteningError,
+                                apply_bounds, default_obbt_recipe, mining_tighten,
+                                obbt)
 from conftest import DATA, make_schedule, milp_oracle
 
 # bental5 is left out: the restriction that sets its box runs for minutes
@@ -110,6 +111,22 @@ class TestOBBT:
         with pytest.raises(TighteningError, match="no time"):
             default_obbt_recipe(haverly1, params=SolveParams(time_limit_s=0.0))
         assert started == []
+
+    def test_the_recipe_reads_its_own_cache(self, haverly1, tmp_path, monkeypatch):
+        solved = []
+        recorded_solve = poolkit.tightening.solve
+
+        def counted(model, params=None):
+            solved.append(model.name)
+            return recorded_solve(model, params)
+
+        monkeypatch.setattr(poolkit.tightening, "solve", counted)
+        first = default_obbt_recipe(haverly1, cache_dir=str(tmp_path))
+        again = default_obbt_recipe(haverly1, cache_dir=str(tmp_path))
+        assert len(solved) == 1   # the restriction, on the first call only
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f"{content_hash(haverly1)}-{RECIPE_LABEL}.json"]
+        assert again.to_json() == first.to_json()
 
     def test_bad_box_rejected(self, haverly1):
         with pytest.raises(TighteningError):
