@@ -29,7 +29,6 @@ two-core x86-64 machine.
 import argparse
 import hashlib
 import json
-import os
 import pathlib
 import sys
 
@@ -37,6 +36,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from poolkit import parse_instance  # noqa: E402
 from poolkit.bench import GridConfig, exact_value, run_cell, run_grid  # noqa: E402
+from poolkit.cli import solver_prints_to_stderr  # noqa: E402
 from poolkit.solver import SolveParams  # noqa: E402
 from poolkit.tightening import default_obbt_recipe  # noqa: E402
 
@@ -117,16 +117,8 @@ def main() -> None:
     parser.add_argument("--json", metavar="RECORDS.json",
                         help="also write the hashed records to this file")
     args = parser.parse_args()
-    # HiGHS's C++ code prints to fd 1: point it at stderr while the solves
-    # run, so that stdout carries nothing but the digests
-    sys.stdout.flush()
-    saved = os.dup(1)
-    os.dup2(2, 1)
-    try:
+    with solver_prints_to_stderr():   # stdout carries nothing but the digests
         sets = records()
-    finally:
-        os.dup2(saved, 1)
-        os.close(saved)
     if args.json:
         with open(args.json, "w") as f:
             json.dump(sets, f, indent=1)

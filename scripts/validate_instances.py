@@ -18,7 +18,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from poolkit import parse_instance  # noqa: E402
 from poolkit.bench import compute_gap, exact_value  # noqa: E402
-from poolkit.relaxations import build_method, parse_method  # noqa: E402
+from poolkit.relaxations import G_KINDS, build_method, parse_method  # noqa: E402
 from poolkit.solver import SolveParams, solve  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "poolkit" / "data"
@@ -55,8 +55,9 @@ def main(names):
         print(f"{name}: exact {ev.value} vs {opt}  [{tag}]  "
               f"({ev.status}, witness {ev.witness or '-'}, {ev.seconds:.2f} s)")
         for method, want in cells.items():
-            res = solve(build_method(inst, parse_method(method)).model, params)
-            if method.startswith("G"):
+            spec = parse_method(method)
+            res = solve(build_method(inst, spec).model, params)
+            if spec.kind in G_KINDS:
                 got = compute_gap(res.objective, opt)
             else:
                 got = compute_gap(opt, res.dual_bound)

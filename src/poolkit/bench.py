@@ -20,10 +20,10 @@ import io
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .instances import PoolingInstance
-from .relaxations import MethodSpec, build_method, parse_method
+from .relaxations import G_KINDS, MethodSpec, build_method, parse_method
 from .solver import OPTIMAL, TIME_LIMIT, Budget, SolveParams, SolveResult, solve
 from .tightening import (RECIPE_RELAXATION, RECIPE_RESTRICTION, BoundUpdate,
                          TighteningError, apply_bounds, default_obbt_recipe, obbt)
@@ -67,22 +67,21 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     """Squeeze the optimum between restriction values and a tightened
     relaxation bound (the backend has no nonconvex capability).
 
-    Each pass solves the F4 LPs first, then the restrictions of
-    ``RESTRICTION_PORTFOLIO`` in turn; no restriction starts once the best
-    bounds found so far meet to ``REL_TOL`` relative, and no further pass
-    starts either.
+    The squeeze is one loop of passes.  A pass solves the F4 LPs first,
+    then the restrictions of ``RESTRICTION_PORTFOLIO`` in turn; no
+    restriction starts once the best bounds found so far meet to
+    ``REL_TOL`` relative.  Every solve's result becomes a bound in one
+    place: a label of a kind in ``G_KINDS`` gives its objective, an upper
+    bound, and every other label its dual bound.  While the bounds are
+    open and tightenings remain, the pass ends in one OBBT sweep, and the
+    next pass runs on the instance that sweep tightened.
 
-    The portfolio tries ``G2:S:H=3`` and ``G2:T:H=3`` before ``G1:S:H=3``
-    and ``G1:T:H=3``.  On the bundled instances G2 is the cheaper MILP
-    and the one that closes: on the recipe-tightened foulds2 and adhya4
-    ``G1:S:H=3`` took 1.1 s and 0.85 s only to repeat the recipe's value,
-    where ``G2:S:H=3`` then closed the squeeze in 0.13 s and 0.05 s, and
-    on bental5 ``G1:S:H=3`` spent a 55-s budget where ``G2:S:H=3`` proves
-    the optimum in about 0.5 s.  The order is fixed.  On the instances
-    whose squeeze proved with G1 first, it moves no value or witness (the
-    ``squeeze`` set of ``scripts/bound_digest.py``): a restriction that
-    closes the squeeze lies below every upper bound found before it, and
-    where none closes, all four run either way.
+    The portfolio's fixed order tries G2 before G1: on the bundled
+    instances G2 is the cheaper MILP and the one that closes (on bental5,
+    ``G1:S:H=3`` spent a 55-s budget where ``G2:S:H=3`` proves the optimum
+    in about 0.5 s).  Where G1 first proved too, the order moves no value
+    or witness: a restriction that closes the squeeze lies below every
+    upper bound found before it, and where none closes, all four run.
 
     ``params.time_limit_s`` is the budget of the whole squeeze: every
     restriction, LP and OBBT solve gets only the time that remains, and no
@@ -94,15 +93,15 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     the passes ran out or a tightening failed.  Bounds that cross by more
     than ``REL_TOL`` do not meet: they show a fault, never a proof.
 
-    With ``use_obbt``, up to three OBBT passes tighten the instance, each
-    followed by a pass.  The squeeze's own is one ``obbt`` sweep over
-    ``RECIPE_RELAXATION`` with the objective boxed into its best [lower,
-    upper] (infinite where a bound is missing): OBBT keeps every point in
-    that box, the optimum among them.  A tightening that fails ends the
-    passes; one over bounds that cross fails.
+    With ``use_obbt``, three tightenings remain at the start, so up to
+    four passes run.  The squeeze's own tightening is one ``obbt`` sweep
+    over ``RECIPE_RELAXATION`` with the objective boxed into its best
+    [lower, upper] (infinite where a bound is missing): OBBT keeps every
+    point in that box, the optimum among them.  A tightening that fails
+    ends the loop; one over bounds that cross fails.
 
     ``first_update``, when given, is ``default_obbt_recipe``'s update of
-    ``inst`` itself and stands for the first OBBT pass, with ``z_box`` as
+    ``inst`` itself and counts as the first tightening, with ``z_box`` as
     its box: the squeeze applies it and starts on the tightened instance it
     gives, with the recipe's restriction value (``z_box``'s upper end, when
     finite) as the first upper bound and ``RECIPE_RESTRICTION`` as its
@@ -124,49 +123,40 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
         return (best_ub is not None and best_lb is not None
                 and abs(best_ub - best_lb) <= REL_TOL * max(1.0, abs(best_ub)))
 
-    def squeeze(work) -> dict[str, tuple[SolveResult, float]]:
-        """One pass on ``work``; returns its OPTIMAL solves by label."""
-        nonlocal best_ub, best_lb, witness
-        optimal = {}
-
-        def run(label: str) -> SolveResult:
-            t = time.perf_counter()
-            res = solve(build_method(work, parse_method(label)).model,
-                        budget.params())
-            if res.status == OPTIMAL:
-                optimal[label] = (res, time.perf_counter() - t)
-            return res
-
-        # the LPs first: they are cheap, so a budget spent in a restriction
-        # MILP still leaves a lower bound
-        for label in ("F4:S", "F4:T"):
-            if budget.spent:
-                break
-            res = run(label)
-            if res.dual_bound is not None and (best_lb is None or res.dual_bound > best_lb):
-                best_lb = res.dual_bound
-        for label in RESTRICTION_PORTFOLIO:
-            if budget.spent or closed():
-                break
-            res = run(label)
-            if res.objective is not None and (best_ub is None or res.objective < best_ub):
-                best_ub, witness = res.objective, label
-        return optimal
-
-    work, passes = inst, 3 if use_obbt else 0
+    work, tightenings = inst, 3 if use_obbt else 0
     if use_obbt and first_update is not None:
         try:
-            work, passes = apply_bounds(inst, first_update), passes - 1
+            work, tightenings = apply_bounds(inst, first_update), tightenings - 1
         except TighteningError:
-            passes = 0
+            tightenings = 0
         else:   # the recipe's value bounds only an instance its update fits
             z_ub = first_update.z_box[1] if first_update.z_box else math.inf
             if math.isfinite(z_ub):
                 best_ub, witness = z_ub, RECIPE_RESTRICTION
-    first_work, first_pass = work, squeeze(work)
-    for _ in range(passes):
-        if budget.spent or closed():
+    first_work, first_pass = work, None
+    while True:
+        # the LPs first: they are cheap, so a budget spent in a restriction
+        # MILP still leaves a lower bound
+        optimal = {}
+        for label in ("F4:S", "F4:T") + RESTRICTION_PORTFOLIO:
+            spec = parse_method(label)
+            restriction = spec.kind in G_KINDS
+            if budget.spent or (restriction and closed()):
+                break
+            t = time.perf_counter()
+            res = solve(build_method(work, spec).model, budget.params())
+            if res.status == OPTIMAL:
+                optimal[label] = (res, time.perf_counter() - t)
+            if restriction:
+                if res.objective is not None and (best_ub is None or res.objective < best_ub):
+                    best_ub, witness = res.objective, label
+            elif res.dual_bound is not None and (best_lb is None or res.dual_bound > best_lb):
+                best_lb = res.dual_bound
+        if first_pass is None:
+            first_pass = optimal
+        if not tightenings or budget.spent or closed():
             break
+        tightenings -= 1
         box = (-math.inf if best_lb is None else best_lb,
                math.inf if best_ub is None else best_ub)
         try:
@@ -174,7 +164,6 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
             work = apply_bounds(work, upd)
         except TighteningError:
             break
-        squeeze(work)
     elapsed = time.perf_counter() - t0
     proven = closed()
     status = "proven" if proven else "time-limit" if budget.spent else "open"
@@ -238,7 +227,7 @@ class GridConfig:
 
 
 def _gap_kind(spec: MethodSpec) -> str:
-    if spec.kind in ("G1", "G2"):
+    if spec.kind in G_KINDS:
         return "P"
     if spec.kind == "EXACT":
         return "O"
@@ -324,8 +313,13 @@ def records_to_csv(records: list[RunRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[RunRecord]:
+    """The records of a CSV whose header is ``csv_header()``, or a prefix
+    of it that has every field without a default (a file written before a
+    trailing column existed)."""
     rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != RunRecord.csv_header():
+    header = RunRecord.csv_header()
+    required = sum(f.default is MISSING for f in fields(RunRecord))
+    if not rows or not required <= len(rows[0]) or rows[0] != header[:len(rows[0])]:
         raise ValueError("unrecognized CSV header")
     return [RunRecord.from_csv_row(r) for r in rows[1:]]
 

@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -18,6 +19,20 @@ from .bench import GridConfig, records_to_csv, run_grid, summarize
 from .instances import (convert_mining, generalize, parse_instance,
                         parse_mining, to_dict)
 from .tightening import mining_tighten
+
+
+@contextlib.contextmanager
+def solver_prints_to_stderr():
+    """Point fd 1 at stderr inside the block: HiGHS's C++ code prints there,
+    below ``sys.stdout``, and would mix its lines into the program's output."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 def _load_instances(path: str, do_generalize: bool):
@@ -43,16 +58,8 @@ def _cmd_run(args) -> int:
         threads=args.threads,
         bounds_cache=args.bounds_cache,
     )
-    # HiGHS's C++ code prints to fd 1: point it at stderr while the grid
-    # runs, so that stdout carries nothing but the CSV
-    sys.stdout.flush()
-    saved = os.dup(1)
-    os.dup2(2, 1)
-    try:
+    with solver_prints_to_stderr():   # stdout carries nothing but the CSV
         records = run_grid(config)
-    finally:
-        os.dup2(saved, 1)
-        os.close(saved)
     csv_text = records_to_csv(records)
     if args.out:
         Path(args.out).write_text(csv_text)

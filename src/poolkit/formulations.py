@@ -79,10 +79,6 @@ class BilinearModel:
     inst: PoolingInstance
     blocks: list[PoolBlock] = field(default_factory=list)
 
-    @property
-    def name(self) -> str:
-        return self.model.name
-
 
 def _commodities(inst: PoolingInstance, basis: str, pool: str) -> tuple[str, ...]:
     return inst.S_i[pool] if basis == SOURCE_BASIS else inst.T_i[pool]

@@ -396,7 +396,9 @@ def parse_mining(path) -> MiningSchedule:
 
 
 def _tag(time: float) -> str:
-    return f"{time:g}"
+    """A time in a node id: ``:g`` where that reads back exactly, else repr."""
+    short = f"{time:g}"
+    return short if float(short) == time else repr(time)
 
 
 def node_time(nid: str) -> float | None:
@@ -444,6 +446,8 @@ def convert_mining(sched: MiningSchedule,
             cum += s.qty
             sid = f"s:{pile}:{_tag(s.time)}"
             pid = f"i:{pile}:{_tag(s.time)}"
+            if sid in nodes:
+                raise InconsistencyError(f"duplicate supply id {sid!r}")
             nodes[sid] = Node(sid, SOURCE, s.qty, s.qty)
             nodes[pid] = Node(pid, POOL, 0.0, cum)
             lam[sid] = s.spec

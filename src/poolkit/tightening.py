@@ -149,9 +149,11 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
     model, whose optimal value does not depend on the basis it starts
     from, and a side is skipped only as above.
 
-    The sweep is sequential on one ``Session``: the relaxation is passed to
-    HiGHS once, and each target solve changes only the costs and starts
-    from the previous basis.  ``workers`` has no effect."""
+    The sweep is one sequential loop on one ``Session``: the relaxation is
+    passed to HiGHS once, each turn reads the last solve's point (the base
+    solve's first) and drops the sides it settles, and each target solve
+    changes only the costs and starts from the previous basis.  ``workers``
+    has no effect."""
     if z_lb > z_ub:
         raise TighteningError(f"invalid objective box [{z_lb}, {z_ub}]")
     spec = parse_method(relax)
@@ -200,34 +202,29 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
     b = np.concatenate([lo_old, -hi_old])
     width = np.tile(hi_old - lo_old, 2)
     width[~np.isfinite(width) | (width <= 0)] = 1.0
+    scale = max([1.0] + [abs(a.u) for a in inst.arcs.values() if math.isfinite(a.u)])
+    slack = 1e-6 * scale
     # the least value of each side at the points seen, and each side's
     # distance to its old bound at the last of them (0 before the first)
     seen = np.full(2 * n, INF)
     gap = np.zeros(2 * n)
-
-    def see(res) -> None:
-        nonlocal gap
-        if res.status == OPTIMAL and res.point is not None:
-            values = S @ res.point
-            np.minimum(seen, values, out=seen)
-            gap = (values - b) / width
-
-    see(base)
-    scale = max([1.0] + [abs(a.u) for a in inst.arcs.values() if math.isfinite(a.u)])
-    slack = 1e-6 * scale
     # a proven lower bound on min S[k] @ x per side (dual_bound is set only
     # for an LP at OPTIMAL or from a MIP's dual bound); a side left unsolved
     # stays unproven, as a solve that proves nothing
     proven: list[float | None] = [None] * (2 * n)
     pending = np.ones(2 * n, dtype=bool)
-    while not budget.spent:
+    res = base
+    while True:
+        if res.status == OPTIMAL and res.point is not None:
+            values = S @ res.point
+            np.minimum(seen, values, out=seen)
+            gap = (values - b) / width
         pending &= seen > b + slack / 2
-        if not pending.any():
+        if budget.spent or not pending.any():
             break
         k = _nearest_side(pending, gap)
         pending[k] = False
         res = session.solve(budget.params(), S[k])
-        see(res)
         proven[k] = res.dual_bound
 
     upd = BoundUpdate(z_box=(z_lb, z_ub))

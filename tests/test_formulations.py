@@ -247,6 +247,29 @@ class TestMiningBlocks:
                 assert all(r.split(":")[1] == pile for r in block.row_ids)
 
 
+class TestTightenedGhostIntervals:
+    @pytest.mark.parametrize("relax", ["F4:T", "F4:S"])
+    def test_a_model_takes_the_update_s_ghost_intervals(self, relax):
+        # OBBT on the converted example schedule tightens ghost pairs (10 in
+        # the terminal basis, 9 in the source basis), which the instance
+        # then answers from its stored intervals
+        from poolkit.instances import convert_mining, parse_mining
+        from poolkit.tightening import UNCHANGED, obbt
+
+        inst = convert_mining(parse_mining(DATA / "mining" / "example_schedule.json"))
+        upd = obbt(inst, relax)
+        moved = {pair: interval for pair, interval in upd.ghost_bounds.items()
+                 if upd.provenance[f"ghost:{pair}"] != UNCHANGED}
+        assert moved
+        tight = apply_bounds(inst, upd)
+        model = build_method(tight, parse_method(relax)).model
+        for pair, interval in moved.items():
+            assert interval != inst.interval("ghost", pair)
+            assert tight.interval("ghost", pair) == interval
+            var = model.variables[fvar(*pair)]
+            assert (var.lb, var.ub) == interval
+
+
 class TestUnknownBasis:
     @pytest.mark.parametrize("basis", ["S", "sauce"])
     def test_rejected_before_the_cache(self, basis):

@@ -7,8 +7,10 @@ import pytest
 
 from poolkit.instances import (InconsistencyError, MiningSchedule, SchemaError,
                                Supply, Demand, content_hash, convert_mining,
-                               generalize, parse_instance, parse_instance_dict,
-                               parse_mining_dict, to_dict)
+                               generalize, node_time, parse_instance,
+                               parse_instance_dict, parse_mining_dict, to_dict)
+from poolkit.relaxations import build_method, parse_method
+from poolkit.solver import OPTIMAL, solve
 
 
 from conftest import make_schedule
@@ -302,6 +304,23 @@ class TestMiningConversion:
             assert t in inst.penalty
         assert "t:inf" not in inst.penalty
         assert all(v == float("inf") for v in inst.mu_hi["t:inf"])
+
+    def test_times_alike_to_six_digits_keep_their_supplies(self):
+        # written with :g, both ids would read s:P:1e+06 and keep one supply
+        sched = MiningSchedule(("P",), (Supply("P", 1000000.0, 5.0, (1.0,)),
+                                        Supply("P", 1000001.0, 7.0, (1.0,))), ())
+        inst = convert_mining(sched)
+        assert sorted((node_time(s), inst.nodes[s].U) for s in inst.sources) == [
+            (1000000.0, 5.0), (1000001.0, 7.0)]
+        assert "s:P:1e+06" in inst.nodes
+        assert inst.nodes["t:inf"].U == 12.0
+        assert solve(build_method(inst, parse_method("MCF:S")).model).status == OPTIMAL
+
+    def test_a_duplicate_supply_id_is_inconsistent(self):
+        sched = MiningSchedule(("P",), (Supply("P", 3.0, 5.0, (1.0,)),
+                                        Supply("P", 3.0, 7.0, (1.0,))), ())
+        with pytest.raises(InconsistencyError, match="duplicate supply id"):
+            convert_mining(sched)
 
     def test_pool_chain_order(self):
         inst = convert_mining(make_schedule(3, 0, 0) if False else
