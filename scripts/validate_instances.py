@@ -1,73 +1,70 @@
-"""Re-validate the bundled instances against published benchmark values.
+"""Print the ledger of published numbers next to this package's numbers.
 
 Run from the repository root:
 
     python scripts/validate_instances.py [instance ...]
 
-For each instance this prints the squeezed exact value, with the squeeze's
-status, witness restriction and seconds, and the relaxation and
-restriction gaps, next to the published targets.  It is a data-quality
-tool, not part of the test suite (the acceptance tests assert the same
-numbers with tolerances).
+The ledger, ``src/poolkit/data/published/ledger.json``, holds each bundled
+instance's published optimum and gap cells.  Each gets one line: the
+published value, ours, and ``ok`` or ``DEVIATES`` with the ledger's reason.
+Our optimum is the squeeze's (``exact_value``); a cell's gap is
+``run_cell``'s against the published optimum, on the instance that
+``default_obbt_recipe`` tightens where the cell is published with OBBT.
+An optimum is reproduced when the squeeze proves it to 1e-3 relative, a
+gap when ours lies within 0.05 percentage points.  HiGHS's own prints go
+to stderr, so stdout holds the report alone.  The exit code is 1 when
+something deviates and the ledger gives no reason.
 """
 
+import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from poolkit import parse_instance  # noqa: E402
-from poolkit.bench import compute_gap, exact_value  # noqa: E402
-from poolkit.relaxations import G_KINDS, build_method, parse_method  # noqa: E402
-from poolkit.solver import SolveParams, solve  # noqa: E402
+from poolkit.bench import exact_value, run_cell  # noqa: E402
+from poolkit.cli import solver_prints_to_stderr  # noqa: E402
+from poolkit.solver import SolveParams  # noqa: E402
+from poolkit.tightening import apply_bounds, default_obbt_recipe  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "poolkit" / "data"
+LEDGER = json.loads((DATA / "published" / "ledger.json").read_text())["instances"]
+PARAMS = SolveParams(time_limit_s=60)
 
-# (optimum, {method: published %gap vs optimum, D for F/M and P for G})
-PUBLISHED = {
-    "haverly1": (-400.0, {"F1:S": 25.00, "F2:S": 25.00, "F3:S": 25.00,
-                          "F4:S": 25.00, "G1:S:H=3": 0.00, "G2:T:H=3": 0.00}),
-    "haverly2": (-600.0, {"F1:S": 66.67, "F4:S": 66.67}),
-    "haverly3": (-750.0, {"F1:S": 16.67, "F2:T": 6.67, "F4:T": 6.67,
-                          "G1:S:H=3": 0.00, "G2:S:H=3": 3.45,
-                          "G2:T:H=3": 4.17}),
-    "bental4": (-450.0, {"F1:S": 22.22, "F2:S": 22.22, "F2:T": 22.22}),
-    "bental5": (-3500.0, {"F1:S": 0.00, "F4:S": 0.00}),
-    "adhya1": (-550.0, {"F1:S": 55.18, "F2:S": 55.68, "F4:S": 55.18}),
-    "adhya2": (-550.0, {"F1:S": 4.51}),
-    "adhya3": (-561.0, {"F1:S": 2.46}),
-    "adhya4": (-878.0, {"F1:S": 10.76}),
-    "foulds2": (-1100.0, {"F1:S": 0.00, "F4:S": 0.00, "G1:S:H=3": 0.00}),
-}
+
+def check(name):
+    """(what, published, ours, reproduced, entry) for the optimum and
+    each cell of ``name``'s ledger entry."""
+    entry = LEDGER[name]
+    inst = parse_instance(DATA / f"{name}.json")
+    opt = entry["optimum"]["value"]
+    ev = exact_value(inst, PARAMS)
+    rows = [("optimum", opt, ev.value, ev.proven and abs(ev.value - opt) <= 1e-3 * abs(opt),
+             entry["optimum"])]
+    work = {False: inst}   # by the cell's obbt flag
+    if any(cell["obbt"] for cell in entry["cells"]):
+        work[True] = apply_bounds(inst, default_obbt_recipe(inst, params=PARAMS))
+    for cell in entry["cells"]:
+        rec = run_cell(name, work[cell["obbt"]], cell["label"], cell["obbt"], 0.0,
+                       opt, PARAMS)
+        rows.append((cell["label"] + " obbt" * cell["obbt"], cell["gap"], rec.gap_percent,
+                     abs(rec.gap_percent - cell["gap"]) <= 0.05, cell))
+    return rows
 
 
 def main(names):
-    params = SolveParams(time_limit_s=60)
-    failures = 0
+    unexplained = 0
     for name in names:
-        opt, cells = PUBLISHED[name]
-        inst = parse_instance(DATA / f"{name}.json")
-        ev = exact_value(inst, params)
-        tag = "ok" if (ev.proven and ev.value is not None
-                       and abs(ev.value - opt) <= 1e-3 * abs(opt)) else "MISMATCH"
-        if tag != "ok":
-            failures += 1
-        print(f"{name}: exact {ev.value} vs {opt}  [{tag}]  "
-              f"({ev.status}, witness {ev.witness or '-'}, {ev.seconds:.2f} s)")
-        for method, want in cells.items():
-            spec = parse_method(method)
-            res = solve(build_method(inst, spec).model, params)
-            if spec.kind in G_KINDS:
-                got = compute_gap(res.objective, opt)
-            else:
-                got = compute_gap(opt, res.dual_bound)
-            tag = "ok" if abs(got - want) <= 0.05 else "MISMATCH"
-            if tag != "ok":
-                failures += 1
-            print(f"  {method:10s} gap {got:7.2f} vs {want:6.2f}  [{tag}]")
-    return failures
+        with solver_prints_to_stderr():
+            rows = check(name)
+        for what, published, ours, ok, entry in rows:
+            verdict = "ok" if ok else "DEVIATES: " + entry.get("reason", "no reason recorded")
+            unexplained += not ok and "reason" not in entry
+            ours = "-" if ours is None else f"{ours:.2f}"
+            print(f"{name:<9} {what:<14} published {published:9.2f}  ours {ours:>9}  {verdict}")
+    return unexplained
 
 
 if __name__ == "__main__":
-    names = sys.argv[1:] or sorted(PUBLISHED)
-    sys.exit(1 if main(names) else 0)
+    sys.exit(1 if main(sys.argv[1:] or list(LEDGER)) else 0)

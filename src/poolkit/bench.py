@@ -47,10 +47,8 @@ REL_TOL = 1e-4
 
 @dataclass
 class ExactValue:
-    value: float | None
     lower: float | None
     upper: float | None
-    proven: bool
     seconds: float
     witness: str = ""
     status: str = "open"     # "proven", "time-limit" or "open"
@@ -59,6 +57,15 @@ class ExactValue:
     instance: PoolingInstance | None = field(default=None, repr=False)
     first_pass: dict[str, tuple[SolveResult, float]] = field(
         default_factory=dict, repr=False)
+
+    @property
+    def value(self) -> float | None:
+        """The squeeze's value: its upper bound, a restriction's value."""
+        return self.upper
+
+    @property
+    def proven(self) -> bool:
+        return self.status == "proven"
 
 
 def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
@@ -164,10 +171,8 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
             work = apply_bounds(work, upd)
         except TighteningError:
             break
-    elapsed = time.perf_counter() - t0
-    proven = closed()
-    status = "proven" if proven else "time-limit" if budget.spent else "open"
-    return ExactValue(best_ub, best_lb, best_ub, proven, elapsed, witness, status,
+    status = "proven" if closed() else "time-limit" if budget.spent else "open"
+    return ExactValue(best_lb, best_ub, time.perf_counter() - t0, witness, status,
                       first_work, first_pass)
 
 
@@ -315,12 +320,16 @@ def records_to_csv(records: list[RunRecord]) -> str:
 def records_from_csv(text: str) -> list[RunRecord]:
     """The records of a CSV whose header is ``csv_header()``, or a prefix
     of it that has every field without a default (a file written before a
-    trailing column existed)."""
+    trailing column existed).  Every data row has the header's length."""
     rows = list(csv.reader(io.StringIO(text)))
     header = RunRecord.csv_header()
     required = sum(f.default is MISSING for f in fields(RunRecord))
     if not rows or not required <= len(rows[0]) or rows[0] != header[:len(rows[0])]:
         raise ValueError("unrecognized CSV header")
+    for number, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"CSV row {number} has {len(row)} fields, "
+                             f"the header {len(rows[0])}: {row}")
     return [RunRecord.from_csv_row(r) for r in rows[1:]]
 
 

@@ -423,7 +423,7 @@ def convert_mining(sched: MiningSchedule,
     nodes: dict[str, Node] = {}
     arcs: dict[tuple[str, str], Arc] = {}
     lam: dict[str, tuple[float, ...]] = {}
-    mu_lo: dict[str, tuple[float, ...]] = {}
+    # each demand's spec maxima; ``PoolingInstance.window`` gives the rest
     mu_hi: dict[str, tuple[float, ...]] = {}
     penalty: dict[str, tuple[float, ...]] = {}
 
@@ -467,7 +467,6 @@ def convert_mining(sched: MiningSchedule,
         if tid in nodes:
             raise InconsistencyError(f"duplicate demand time {d.time}")
         nodes[tid] = Node(tid, TERMINAL, d.qty, d.qty)
-        mu_lo[tid] = tuple([0.0] * k)
         mu_hi[tid] = d.spec_max
         penalty[tid] = tuple(w if w > 0 else default_penalty for w in d.penalty)
         for pile, sups in by_pile.items():
@@ -483,14 +482,12 @@ def convert_mining(sched: MiningSchedule,
     surplus = sched.surplus()
     tsur = f"t:{_tag(INF)}"
     nodes[tsur] = Node(tsur, TERMINAL, surplus, surplus)
-    mu_lo[tsur] = tuple([0.0] * k)
-    mu_hi[tsur] = tuple([INF] * k)
     for pile in sched.stockpiles:
         sp = f"i:{pile}:{_tag(INF)}"
         if sp in nodes:
             arcs[(sp, tsur)] = Arc(sp, tsur, 0.0, nodes[sp].U, 0.0)
 
-    inst = PoolingInstance("mining", nodes, arcs, k, lam, mu_lo, mu_hi, penalty)
+    inst = PoolingInstance("mining", nodes, arcs, k, lam, {}, mu_hi, penalty)
     return validate(inst)
 
 

@@ -1,24 +1,26 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL
-line.  Literature values used here come from the published benchmark tables
-and are fixtures of the tests only, never runtime oracles.
+line.  The published optima and gaps come from the ledger,
+``src/poolkit/data/published/ledger.json``, and are fixtures of the tests
+only, never runtime oracles; each ledger cell names the test that asserts
+it, and the tolerances and time limits are the tests' own.
 
-Criteria 3, 5, 6 and 7 assert per-cell against the published appendix
-tables.  The restriction cells of criterion 7 are reproduced on the H-bit
-grid q = k / (2^H - 1).  Where the toolkit's reconstruction of an
+The restriction cells of criterion 7 are reproduced on the H-bit grid
+q = k / (2^H - 1).  Where the toolkit's reconstruction of an
 under-specified method is provably tighter than the published number (the
 M1:S cell of criterion 6 finds the optimum where the table reports a
 positive gap), or where an instance file is a reconstruction, the cell
-fails honestly; see the data README for the full comparison.
+fails honestly; the ledger records each reason.
 """
 
-import math
+import json
 import time
 
 import numpy as np
 import pytest
 
+from conftest import DATA
 from poolkit import parse_instance
-from poolkit.bench import compute_gap, exact_value
+from poolkit.bench import exact_value, run_cell
 from poolkit.formulations import (build_exact, check_solution,
                                   rederive_proportions)
 from poolkit.instances import Demand, MiningSchedule, Supply, convert_mining
@@ -30,6 +32,24 @@ from poolkit.relaxations import block_value, build_method, parse_method
 from poolkit.solver import SolveParams, solve
 from poolkit.tightening import apply_bounds, default_obbt_recipe, mining_tighten
 
+LEDGER = json.loads((DATA / "published" / "ledger.json").read_text())["instances"]
+
+
+def optimum(name):
+    return LEDGER[name]["optimum"]["value"]
+
+
+def asserted(test):
+    """The ledger's (instance, cell) pairs that ``test`` asserts, in order."""
+    return [(name, cell) for name, entry in LEDGER.items()
+            for cell in entry["cells"] if cell["test"] == test]
+
+
+def record(name, inst, label, time_limit_s=3600.0, obbt=False):
+    """``run_cell``'s record of one cell, its gap against the ledger optimum."""
+    return run_cell(name, inst, label, obbt, 0.0, optimum(name),
+                    SolveParams(time_limit_s=time_limit_s))
+
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[acceptance {criterion:2d}] {'PASS' if ok else 'FAIL'}  {detail}")
@@ -39,13 +59,29 @@ def load(data_dir, name):
     return parse_instance(data_dir / f"{name}.json")
 
 
-class TestCriterion1:
-    EXPECTED = {"haverly1": -400.0, "haverly2": -600.0, "haverly3": -750.0,
-                "bental4": -450.0, "bental5": -3500.0, "foulds2": -1100.0}
+def assert_obbt_gaps(criterion, data_dir, name, cells):
+    """Assert each cell's gap on the instance the recipe tightens; the
+    recipe's seconds."""
+    inst = load(data_dir, name)
+    t0 = time.perf_counter()
+    tightened = apply_bounds(inst, default_obbt_recipe(inst))
+    prep = time.perf_counter() - t0
+    gaps = [record(name, tightened, cell["label"], obbt=True).gap_percent for cell in cells]
+    wants = [cell["gap"] for cell in cells]
+    report(criterion, all(abs(g - w) <= 0.05 for g, w in zip(gaps, wants)),
+           f"{name} OBBT {[cell['label'] for cell in cells]}: "
+           f"gaps={[round(g, 3) for g in gaps]} want={wants} prep={prep:.1f}s")
+    for got, want in zip(gaps, wants):
+        assert got == pytest.approx(want, abs=0.05)
+    return prep
 
-    @pytest.mark.parametrize("name", sorted(EXPECTED))
+
+class TestCriterion1:
+    @pytest.mark.parametrize("name", sorted(
+        name for name, entry in LEDGER.items()
+        if entry["optimum"]["test"] == "TestCriterion1::test_exact_value"))
     def test_exact_value(self, data_dir, name):
-        want = self.EXPECTED[name]
+        want = optimum(name)
         inst = load(data_dir, name)
         t0 = time.perf_counter()
         ev = exact_value(inst, SolveParams(time_limit_s=55.0))
@@ -60,56 +96,28 @@ class TestCriterion1:
 
 
 class TestCriterion2:
-    CELLS = [("haverly1", "F1:S", -400.0, 25.00),
-             ("haverly2", "F1:S", -600.0, 66.67),
-             ("bental5", "F1:S", -3500.0, 0.00),
-             ("bental5", "F2:S", -3500.0, 0.00),
-             ("bental5", "F3:S", -3500.0, 0.00),
-             ("bental5", "F4:S", -3500.0, 0.00),
-             ("adhya2", "F1:S", -550.0, 4.51)]
-
-    @pytest.mark.parametrize("name,method,opt,want", CELLS)
+    @pytest.mark.parametrize("name,method,opt,want", [
+        (name, cell["label"], optimum(name), cell["gap"])
+        for name, cell in asserted("TestCriterion2::test_lp_gap")])
     def test_lp_gap(self, data_dir, name, method, opt, want):
-        inst = load(data_dir, name)
-        t0 = time.perf_counter()
-        res = solve(build_method(inst, parse_method(method)).model,
-                    SolveParams(time_limit_s=30))
-        elapsed = time.perf_counter() - t0
-        gap = compute_gap(opt, res.dual_bound) if res.dual_bound is not None else math.nan
-        ok = elapsed < 5.0 and abs(gap - want) <= 0.05
-        report(2, ok, f"{name} {method}: gap={gap:.2f} want={want:.2f} ({elapsed:.2f}s)")
-        assert elapsed < 5.0
-        assert gap == pytest.approx(want, abs=0.05)
+        rec = run_cell(name, load(data_dir, name), method, False, 0.0, opt,
+                       SolveParams(time_limit_s=30))
+        ok = rec.solve_seconds < 5.0 and abs(rec.gap_percent - want) <= 0.05
+        report(2, ok, f"{name} {method}: gap={rec.gap_percent:.2f} want={want:.2f} "
+                      f"({rec.solve_seconds:.2f}s)")
+        assert rec.solve_seconds < 5.0
+        assert rec.gap_percent == pytest.approx(want, abs=0.05)
 
 
 class TestCriterion3:
-    # per-cell values of the with-OBBT LP table (the source basis rows for
-    # the Haverly family and BenTal4)
-    TABLE = {
-        "haverly1": (-400.0, [0.00, 0.00, 0.00, 0.00]),
-        "haverly2": (-600.0, [37.51, 0.00, 0.00, 0.00]),
-        "haverly3": (-750.0, [4.86, 0.00, 0.00, 0.00]),
-        "bental4": (-450.0, [0.00, 0.00, 0.00, 0.00]),
-    }
+    # the with-OBBT LP table, one test per instance
+    CELLS = asserted("TestCriterion3::test_obbt_gaps")
 
-    @pytest.mark.parametrize("name", sorted(TABLE))
+    @pytest.mark.parametrize("name", sorted({name for name, _ in CELLS}))
     def test_obbt_gaps(self, data_dir, name):
-        opt, wants = self.TABLE[name]
-        inst = load(data_dir, name)
-        t0 = time.perf_counter()
-        upd = default_obbt_recipe(inst)
-        prep = time.perf_counter() - t0
-        tightened = apply_bounds(inst, upd)
-        gaps = []
-        for kind in ("F1", "F2", "F3", "F4"):
-            res = solve(build_method(tightened, parse_method(f"{kind}:S")).model)
-            gaps.append(compute_gap(opt, res.dual_bound))
-        ok = prep < 30.0 and all(abs(g - w) <= 0.05 for g, w in zip(gaps, wants))
-        report(3, ok, f"{name}: F1-F4 gaps={[round(g, 3) for g in gaps]} "
-                      f"want={wants} prep={prep:.1f}s")
+        prep = assert_obbt_gaps(3, data_dir, name,
+                                [cell for n, cell in self.CELLS if n == name])
         assert prep < 30.0
-        for got, want in zip(gaps, wants):
-            assert got == pytest.approx(want, abs=0.05)
 
 
 class TestCriterion4:
@@ -148,46 +156,35 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_adhya3_strictness_witness(self, data_dir):
-        inst = load(data_dir, "adhya3")
-        upd = default_obbt_recipe(inst)
-        tightened = apply_bounds(inst, upd)
-        res3 = solve(build_method(tightened, parse_method("F3:S")).model)
-        res4 = solve(build_method(tightened, parse_method("F4:S")).model)
-        g3 = compute_gap(-561.0, res3.dual_bound)
-        g4 = compute_gap(-561.0, res4.dual_bound)
-        ok = abs(g4 - 2.06) <= 0.05 and abs(g3 - 2.11) <= 0.05
-        report(5, ok, f"adhya3 OBBT: F4={g4:.2f} (want 2.06) F3={g3:.2f} (want 2.11)")
-        assert g4 == pytest.approx(2.06, abs=0.05)
-        assert g3 == pytest.approx(2.11, abs=0.05)
+        cells = asserted("TestCriterion5::test_adhya3_strictness_witness")
+        (name,) = {name for name, _ in cells}
+        assert_obbt_gaps(5, data_dir, name, [cell for _, cell in cells])
 
 
 class TestCriterion6:
-    @pytest.mark.parametrize("method,want", [("M2:S:H=3", 0.00), ("M1:S:H=3", 6.45)])
+    @pytest.mark.parametrize("method,want", [
+        (cell["label"], cell["gap"])
+        for _, cell in asserted("TestCriterion6::test_haverly1_mip_relaxations")])
     def test_haverly1_mip_relaxations(self, haverly1, method, want):
-        t0 = time.perf_counter()
-        res = solve(build_method(haverly1, parse_method(method)).model,
-                    SolveParams(time_limit_s=110))
-        elapsed = time.perf_counter() - t0
-        gap = compute_gap(-400.0, res.dual_bound)
-        ok = elapsed < 120 and abs(gap - want) <= 0.1
-        report(6, ok, f"haverly1 {method}: gap={gap:.2f} want={want:.2f} "
-                      f"({elapsed:.1f}s)")
-        assert elapsed < 120
-        assert gap == pytest.approx(want, abs=0.1)
+        rec = record("haverly1", haverly1, method, time_limit_s=110)
+        ok = rec.solve_seconds < 120 and abs(rec.gap_percent - want) <= 0.1
+        report(6, ok, f"haverly1 {method}: gap={rec.gap_percent:.2f} want={want:.2f} "
+                      f"({rec.solve_seconds:.1f}s)")
+        assert rec.solve_seconds < 120
+        assert rec.gap_percent == pytest.approx(want, abs=0.1)
 
 
 class TestCriterion7:
-    @pytest.mark.parametrize("name,want", [("haverly1", 0.00), ("haverly3", 4.17)])
+    CELLS = asserted("TestCriterion7::test_terminal_restriction_primal")
+
+    @pytest.mark.parametrize("name,want", [(name, cell["gap"]) for name, cell in CELLS])
     def test_terminal_restriction_primal(self, data_dir, name, want):
-        inst = load(data_dir, name)
-        res = solve(build_method(inst, parse_method("G2:T:H=3")).model,
-                    SolveParams(time_limit_s=110))
-        opt = {"haverly1": -400.0, "haverly3": -750.0}[name]
-        gap = compute_gap(res.objective, opt)
-        ok = abs(gap - want) <= 0.1
-        report(7, ok, f"{name} G2:T:H=3: value={res.objective:.2f} "
-                      f"P-gap={gap:.2f} want={want:.2f}")
-        assert gap == pytest.approx(want, abs=0.1)
+        (label,) = {cell["label"] for n, cell in self.CELLS if n == name}
+        rec = record(name, load(data_dir, name), label, time_limit_s=110)
+        ok = abs(rec.gap_percent - want) <= 0.1
+        report(7, ok, f"{name} {label}: value={rec.objective:.2f} "
+                      f"P-gap={rec.gap_percent:.2f} want={want:.2f}")
+        assert rec.gap_percent == pytest.approx(want, abs=0.1)
 
     @pytest.mark.parametrize("label", ["G1:S:H=3", "G2:S:H=3", "G1:T:H=3", "G2:T:H=3"])
     def test_restriction_solutions_feasible(self, haverly1, label):

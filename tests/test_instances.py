@@ -303,7 +303,7 @@ class TestMiningConversion:
         for t in reg:
             assert t in inst.penalty
         assert "t:inf" not in inst.penalty
-        assert all(v == float("inf") for v in inst.mu_hi["t:inf"])
+        assert all(v == float("inf") for v in inst.window("t:inf")[1])
 
     def test_times_alike_to_six_digits_keep_their_supplies(self):
         # written with :g, both ids would read s:P:1e+06 and keep one supply
