@@ -5,8 +5,9 @@ Run from the repository root:
     python scripts/bound_diff.py BEFORE.json AFTER.json
 
 It prints every cell whose status differs, every OBBT target whose
-provenance differs and every squeeze whose witness or status differs, then
-the largest relative move in each group:
+provenance differs, every recipe whose ``z_witness`` differs (a file
+written before the field existed has none) and every squeeze whose witness
+or status differs, then the largest relative move in each group:
 
   OBBT intervals  every node, arc and ghost interval of the ``recipe`` set;
   objective box   both ends of each ``recipe`` update's ``z_box``, apart
@@ -102,6 +103,9 @@ def compare(before: dict, after: dict) -> tuple[list[str], list[Largest]]:
         diffs.append(f"recipe {name}: only in {'BEFORE' if name in old else 'AFTER'}")
     for name in sorted(old.keys() & new.keys()):
         a, b = old[name], new[name]
+        if a.get("z_witness") != b.get("z_witness"):
+            diffs.append(f"recipe {name}: witness {a.get('z_witness')} -> "
+                         f"{b.get('z_witness')}")
         for label in sorted(a["provenance"].keys() | b["provenance"].keys()):
             pa, pb = a["provenance"].get(label), b["provenance"].get(label)
             if pa != pb:

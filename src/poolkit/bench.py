@@ -25,8 +25,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from .instances import PoolingInstance
 from .relaxations import G_KINDS, MethodSpec, build_method, parse_method
 from .solver import OPTIMAL, TIME_LIMIT, Budget, SolveParams, SolveResult, solve
-from .tightening import (RECIPE_RELAXATION, RECIPE_RESTRICTION, BoundUpdate,
-                         TighteningError, apply_bounds, default_obbt_recipe, obbt)
+from .tightening import (RECIPE_RELAXATION, BoundUpdate, TighteningError,
+                         apply_bounds, default_obbt_recipe, obbt)
 
 GAP_UNDEFINED = float("nan")
 
@@ -111,10 +111,11 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     ``inst`` itself and counts as the first tightening, with ``z_box`` as
     its box: the squeeze applies it and starts on the tightened instance it
     gives, with the recipe's restriction value (``z_box``'s upper end, when
-    finite) as the first upper bound and ``RECIPE_RESTRICTION`` as its
-    witness, and solves no restriction on ``inst``.  An update that does
-    not apply to ``inst`` (it may come from a bounds cache) gives neither:
-    the squeeze then runs its one pass on ``inst``, without OBBT.
+    finite and the update names its ``z_witness``) as the first upper bound
+    and that witness as its own, and solves no restriction on ``inst``.  An
+    update that does not apply to ``inst`` (it may come from a bounds
+    cache) gives neither: the squeeze then runs its one pass on ``inst``,
+    without OBBT.
 
     ``instance`` is the instance of the first pass (the tightened one, or
     ``inst`` itself), and ``first_pass`` keeps that pass's solves that
@@ -138,8 +139,8 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
             tightenings = 0
         else:   # the recipe's value bounds only an instance its update fits
             z_ub = first_update.z_box[1] if first_update.z_box else math.inf
-            if math.isfinite(z_ub):
-                best_ub, witness = z_ub, RECIPE_RESTRICTION
+            if first_update.z_witness and math.isfinite(z_ub):
+                best_ub, witness = z_ub, first_update.z_witness
     first_work, first_pass = work, None
     while True:
         # the LPs first: they are cheap, so a budget spent in a restriction

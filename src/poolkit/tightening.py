@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formulations import fvar, throughput
+from .formulations import (build_exact, check_solution, fvar,
+                           rederive_proportions, throughput)
 from .instances import (POOL, SOURCE_BASIS, TERMINAL, TERMINAL_BASIS,
                         InconsistencyError, PoolingInstance, content_hash, node_time)
 from .modelir import INF
@@ -23,13 +24,17 @@ from .solver import (INFEASIBLE, OPTIMAL, TIME_LIMIT, Budget, Session,
                      SolveParams, compile_model, solve)
 
 UNCHANGED = "unchanged"
-# the restriction whose value bounds the objective box of default_obbt_recipe
+# the restrictions whose lesser value is the upper end of default_obbt_recipe's
+# objective box: RECIPE_CUTOFF first, the cheap MILP, and then
+# RECIPE_RESTRICTION under its value as a cutoff
+RECIPE_CUTOFF = "G2:T:H=3"
 RECIPE_RESTRICTION = "G1:T:H=3"
 # the LP relaxation default_obbt_recipe's OBBT pass runs over
 RECIPE_RELAXATION = "F4:T"
-# names the recipe in bounds-cache file names: G1:T:H=3 on the k/7 grid
-# above, OBBT over F4:T; a change to the recipe must change it
-RECIPE_LABEL = "g1t3grid7+obbt(F4:T)"
+# names the recipe in bounds-cache file names: G2:T:H=3, then G1:T:H=3 under
+# its cutoff, both on the k/7 grid, then OBBT over F4:T; a change to the
+# recipe must change it
+RECIPE_LABEL = "g2t3+g1t3cut+grid7+obbt(F4:T)"
 
 
 class TighteningError(RuntimeError):
@@ -43,6 +48,8 @@ class BoundUpdate:
     ghost_bounds: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
     provenance: dict[str, str] = field(default_factory=dict)
     z_box: tuple[float, float] | None = None
+    # the label of the restriction whose point gave z_box's upper end, if any
+    z_witness: str = ""
 
     def record(self, kind: str, key, old: tuple[float, float],
                new: tuple[float, float], tag: str, slack: float = 0.0) -> None:
@@ -65,6 +72,7 @@ class BoundUpdate:
             "ghosts": {f"{a}->{b}": v for (a, b), v in self.ghost_bounds.items()},
             "provenance": self.provenance,
             "z_box": self.z_box,
+            "z_witness": self.z_witness,
         }, sort_keys=True)
 
     @classmethod
@@ -78,7 +86,8 @@ class BoundUpdate:
                   arc_bounds=unkey(data["arcs"]),
                   ghost_bounds=unkey(data["ghosts"]),
                   provenance=data["provenance"],
-                  z_box=tuple(data["z_box"]) if data.get("z_box") else None)
+                  z_box=tuple(data["z_box"]) if data.get("z_box") else None,
+                  z_witness=data.get("z_witness", ""))
         return upd
 
 
@@ -244,16 +253,22 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
                         cache_dir: str | None = None) -> BoundUpdate:
     """The benchmark recipe: one OBBT pass over the terminal-basis
     row-column LP relaxation (``RECIPE_RELAXATION``, F4:T) with the
-    objective at most the value of the H=3 terminal restriction on the
-    commodity proportions (``RECIPE_RESTRICTION``, G1:T:H=3).  The update's
-    ``z_box`` is that box.  It has no lower end: F4:T, the MCF:T backbone
-    plus rows, already implies the MCF:T bound.
+    objective at most the lesser value of two H=3 terminal-basis
+    restrictions.  The update's ``z_box`` is that box, and ``z_witness``
+    the label of the restriction that gave its upper end.  The box has no
+    lower end: F4:T, the MCF:T backbone plus rows, already implies the
+    MCF:T bound.
 
-    The restriction's incumbent is a feasible point, so it bounds from
-    above even when the solve stops at the time limit; without one the box
-    is unbounded.  ``params.time_limit_s`` is the budget of the whole
-    recipe, and a recipe that spends it raises TighteningError: the update
-    may be cut short.
+    ``RECIPE_CUTOFF`` (G2:T:H=3), on the bundled instances the cheaper
+    MILP, runs first.  ``RECIPE_RESTRICTION`` (G1:T:H=3) then runs with
+    that value as its cutoff, so it stops at once where it finds no better
+    point; ``Session.solve`` owns the rule for which cutoff results count,
+    and its ``accept`` checks the point on the exact terminal-basis model.
+    Either value comes from a feasible point, so it bounds from above even
+    when its solve stops at the time limit; without any point the box is
+    unbounded.  ``params.time_limit_s`` is the budget of the whole recipe,
+    and a recipe that spends it raises TighteningError: the update may be
+    cut short.
 
     With ``cache_dir``, the update is read from, or else written to, the
     file ``{content_hash(inst)}-{RECIPE_LABEL}.json`` there.  The name
@@ -267,10 +282,22 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
     budget = Budget(params)
     if budget.spent:
         raise TighteningError("the OBBT recipe has no time to run")
-    res = solve(build_method(inst, parse_method(RECIPE_RESTRICTION)).model,
-                budget.params())
-    z_ub = INF if res.objective is None else res.objective
+    z_ub, witness = INF, ""
+    first = solve(build_method(inst, parse_method(RECIPE_CUTOFF)).model, budget.params())
+    if first.objective is not None:
+        z_ub, witness = first.objective, RECIPE_CUTOFF
+    spec = parse_method(RECIPE_RESTRICTION)
+    exact = build_exact(inst, spec.basis)
+
+    def feasible(assignment: dict[str, float]) -> bool:
+        return check_solution(exact, rederive_proportions(exact, assignment)).ok
+
+    session = Session(compile_model(build_method(inst, spec).model))
+    res = session.solve(budget.params(), cutoff=z_ub, accept=feasible)
+    if res.objective is not None:
+        z_ub, witness = res.objective, RECIPE_RESTRICTION
     upd = obbt(inst, RECIPE_RELAXATION, -INF, z_ub, params=budget.params())
+    upd.z_witness = witness
     if budget.spent:
         raise TighteningError("the OBBT recipe ran out of time")
     if path:

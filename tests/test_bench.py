@@ -103,16 +103,17 @@ class TestExactValue:
 
     def test_recipe_value_that_meets_the_lp_needs_no_restriction(self, haverly1,
                                                                  monkeypatch):
-        # haverly1's tightened F4 bound is -400, its G1:T:H=3 value as well
+        # haverly1's tightened F4 bound is -400, its G2:T:H=3 value as well
         upd = default_obbt_recipe(haverly1)
         builds = record_builds(monkeypatch)
         ev = exact_value(haverly1, first_update=upd)
         assert [label for _, label in builds] == ["F4:S", "F4:T"]
-        assert (ev.status, ev.witness, ev.value) == ("proven", RECIPE_RESTRICTION, upd.z_box[1])
+        assert upd.z_witness == "G2:T:H=3"
+        assert (ev.status, ev.witness, ev.value) == ("proven", upd.z_witness, upd.z_box[1])
 
     def test_an_update_of_another_instance_proves_nothing(self, haverly1, data_dir):
         # foulds2's update names arcs haverly1 lacks, and its restriction
-        # value -1030 lies below haverly1's optimum -400
+        # value -1100 lies below haverly1's optimum -400
         upd = default_obbt_recipe(parse_instance(data_dir / "foulds2.json"))
         ev = exact_value(haverly1, first_update=upd)
         assert not ev.proven and ev.status != "proven"
@@ -143,16 +144,16 @@ class TestExactValue:
         assert [label for _, label in builds] == ["F4:S", "F4:T", "G2:S:H=3"]
         assert (ev.status, ev.witness) == ("proven", "G2:S:H=3")
 
-    def test_grid_squeeze_closes_at_the_first_restriction(self, data_dir,
-                                                          monkeypatch):
+    def test_grid_squeeze_closes_at_the_recipe_value(self, data_dir, monkeypatch):
         from poolkit import parse_instance
-        # run_grid's path: the recipe's update stands for the first pass
+        # run_grid's path: the recipe's update stands for the first pass, and
+        # its G2:T:H=3 value meets the tightened F4 bounds
         inst = parse_instance(data_dir / "adhya3.json")
         upd = default_obbt_recipe(inst)
         builds = record_builds(monkeypatch)
         ev = exact_value(inst, first_update=upd)
-        assert [label for _, label in builds] == ["F4:S", "F4:T", "G2:S:H=3"]
-        assert (ev.status, ev.witness) == ("proven", "G2:S:H=3")
+        assert [label for _, label in builds] == ["F4:S", "F4:T"]
+        assert (ev.status, ev.witness) == ("proven", "G2:T:H=3")
         assert ev.value == pytest.approx(-939.3181818181819, rel=REL_TOL)
 
     def test_bental5_squeeze_proves_within_its_budget(self, data_dir):
@@ -265,8 +266,12 @@ class TestSolveOnce:
         assert len({h for h, _ in counts}) == 2
         assert set(counts.values()) == {1}, counts
 
-    @pytest.mark.parametrize("name", ["bental4", "foulds2"])
-    def test_shared_cells_equal_fresh_cells(self, data_dir, monkeypatch, name):
+    # bental4's first pass solves all four labels; on foulds2 the recipe's
+    # G2:T:H=3 value meets the F4 bounds, so no restriction runs
+    @pytest.mark.parametrize("name,shared", [
+        ("bental4", {"F4:S", "F4:T", "G2:S:H=3", "G2:T:H=3"}),
+        ("foulds2", {"F4:S", "F4:T"})], ids=["bental4", "foulds2"])
+    def test_shared_cells_equal_fresh_cells(self, data_dir, monkeypatch, name, shared):
         inst = parse_instance(data_dir / f"{name}.json")
         updates = []
 
@@ -279,8 +284,7 @@ class TestSolveOnce:
         records = run_grid(GridConfig([(name, inst)], self.LABELS, obbt=True))
         # the grid's recipe comes first; bental4's squeeze runs more passes
         (ev,), upd = squeezes, updates[0]
-        # bental4 shares all four, foulds2 the F4 LPs and G2:S:H=3
-        assert set(ev.first_pass) >= {"F4:S", "F4:T", "G2:S:H=3"}
+        assert set(ev.first_pass) & set(self.LABELS) == shared
         work = apply_bounds(inst, upd)
         params = SolveParams(time_limit_s=GridConfig([], []).time_limit_s)
         for rec in records:

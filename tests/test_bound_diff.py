@@ -15,11 +15,11 @@ spec.loader.exec_module(bound_diff)
 
 def records(f4=-500.0, m2_status="optimal", m2_dual=-401.0, arc_hi=100.0,
             tag="obbt-max", value=-400.0, witness="G2:S:H=3", status="proven",
-            plain_g2=-400.0, z_lo=-500.0):
+            plain_g2=-400.0, z_lo=-500.0, z_witness="G2:T:H=3"):
     update = {"nodes": {"p1": [0.0, 300.0]}, "arcs": {"A->p1": [0.0, arc_hi]},
               "ghosts": {}, "provenance": {"node:p1": "unchanged",
                                            "arc:('A', 'p1')": tag},
-              "z_box": [z_lo, -400.0]}
+              "z_box": [z_lo, -400.0], "z_witness": z_witness}
     return {
         "lp-table": [{"instance": "h", "method": "F4:S", "status": "optimal",
                       "objective": f4, "dual_bound": f4}],
@@ -88,6 +88,19 @@ def test_squeeze_witness_and_status_differences_are_listed():
     assert diffs == ["squeeze h: witness G2:S:H=3 -> G1:S:H=3",
                      "squeeze h: status proven -> open"]
     assert moves(groups)["squeezes"] == pytest.approx(1 / 400)
+
+
+def test_recipe_witness_differences_are_listed():
+    diffs, groups = bound_diff.compare(records(), records(z_witness="G1:T:H=3"))
+    assert diffs == ["recipe h: witness G2:T:H=3 -> G1:T:H=3"]
+    assert moves(groups)["objective box"] == 0.0
+    # a file written before updates named their witness has none
+    before = records()
+    update = json.loads(before["recipe"][0]["update"])
+    del update["z_witness"]
+    before["recipe"][0]["update"] = json.dumps(update)
+    diffs, _ = bound_diff.compare(before, records())
+    assert diffs == ["recipe h: witness None -> G2:T:H=3"]
 
 
 def test_a_file_without_squeezes_lacks_each_one():

@@ -160,6 +160,34 @@ class TestOBBT:
         assert back.z_box == pytest.approx(upd.z_box)
 
 
+class TestRecipeBox:
+    """default_obbt_recipe's box ends at the lesser of the G2:T:H=3 and
+    G1:T:H=3 values, the second solved under the first as a cutoff, and the
+    update names the restriction that gave it."""
+
+    @pytest.mark.parametrize("name,witness", [("haverly3", "G1:T:H=3"),
+                                              ("foulds2", "G2:T:H=3"),
+                                              ("adhya4", "G2:T:H=3")])
+    def test_upper_end_is_the_lesser_restriction_value(self, name, witness):
+        inst, _, g1, _ = recipe_box(name)
+        values = {"G1:T:H=3": g1, "G2:T:H=3": solve(
+            build_method(inst, parse_method("G2:T:H=3")).model).objective}
+        upd = default_obbt_recipe(inst)
+        assert upd.z_box[1] == pytest.approx(min(values.values()), rel=1e-9)
+        assert upd.z_witness == witness
+        assert values[witness] == pytest.approx(upd.z_box[1], rel=1e-9)
+
+    def test_witness_round_trips(self, haverly3):
+        upd = default_obbt_recipe(haverly3)
+        assert BoundUpdate.from_json(upd.to_json()).z_witness == upd.z_witness != ""
+
+    def test_bental5_recipe_finishes(self, data_dir):
+        # without the cutoff, its G1:T:H=3 alone runs for minutes
+        inst = parse_instance(data_dir / "bental5.json")
+        upd = default_obbt_recipe(inst, SolveParams(time_limit_s=20))
+        assert upd.z_witness == "G2:T:H=3"
+
+
 class OneShotSession:
     """The Session interface on scipy.optimize.milp: a fresh HiGHS model per
     solve.  Its results carry no ``point``, so a sweep on it skips no solve:
