@@ -7,9 +7,10 @@ Run from the repository root:
 The ledger, ``src/poolkit/data/published/ledger.json``, holds each bundled
 instance's published optimum and gap cells.  Each gets one line: the
 published value, ours, and ``ok`` or ``DEVIATES`` with the ledger's reason.
-Our optimum is the squeeze's (``exact_value``); a cell's gap is
-``run_cell``'s against the published optimum, on the instance that
-``default_obbt_recipe`` tightens where the cell is published with OBBT.
+Our optimum is the squeeze's (``exact_value``), started from
+``default_obbt_recipe``'s update as a grid with OBBT starts it; a cell's
+gap is ``run_cell``'s against the published optimum, on the instance that
+update tightens where the cell is published with OBBT.
 An optimum is reproduced when the squeeze proves it to 1e-3 relative, a
 gap when ours lies within 0.05 percentage points.  HiGHS's own prints go
 to stderr, so stdout holds the report alone.  The exit code is 1 when
@@ -39,12 +40,11 @@ def check(name):
     entry = LEDGER[name]
     inst = parse_instance(DATA / f"{name}.json")
     opt = entry["optimum"]["value"]
-    ev = exact_value(inst, PARAMS)
+    upd = default_obbt_recipe(inst, params=PARAMS)
+    ev = exact_value(inst, PARAMS, first_update=upd)
     rows = [("optimum", opt, ev.value, ev.proven and abs(ev.value - opt) <= 1e-3 * abs(opt),
              entry["optimum"])]
-    work = {False: inst}   # by the cell's obbt flag
-    if any(cell["obbt"] for cell in entry["cells"]):
-        work[True] = apply_bounds(inst, default_obbt_recipe(inst, params=PARAMS))
+    work = {False: inst, True: apply_bounds(inst, upd)}   # by the cell's obbt flag
     for cell in entry["cells"]:
         rec = run_cell(name, work[cell["obbt"]], cell["label"], cell["obbt"], 0.0,
                        opt, PARAMS)

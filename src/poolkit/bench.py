@@ -69,7 +69,6 @@ class ExactValue:
 
 
 def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
-                use_obbt: bool = True,
                 first_update: BoundUpdate | None = None) -> ExactValue:
     """Squeeze the optimum between restriction values and a tightened
     relaxation bound (the backend has no nonconvex capability).
@@ -100,21 +99,19 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     the passes ran out or a tightening failed.  Bounds that cross by more
     than ``REL_TOL`` do not meet: they show a fault, never a proof.
 
-    With ``use_obbt``, three tightenings remain at the start, so up to
-    four passes run.  The squeeze's own tightening is one ``obbt`` sweep
-    over ``RECIPE_RELAXATION`` with the objective boxed into its best
-    [lower, upper] (infinite where a bound is missing): OBBT keeps every
-    point in that box, the optimum among them.  A tightening that fails
-    ends the loop; one over bounds that cross fails.
-
-    ``first_update``, when given, is ``default_obbt_recipe``'s update of
-    ``inst`` itself and counts as the first tightening, with ``z_box`` as
-    its box: the squeeze applies it and starts on the tightened instance it
-    gives, with the recipe's restriction value (``z_box``'s upper end, when
-    finite and the update names its ``z_witness``) as the first upper bound
-    and that witness as its own, and solves no restriction on ``inst``.  An
-    update that does not apply to ``inst`` (it may come from a bounds
-    cache) gives neither: the squeeze then runs its one pass on ``inst``,
+    The squeeze tightens only from ``first_update``,
+    ``default_obbt_recipe``'s update of ``inst`` itself.  It applies the
+    update and starts on the tightened instance it gives, with the recipe's
+    restriction value (``z_box``'s upper end, when finite and the update
+    names its ``z_witness``) as the first upper bound and that witness as
+    its own, and solves no restriction on ``inst``.  Up to two tightenings
+    of its own then remain, so up to three passes run.  Each is one
+    ``obbt`` sweep over ``RECIPE_RELAXATION`` with the objective boxed into
+    the squeeze's best [lower, upper] (infinite where a bound is missing):
+    OBBT keeps every point in that box, the optimum among them.  A
+    tightening that fails ends the loop; one over bounds that cross fails.
+    Without an update, or with one that does not apply to ``inst`` (it may
+    come from a bounds cache), the squeeze runs one pass on ``inst``,
     without OBBT.
 
     ``instance`` is the instance of the first pass (the tightened one, or
@@ -131,12 +128,12 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
         return (best_ub is not None and best_lb is not None
                 and abs(best_ub - best_lb) <= REL_TOL * max(1.0, abs(best_ub)))
 
-    work, tightenings = inst, 3 if use_obbt else 0
-    if use_obbt and first_update is not None:
+    work, tightenings = inst, 0
+    if first_update is not None:
         try:
-            work, tightenings = apply_bounds(inst, first_update), tightenings - 1
+            work, tightenings = apply_bounds(inst, first_update), 2
         except TighteningError:
-            tightenings = 0
+            pass
         else:   # the recipe's value bounds only an instance its update fits
             z_ub = first_update.z_box[1] if first_update.z_box else math.inf
             if first_update.z_witness and math.isfinite(z_ub):
@@ -294,8 +291,7 @@ def run_grid(config: GridConfig) -> list[RunRecord]:
                 except TighteningError:
                     pass   # the cells say obbt=0: this instance is not tightened
                 prep = time.perf_counter() - t0
-            ref = exact_value(inst, budget.params(), use_obbt=upd is not None,
-                              first_update=upd)
+            ref = exact_value(inst, budget.params(), first_update=upd)
             ref_status = ref.status if ref.value is not None else ""
             # the cells run on the instance of the squeeze's first pass, so
             # a model that pass solved is not solved again

@@ -49,6 +49,20 @@ def _load_instances(path: str, do_generalize: bool):
     return out
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not value >= 0:   # NaN fails the comparison too
+        raise argparse.ArgumentTypeError(f"must be a number of seconds >= 0, not {text}")
+    return value
+
+
 def _cmd_run(args) -> int:
     config = GridConfig(
         instances=_load_instances(args.instances, args.generalize),
@@ -107,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--obbt", choices=("on", "off"), default="off")
     run.add_argument("--generalize", action="store_true",
                      help="add pool-pool arcs before solving")
-    run.add_argument("--time-limit", type=float, default=3600.0,
+    run.add_argument("--time-limit", type=_seconds, default=3600.0,
                      help="seconds for the whole grid, instance by instance")
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--threads", type=_positive_int, default=1)
     run.add_argument("--bounds-cache",
                      help="directory for cached tightening results, keyed by "
                           "instance content hash and recipe")

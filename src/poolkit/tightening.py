@@ -21,20 +21,19 @@ from .instances import (POOL, SOURCE_BASIS, TERMINAL, TERMINAL_BASIS,
 from .modelir import INF
 from .relaxations import build_method, parse_method
 from .solver import (INFEASIBLE, OPTIMAL, TIME_LIMIT, Budget, Session,
-                     SolveParams, compile_model, solve)
+                     SolveParams, compile_model)
 
 UNCHANGED = "unchanged"
-# the restrictions whose lesser value is the upper end of default_obbt_recipe's
-# objective box: RECIPE_CUTOFF first, the cheap MILP, and then
-# RECIPE_RESTRICTION under its value as a cutoff
-RECIPE_CUTOFF = "G2:T:H=3"
-RECIPE_RESTRICTION = "G1:T:H=3"
+# the terminal-basis restrictions default_obbt_recipe solves, in turn, each
+# under the least value found before it as a cutoff; that least value is the
+# upper end of its objective box
+RECIPE_RESTRICTIONS = ("G2:T:H=3", "G1:T:H=3")
 # the LP relaxation default_obbt_recipe's OBBT pass runs over
 RECIPE_RELAXATION = "F4:T"
 # names the recipe in bounds-cache file names: G2:T:H=3, then G1:T:H=3 under
-# its cutoff, both on the k/7 grid, then OBBT over F4:T; a change to the
-# recipe must change it
-RECIPE_LABEL = "g2t3+g1t3cut+grid7+obbt(F4:T)"
+# its cutoff, both on the k/7 grid and each point checked, then OBBT over
+# F4:T; a change to the recipe must change it
+RECIPE_LABEL = "g2t3chk+g1t3cut+grid7+obbt(F4:T)"
 
 
 class TighteningError(RuntimeError):
@@ -253,19 +252,19 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
                         cache_dir: str | None = None) -> BoundUpdate:
     """The benchmark recipe: one OBBT pass over the terminal-basis
     row-column LP relaxation (``RECIPE_RELAXATION``, F4:T) with the
-    objective at most the lesser value of two H=3 terminal-basis
-    restrictions.  The update's ``z_box`` is that box, and ``z_witness``
-    the label of the restriction that gave its upper end.  The box has no
-    lower end: F4:T, the MCF:T backbone plus rows, already implies the
-    MCF:T bound.
+    objective at most the least value of the ``RECIPE_RESTRICTIONS``.  The
+    update's ``z_box`` is that box, and ``z_witness`` the label of the
+    restriction that gave its upper end.  The box has no lower end: F4:T,
+    the MCF:T backbone plus rows, already implies the MCF:T bound.
 
-    ``RECIPE_CUTOFF`` (G2:T:H=3), on the bundled instances the cheaper
-    MILP, runs first.  ``RECIPE_RESTRICTION`` (G1:T:H=3) then runs with
-    that value as its cutoff, so it stops at once where it finds no better
-    point; ``Session.solve`` owns the rule for which cutoff results count,
-    and its ``accept`` checks the point on the exact terminal-basis model.
-    Either value comes from a feasible point, so it bounds from above even
-    when its solve stops at the time limit; without any point the box is
+    The restrictions are solved in turn, each on a ``Session`` under the
+    least value found before it as its cutoff (inf for the first), so a
+    later one stops at once where it finds no better point.
+    ``Session.solve`` owns the rule for which cutoff results count, and its
+    ``accept`` checks every point on the exact terminal-basis model.
+    G2:T:H=3, on the bundled instances the cheaper MILP, runs first.  Each
+    value comes from a feasible point, so it bounds from above even when
+    its solve stops at the time limit; without any point the box is
     unbounded.  ``params.time_limit_s`` is the budget of the whole recipe,
     and a recipe that spends it raises TighteningError: the update may be
     cut short.
@@ -282,20 +281,17 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
     budget = Budget(params)
     if budget.spent:
         raise TighteningError("the OBBT recipe has no time to run")
-    z_ub, witness = INF, ""
-    first = solve(build_method(inst, parse_method(RECIPE_CUTOFF)).model, budget.params())
-    if first.objective is not None:
-        z_ub, witness = first.objective, RECIPE_CUTOFF
-    spec = parse_method(RECIPE_RESTRICTION)
-    exact = build_exact(inst, spec.basis)
+    exact = build_exact(inst, TERMINAL_BASIS)
 
     def feasible(assignment: dict[str, float]) -> bool:
         return check_solution(exact, rederive_proportions(exact, assignment)).ok
 
-    session = Session(compile_model(build_method(inst, spec).model))
-    res = session.solve(budget.params(), cutoff=z_ub, accept=feasible)
-    if res.objective is not None:
-        z_ub, witness = res.objective, RECIPE_RESTRICTION
+    z_ub, witness = INF, ""
+    for label in RECIPE_RESTRICTIONS:
+        session = Session(compile_model(build_method(inst, parse_method(label)).model))
+        res = session.solve(budget.params(), cutoff=z_ub, accept=feasible)
+        if res.objective is not None:
+            z_ub, witness = res.objective, label
     upd = obbt(inst, RECIPE_RELAXATION, -INF, z_ub, params=budget.params())
     upd.z_witness = witness
     if budget.spent:

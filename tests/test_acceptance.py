@@ -29,7 +29,7 @@ from poolkit.rank1 import (check_extreme_point_property, evaluate_conic_cuts,
                            gen_rlt_reverse_convex, hull_bound, random_box,
                            sample_rank_one_points, normalize)
 from poolkit.relaxations import block_value, build_method, parse_method
-from poolkit.solver import SolveParams, solve
+from poolkit.solver import Budget, SolveParams, solve
 from poolkit.tightening import apply_bounds, default_obbt_recipe, mining_tighten
 
 LEDGER = json.loads((DATA / "published" / "ledger.json").read_text())["instances"]
@@ -84,7 +84,10 @@ class TestCriterion1:
         want = optimum(name)
         inst = load(data_dir, name)
         t0 = time.perf_counter()
-        ev = exact_value(inst, SolveParams(time_limit_s=55.0))
+        # a grid's path: the recipe's update starts the squeeze, on one budget
+        budget = Budget(SolveParams(time_limit_s=55.0))
+        upd = default_obbt_recipe(inst, budget.params())
+        ev = exact_value(inst, budget.params(), first_update=upd)
         elapsed = time.perf_counter() - t0
         ok = (ev.proven and ev.value is not None
               and abs(ev.value - want) <= 1e-4 * abs(want) and elapsed < 60.0)

@@ -22,10 +22,12 @@ from poolkit.bench import (REL_TOL, RESTRICTION_PORTFOLIO, GridConfig,
 from poolkit.cli import _load_instances, main
 from poolkit.instances import content_hash
 from poolkit.relaxations import build_method, parse_method
-from poolkit.solver import OPTIMAL, TIME_LIMIT, SolveParams, SolveResult, solve
-from poolkit.tightening import (RECIPE_LABEL, RECIPE_RESTRICTION, BoundUpdate,
+from poolkit.solver import (OPTIMAL, TIME_LIMIT, Session, SolveParams, SolveResult,
+                            compile_model, solve)
+from poolkit.tightening import (RECIPE_LABEL, BoundUpdate,
                                 TighteningError, apply_bounds,
                                 default_obbt_recipe)
+from test_acceptance import optimum
 
 
 class TestGap:
@@ -57,7 +59,7 @@ class TestExactValue:
         assert ev.lower is not None  # the cheap LP bounds run first
 
     def test_status_of_a_proven_squeeze(self, haverly1):
-        ev = exact_value(haverly1)
+        ev = exact_value(haverly1, first_update=default_obbt_recipe(haverly1))
         assert (ev.proven, ev.status) == (True, "proven")
 
     def test_status_of_a_spent_budget(self, data_dir):
@@ -67,29 +69,31 @@ class TestExactValue:
         ev = exact_value(inst, SolveParams(time_limit_s=2.0))
         assert (ev.proven, ev.status) == (False, "time-limit")
 
-    def test_status_when_the_passes_end_unproven(self, haverly1, monkeypatch):
-        # haverly1's squeeze closes only after OBBT: F4 gives -500, G1:S -400
-        assert exact_value(haverly1, use_obbt=False).status == "open"
+    def test_status_when_the_passes_end_unproven(self, bental4, monkeypatch):
+        # bental4's squeeze closes only after its own OBBT sweep: untightened,
+        # F4 gives -500 and G1:S -450; after the recipe the gap is -452.96
+        # against -450
+        upd = default_obbt_recipe(bental4)
 
         def failing(*args, **kw):
             raise TighteningError("crossed interval")
 
         monkeypatch.setattr(poolkit.bench, "obbt", failing)
-        ev = exact_value(haverly1)
-        assert (ev.proven, ev.status) == (False, "open")
+        for first_update in (None, upd):
+            ev = exact_value(bental4, first_update=first_update)
+            assert (ev.proven, ev.status) == (False, "open")
 
     def test_first_update_stands_for_the_first_recipe(self, haverly2, monkeypatch):
         upd = default_obbt_recipe(haverly2)
-        fresh = exact_value(haverly2)
         calls = count_recipe_calls(monkeypatch)
         ev = exact_value(haverly2, first_update=upd)
         assert calls == []   # the squeeze's own passes run no recipe
-        assert ev.proven == fresh.proven
-        assert ev.value == pytest.approx(fresh.value, rel=1e-9)
-        assert ev.lower == pytest.approx(fresh.lower, rel=1e-9)
-        # the witness may be the recipe's own restriction, which was solved
-        # on haverly2 itself; either way that restriction reaches ev.value
-        assert ev.witness in RESTRICTION_PORTFOLIO + (RECIPE_RESTRICTION,)
+        assert ev.proven
+        assert ev.value == pytest.approx(optimum("haverly2"), rel=REL_TOL)
+        assert ev.lower == pytest.approx(optimum("haverly2"), rel=REL_TOL)
+        # the witness may be one of the recipe's own restrictions, which were
+        # solved on haverly2 itself; either way that restriction reaches ev.value
+        assert ev.witness in RESTRICTION_PORTFOLIO
         res = solve(build_method(haverly2, parse_method(ev.witness)).model)
         assert res.objective <= ev.value + 1e-6 * abs(ev.value)
 
@@ -117,12 +121,17 @@ class TestExactValue:
         upd = default_obbt_recipe(parse_instance(data_dir / "foulds2.json"))
         ev = exact_value(haverly1, first_update=upd)
         assert not ev.proven and ev.status != "proven"
-        assert ev.witness != RECIPE_RESTRICTION
         assert ev.value == pytest.approx(-400.0, rel=REL_TOL)
+        # the witness is a restriction solved on haverly1, not the update's
+        res = solve(build_method(haverly1, parse_method(ev.witness)).model)
+        assert res.objective == pytest.approx(ev.value, rel=1e-9)
         assert ev.instance is haverly1
 
-    def test_crossed_bounds_are_not_a_proof(self, haverly1, monkeypatch):
-        # a restriction whose value lies below the F4 bound shows a fault
+    def test_crossed_bounds_are_not_a_proof(self, bental4, monkeypatch):
+        # a restriction whose value lies below the F4 bound shows a fault;
+        # after bental4's recipe the squeeze still solves restrictions
+        upd = default_obbt_recipe(bental4)
+
         def below_the_bound(model, params=None):
             res = solve(model, params)
             if ":G" in model.name:
@@ -130,8 +139,8 @@ class TestExactValue:
             return res
 
         monkeypatch.setattr(poolkit.bench, "solve", below_the_bound)
-        for use_obbt in (False, True):
-            ev = exact_value(haverly1, use_obbt=use_obbt)
+        for first_update in (None, upd):
+            ev = exact_value(bental4, first_update=first_update)
             assert ev.upper == -1000.0 < ev.lower
             assert not ev.proven and ev.status != "proven"
 
@@ -194,9 +203,10 @@ def record_solves(monkeypatch) -> tuple[list, list]:
     """Record (phase, content hash, label) of every model that bench or
     tightening builds and solves, and every ExactValue the grid gets.  The
     phase is "squeeze" inside exact_value; outside it, "cell" for bench's
-    solves and "recipe" for tightening's.  An OBBT sweep's solves run on
-    its own session and are not recorded."""
-    solves, squeezes, built, phase = [], [], {}, ["cell"]
+    solves and "recipe" for the recipe's restriction solves, which run on
+    a ``Session`` under a cutoff.  An OBBT sweep's solves pass no cutoff
+    and are not recorded."""
+    solves, squeezes, built, compiled, phase = [], [], {}, {}, ["cell"]
 
     def recorded_build(inst, spec):
         res = build_method(inst, spec)
@@ -207,10 +217,16 @@ def record_solves(monkeypatch) -> tuple[list, list]:
         solves.append((phase[0],) + built[id(model)][1:])
         return solve(model, params)
 
-    def recorded_recipe_solve(model, params=None):
-        solves.append(("squeeze" if phase[0] == "squeeze" else "recipe",)
-                      + built[id(model)][1:])
-        return solve(model, params)
+    def recorded_compile(model):
+        cm = compile_model(model)
+        compiled[id(cm)] = (cm,) + built[id(model)][1:]
+        return cm
+
+    class RecordedSession(Session):
+        def solve(self, params=None, c=None, **kw):
+            if "cutoff" in kw:
+                solves.append(("recipe",) + compiled[id(self.cm)][1:])
+            return super().solve(params, c, **kw)
 
     def squeeze(*args, **kw):
         phase[0] = "squeeze"
@@ -223,7 +239,8 @@ def record_solves(monkeypatch) -> tuple[list, list]:
     for module in (poolkit.bench, poolkit.tightening):
         monkeypatch.setattr(module, "build_method", recorded_build)
     monkeypatch.setattr(poolkit.bench, "solve", recorded_solve)
-    monkeypatch.setattr(poolkit.tightening, "solve", recorded_recipe_solve)
+    monkeypatch.setattr(poolkit.tightening, "compile_model", recorded_compile)
+    monkeypatch.setattr(poolkit.tightening, "Session", RecordedSession)
     monkeypatch.setattr(poolkit.bench, "exact_value", squeeze)
     return solves, squeezes
 
@@ -251,14 +268,12 @@ class TestSolveOnce:
         assert not any(phase == "cell" and label.startswith("F4")
                        for phase, _, label in solves)
 
-    @pytest.mark.parametrize("name,recipe", [("haverly1", False), ("bental4", True)],
-                             ids=["haverly1", "bental4-recipe"])
-    def test_a_squeeze_solves_no_model_twice(self, data_dir, monkeypatch, name,
-                                             recipe):
-        # both squeezes run a second pass, whose OBBT box is the squeeze's
+    @pytest.mark.parametrize("name", ["bental4"], ids=["bental4-recipe"])
+    def test_a_squeeze_solves_no_model_twice(self, data_dir, monkeypatch, name):
+        # the squeeze runs a second pass, whose OBBT box is the squeeze's
         # own: it solves no restriction again on the instance it tightens
         inst = parse_instance(data_dir / f"{name}.json")
-        upd = default_obbt_recipe(inst) if recipe else None
+        upd = default_obbt_recipe(inst)
         solves, _ = record_solves(monkeypatch)
         ev = poolkit.bench.exact_value(inst, first_update=upd)
         assert ev.status == "proven"
@@ -301,7 +316,7 @@ class TestSolveOnce:
         squeeze = poolkit.bench.exact_value
 
         def untightened(inst, params, **kw):
-            return squeeze(inst, params, use_obbt=False)
+            return squeeze(inst, params)
 
         # the cells run on the instance the squeeze solved, haverly1 itself,
         # and take its solves
@@ -546,6 +561,19 @@ class TestCLI:
         assert code == 0
         records = records_from_csv(out.read_text())
         assert len(records) == 2
+
+    @pytest.mark.parametrize("option,value", [
+        ("--threads", "0"), ("--threads", "-2"),
+        ("--time-limit", "-5"), ("--time-limit", "nan")])
+    def test_run_rejects_a_bad_thread_count_or_time_limit(self, tmp_path, data_dir,
+                                                          capsys, option, value):
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--instances", str(data_dir / "haverly1.json"),
+                  "--methods", "F1:S", option, value, "--out", str(out)])
+        assert exit_.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_to_stdout_writes_only_the_csv(self, data_dir):
         # bental4's G2:S:H=3 restriction makes HiGHS print on fd 1

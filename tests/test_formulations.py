@@ -206,7 +206,7 @@ class TestBasisEquivalence:
         from poolkit import parse_instance
         from poolkit.bench import exact_value
         inst = parse_instance(data_dir / f"{name}.json")
-        ev = exact_value(inst)
+        ev = exact_value(inst, first_update=default_obbt_recipe(inst))
         assert ev.proven
         # both bases participate in the squeeze; the proven value is unique,
         # so agreement is within the squeeze tolerance by construction

@@ -3,6 +3,7 @@
 import functools
 import math
 from collections import Counter, defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ class TestOBBT:
         from poolkit.bench import exact_value
         upd = default_obbt_recipe(haverly3)
         inst = apply_bounds(haverly3, upd)
-        ev = exact_value(inst, use_obbt=False)
+        ev = exact_value(inst)
         assert ev.value == pytest.approx(-750.0, rel=1e-4)
 
     def test_monotone_second_pass(self, haverly2):
@@ -104,8 +105,6 @@ class TestOBBT:
     def test_spent_budget_raises_before_any_solve(self, haverly1, monkeypatch):
         # no solve could finish, so the update would tighten nothing
         started = []
-        monkeypatch.setattr(poolkit.tightening, "solve",
-                            lambda *a, **kw: started.append("solve"))
         monkeypatch.setattr(poolkit.tightening, "Session",
                             lambda *a, **kw: started.append("Session"))
         with pytest.raises(TighteningError, match="no time"):
@@ -113,17 +112,24 @@ class TestOBBT:
         assert started == []
 
     def test_the_recipe_reads_its_own_cache(self, haverly1, tmp_path, monkeypatch):
-        solved = []
-        recorded_solve = poolkit.tightening.solve
+        work = []
+        session_solve = poolkit.solver.Session.solve
 
-        def counted(model, params=None):
-            solved.append(model.name)
-            return recorded_solve(model, params)
+        def solved(self, *args, **kw):
+            work.append("solve")
+            return session_solve(self, *args, **kw)
 
-        monkeypatch.setattr(poolkit.tightening, "solve", counted)
+        def built(inst, spec):
+            work.append(spec.label())
+            return build_method(inst, spec)
+
+        monkeypatch.setattr(poolkit.solver.Session, "solve", solved)
+        monkeypatch.setattr(poolkit.tightening, "build_method", built)
         first = default_obbt_recipe(haverly1, cache_dir=str(tmp_path))
+        assert {"solve", "G2:T:H=3", "F4:T"} <= set(work)
+        work.clear()
         again = default_obbt_recipe(haverly1, cache_dir=str(tmp_path))
-        assert len(solved) == 1   # the restriction, on the first call only
+        assert work == []   # no model is built or solved on a cache hit
         assert [p.name for p in tmp_path.iterdir()] == [
             f"{content_hash(haverly1)}-{RECIPE_LABEL}.json"]
         assert again.to_json() == first.to_json()
@@ -180,6 +186,20 @@ class TestRecipeBox:
     def test_witness_round_trips(self, haverly3):
         upd = default_obbt_recipe(haverly3)
         assert BoundUpdate.from_json(upd.to_json()).z_witness == upd.z_witness != ""
+
+    def test_a_rejected_point_gives_no_upper_end(self, haverly1, monkeypatch):
+        # every restriction point goes through the check, the first too
+        checked = []
+
+        def rejects(bm, assignment):
+            checked.append(assignment)
+            return SimpleNamespace(ok=False)
+
+        monkeypatch.setattr(poolkit.tightening, "check_solution", rejects)
+        upd = default_obbt_recipe(haverly1)
+        assert len(checked) == 2
+        assert upd.z_box == (-math.inf, math.inf)
+        assert upd.z_witness == ""
 
     def test_bental5_recipe_finishes(self, data_dir):
         # without the cutoff, its G1:T:H=3 alone runs for minutes
@@ -416,10 +436,7 @@ class TestSessionSweep:
         for kind, key, names in sweep_targets(inst, parse_method(relax).basis):
             if key not in bounds[kind]:
                 continue
-            if kind == "ghost":
-                old = inst.ghost_bound(key, inst.pair_pool(key))
-            else:
-                old = inst.interval(kind, key)
+            old = inst.interval(kind, key)
             lo, hi = bounds[kind][key]
             value = sum(point[v] for v in names)
             assert old[0] <= lo <= hi <= old[1], (kind, key)
