@@ -25,8 +25,9 @@ from dataclasses import MISSING, dataclass, field, fields
 from .instances import PoolingInstance
 from .relaxations import G_KINDS, MethodSpec, build_method, parse_method
 from .solver import OPTIMAL, TIME_LIMIT, Budget, SolveParams, SolveResult, solve
+from . import tightening
 from .tightening import (RECIPE_RELAXATION, BoundUpdate, TighteningError,
-                         apply_bounds, default_obbt_recipe, obbt)
+                         apply_bounds, bounds_meet, default_obbt_recipe, obbt)
 
 GAP_UNDEFINED = float("nan")
 
@@ -40,9 +41,9 @@ def compute_gap(ub: float, lb: float) -> float:
 
 # the squeeze's upper-bounding restrictions, in the order it tries them (see
 # exact_value for why G2 comes first), and the relative distance at which its
-# bounds meet
+# bounds meet, owned by tightening.bounds_meet
 RESTRICTION_PORTFOLIO = ("G2:S:H=3", "G2:T:H=3", "G1:S:H=3", "G1:T:H=3")
-REL_TOL = 1e-4
+REL_TOL = tightening.REL_TOL
 
 
 @dataclass
@@ -76,11 +77,11 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     The squeeze is one loop of passes.  A pass solves the F4 LPs first,
     then the restrictions of ``RESTRICTION_PORTFOLIO`` in turn; no
     restriction starts once the best bounds found so far meet to
-    ``REL_TOL`` relative.  Every solve's result becomes a bound in one
-    place: a label of a kind in ``G_KINDS`` gives its objective, an upper
-    bound, and every other label its dual bound.  While the bounds are
-    open and tightenings remain, the pass ends in one OBBT sweep, and the
-    next pass runs on the instance that sweep tightened.
+    ``REL_TOL`` relative (``bounds_meet``).  Every solve's result becomes
+    a bound in one place: a label of a kind in ``G_KINDS`` gives its
+    objective, an upper bound, and every other label its dual bound.  While
+    the bounds are open and tightenings remain, the pass ends in one OBBT
+    sweep, and the next pass runs on the instance that sweep tightened.
 
     The portfolio's fixed order tries G2 before G1: on the bundled
     instances G2 is the cheaper MILP and the one that closes (on bental5,
@@ -125,8 +126,7 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     witness = ""
 
     def closed() -> bool:
-        return (best_ub is not None and best_lb is not None
-                and abs(best_ub - best_lb) <= REL_TOL * max(1.0, abs(best_ub)))
+        return bounds_meet(best_lb, best_ub)
 
     work, tightenings = inst, 0
     if first_update is not None:

@@ -18,6 +18,7 @@ from pathlib import Path
 from .bench import GridConfig, records_to_csv, run_grid, summarize
 from .instances import (convert_mining, generalize, parse_instance,
                         parse_mining, to_dict)
+from .relaxations import MethodError, parse_method
 from .tightening import mining_tighten
 
 
@@ -63,10 +64,28 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _existing_path(text: str) -> str:
+    if not Path(text).exists():
+        raise argparse.ArgumentTypeError(f"no such file or directory: {text!r}")
+    return text
+
+
+def _method_labels(text: str) -> list[str]:
+    """The comma-separated labels, each checked by parse_method, so that a
+    typo stops the run before any solve."""
+    labels = [m.strip() for m in text.split(",") if m.strip()]
+    for label in labels:
+        try:
+            parse_method(label)
+        except MethodError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return labels
+
+
 def _cmd_run(args) -> int:
     config = GridConfig(
         instances=_load_instances(args.instances, args.generalize),
-        methods=[m.strip() for m in args.methods.split(",") if m.strip()],
+        methods=args.methods,
         obbt=args.obbt == "on",
         time_limit_s=args.time_limit,
         threads=args.threads,
@@ -114,9 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an (instance x method) grid")
-    run.add_argument("--instances", required=True,
+    run.add_argument("--instances", required=True, type=_existing_path,
                      help="instance JSON file or directory")
-    run.add_argument("--methods", required=True,
+    run.add_argument("--methods", required=True, type=_method_labels,
                      help="comma-separated method strings, e.g. 'F1:S,M2:T:H=3'")
     run.add_argument("--obbt", choices=("on", "off"), default="off")
     run.add_argument("--generalize", action="store_true",

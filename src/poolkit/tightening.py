@@ -21,7 +21,7 @@ from .instances import (POOL, SOURCE_BASIS, TERMINAL, TERMINAL_BASIS,
 from .modelir import INF
 from .relaxations import build_method, parse_method
 from .solver import (INFEASIBLE, OPTIMAL, TIME_LIMIT, Budget, Session,
-                     SolveParams, compile_model)
+                     SolveParams, compile_model, solve)
 
 UNCHANGED = "unchanged"
 # the terminal-basis restrictions default_obbt_recipe solves, in turn, each
@@ -31,9 +31,20 @@ RECIPE_RESTRICTIONS = ("G2:T:H=3", "G1:T:H=3")
 # the LP relaxation default_obbt_recipe's OBBT pass runs over
 RECIPE_RELAXATION = "F4:T"
 # names the recipe in bounds-cache file names: G2:T:H=3, then G1:T:H=3 under
-# its cutoff, both on the k/7 grid and each point checked, then OBBT over
-# F4:T; a change to the recipe must change it
-RECIPE_LABEL = "g2t3chk+g1t3cut+grid7+obbt(F4:T)"
+# its cutoff, both on the k/7 grid and each point checked, the second only
+# while F4:T over the first's sweep leaves room, then OBBT over F4:T; a
+# change to the recipe must change it
+RECIPE_LABEL = "g2t3chk+g1t3cut+stop+grid7+obbt(F4:T)"
+# the relative distance at which a lower and an upper bound meet
+REL_TOL = 1e-4
+
+
+def bounds_meet(lower: float | None, upper: float | None) -> bool:
+    """Whether a lower and an upper bound on one optimum meet: both known
+    and within ``REL_TOL`` relative of each other.  Bounds that cross by
+    more than that do not meet: they show a fault, never a proof."""
+    return (lower is not None and upper is not None
+            and abs(upper - lower) <= REL_TOL * max(1.0, abs(upper)))
 
 
 class TighteningError(RuntimeError):
@@ -265,7 +276,27 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
     G2:T:H=3, on the bundled instances the cheaper MILP, runs first.  Each
     value comes from a feasible point, so it bounds from above even when
     its solve stops at the time limit; without any point the box is
-    unbounded.  ``params.time_limit_s`` is the budget of the whole recipe,
+    unbounded.
+
+    After each restriction that lowers the upper end ``z_ub``, the recipe
+    runs the sweep at the new box, always from ``inst``, and solves F4:T on
+    the instance that sweep tightens.  Where that dual bound meets ``z_ub``
+    (``bounds_meet``, the squeeze's rule), no further restriction is
+    solved.  A skipped restriction could have lowered ``z_ub`` by at most
+    ``REL_TOL`` relative, because:
+
+    - a restriction's point counts only where the exact terminal-basis
+      model accepts it, so it is a feasible point of the terminal-basis
+      problem;
+    - OBBT keeps every feasible point with objective at most ``z_ub``, so
+      each such point lies inside the sweep's bounds;
+    - F4:T relaxes that problem over those bounds, so its dual bound is at
+      most the point's value.
+
+    The check reads F4:T only: a source-basis bound does not bound the
+    terminal-basis problem on instances with pool-pool arcs.  The update is
+    the sweep at the final box, the same whether or not a restriction was
+    skipped.  ``params.time_limit_s`` is the budget of the whole recipe,
     and a recipe that spends it raises TighteningError: the update may be
     cut short.
 
@@ -282,17 +313,28 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
     if budget.spent:
         raise TighteningError("the OBBT recipe has no time to run")
     exact = build_exact(inst, TERMINAL_BASIS)
+    relaxation = parse_method(RECIPE_RELAXATION)
 
     def feasible(assignment: dict[str, float]) -> bool:
         return check_solution(exact, rederive_proportions(exact, assignment)).ok
 
-    z_ub, witness = INF, ""
+    def sweep(z_ub: float) -> BoundUpdate:
+        return obbt(inst, RECIPE_RELAXATION, -INF, z_ub, params=budget.params())
+
+    z_ub, witness, upd = INF, "", None
     for label in RECIPE_RESTRICTIONS:
+        if upd is not None:
+            lower = solve(build_method(apply_bounds(inst, upd), relaxation).model,
+                          budget.params()).dual_bound
+            if bounds_meet(lower, z_ub):
+                break
         session = Session(compile_model(build_method(inst, parse_method(label)).model))
         res = session.solve(budget.params(), cutoff=z_ub, accept=feasible)
         if res.objective is not None:
             z_ub, witness = res.objective, label
-    upd = obbt(inst, RECIPE_RELAXATION, -INF, z_ub, params=budget.params())
+            upd = sweep(z_ub)
+    if upd is None:
+        upd = sweep(z_ub)
     upd.z_witness = witness
     if budget.spent:
         raise TighteningError("the OBBT recipe ran out of time")

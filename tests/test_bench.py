@@ -575,6 +575,25 @@ class TestCLI:
         assert f"argument {option}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,value", [
+        ("--methods", "F1:S,F4:Q"), ("--methods", "G2:T"),
+        ("--instances", "no-such-instance.json")])
+    def test_run_rejects_a_bad_method_or_instance_path(self, tmp_path, data_dir,
+                                                       capsys, monkeypatch,
+                                                       option, value):
+        # a typo used to raise a traceback, a method's only after the
+        # recipe and the squeeze had run
+        monkeypatch.setattr("poolkit.cli.run_grid", lambda *a: pytest.fail("solved"))
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "res.csv"
+        args = {"--instances": str(data_dir / "haverly1.json"), "--methods": "F1:S",
+                "--obbt": "on", "--out": str(out), option: value}
+        with pytest.raises(SystemExit) as exit_:
+            main(["run"] + [word for pair in args.items() for word in pair])
+        assert exit_.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_to_stdout_writes_only_the_csv(self, data_dir):
         # bental4's G2:S:H=3 restriction makes HiGHS print on fd 1
         src = str(pathlib.Path(poolkit.__file__).parents[1])

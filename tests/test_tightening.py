@@ -166,10 +166,58 @@ class TestOBBT:
         assert back.z_box == pytest.approx(upd.z_box)
 
 
+def recipe_restrictions(inst, monkeypatch):
+    """The update of default_obbt_recipe(inst) and the restriction labels
+    it built, in order."""
+    built = []
+
+    def spy(inst, spec):
+        built.append(spec.label())
+        return build_method(inst, spec)
+
+    monkeypatch.setattr(poolkit.tightening, "build_method", spy)
+    upd = default_obbt_recipe(inst)
+    return upd, [label for label in built if label.startswith("G")]
+
+
 class TestRecipeBox:
     """default_obbt_recipe's box ends at the lesser of the G2:T:H=3 and
-    G1:T:H=3 values, the second solved under the first as a cutoff, and the
-    update names the restriction that gave it."""
+    G1:T:H=3 values, the second solved under the first as a cutoff and
+    only while F4:T over G2's sweep leaves room below G2's value, and the
+    update, the sweep at that box, names the restriction that gave it."""
+
+    @pytest.mark.parametrize("name,g1_runs", [
+        ("foulds2", False), ("adhya4", False), ("haverly1", False),
+        ("haverly3", True), ("bental4", True)])
+    def test_g1_runs_only_while_the_sweep_leaves_room(self, name, g1_runs,
+                                                      monkeypatch):
+        # on haverly3 and bental4, G1:T:H=3 lowers G2's value: -720 to -750
+        # and -425 to -450
+        inst = parse_instance(DATA / f"{name}.json")
+        labels = ["G2:T:H=3"] + ["G1:T:H=3"] * g1_runs
+        assert recipe_restrictions(inst, monkeypatch)[1] == labels
+
+    @pytest.mark.parametrize("name", ["foulds2", "adhya4"])
+    def test_the_stop_moves_no_bit(self, name, monkeypatch):
+        inst = parse_instance(DATA / f"{name}.json")
+        stopped = default_obbt_recipe(inst)
+        monkeypatch.setattr(poolkit.tightening, "bounds_meet", lambda lo, hi: False)
+        upd, labels = recipe_restrictions(inst, monkeypatch)
+        assert labels == ["G2:T:H=3", "G1:T:H=3"]
+        assert upd.to_json() == stopped.to_json()
+
+    def test_the_update_is_the_sweep_at_the_final_box(self, haverly3):
+        upd = default_obbt_recipe(haverly3)
+        assert upd.z_witness == "G1:T:H=3"
+        assert upd.z_box[1] == pytest.approx(-750.0, rel=1e-9)
+        sweep = obbt(haverly3, "F4:T", -math.inf, upd.z_box[1])
+        sweep.z_witness = upd.z_witness
+        assert upd.to_json() == sweep.to_json()
+        g2 = solve(build_method(haverly3, parse_method("G2:T:H=3")).model).objective
+        assert g2 == pytest.approx(-720.0, rel=1e-9)
+        g2_sweep = obbt(haverly3, "F4:T", -math.inf, g2)
+        g2_sweep.z_witness = upd.z_witness
+        assert upd.to_json() != g2_sweep.to_json()
 
     @pytest.mark.parametrize("name,witness", [("haverly3", "G1:T:H=3"),
                                               ("foulds2", "G2:T:H=3"),
