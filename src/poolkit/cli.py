@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -61,6 +62,13 @@ def _seconds(text: str) -> float:
     value = float(text)
     if not value >= 0:   # NaN fails the comparison too
         raise argparse.ArgumentTypeError(f"must be a number of seconds >= 0, not {text}")
+    return value
+
+
+def _penalty(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:   # instances.validate's rule for a penalty
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text}")
     return value
 
 
@@ -150,16 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     tighten = sub.add_parser("tighten", help="mining bound tightening")
-    tighten.add_argument("--mining", required=True, help="schedule JSON")
-    tighten.add_argument("--penalty", type=float, default=1.0,
+    tighten.add_argument("--mining", required=True, type=_existing_path,
+                         help="schedule JSON")
+    tighten.add_argument("--penalty", type=_penalty, default=1.0,
                          help="default soft-spec penalty weight")
     tighten.add_argument("--out", help="bounds JSON output path")
     tighten.set_defaults(func=_cmd_tighten)
 
     conv = sub.add_parser("convert-mining",
                           help="convert a mining schedule to a pooling instance")
-    conv.add_argument("schedule", help="schedule JSON")
-    conv.add_argument("--penalty", type=float, default=1.0)
+    conv.add_argument("schedule", type=_existing_path, help="schedule JSON")
+    conv.add_argument("--penalty", type=_penalty, default=1.0)
     conv.add_argument("--out", help="instance JSON output path")
     conv.set_defaults(func=_cmd_convert)
     return parser

@@ -303,13 +303,16 @@ def parse_instance_dict(data: dict, name: str = "instance") -> PoolingInstance:
     return validate(inst)
 
 
-def parse_instance(path) -> PoolingInstance:
+def _load_json(path):
     with open(path) as f:
         try:
-            data = json.load(f)
+            return json.load(f)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
-    return parse_instance_dict(data, name=str(path))
+
+
+def parse_instance(path) -> PoolingInstance:
+    return parse_instance_dict(_load_json(path), name=str(path))
 
 
 def generalize(inst: PoolingInstance) -> PoolingInstance:
@@ -390,9 +393,7 @@ def parse_mining_dict(data: dict) -> MiningSchedule:
 
 
 def parse_mining(path) -> MiningSchedule:
-    with open(path) as f:
-        data = json.load(f)
-    return parse_mining_dict(data)
+    return parse_mining_dict(_load_json(path))
 
 
 def _tag(time: float) -> str:

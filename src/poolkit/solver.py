@@ -6,16 +6,14 @@ raises CapabilityError instead of silently dropping the nonconvex part.
 
 ``Session`` holds one compiled model in HiGHS through scipy's private
 ``_highspy`` binding, the only user of it in the package; its solves may
-change the costs, as OBBT does, and a MIP's may ask only for a point below a
-cutoff.  ``solve_compiled`` is the one-shot path: an LP runs on a fresh
-``Session``, a MIP through ``scipy.optimize.milp``.
+change the costs, as OBBT does.  ``solve_compiled`` is the one-shot path: an
+LP runs on a fresh ``Session``, a MIP through ``scipy.optimize.milp``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -31,8 +29,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 TIME_LIMIT = "time-limit"
 ERROR = "error"
-# a cutoff solve that found no point below its cutoff (Session.solve)
-NO_BETTER = "no-better"
 
 
 class CapabilityError(RuntimeError):
@@ -233,22 +229,8 @@ class Session:
         self._cols = np.arange(n_cols, dtype=np.int32)
 
     def solve(self, params: SolveParams | None = None,
-              c: np.ndarray | None = None, *, cutoff: float | None = None,
-              accept: Callable[[dict[str, float]], bool] | None = None) -> SolveResult:
-        """Minimize ``c`` (default: the model's own costs) over the model.
-
-        ``cutoff``, a MIP's only, asks for a point whose objective lies
-        below it (``inf`` for any point): HiGHS prunes every node whose
-        bound reaches it (its ``objective_bound``).  HiGHS 1.12 reports
-        OPTIMAL even where no point beats the cutoff, with an objective
-        that is not the search's (0.0, or that of a point above the
-        cutoff).  A cutoff result therefore keeps its point only when its
-        objective lies strictly below the cutoff, equals ``c @ x``, and
-        ``accept`` takes the point (by column name).  Otherwise it has no
-        objective, point or dual bound, and its status is NO_BETTER where
-        HiGHS said OPTIMAL or INFEASIBLE."""
-        if cutoff is not None and (not self._is_mip or accept is None):
-            raise ValueError("a cutoff needs a MIP and an accept check")
+              c: np.ndarray | None = None) -> SolveResult:
+        """Minimize ``c`` (default: the model's own costs) over the model."""
         params = params or SolveParams()
         h = self._highs
         c = self.cm.c if c is None else c
@@ -258,7 +240,6 @@ class Session:
         h.setOptionValue("time_limit", h.getRunTime() + float(params.time_limit_s))
         if self._is_mip:
             h.setOptionValue("mip_rel_gap", params.rel_gap)
-            h.setOptionValue("objective_bound", INF if cutoff is None else float(cutoff))
         t0 = time.perf_counter()
         h.run()
         elapsed = time.perf_counter() - t0
@@ -269,15 +250,8 @@ class Session:
             has_point = status in (OPTIMAL, TIME_LIMIT) and math.isfinite(objective)
         else:
             has_point = status == OPTIMAL
-        x = np.asarray(h.getSolution().col_value) if has_point else None
-        if cutoff is not None and not (
-                x is not None and objective < cutoff
-                and abs(objective - c @ x) <= 1e-9 * max(1.0, abs(objective))
-                and accept(dict(zip(self.cm.names, x.tolist())))):
-            x = None
-            if status in (OPTIMAL, INFEASIBLE):
-                status = NO_BETTER
-        mip_dual = info.mip_dual_bound if self._is_mip and x is not None else None
+        x = h.getSolution().col_value if has_point else None
+        mip_dual = info.mip_dual_bound if self._is_mip and has_point else None
         return _result(self.cm, status, objective, x, mip_dual, elapsed,
                        info.simplex_iteration_count,
                        info.mip_node_count if self._is_mip else None)

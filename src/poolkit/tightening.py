@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import pathlib
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,17 +26,16 @@ from .solver import (INFEASIBLE, OPTIMAL, TIME_LIMIT, Budget, Session,
                      SolveParams, compile_model, solve)
 
 UNCHANGED = "unchanged"
-# the terminal-basis restrictions default_obbt_recipe solves, in turn, each
-# under the least value found before it as a cutoff; that least value is the
-# upper end of its objective box
+# the terminal-basis restrictions default_obbt_recipe solves, in turn; the
+# least value they find is the upper end of its objective box
 RECIPE_RESTRICTIONS = ("G2:T:H=3", "G1:T:H=3")
 # the LP relaxation default_obbt_recipe's OBBT pass runs over
 RECIPE_RELAXATION = "F4:T"
-# names the recipe in bounds-cache file names: G2:T:H=3, then G1:T:H=3 under
-# its cutoff, both on the k/7 grid and each point checked, the second only
-# while F4:T over the first's sweep leaves room, then OBBT over F4:T; a
-# change to the recipe must change it
-RECIPE_LABEL = "g2t3chk+g1t3cut+stop+grid7+obbt(F4:T)"
+# names the recipe in bounds-cache file names: G2:T:H=3, then G1:T:H=3,
+# both on the k/7 grid and each point checked, the second only while F4:T
+# over the first's sweep leaves room, then OBBT over F4:T; a change to the
+# recipe must change it
+RECIPE_LABEL = "g2t3chk+g1t3chk+stop+grid7+obbt(F4:T)"
 # the relative distance at which a lower and an upper bound meet
 REL_TOL = 1e-4
 
@@ -268,15 +269,12 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
     restriction that gave its upper end.  The box has no lower end: F4:T,
     the MCF:T backbone plus rows, already implies the MCF:T bound.
 
-    The restrictions are solved in turn, each on a ``Session`` under the
-    least value found before it as its cutoff (inf for the first), so a
-    later one stops at once where it finds no better point.
-    ``Session.solve`` owns the rule for which cutoff results count, and its
-    ``accept`` checks every point on the exact terminal-basis model.
-    G2:T:H=3, on the bundled instances the cheaper MILP, runs first.  Each
-    value comes from a feasible point, so it bounds from above even when
-    its solve stops at the time limit; without any point the box is
-    unbounded.
+    The restrictions are solved in turn, G2:T:H=3, on the bundled
+    instances the cheaper MILP, first.  A point counts only where its value
+    lies below the least found before it and the exact terminal-basis model
+    accepts it.  Each value comes from a feasible point, so it bounds from
+    above even when its solve stops at the time limit; without any point
+    the box is unbounded.
 
     After each restriction that lowers the upper end ``z_ub``, the recipe
     runs the sweep at the new box, always from ``inst``, and solves F4:T on
@@ -303,12 +301,17 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
     With ``cache_dir``, the update is read from, or else written to, the
     file ``{content_hash(inst)}-{RECIPE_LABEL}.json`` there.  The name
     records no time limit, which is why an update cut short is never
-    written."""
+    written.  The file is written to a temporary file beside it and moved
+    into place, so a run killed while writing leaves no torn file; a file
+    that ``BoundUpdate.from_json`` cannot read counts as a miss, and the
+    recipe runs and replaces it."""
     path = None
     if cache_dir:
         path = pathlib.Path(cache_dir) / f"{content_hash(inst)}-{RECIPE_LABEL}.json"
-        if path.exists():
+        try:
             return BoundUpdate.from_json(path.read_text())
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            pass
     budget = Budget(params)
     if budget.spent:
         raise TighteningError("the OBBT recipe has no time to run")
@@ -328,9 +331,8 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
                           budget.params()).dual_bound
             if bounds_meet(lower, z_ub):
                 break
-        session = Session(compile_model(build_method(inst, parse_method(label)).model))
-        res = session.solve(budget.params(), cutoff=z_ub, accept=feasible)
-        if res.objective is not None:
+        res = solve(build_method(inst, parse_method(label)).model, budget.params())
+        if res.objective is not None and res.objective < z_ub and feasible(res.assignment):
             z_ub, witness = res.objective, label
             upd = sweep(z_ub)
     if upd is None:
@@ -340,7 +342,13 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
         raise TighteningError("the OBBT recipe ran out of time")
     if path:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(upd.to_json())
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(upd.to_json())
+            os.replace(tmp, path)
+        finally:
+            pathlib.Path(tmp).unlink(missing_ok=True)   # gone after the replace
     return upd
 
 

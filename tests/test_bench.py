@@ -22,8 +22,7 @@ from poolkit.bench import (REL_TOL, RESTRICTION_PORTFOLIO, GridConfig,
 from poolkit.cli import _load_instances, main
 from poolkit.instances import content_hash
 from poolkit.relaxations import build_method, parse_method
-from poolkit.solver import (OPTIMAL, TIME_LIMIT, Session, SolveParams, SolveResult,
-                            compile_model, solve)
+from poolkit.solver import OPTIMAL, TIME_LIMIT, SolveParams, SolveResult, solve
 from poolkit.tightening import (RECIPE_LABEL, BoundUpdate,
                                 TighteningError, apply_bounds,
                                 default_obbt_recipe)
@@ -203,10 +202,10 @@ def record_solves(monkeypatch) -> tuple[list, list]:
     """Record (phase, content hash, label) of every model that bench or
     tightening builds and solves, and every ExactValue the grid gets.  The
     phase is "squeeze" inside exact_value; outside it, "cell" for bench's
-    solves and "recipe" for the recipe's restriction solves, which run on
-    a ``Session`` under a cutoff.  An OBBT sweep's solves pass no cutoff
-    and are not recorded."""
-    solves, squeezes, built, compiled, phase = [], [], {}, {}, ["cell"]
+    solves and "recipe" for the recipe's restriction (G) solves.  An OBBT
+    sweep's solves, and the recipe's F4:T check, which repeats the
+    squeeze's first F4:T LP, are not recorded."""
+    solves, squeezes, built, phase = [], [], {}, ["cell"]
 
     def recorded_build(inst, spec):
         res = build_method(inst, spec)
@@ -217,16 +216,10 @@ def record_solves(monkeypatch) -> tuple[list, list]:
         solves.append((phase[0],) + built[id(model)][1:])
         return solve(model, params)
 
-    def recorded_compile(model):
-        cm = compile_model(model)
-        compiled[id(cm)] = (cm,) + built[id(model)][1:]
-        return cm
-
-    class RecordedSession(Session):
-        def solve(self, params=None, c=None, **kw):
-            if "cutoff" in kw:
-                solves.append(("recipe",) + compiled[id(self.cm)][1:])
-            return super().solve(params, c, **kw)
+    def recorded_recipe_solve(model, params=None):
+        if built[id(model)][2].startswith("G"):
+            solves.append(("recipe",) + built[id(model)][1:])
+        return solve(model, params)
 
     def squeeze(*args, **kw):
         phase[0] = "squeeze"
@@ -239,8 +232,7 @@ def record_solves(monkeypatch) -> tuple[list, list]:
     for module in (poolkit.bench, poolkit.tightening):
         monkeypatch.setattr(module, "build_method", recorded_build)
     monkeypatch.setattr(poolkit.bench, "solve", recorded_solve)
-    monkeypatch.setattr(poolkit.tightening, "compile_model", recorded_compile)
-    monkeypatch.setattr(poolkit.tightening, "Session", RecordedSession)
+    monkeypatch.setattr(poolkit.tightening, "solve", recorded_recipe_solve)
     monkeypatch.setattr(poolkit.bench, "exact_value", squeeze)
     return solves, squeezes
 
@@ -590,6 +582,29 @@ class TestCLI:
                 "--obbt": "on", "--out": str(out), option: value}
         with pytest.raises(SystemExit) as exit_:
             main(["run"] + [word for pair in args.items() for word in pair])
+        assert exit_.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("tighten", "--mining", "no-such-schedule.json"),
+        ("tighten", "--penalty", "nan"), ("tighten", "--penalty", "-1"),
+        ("convert-mining", "schedule", "no-such-schedule.json"),
+        ("convert-mining", "--penalty", "inf")])
+    def test_mining_commands_reject_a_bad_path_or_penalty(self, tmp_path, data_dir,
+                                                          capsys, monkeypatch,
+                                                          command, option, value):
+        # a missing file used to raise a traceback, and a NaN penalty to exit 0
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out.json"
+        schedule = {"tighten": "--mining", "convert-mining": "schedule"}[command]
+        args = {schedule: str(data_dir / "mining" / "example_schedule.json"),
+                "--penalty": "1", "--out": str(out), option: value}
+        argv = [command]
+        for key, word in args.items():
+            argv += [word] if key == "schedule" else [key, word]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
         assert exit_.value.code == 2
         assert f"argument {option}" in capsys.readouterr().err
         assert not out.exists()

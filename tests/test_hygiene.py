@@ -130,6 +130,33 @@ def test_detects_a_package_import():
     assert package_imports(source) == ["poolkit.solver", ".modelir", "."]
 
 
+def session_makers(source: str) -> list[str]:
+    """The top-level functions and classes of the source that construct a
+    ``Session``, once per construction."""
+    found = []
+    for node in ast.parse(source).body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and "Session" in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                found.append(getattr(node, "name", "<module>"))
+    return found
+
+
+def test_only_the_solver_and_the_sweep_construct_a_session():
+    # one solve entry point: every other model goes through solver.solve
+    makers = {f"{p.stem}.{name}" for p in PACKAGE
+              for name in session_makers(p.read_text())}
+    assert {m for m in makers if not m.startswith("solver.")} == {"tightening.obbt"}
+
+
+def test_detects_a_session_maker():
+    source = ("from poolkit import solver\n"
+              "def sweep(cm):\n    return Session(cm).solve()\n"
+              "class Probe:\n    def run(self, cm):\n        return solver.Session(cm)\n"
+              "def plain(model):\n    return solve(model)\n")
+    assert session_makers(source) == ["sweep", "Probe"]
+
+
 def span_targets(source: str) -> list[tuple[str, str]]:
     """(owner, attribute) of each ``Target(...)`` in the source's
     ``TARGETS`` tuple, read without importing it."""

@@ -8,7 +8,8 @@ import pytest
 from poolkit.instances import (InconsistencyError, MiningSchedule, SchemaError,
                                Supply, Demand, content_hash, convert_mining,
                                generalize, node_time, parse_instance,
-                               parse_instance_dict, parse_mining_dict, to_dict)
+                               parse_instance_dict, parse_mining, parse_mining_dict,
+                               to_dict)
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import OPTIMAL, solve
 
@@ -288,6 +289,12 @@ class TestMiningConversion:
         assert c["ASI"] == 19 and c["AII"] == 17
         assert c["AII"] + c["ASI"] + c["AIT"] == c["A"]
         assert c["AIT"] == 28
+
+    def test_a_schedule_that_is_not_json(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"stockpiles": [')
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            parse_mining(path)
 
     def test_negative_surplus_rejected(self):
         sched = {"stockpiles": ["a"],

@@ -8,10 +8,9 @@ import pytest
 import poolkit
 from poolkit import parse_instance
 from poolkit.modelir import EQ, GE, LE, ModelError, ModelIR, dump_model
-from poolkit.formulations import build_exact, check_solution, rederive_proportions
 from poolkit.relaxations import build_method, parse_method
-from poolkit.solver import (NO_BETTER, OPTIMAL, CapabilityError, Session,
-                            SolveParams, compile_model, solve, solve_compiled)
+from poolkit.solver import (CapabilityError, Session, SolveParams, compile_model,
+                            solve, solve_compiled)
 
 from conftest import DATA, milp_oracle
 
@@ -224,62 +223,6 @@ class TestSession:
         users = sorted(p.name for p in package.rglob("*.py")
                        if "_highspy" in p.read_text())
         assert users == ["solver.py"]
-
-
-class TestCutoff:
-    """Session.solve with a cutoff keeps a point only below the cutoff, at
-    its own c @ x, and where ``accept`` takes it.  Under HiGHS's
-    objective_bound, HiGHS 1.12 calls both foulds2 and adhya4 below optimal,
-    with a made-up objective (0.0 on foulds2, -262.22 on adhya4)."""
-
-    @staticmethod
-    def restriction(inst):
-        """A Session on the instance's G1:T:H=3 and the check of a point on
-        the exact terminal-basis model."""
-        exact = build_exact(inst, "terminal")
-
-        def feasible(assignment):
-            return check_solution(exact, rederive_proportions(exact, assignment)).ok
-
-        cm = compile_model(build_method(inst, parse_method("G1:T:H=3")).model)
-        return Session(cm), feasible
-
-    @pytest.mark.parametrize("name,cutoff", [("foulds2", -1100.0),
-                                             ("adhya4", -1103.93)])
-    def test_no_point_below_the_cutoff(self, data_dir, name, cutoff):
-        session, feasible = self.restriction(parse_instance(data_dir / f"{name}.json"))
-        res = session.solve(cutoff=cutoff, accept=feasible)
-        assert res.status == NO_BETTER
-        assert res.objective is None and res.point is None and res.dual_bound is None
-
-    def test_a_better_point_counts(self, haverly3):
-        session, feasible = self.restriction(haverly3)
-        res = session.solve(cutoff=-720.0, accept=feasible)
-        assert res.status == OPTIMAL
-        assert res.objective == pytest.approx(-750.0, abs=1e-9)
-        assert feasible(res.assignment)
-
-    def test_a_point_accept_refuses_does_not_count(self, haverly3):
-        session, _ = self.restriction(haverly3)
-        res = session.solve(cutoff=-720.0, accept=lambda assignment: False)
-        assert res.status == NO_BETTER
-        assert res.objective is None and res.point is None and res.dual_bound is None
-
-    def test_the_next_solve_has_no_cutoff(self, haverly1):
-        # nothing beats G2:T:H=3's -400.0000000000001; the plain solve after
-        # it finds G1:T:H=3's optimum again
-        session, feasible = self.restriction(haverly1)
-        assert session.solve(cutoff=-400.0000000000001, accept=feasible).status == NO_BETTER
-        res = session.solve()
-        assert res.status == OPTIMAL and res.objective == pytest.approx(-400.0)
-
-    def test_a_cutoff_needs_a_mip_and_a_check(self, haverly1):
-        lp = Session(compile_model(build_method(haverly1, parse_method("F4:S")).model))
-        with pytest.raises(ValueError):
-            lp.solve(cutoff=0.0, accept=lambda assignment: True)
-        mip, _ = self.restriction(haverly1)
-        with pytest.raises(ValueError):
-            mip.solve(cutoff=0.0)
 
 
 class TestDump:

@@ -107,6 +107,8 @@ class TestOBBT:
         started = []
         monkeypatch.setattr(poolkit.tightening, "Session",
                             lambda *a, **kw: started.append("Session"))
+        monkeypatch.setattr(poolkit.tightening, "solve",
+                            lambda *a, **kw: started.append("solve"))
         with pytest.raises(TighteningError, match="no time"):
             default_obbt_recipe(haverly1, params=SolveParams(time_limit_s=0.0))
         assert started == []
@@ -133,6 +135,17 @@ class TestOBBT:
         assert [p.name for p in tmp_path.iterdir()] == [
             f"{content_hash(haverly1)}-{RECIPE_LABEL}.json"]
         assert again.to_json() == first.to_json()
+
+    @pytest.mark.parametrize("keep", [0, 0.5])
+    def test_a_torn_cache_file_is_a_miss(self, haverly1, tmp_path, keep):
+        # a run killed while writing leaves the start of the file (or none
+        # of it); every later run read it and raised JSONDecodeError
+        fresh = default_obbt_recipe(haverly1).to_json()
+        path = tmp_path / f"{content_hash(haverly1)}-{RECIPE_LABEL}.json"
+        path.write_text(fresh[:int(keep * len(fresh))])
+        assert default_obbt_recipe(haverly1, cache_dir=str(tmp_path)).to_json() == fresh
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.read_text() == fresh
 
     def test_bad_box_rejected(self, haverly1):
         with pytest.raises(TighteningError):
@@ -182,13 +195,14 @@ def recipe_restrictions(inst, monkeypatch):
 
 class TestRecipeBox:
     """default_obbt_recipe's box ends at the lesser of the G2:T:H=3 and
-    G1:T:H=3 values, the second solved under the first as a cutoff and
-    only while F4:T over G2's sweep leaves room below G2's value, and the
-    update, the sweep at that box, names the restriction that gave it."""
+    G1:T:H=3 values, the second solved only while F4:T over G2's sweep
+    leaves room below G2's value, and the update, the sweep at that box,
+    names the restriction that gave it."""
 
     @pytest.mark.parametrize("name,g1_runs", [
         ("foulds2", False), ("adhya4", False), ("haverly1", False),
-        ("haverly3", True), ("bental4", True)])
+        ("bental5", False), ("haverly3", True), ("bental4", True),
+        ("adhya1", True)])
     def test_g1_runs_only_while_the_sweep_leaves_room(self, name, g1_runs,
                                                       monkeypatch):
         # on haverly3 and bental4, G1:T:H=3 lowers G2's value: -720 to -750
@@ -250,7 +264,8 @@ class TestRecipeBox:
         assert upd.z_witness == ""
 
     def test_bental5_recipe_finishes(self, data_dir):
-        # without the cutoff, its G1:T:H=3 alone runs for minutes
+        # its G1:T:H=3 alone runs for minutes; the stop rule skips it, since
+        # F4:T over G2's sweep meets G2's value
         inst = parse_instance(data_dir / "bental5.json")
         upd = default_obbt_recipe(inst, SolveParams(time_limit_s=20))
         assert upd.z_witness == "G2:T:H=3"
