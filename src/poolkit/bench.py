@@ -22,10 +22,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
+from .formulations import accepts
 from .instances import PoolingInstance
-from .relaxations import G_KINDS, MethodSpec, build_method, parse_method
+from .relaxations import (G_KINDS, RESTRICTION_PORTFOLIO, MethodSpec,
+                          build_method, parse_method)
 from .solver import OPTIMAL, TIME_LIMIT, Budget, SolveParams, SolveResult, solve
-from . import tightening
 from .tightening import (RECIPE_RELAXATION, BoundUpdate, TighteningError,
                          apply_bounds, bounds_meet, default_obbt_recipe, obbt)
 
@@ -37,13 +38,6 @@ def compute_gap(ub: float, lb: float) -> float:
     if ub == 0:
         return GAP_UNDEFINED
     return (ub - lb) / abs(ub) * 100.0
-
-
-# the squeeze's upper-bounding restrictions, in the order it tries them (see
-# exact_value for why G2 comes first), and the relative distance at which its
-# bounds meet, owned by tightening.bounds_meet
-RESTRICTION_PORTFOLIO = ("G2:S:H=3", "G2:T:H=3", "G1:S:H=3", "G1:T:H=3")
-REL_TOL = tightening.REL_TOL
 
 
 @dataclass
@@ -75,19 +69,17 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     relaxation bound (the backend has no nonconvex capability).
 
     The squeeze is one loop of passes.  A pass solves the F4 LPs first,
-    then the restrictions of ``RESTRICTION_PORTFOLIO`` in turn; no
-    restriction starts once the best bounds found so far meet to
-    ``REL_TOL`` relative (``bounds_meet``).  Every solve's result becomes
-    a bound in one place: a label of a kind in ``G_KINDS`` gives its
-    objective, an upper bound, and every other label its dual bound.  While
-    the bounds are open and tightenings remain, the pass ends in one OBBT
-    sweep, and the next pass runs on the instance that sweep tightened.
+    then the restrictions of ``RESTRICTION_PORTFOLIO`` in turn, none once
+    the best bounds meet to ``REL_TOL`` relative (``bounds_meet``).  Every
+    result becomes a bound in one place: a ``G_KINDS`` label's objective
+    from above where its point passes ``formulations.accepts`` in its
+    basis, any other label's dual bound from below.  While the bounds are
+    open and tightenings remain, the pass ends in one OBBT sweep, and the
+    next pass runs on the instance that sweep tightened.
 
-    The portfolio's fixed order tries G2 before G1: on the bundled
-    instances G2 is the cheaper MILP and the one that closes (on bental5,
-    ``G1:S:H=3`` spent a 55-s budget where ``G2:S:H=3`` proves the optimum
-    in about 0.5 s).  Where G1 first proved too, the order moves no value
-    or witness: a restriction that closes the squeeze lies below every
+    The portfolio's fixed order tries G2 before G1 (``relaxations`` gives
+    the reason).  Where G1 first proved too, the order moves no value or
+    witness: a restriction that closes the squeeze lies below every
     upper bound found before it, and where none closes, all four run.
 
     ``params.time_limit_s`` is the budget of the whole squeeze: every
@@ -111,9 +103,8 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     the squeeze's best [lower, upper] (infinite where a bound is missing):
     OBBT keeps every point in that box, the optimum among them.  A
     tightening that fails ends the loop; one over bounds that cross fails.
-    Without an update, or with one that does not apply to ``inst`` (it may
-    come from a bounds cache), the squeeze runs one pass on ``inst``,
-    without OBBT.
+    An update that does not fit ``inst`` raises ``TighteningError``, and
+    without an update the squeeze runs one pass on ``inst``, without OBBT.
 
     ``instance`` is the instance of the first pass (the tightened one, or
     ``inst`` itself), and ``first_pass`` keeps that pass's solves that
@@ -130,14 +121,10 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
 
     work, tightenings = inst, 0
     if first_update is not None:
-        try:
-            work, tightenings = apply_bounds(inst, first_update), 2
-        except TighteningError:
-            pass
-        else:   # the recipe's value bounds only an instance its update fits
-            z_ub = first_update.z_box[1] if first_update.z_box else math.inf
-            if first_update.z_witness and math.isfinite(z_ub):
-                best_ub, witness = z_ub, first_update.z_witness
+        work, tightenings = apply_bounds(inst, first_update), 2
+        z_ub = first_update.z_box[1] if first_update.z_box else math.inf
+        if first_update.z_witness and math.isfinite(z_ub):
+            best_ub, witness = z_ub, first_update.z_witness
     first_work, first_pass = work, None
     while True:
         # the LPs first: they are cheap, so a budget spent in a restriction
@@ -153,7 +140,8 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
             if res.status == OPTIMAL:
                 optimal[label] = (res, time.perf_counter() - t)
             if restriction:
-                if res.objective is not None and (best_ub is None or res.objective < best_ub):
+                if (res.objective is not None and (best_ub is None or res.objective < best_ub)
+                        and accepts(work, spec.basis, res.assignment)):
                     best_ub, witness = res.objective, label
             elif res.dual_bound is not None and (best_lb is None or res.dual_bound > best_lb):
                 best_lb = res.dual_bound

@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from .bench import GridConfig, records_to_csv, run_grid, summarize
-from .instances import (convert_mining, generalize, parse_instance,
-                        parse_mining, to_dict)
+from .instances import (InconsistencyError, SchemaError, convert_mining,
+                        generalize, parse_instance, parse_mining, to_dict)
 from .relaxations import MethodError, parse_method
 from .tightening import mining_tighten
 
@@ -175,8 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run the command; an input file that does not hold a valid instance
+    or schedule exits 2 with one error line, as a bad argument does."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (SchemaError, InconsistencyError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -321,6 +321,13 @@ def check_solution(bm: BilinearModel, assignment: dict[str, float],
     return CheckReport(fam, tol)
 
 
+def accepts(inst: PoolingInstance, basis: str, assignment: dict[str, float]) -> bool:
+    """Whether the exact model of ``inst`` in ``basis`` takes a restriction's
+    point ({} for none): the one rule that makes its value an upper bound."""
+    exact = build_exact(inst, basis)
+    return bool(assignment) and check_solution(exact, rederive_proportions(exact, assignment)).ok
+
+
 def rederive_proportions(bm: BilinearModel,
                          assignment: dict[str, float]) -> dict[str, float]:
     """Fill q values consistent with the flows (restriction outputs omit q);

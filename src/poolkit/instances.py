@@ -258,45 +258,58 @@ def _num(value, default):
     return float(value)
 
 
+# what reading a field of the wrong type or value raises: float("big"),
+# int(Infinity), iterating a number, indexing a string, [].get
+_MALFORMED = (TypeError, ValueError, OverflowError, AttributeError)
+
+
 def parse_instance_dict(data: dict, name: str = "instance") -> PoolingInstance:
+    """The instance a JSON object describes, validated.  A missing field, or
+    one of the wrong type or value, is a SchemaError."""
     try:
-        nodes_raw = data["nodes"]
-        arcs_raw = data["arcs"]
+        nodes_raw, arcs_raw = list(data["nodes"]), list(data["arcs"])
         specs = data.get("specs", {})
-    except (KeyError, TypeError) as exc:
+        k = int(specs.get("K", 0))
+        lam = {str(s): tuple(float(v) for v in vec)
+               for s, vec in specs.get("lambda", {}).items()}
+        mu_lo = {str(t): tuple(float(v) for v in vec)
+                 for t, vec in specs.get("mu_lo", {}).items()}
+        mu_hi = {str(t): tuple(_num(v, INF) for v in vec)
+                 for t, vec in specs.get("mu_hi", {}).items()}
+        penalty = {str(t): tuple(float(v) for v in vec)
+                   for t, vec in data.get("penalty", {}).items()}
+    except KeyError as exc:
         raise SchemaError(f"missing top-level field: {exc}") from exc
+    except _MALFORMED as exc:
+        raise SchemaError(f"malformed top-level field: {exc}") from exc
     nodes: dict[str, Node] = {}
     for nd in nodes_raw:
         try:
-            nid, kind = str(nd["id"]), str(nd["kind"])
+            node = Node(str(nd["id"]), str(nd["kind"]), _num(nd.get("L"), 0.0),
+                        _num(nd.get("U"), INF))
         except KeyError as exc:
             raise SchemaError(f"node entry missing field {exc}") from exc
-        if nid in nodes:
-            raise InconsistencyError(f"duplicate node id {nid!r}")
-        nodes[nid] = Node(nid, kind, _num(nd.get("L"), 0.0), _num(nd.get("U"), INF))
+        except _MALFORMED as exc:
+            raise SchemaError(f"malformed node entry {nd!r}: {exc}") from exc
+        if node.id in nodes:
+            raise InconsistencyError(f"duplicate node id {node.id!r}")
+        nodes[node.id] = node
     arcs: dict[tuple[str, str], Arc] = {}
     for ar in arcs_raw:
         try:
-            t, h = str(ar["from"]), str(ar["to"])
+            arc = Arc(str(ar["from"]), str(ar["to"]), _num(ar.get("l"), 0.0),
+                      _num(ar.get("u"), INF), _num(ar.get("cost"), 0.0))
         except KeyError as exc:
             raise SchemaError(f"arc entry missing field {exc}") from exc
-        if (t, h) in arcs:
-            raise InconsistencyError(f"duplicate arc ({t}, {h})")
-        arcs[(t, h)] = Arc(t, h, _num(ar.get("l"), 0.0), _num(ar.get("u"), INF),
-                           _num(ar.get("cost"), 0.0))
-    k = int(specs.get("K", 0))
-    lam = {str(s): tuple(float(v) for v in vec)
-           for s, vec in specs.get("lambda", {}).items()}
-    mu_lo = {str(t): tuple(float(v) for v in vec)
-             for t, vec in specs.get("mu_lo", {}).items()}
-    mu_hi = {str(t): tuple(_num(v, INF) for v in vec)
-             for t, vec in specs.get("mu_hi", {}).items()}
-    penalty = {str(t): tuple(float(v) for v in vec)
-               for t, vec in data.get("penalty", {}).items()}
+        except _MALFORMED as exc:
+            raise SchemaError(f"malformed arc entry {ar!r}: {exc}") from exc
+        if arc.key in arcs:
+            raise InconsistencyError(f"duplicate arc ({arc.tail}, {arc.head})")
+        arcs[arc.key] = arc
     try:
         ghosts = {(str(a), str(b)): (float(lo), _num(hi, INF))
                   for a, b, lo, hi in data.get("ghost_bounds", [])}
-    except (TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SchemaError(f"ghost_bounds entries are [a, b, lo, hi]: {exc}") from exc
     inst = PoolingInstance(str(data.get("name", name)), nodes, arcs, k,
                            lam, mu_lo, mu_hi, penalty, ghosts)
@@ -360,6 +373,8 @@ class MiningSchedule:
 
 
 def parse_mining_dict(data: dict) -> MiningSchedule:
+    """The schedule a JSON object describes, validated.  A missing field, or
+    one of the wrong type or value, is a SchemaError."""
     try:
         piles = tuple(str(p) for p in data["stockpiles"])
         supplies = tuple(Supply(str(s["stockpile"]), float(s["time"]),
@@ -370,8 +385,10 @@ def parse_mining_dict(data: dict) -> MiningSchedule:
                                tuple(float(v) for v in d.get("penalty",
                                      [1.0] * len(d["spec_max"]))))
                         for d in data["demands"])
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise SchemaError(f"mining schedule: missing field {exc}") from exc
+    except _MALFORMED as exc:
+        raise SchemaError(f"mining schedule: malformed field: {exc}") from exc
     sched = MiningSchedule(piles, supplies, demands)
     for s in supplies:
         if s.stockpile not in piles:

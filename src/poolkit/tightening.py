@@ -16,19 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formulations import (build_exact, check_solution, fvar,
-                           rederive_proportions, throughput)
+from .formulations import accepts, fvar, throughput
 from .instances import (POOL, SOURCE_BASIS, TERMINAL, TERMINAL_BASIS,
                         InconsistencyError, PoolingInstance, content_hash, node_time)
 from .modelir import INF
-from .relaxations import build_method, parse_method
+from .relaxations import RESTRICTION_PORTFOLIO, build_method, parse_method
 from .solver import (INFEASIBLE, OPTIMAL, TIME_LIMIT, Budget, Session,
                      SolveParams, compile_model, solve)
 
 UNCHANGED = "unchanged"
 # the terminal-basis restrictions default_obbt_recipe solves, in turn; the
 # least value they find is the upper end of its objective box
-RECIPE_RESTRICTIONS = ("G2:T:H=3", "G1:T:H=3")
+RECIPE_RESTRICTIONS = tuple(label for label in RESTRICTION_PORTFOLIO
+                            if parse_method(label).basis == TERMINAL_BASIS)
 # the LP relaxation default_obbt_recipe's OBBT pass runs over
 RECIPE_RELAXATION = "F4:T"
 # names the recipe in bounds-cache file names: G2:T:H=3, then G1:T:H=3,
@@ -93,13 +93,12 @@ class BoundUpdate:
         def unkey(d):
             return {tuple(k.split("->")): tuple(v) for k, v in d.items()}
 
-        upd = cls(node_bounds={k: tuple(v) for k, v in data["nodes"].items()},
-                  arc_bounds=unkey(data["arcs"]),
-                  ghost_bounds=unkey(data["ghosts"]),
-                  provenance=data["provenance"],
-                  z_box=tuple(data["z_box"]) if data.get("z_box") else None,
-                  z_witness=data.get("z_witness", ""))
-        return upd
+        return cls(node_bounds={k: tuple(v) for k, v in data["nodes"].items()},
+                   arc_bounds=unkey(data["arcs"]),
+                   ghost_bounds=unkey(data["ghosts"]),
+                   provenance=data["provenance"],
+                   z_box=tuple(data["z_box"]) if data.get("z_box") else None,
+                   z_witness=data.get("z_witness", ""))
 
 
 def apply_bounds(inst: PoolingInstance, upd: BoundUpdate) -> PoolingInstance:
@@ -269,12 +268,11 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
     restriction that gave its upper end.  The box has no lower end: F4:T,
     the MCF:T backbone plus rows, already implies the MCF:T bound.
 
-    The restrictions are solved in turn, G2:T:H=3, on the bundled
-    instances the cheaper MILP, first.  A point counts only where its value
-    lies below the least found before it and the exact terminal-basis model
-    accepts it.  Each value comes from a feasible point, so it bounds from
-    above even when its solve stops at the time limit; without any point
-    the box is unbounded.
+    The restrictions are solved in turn.  A point counts only where its
+    value lies below the least found before it and it passes
+    ``formulations.accepts`` in the terminal basis.  Each value comes from
+    a feasible point, so it bounds from above even when its solve stops at
+    the time limit; without any point the box is unbounded.
 
     After each restriction that lowers the upper end ``z_ub``, the recipe
     runs the sweep at the new box, always from ``inst``, and solves F4:T on
@@ -283,9 +281,8 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
     solved.  A skipped restriction could have lowered ``z_ub`` by at most
     ``REL_TOL`` relative, because:
 
-    - a restriction's point counts only where the exact terminal-basis
-      model accepts it, so it is a feasible point of the terminal-basis
-      problem;
+    - a restriction's point that counts is a feasible point of the
+      terminal-basis problem;
     - OBBT keeps every feasible point with objective at most ``z_ub``, so
       each such point lies inside the sweep's bounds;
     - F4:T relaxes that problem over those bounds, so its dual bound is at
@@ -303,23 +300,21 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
     records no time limit, which is why an update cut short is never
     written.  The file is written to a temporary file beside it and moved
     into place, so a run killed while writing leaves no torn file; a file
-    that ``BoundUpdate.from_json`` cannot read counts as a miss, and the
-    recipe runs and replaces it."""
+    that ``BoundUpdate.from_json`` cannot read, or that does not fit
+    ``inst`` (``apply_bounds``), counts as a miss and is replaced."""
     path = None
     if cache_dir:
         path = pathlib.Path(cache_dir) / f"{content_hash(inst)}-{RECIPE_LABEL}.json"
         try:
-            return BoundUpdate.from_json(path.read_text())
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            cached = BoundUpdate.from_json(path.read_text())
+            apply_bounds(inst, cached)
+            return cached
+        except (FileNotFoundError, ValueError, KeyError, TypeError, TighteningError):
             pass
     budget = Budget(params)
     if budget.spent:
         raise TighteningError("the OBBT recipe has no time to run")
-    exact = build_exact(inst, TERMINAL_BASIS)
     relaxation = parse_method(RECIPE_RELAXATION)
-
-    def feasible(assignment: dict[str, float]) -> bool:
-        return check_solution(exact, rederive_proportions(exact, assignment)).ok
 
     def sweep(z_ub: float) -> BoundUpdate:
         return obbt(inst, RECIPE_RELAXATION, -INF, z_ub, params=budget.params())
@@ -332,7 +327,8 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
             if bounds_meet(lower, z_ub):
                 break
         res = solve(build_method(inst, parse_method(label)).model, budget.params())
-        if res.objective is not None and res.objective < z_ub and feasible(res.assignment):
+        if (res.objective is not None and res.objective < z_ub
+                and accepts(inst, TERMINAL_BASIS, res.assignment)):
             z_ub, witness = res.objective, label
             upd = sweep(z_ub)
     if upd is None:

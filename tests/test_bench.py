@@ -15,15 +15,14 @@ import pytest
 import poolkit.bench
 import poolkit.tightening
 from poolkit import parse_instance
-from poolkit.bench import (REL_TOL, RESTRICTION_PORTFOLIO, GridConfig,
-                           RunRecord, compute_gap, exact_value,
+from poolkit.bench import (GridConfig, RunRecord, compute_gap, exact_value,
                            records_from_csv, records_to_csv, run_cell,
                            run_grid, summarize)
 from poolkit.cli import _load_instances, main
 from poolkit.instances import content_hash
-from poolkit.relaxations import build_method, parse_method
+from poolkit.relaxations import RESTRICTION_PORTFOLIO, build_method, parse_method
 from poolkit.solver import OPTIMAL, TIME_LIMIT, SolveParams, SolveResult, solve
-from poolkit.tightening import (RECIPE_LABEL, BoundUpdate,
+from poolkit.tightening import (RECIPE_LABEL, REL_TOL, BoundUpdate,
                                 TighteningError, apply_bounds,
                                 default_obbt_recipe)
 from test_acceptance import optimum
@@ -114,34 +113,47 @@ class TestExactValue:
         assert upd.z_witness == "G2:T:H=3"
         assert (ev.status, ev.witness, ev.value) == ("proven", upd.z_witness, upd.z_box[1])
 
-    def test_an_update_of_another_instance_proves_nothing(self, haverly1, data_dir):
-        # foulds2's update names arcs haverly1 lacks, and its restriction
-        # value -1100 lies below haverly1's optimum -400
+    def test_an_update_of_another_instance_proves_nothing(self, haverly1, data_dir,
+                                                          monkeypatch):
+        # foulds2's update names keys haverly1 lacks, and its restriction
+        # value -1100 lies below haverly1's optimum -400: the squeeze raises
+        # before any solve, rather than run untightened
         upd = default_obbt_recipe(parse_instance(data_dir / "foulds2.json"))
-        ev = exact_value(haverly1, first_update=upd)
-        assert not ev.proven and ev.status != "proven"
-        assert ev.value == pytest.approx(-400.0, rel=REL_TOL)
-        # the witness is a restriction solved on haverly1, not the update's
-        res = solve(build_method(haverly1, parse_method(ev.witness)).model)
-        assert res.objective == pytest.approx(ev.value, rel=1e-9)
-        assert ev.instance is haverly1
+        builds = record_builds(monkeypatch)
+        with pytest.raises(TighteningError, match="update targets unknown"):
+            exact_value(haverly1, first_update=upd)
+        assert builds == []
 
     def test_crossed_bounds_are_not_a_proof(self, bental4, monkeypatch):
-        # a restriction whose value lies below the F4 bound shows a fault;
-        # after bental4's recipe the squeeze still solves restrictions
+        # an F4 bound above a restriction value shows a fault; bental4's
+        # restriction values lie near its optimum -450
         upd = default_obbt_recipe(bental4)
 
-        def below_the_bound(model, params=None):
+        def above_the_value(model, params=None):
             res = solve(model, params)
-            if ":G" in model.name:
-                return SolveResult(OPTIMAL, -1000.0, -1000.0, res.seconds)
+            if ":F4" in model.name:
+                return replace(res, dual_bound=1000.0)
             return res
 
-        monkeypatch.setattr(poolkit.bench, "solve", below_the_bound)
+        monkeypatch.setattr(poolkit.bench, "solve", above_the_value)
         for first_update in (None, upd):
             ev = exact_value(bental4, first_update=first_update)
-            assert ev.upper == -1000.0 < ev.lower
+            assert ev.upper < 0 < ev.lower == 1000.0
             assert not ev.proven and ev.status != "proven"
+
+    def test_a_rejected_point_is_no_upper_bound(self, haverly1, monkeypatch):
+        # a restriction value below the optimum -400 whose point the exact
+        # model rejects (its flows break every arc bound) was the squeeze's
+        # upper bound and witness; it bounds nothing
+        def rejected(model, params=None):
+            res = solve(model, params)
+            if ":G" in model.name:
+                return replace(res, objective=-1000.0, point=res.point + 1e6)
+            return res
+
+        monkeypatch.setattr(poolkit.bench, "solve", rejected)
+        ev = exact_value(haverly1)
+        assert (ev.upper, ev.witness, ev.status) == (None, "", "open")
 
     def test_no_restriction_starts_once_the_squeeze_closes(self, data_dir, monkeypatch):
         from poolkit import parse_instance
@@ -378,27 +390,25 @@ class TestGridTightening:
         assert [r.obbt for r in records] == [True]
         assert sum(1 for inst in applied if inst is haverly1) == 1
 
-    def test_a_cached_update_that_does_not_fit_is_written_obbt_0(
-            self, haverly1, tmp_path):
+    @pytest.mark.parametrize("bad", [
         # a cache file under haverly1's name that targets an arc it lacks
-        bad = BoundUpdate(arc_bounds={("X", "Y"): (0.0, 1.0)}, z_box=(-2000.0, -1000.0))
-        name = f"{content_hash(haverly1)}-{RECIPE_LABEL}.json"
-        (tmp_path / name).write_text(bad.to_json())
+        BoundUpdate(arc_bounds={("X", "Y"): (0.0, 1.0)}, z_box=(-2000.0, -1000.0)),
+        # a crossing within rounding of p1's capacity: kept, it raised BoxError
+        BoundUpdate(node_bounds={"p1": (100.0, 100.0 - 5e-8)})],
+        ids=["unknown-arc", "crossing"])
+    def test_a_cached_update_that_does_not_fit_is_recomputed(self, haverly1, tmp_path,
+                                                             bad):
+        # such a file was returned, the squeeze dropped it and wrote obbt=0,
+        # and the file stayed, so the instance was never tightened again
+        path = tmp_path / f"{content_hash(haverly1)}-{RECIPE_LABEL}.json"
+        path.write_text(bad.to_json())
         labels = ["F4:S", "G2:S:H=3"]
         cached = run_grid(GridConfig([("haverly1", haverly1)], labels, obbt=True,
                                      bounds_cache=str(tmp_path)))
-        plain = run_grid(GridConfig([("haverly1", haverly1)], labels))
-        assert [r.obbt for r in cached] == [False, False]
-        assert repr(timings_zeroed(cached)) == repr(timings_zeroed(plain))
-
-    def test_a_cached_update_that_crosses_is_written_obbt_0(self, haverly1, tmp_path):
-        # a crossing within rounding of p1's capacity: kept, it raised BoxError
-        bad = BoundUpdate(node_bounds={"p1": (100.0, 100.0 - 5e-8)})
-        name = f"{content_hash(haverly1)}-{RECIPE_LABEL}.json"
-        (tmp_path / name).write_text(bad.to_json())
-        records = run_grid(GridConfig([("haverly1", haverly1)], ["F4:S"], obbt=True,
-                                      bounds_cache=str(tmp_path)))
-        assert [r.obbt for r in records] == [False]
+        fresh = run_grid(GridConfig([("haverly1", haverly1)], labels, obbt=True))
+        assert [r.obbt for r in cached] == [True, True]
+        assert path.read_text() == default_obbt_recipe(haverly1).to_json()
+        assert repr(timings_zeroed(cached)) == repr(timings_zeroed(fresh))
 
     def test_a_recipe_out_of_time_is_not_cached(self, haverly1, tmp_path):
         # the cache key records no time limit, so an update cut short by one
@@ -608,6 +618,22 @@ class TestCLI:
         assert exit_.value.code == 2
         assert f"argument {option}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,text", [
+        (["convert-mining", "FILE"], '{"stockpiles": ['),
+        (["tighten", "--mining", "FILE"], '{"stockpiles": ['),
+        (["run", "--instances", "FILE", "--methods", "F1:S"], '{"nodes": 3, "arcs": []}')],
+        ids=["convert-mining", "tighten", "run"])
+    def test_an_invalid_input_file_exits_2(self, tmp_path, capsys, argv, text):
+        # a file that exists but holds no valid schedule or instance raised a
+        # traceback and exited 1
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exit_:
+            main([str(path) if word == "FILE" else word for word in argv])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("poolkit: error: ") and err.count("\n") == 1
 
     def test_run_to_stdout_writes_only_the_csv(self, data_dir):
         # bental4's G2:S:H=3 restriction makes HiGHS print on fd 1

@@ -130,14 +130,14 @@ def test_detects_a_package_import():
     assert package_imports(source) == ["poolkit.solver", ".modelir", "."]
 
 
-def session_makers(source: str) -> list[str]:
-    """The top-level functions and classes of the source that construct a
-    ``Session``, once per construction."""
+def callers(source: str, names: set[str]) -> list[str]:
+    """The top-level functions and classes of the source that call one of
+    ``names`` (a ``Session`` call constructs one), once per call."""
     found = []
     for node in ast.parse(source).body:
         for call in ast.walk(node):
-            if isinstance(call, ast.Call) and "Session" in (
-                    getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+            if isinstance(call, ast.Call) and names & {
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None)}:
                 found.append(getattr(node, "name", "<module>"))
     return found
 
@@ -145,8 +145,16 @@ def session_makers(source: str) -> list[str]:
 def test_only_the_solver_and_the_sweep_construct_a_session():
     # one solve entry point: every other model goes through solver.solve
     makers = {f"{p.stem}.{name}" for p in PACKAGE
-              for name in session_makers(p.read_text())}
+              for name in callers(p.read_text(), {"Session"})}
     assert {m for m in makers if not m.startswith("solver.")} == {"tightening.obbt"}
+
+
+def test_only_formulations_checks_a_point():
+    # one owner of the rule that a restriction value is an upper bound:
+    # every other module asks formulations.accepts
+    checkers = {p.stem for p in PACKAGE
+                if callers(p.read_text(), {"check_solution", "rederive_proportions"})}
+    assert checkers == {"formulations"}
 
 
 def test_detects_a_session_maker():
@@ -154,7 +162,7 @@ def test_detects_a_session_maker():
               "def sweep(cm):\n    return Session(cm).solve()\n"
               "class Probe:\n    def run(self, cm):\n        return solver.Session(cm)\n"
               "def plain(model):\n    return solve(model)\n")
-    assert session_makers(source) == ["sweep", "Probe"]
+    assert callers(source, {"Session"}) == ["sweep", "Probe"]
 
 
 def span_targets(source: str) -> list[tuple[str, str]]:

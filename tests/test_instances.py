@@ -96,6 +96,34 @@ class TestParsing:
         with pytest.raises(error, match=message):
             parse_instance_dict(data)
 
+    @staticmethod
+    def one_supply():
+        return {"stockpiles": ["a"],
+                "supplies": [{"stockpile": "a", "time": 1, "qty": 10.0, "spec": [1.0]}],
+                "demands": [{"time": 2, "qty": 6.0, "spec_max": [1.5]}]}
+
+    @pytest.mark.parametrize("parse,edit", [
+        (parse_instance_dict, lambda d: d.update(nodes=3)),
+        (parse_instance_dict, lambda d: d["nodes"].append("p2")),
+        (parse_instance_dict, lambda d: d["specs"]["lambda"].update(s=1.0)),
+        (parse_instance_dict, lambda d: d.update(specs=[])),
+        (parse_instance_dict, lambda d: d["specs"].update(K="two")),
+        (parse_instance_dict, lambda d: d["specs"].update(K=math.inf)),
+        (parse_instance_dict, lambda d: d["nodes"][1].update(U="big")),
+        (parse_instance_dict, lambda d: d["arcs"][0].update(cost="x")),
+        (parse_mining_dict, lambda d: d["supplies"][0].update(qty="x")),
+        (parse_mining_dict, lambda d: d["supplies"][0].update(spec=1.0)),
+    ], ids=["nodes-number", "node-string", "lambda-number", "specs-list", "K-word",
+            "K-infinite", "U-word", "cost-word", "qty-word", "spec-number"])
+    def test_a_malformed_field_is_a_schema_error(self, parse, edit):
+        # each raised a bare TypeError, ValueError, OverflowError or
+        # AttributeError, or a SchemaError that called it a missing field
+        data = self.one_pool() if parse is parse_instance_dict else self.one_supply()
+        parse(data)
+        edit(data)
+        with pytest.raises(SchemaError, match="malformed"):
+            parse(data)
+
     def test_a_file_that_is_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"nodes": [')

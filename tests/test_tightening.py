@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import poolkit.formulations
 import poolkit.solver
 import poolkit.tightening
 from poolkit import parse_instance
@@ -257,7 +258,7 @@ class TestRecipeBox:
             checked.append(assignment)
             return SimpleNamespace(ok=False)
 
-        monkeypatch.setattr(poolkit.tightening, "check_solution", rejects)
+        monkeypatch.setattr(poolkit.formulations, "check_solution", rejects)
         upd = default_obbt_recipe(haverly1)
         assert len(checked) == 2
         assert upd.z_box == (-math.inf, math.inf)
