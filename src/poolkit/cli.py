@@ -38,16 +38,20 @@ def solver_prints_to_stderr():
 
 
 def _load_instances(path: str, do_generalize: bool):
+    """(name, instance) of the file at path or of every *.json file in the
+    directory path.  An invalid file's error names it, and a directory with
+    no such file is a SchemaError too: main exits 2 on either."""
     p = Path(path)
     files = sorted(p.glob("*.json")) if p.is_dir() else [p]
+    if not files:
+        raise SchemaError(f"no instance files (*.json) under {path}")
     out = []
     for f in files:
-        inst = parse_instance(f)
-        if do_generalize:
-            inst = generalize(inst)
-        out.append((f.stem, inst))
-    if not out:
-        raise SystemExit(f"no instance files under {path}")
+        try:
+            inst = parse_instance(f)
+            out.append((f.stem, generalize(inst) if do_generalize else inst))
+        except (SchemaError, InconsistencyError) as exc:
+            raise type(exc)(f"{f}: {exc}") from exc
     return out
 
 

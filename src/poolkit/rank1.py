@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -407,18 +408,23 @@ class ConicCut:
         """lhs - rhs evaluated at a point of the rank-one set (<= 0 is valid).
 
         X may be a single (m, n) matrix or a batch (k, m, n).  The row sum,
-        column sum and total are matrix-vector products; evaluate_conic_cuts
-        takes them once for all of a box's cuts.
+        column sum and total are sums over the leading axes of the points
+        (m, n, k), long rows when the point index is fastest in memory, as
+        the sampler lays it out; evaluate_conic_cuts takes them once for all
+        of a box's cuts.
         """
-        X = np.asarray(X, dtype=float)
-        batch = X if X.ndim == 3 else X[None]
-        k, m, n = batch.shape
+        P = _point_fastest(X)
         i, j = self.i, self.j
-        cs = batch[:, :, j] @ np.ones(m)
-        rs = batch[:, i, :] @ np.ones(n)
-        tot = batch.reshape(k, -1) @ np.ones(m * n)
-        v = _conic_value(self, box, cs, rs, tot, batch[:, i, j])
-        return float(v.max()) if X.ndim == 3 else float(v[0])
+        return float(_conic_value(self, box, P[:, j].sum(axis=0), P[i].sum(axis=0),
+                                  P.sum(axis=(0, 1)), P[i, j]).max())
+
+
+def _point_fastest(X) -> np.ndarray:
+    """A point (m, n) or a batch (k, m, n) as the points (m, n, k), a view
+    whose last axis is the point index: C-contiguous for a batch from the
+    sampler, so a sum over the leading axes runs along rows of k points."""
+    X = np.asarray(X, dtype=float)
+    return (X if X.ndim == 3 else X[None]).transpose(1, 2, 0)
 
 
 def _conic_value(cut: ConicCut, box: BoundBox, cs, rs, tot, xij):
@@ -443,14 +449,11 @@ def evaluate_conic_cuts(cuts: list[ConicCut], X, box: BoundBox) -> list[float]:
     """Each cut's maximum of lhs - rhs over a batch of points (k, m, n), or
     at a single (m, n) matrix: what ``ConicCut.violation`` gives cut by cut,
     with the batch's row sums, column sums and totals taken once."""
-    X = np.asarray(X, dtype=float)
-    batch = X if X.ndim == 3 else X[None]
-    k, m, n = batch.shape
-    rs = batch @ np.ones(n)                      # (k, m)
-    cs = np.ones(m) @ batch                      # (k, n)
-    tot = batch.reshape(k, -1) @ np.ones(m * n)
-    return [float(_conic_value(cut, box, cs[:, cut.j], rs[:, cut.i], tot,
-                               batch[:, cut.i, cut.j]).max())
+    P = _point_fastest(X)
+    rs, cs = P.sum(axis=1), P.sum(axis=0)      # (m, k), (n, k)
+    tot = rs.sum(axis=0)
+    return [float(_conic_value(cut, box, cs[cut.j], rs[cut.i], tot,
+                               P[cut.i, cut.j]).max())
             for cut in cuts]
 
 
@@ -472,7 +475,7 @@ _EVAL_BLOCK = 2048  # points per product in evaluate_linear_cuts
 
 def _violation_rows(cuts: list[LinearCut], space: str, m: int, n: int):
     """Rows A and right-hand sides b of the ``space`` cuts, with each cut's
-    sense folded into its sign, so that a point's violations are x @ A.T - b
+    sense folded into its sign, so that a point's violations are A @ x - b
     (x the flattened point): a '>=' cut is negated, an '==' cut gives both
     signs.  A cut's space is that of its terms: an x-space cut holds only
     x terms, an r-space cut only r terms.  A cut whose terms all cancelled
@@ -493,41 +496,40 @@ def _violation_rows(cuts: list[LinearCut], space: str, m: int, n: int):
     return np.array(rows).reshape(len(rows), m * n), np.array(rhs)
 
 
-def _max_violation(points, A, b) -> float:
-    """max over points and rows of points @ A.T - b.  Each row's maximum is
-    taken before its rhs is subtracted, which rounds to the same value and
-    spares a (cuts x points) pass."""
-    return float(((A @ points.T).max(axis=1) - b).max())
+def _max_violation(A, cols, b) -> float:
+    """max over points and rows of A @ cols - b, one point a column.  Each
+    row's maximum is taken before its rhs is subtracted, which rounds to the
+    same value and spares a (cuts x points) pass."""
+    return float(((A @ cols).max(axis=1) - b).max())
 
 
 def evaluate_linear_cuts(cuts: list[LinearCut], X) -> float:
     """Max violation of the cuts over a batch of rank-one feasible points
     (never below 0).  X may be a single (m, n) matrix or a batch (k, m, n).
 
-    The cuts of each space form one dense coefficient matrix, and the
-    violations are one matrix product per space, taken over blocks of at
-    most ``_EVAL_BLOCK`` points so the memory stays bounded.  r-space cuts
-    are evaluated through r = X / sum(X); points with zero sum are skipped
-    for those (the zero matrix satisfies the underlying set).
+    The cuts of each space form one dense coefficient matrix A, and the
+    violations are one product A @ cols per space, cols the points as the
+    columns of an (m n, k) array, taken over blocks of at most
+    ``_EVAL_BLOCK`` columns so the memory stays bounded.  A batch from the
+    sampler reshapes to cols without a copy.  r-space cuts are evaluated
+    through r = X / sum(X); points with zero sum are skipped for those (the
+    zero matrix satisfies the underlying set).
     """
-    X = np.asarray(X, dtype=float)
-    batch = X if X.ndim == 3 else X[None]
-    k, m, n = batch.shape
-    flat = batch.reshape(k, m * n)
+    P = _point_fastest(X)
+    m, n, k = P.shape
+    cols = P.reshape(m * n, k)
     Ax, bx = _violation_rows(cuts, "x", m, n)
     Ar, br = _violation_rows(cuts, "r", m, n)
-    ones = np.ones(m * n)
     worst = 0.0
     for start in range(0, k, _EVAL_BLOCK):
-        block = flat[start:start + _EVAL_BLOCK]
+        block = cols[:, start:start + _EVAL_BLOCK]
         if len(bx):
-            worst = max(worst, _max_violation(block, Ax, bx))
+            worst = max(worst, _max_violation(Ax, block, bx))
         if len(br):
-            tot = block @ ones
+            tot = block.sum(axis=0)
             safe = tot > 0
             if safe.any():
-                worst = max(worst, _max_violation(block[safe] / tot[safe, None],
-                                                  Ar, br))
+                worst = max(worst, _max_violation(Ar, block[:, safe] / tot[safe], br))
     return worst
 
 
@@ -625,58 +627,71 @@ def _sigma_window(box: BoundBox) -> tuple[float, float]:
 
 def _simplex_batch(lo: np.ndarray, hi: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-    """Vectorized sequential draws on (batch, k) window arrays; callers must
-    guarantee the windows are feasible row-wise."""
-    batch, k = lo.shape
-    out = np.empty((batch, k))
+    """Vectorized sequential draws on (coords, batch) window arrays, one
+    column a point; callers must guarantee the windows are feasible
+    column-wise.  The one draw of (coords - 1, batch) numbers is the
+    coords - 1 draws of batch numbers, one coordinate after another."""
+    k, batch = lo.shape
+    out = np.empty((k, batch))
     rem = np.ones(batch)
-    tail_lo = np.concatenate([np.cumsum(lo[:, ::-1], axis=1)[:, ::-1][:, 1:],
-                              np.zeros((batch, 1))], axis=1)
-    tail_hi = np.concatenate([np.cumsum(hi[:, ::-1], axis=1)[:, ::-1][:, 1:],
-                              np.zeros((batch, 1))], axis=1)
+    # tail[idx]: the sum of the windows after idx, added from the last one
+    tail_lo, tail_hi = lo[1:].copy(), hi[1:].copy()
+    for idx in range(k - 3, -1, -1):
+        tail_lo[idx] += tail_lo[idx + 1]
+        tail_hi[idx] += tail_hi[idx + 1]
+    draws = rng.random((k - 1, batch))
     for idx in range(k - 1):
-        a = np.maximum(lo[:, idx], rem - tail_hi[:, idx])
-        b = np.minimum(hi[:, idx], rem - tail_lo[:, idx])
+        a = np.maximum(lo[idx], rem - tail_hi[idx])
+        b = np.minimum(hi[idx], rem - tail_lo[idx])
         b = np.maximum(b, a)
-        t = a + (b - a) * rng.random(batch)
-        out[:, idx] = t
+        out[idx] = t = a + (b - a) * draws[idx]
         rem = rem - t
-    out[:, k - 1] = rem
+    out[k - 1] = rem
     return np.clip(out, 0.0, None)
 
 
 def sample_rank_one_points(box: BoundBox, count: int,
                            rng: np.random.Generator) -> np.ndarray:
-    """count exact members of the rank-one feasible set, shape (count, m, n)."""
+    """count exact members of the rank-one feasible set, shape (count, m, n).
+
+    The result is the transposed view of an (m, n, count) array: the point
+    index is fastest in memory, so that each cell, row sum or column sum
+    over the batch is one contiguous run, which the cut evaluators take.
+    np.ascontiguousarray gives the same values C-ordered.  Raises ValueError
+    for a count that is not a non-negative integer, before any draw.
+    """
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, not {count!r}")
     lo, hi = _sigma_window(box)
     if lo > hi + 1e-12:
         raise EmptySampleError("total-sum window is empty")
     if hi <= 0:
-        return np.zeros((count, box.m, box.n))
+        return np.zeros((box.m, box.n, count)).transpose(2, 0, 1)
     lo = max(lo, 1e-12 * max(1.0, hi))  # rank-one factors need positive mass
-    l, u, lp, up, _, _ = box.arrays()
+    bounds = np.concatenate(box.arrays()[:4])  # l, u, lp, up
+    edges = np.cumsum([box.m, box.m, box.n])
     chunks = []
     need = count
     for _ in range(64):
         k = max(need, 64)
         sigma = lo + (hi - lo) * rng.random(k)
-        row_lo = np.clip(l / sigma[:, None], 0.0, 1.0)
-        row_hi = np.clip(u / sigma[:, None], 0.0, 1.0)
-        col_lo = np.clip(lp / sigma[:, None], 0.0, 1.0)
-        col_hi = np.clip(up / sigma[:, None], 0.0, 1.0)
-        good = ((row_lo.sum(axis=1) <= 1 + 1e-12) & (row_hi.sum(axis=1) >= 1 - 1e-12)
-                & (col_lo.sum(axis=1) <= 1 + 1e-12) & (col_hi.sum(axis=1) >= 1 - 1e-12))
+        windows = np.clip(bounds[:, None] / sigma, 0.0, 1.0)  # one row a bound
+        row_lo, row_hi, col_lo, col_hi = np.split(windows, edges)
+        good = ((row_lo.sum(axis=0) <= 1 + 1e-12) & (row_hi.sum(axis=0) >= 1 - 1e-12)
+                & (col_lo.sum(axis=0) <= 1 + 1e-12) & (col_hi.sum(axis=0) >= 1 - 1e-12))
         if good.any():
-            tp = _simplex_batch(row_lo[good], row_hi[good], rng)
-            t = _simplex_batch(col_lo[good], col_hi[good], rng)
-            X = sigma[good, None, None] * tp[:, :, None] * t[:, None, :]
+            windows = windows.compress(good, axis=1)
+            row_lo, row_hi, col_lo, col_hi = np.split(windows, edges)
+            tp = _simplex_batch(row_lo, row_hi, rng)
+            t = _simplex_batch(col_lo, col_hi, rng)
+            X = sigma[good] * tp[:, None, :] * t[None, :, :]  # (m, n, good)
             chunks.append(X)
-            need -= X.shape[0]
+            need -= X.shape[2]
         if need <= 0:
             break
     if not chunks:
         raise EmptySampleError("no feasible sample found")
-    return np.concatenate(chunks, axis=0)[:count]
+    return np.concatenate(chunks, axis=2)[:, :, :count].transpose(2, 0, 1)
 
 
 def random_box(rng: np.random.Generator, m: int, n: int,

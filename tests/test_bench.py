@@ -635,6 +635,30 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("poolkit: error: ") and err.count("\n") == 1
 
+    def test_an_invalid_file_in_an_instance_directory_is_named(self, tmp_path, data_dir,
+                                                               capsys, monkeypatch):
+        # the error line gave the schema problem but not the file it was in
+        monkeypatch.setattr("poolkit.cli.run_grid", lambda *a: pytest.fail("solved"))
+        (tmp_path / "haverly1.json").write_text((data_dir / "haverly1.json").read_text())
+        (tmp_path / "broken.json").write_text('{"nodes": 3, "arcs": []}')
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--instances", str(tmp_path), "--methods", "F1:S"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("poolkit: error: ") and err.count("\n") == 1
+        assert str(tmp_path / "broken.json") in err
+
+    def test_an_empty_instance_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # it exited 1 through SystemExit with a bare message
+        monkeypatch.setattr("poolkit.cli.run_grid", lambda *a: pytest.fail("solved"))
+        (tmp_path / "notes.txt").write_text("no instance here")
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--instances", str(tmp_path), "--methods", "F1:S"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("poolkit: error: ") and err.count("\n") == 1
+        assert "no instance files" in err and str(tmp_path) in err
+
     def test_run_to_stdout_writes_only_the_csv(self, data_dir):
         # bental4's G2:S:H=3 restriction makes HiGHS print on fd 1
         src = str(pathlib.Path(poolkit.__file__).parents[1])

@@ -1,6 +1,7 @@
 """Geometry of the rank-one bounded-sum sets: membership, fragments, cuts,
 the exact oracle against its piece-by-piece reference, and the sampler."""
 
+import hashlib
 import itertools
 import math
 import re
@@ -536,12 +537,61 @@ def test_every_bundled_pool_block_fits_the_oracle(path):
                                  labels=("F4:S",), samples=500)
 
 
+# sha256 of the C-ordered bytes of sample_rank_one_points(box, count,
+# default_rng(5)): any change to the sampler's stream or arithmetic moves them
+SAMPLE_BOXES = {
+    "1x1": make_box([1.5], [4.0], [2.0], [5.0], 2.5, 4.5),
+    "2x3": make_box([1.0, 2.0], [4.0, 5.0], [0.5, 1.0, 2.0], [3.0, 4.0, 5.0], 4.0, 8.0),
+    "4x4": make_box([0.5, 1.0, 1.5, 2.0], [2.0, 3.0, 4.0, 5.0],
+                    [1.0, 0.5, 2.0, 1.5], [3.0, 2.5, 4.0, 3.5], 6.0, 11.0),
+    "zero-lower": make_box([0.0] * 3, [3.0, 2.0, 4.0], [0.0] * 2, [5.0, 2.5], 0.0, 6.0),
+}
+BLOCKS = 2 * rank1._EVAL_BLOCK + 17
+SAMPLE_DIGESTS = {
+    ("1x1", 1): "e589274b18ac91d2aecee802054a1b2008c2635b33483af71f5be32c9918c3ca",
+    ("1x1", 50): "9f3252ac659a9857696ff4aff7d94d778128e1f4f446d3d56fd5456f2529182f",
+    ("1x1", BLOCKS): "61dea7f95115499b2a80df6b123389462e70cb252564be612b0cc74176292053",
+    ("2x3", 1): "aab1e7a8c05fc9cf5f42d34ff16b81f0218de6166e6d617727b3f02d511338bf",
+    ("2x3", 50): "142905616e50c25be8af2f993626136d50fe2b00883dd441404622311957057d",
+    ("2x3", BLOCKS): "dba58b181daf46a7af57464f7af3c51db5a24bd01bea1797e0129c1b7d9ed3e5",
+    ("4x4", 1): "523af5fdce50da78f33bcd8033646abf6b6cc426400abf1fc705a6620e52fd22",
+    ("4x4", 50): "8781fadd94cc272b553d41a00ec3c70901fa4907c7f9f6f54509db157e88a5e9",
+    ("4x4", BLOCKS): "05b77ebbe577bb159fe68c4a1f444bf301ea540af055eb893e81adcf9a05e037",
+    ("zero-lower", 1): "88dcbd14c024eb5974631f38e634948881c6157b629b4c6b4865a3f03e185f32",
+    ("zero-lower", 50): "263a6fce7fdaec16c28bf6f114f3a2833cdb4359191f62895dba3ba41653b826",
+    ("zero-lower", BLOCKS): "b8c70ce60d6746b8f857732313ceafdf25f8fb4598ee77a79f1d9098945a0bd3",
+}
+
+
 class TestSampling:
     def test_deterministic_given_seed(self):
         box = box22()
         a = sample_rank_one_points(box, 50, np.random.default_rng(5))
         b = sample_rank_one_points(box, 50, np.random.default_rng(5))
         assert np.array_equal(a, b)
+        for (name, count), want in SAMPLE_DIGESTS.items():
+            box = SAMPLE_BOXES[name]
+            X = sample_rank_one_points(box, count, np.random.default_rng(5))
+            assert X.shape == (count, box.m, box.n) and X.dtype == np.float64
+            digest = hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()
+            assert digest == want, (name, count)
+
+    @pytest.mark.parametrize("count", [-5, -1, 2.0, 2.5, "3", True, None])
+    def test_a_bad_count_is_rejected_before_any_draw(self, count):
+        # count=-5 gave 59 points, and on a zero-mass box numpy's
+        # "negative dimensions" error
+        zero_mass = make_box([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.0, 0.0)
+        for box in (box22(), zero_mass):
+            rng = np.random.default_rng(5)
+            with pytest.raises(ValueError, match="count"):
+                sample_rank_one_points(box, count, rng)
+            assert rng.random() == np.random.default_rng(5).random()
+
+    def test_zero_and_numpy_integer_counts(self):
+        box = box22()
+        assert sample_rank_one_points(box, 0, np.random.default_rng(5)).shape == (0, 2, 2)
+        assert np.array_equal(sample_rank_one_points(box, np.int64(7), np.random.default_rng(5)),
+                              sample_rank_one_points(box, 7, np.random.default_rng(5)))
 
     def test_samples_are_feasible_and_rank_one(self, rng):
         box = box22()
@@ -643,6 +693,15 @@ def reference_conic(cut, X, box):
     return worst
 
 
+def layouts(X):
+    """Copies of the batch X with the same values: a C-ordered (k, m, n)
+    stack, and the sampler's layout, the point index fastest in memory."""
+    stack = np.array(X, order="C")
+    point_fastest = X.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+    assert stack.flags.c_contiguous and point_fastest.transpose(1, 2, 0).flags.c_contiguous
+    return [stack, point_fastest]
+
+
 def off_set_points(box, count, rng):
     """Rank-one samples mixed with nonnegative points off the set, so that
     the cuts have positive violations to compare."""
@@ -672,9 +731,10 @@ class TestCutEvaluation:
     def test_random_boxes_of_every_shape(self, m, n):
         rng = np.random.default_rng(100 * m + n)
         box = random_box(rng, m, n, positive_lower=True)
-        worst = self.assert_parity(box, off_set_points(box, 60, rng))
-        # a 1x1 box's linear cuts hold at every nonnegative point
-        assert worst > 0 or m * n == 1
+        for X in layouts(off_set_points(box, 60, rng)):
+            worst = self.assert_parity(box, X)
+            # a 1x1 box's linear cuts hold at every nonnegative point
+            assert worst > 0 or m * n == 1
 
     def test_zero_sum_points_are_skipped_in_r_space(self, rng):
         box = random_box(rng, 3, 2, positive_lower=True)
@@ -689,19 +749,21 @@ class TestCutEvaluation:
 
     def test_batch_longer_than_one_block(self, rng):
         box = random_box(rng, 2, 3, positive_lower=True)
-        X = sample_rank_one_points(box, 2 * rank1._EVAL_BLOCK + 17, rng)
+        sampled = sample_rank_one_points(box, 2 * rank1._EVAL_BLOCK + 17, rng)
+        off = rng.uniform(0.0, box.scale(), size=(2, 3))
         cuts = self.linear_cuts(box)
-        assert evaluate_linear_cuts(cuts, X) <= 1e-8 * box.scale()
-        # one point off the set, in the last, partial block
-        X[-3] = rng.uniform(0.0, box.scale(), size=(2, 3))
-        want = reference_linear(cuts, X[-20:])
-        assert want > 0
-        assert abs(evaluate_linear_cuts(cuts, X) - want) <= 1e-12 * box.scale()
-        for cut in gen_rlt_conic(box).cuts:
-            ref = max(reference_conic(cut, X[:50], box),
-                      reference_conic(cut, X[-50:], box),
-                      cut.violation(X[50:-50], box))
-            assert abs(cut.violation(X, box) - ref) <= 1e-12 * box.scale() ** 2
+        for X in layouts(sampled):
+            assert evaluate_linear_cuts(cuts, X) <= 1e-8 * box.scale()
+            # one point off the set, in the last, partial block
+            X[-3] = off
+            want = reference_linear(cuts, X[-20:])
+            assert want > 0
+            assert abs(evaluate_linear_cuts(cuts, X) - want) <= 1e-12 * box.scale()
+            for cut in gen_rlt_conic(box).cuts:
+                ref = max(reference_conic(cut, X[:50], box),
+                          reference_conic(cut, X[-50:], box),
+                          cut.violation(X[50:-50], box))
+                assert abs(cut.violation(X, box) - ref) <= 1e-12 * box.scale() ** 2
 
     def test_single_matrix(self, rng):
         box = random_box(rng, 3, 3, positive_lower=True)
@@ -716,16 +778,16 @@ class TestCutEvaluation:
         box = random_box(rng, m, n, positive_lower=True)
         if zero_l:
             box = make_box([0.0] * m, box.u, box.lp, box.up, box.L, box.U)
-        X = off_set_points(box, 60, rng)
         cuts = gen_rlt_conic(box).cuts
-        got = evaluate_conic_cuts(cuts, X, box)
-        assert len(got) == len(cuts) == 3 * m * n
         tol = 1e-12 * box.scale() ** 2
-        for cut, v in zip(cuts, got):
-            assert abs(v - cut.violation(X, box)) <= tol, cut.name
-            assert abs(v - reference_conic(cut, X, box)) <= tol, cut.name
-        for cut, v in zip(cuts, evaluate_conic_cuts(cuts, X[0], box)):
-            assert abs(v - reference_conic(cut, X[0], box)) <= tol, cut.name
+        for X in layouts(off_set_points(box, 60, rng)):
+            got = evaluate_conic_cuts(cuts, X, box)
+            assert len(got) == len(cuts) == 3 * m * n
+            for cut, v in zip(cuts, got):
+                assert abs(v - cut.violation(X, box)) <= tol, cut.name
+                assert abs(v - reference_conic(cut, X, box)) <= tol, cut.name
+            for cut, v in zip(cuts, evaluate_conic_cuts(cuts, X[0], box)):
+                assert abs(v - reference_conic(cut, X[0], box)) <= tol, cut.name
 
     def test_empty_cut_list(self, rng):
         X = off_set_points(box22(), 10, rng)
