@@ -10,7 +10,7 @@ from .rank1 import (BoundBox, build_colwise_extension, build_intersection,
                     membership_T, normalize, sample_rank_one_points)
 from .formulations import build_exact, check_solution
 from .relaxations import MethodSpec, build_method, parse_method
-from .tightening import BoundUpdate, apply_bounds, mining_tighten, obbt
+from .tightening import BoundUpdate, apply_bounds, default_obbt_recipe, obbt
 from .bench import compute_gap, exact_value, run_grid
 from .modelir import ModelIR, dump_model
 from .solver import SolveParams, SolveResult, solve

@@ -20,7 +20,7 @@ from .bench import GridConfig, records_to_csv, run_grid, summarize
 from .instances import (InconsistencyError, SchemaError, convert_mining,
                         generalize, parse_instance, parse_mining, to_dict)
 from .relaxations import MethodError, parse_method
-from .tightening import mining_tighten
+from .tightening import TighteningError, default_obbt_recipe
 
 
 @contextlib.contextmanager
@@ -117,8 +117,8 @@ def _cmd_run(args) -> int:
 def _cmd_tighten(args) -> int:
     sched = parse_mining(args.mining)
     inst = convert_mining(sched, default_penalty=args.penalty)
-    upd = mining_tighten(inst)
-    text = upd.to_json()
+    with solver_prints_to_stderr():   # stdout carries nothing but the JSON
+        text = default_obbt_recipe(inst).to_json()
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="CSV output path (default: stdout)")
     run.set_defaults(func=_cmd_run)
 
-    tighten = sub.add_parser("tighten", help="mining bound tightening")
+    tighten = sub.add_parser("tighten", help="the OBBT recipe's bounds for a mining schedule")
     tighten.add_argument("--mining", required=True, type=_existing_path,
                          help="schedule JSON")
     tighten.add_argument("--penalty", type=_penalty, default=1.0,
@@ -180,12 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run the command; an input file that does not hold a valid instance
-    or schedule exits 2 with one error line, as a bad argument does."""
+    or schedule, or a schedule the recipe cannot tighten (one with no
+    feasible plan), exits 2 with one error line, as a bad argument does."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, InconsistencyError) as exc:
+    except (SchemaError, InconsistencyError, TighteningError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

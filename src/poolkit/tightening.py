@@ -1,5 +1,6 @@
 """Bound tightening: optimization-based (OBBT) over an LP relaxation, and
-the single-pass structural tightening for time-indexed mining instances.
+the recipe that boxes the objective for it, on any instance, time-indexed
+mining instances included.
 
 Both produce BoundUpdate objects whose intervals are intersected into the
 instance by apply_bounds; updates never widen an interval.
@@ -17,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .formulations import accepts, fvar, throughput
-from .instances import (POOL, SOURCE_BASIS, TERMINAL, TERMINAL_BASIS,
-                        InconsistencyError, PoolingInstance, content_hash, node_time)
+from .instances import SOURCE_BASIS, TERMINAL_BASIS, PoolingInstance, content_hash
 from .modelir import INF
-from .relaxations import RESTRICTION_PORTFOLIO, build_method, parse_method
+from .relaxations import G_KINDS, RESTRICTION_PORTFOLIO, build_method, parse_method
 from .solver import (INFEASIBLE, OPTIMAL, TIME_LIMIT, Budget, Session,
                      SolveParams, compile_model, solve)
 
@@ -172,10 +172,14 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
     passed to HiGHS once, each turn reads the last solve's point (the base
     solve's first) and drops the sides it settles, and each target solve
     changes only the costs and starts from the previous basis.  ``workers``
-    has no effect."""
+    has no effect.  A restriction label (``G_KINDS``) raises
+    TighteningError: its feasible set leaves out feasible points, so bounds
+    taken over it could cut off the optimum."""
     if z_lb > z_ub:
         raise TighteningError(f"invalid objective box [{z_lb}, {z_ub}]")
     spec = parse_method(relax)
+    if spec.kind in G_KINDS:
+        raise TighteningError(f"OBBT needs a relaxation, not the restriction {relax}")
     built = build_method(inst, spec)
     model = built.model
     if model.bilinear:
@@ -347,84 +351,3 @@ def default_obbt_recipe(inst: PoolingInstance, params: SolveParams | None = None
             pathlib.Path(tmp).unlink(missing_ok=True)   # gone after the replace
     return upd
 
-
-# -- mining single pass ----------------------------------------------------------------
-
-def mining_tighten(inst: PoolingInstance) -> BoundUpdate:
-    """Single pass over the converter's graph in the fixed step order.
-
-    Steps 3 and 4 read the pre-pass pool capacities; step 5 then overwrites
-    every pool's bounds with the sums of its incoming arc bounds.
-    """
-    for s in inst.sources:
-        if len(inst.out_nbrs[s]) != 1:
-            raise InconsistencyError(f"source {s!r} must feed exactly one pool")
-    for i in inst.pools:
-        n_src = sum(1 for j in inst.in_nbrs[i] if j in inst.sources)
-        if n_src > 1:
-            raise InconsistencyError(f"pool {i!r} has {n_src} supply arcs")
-
-    upd = BoundUpdate()
-    arc_new: dict[tuple[str, str], tuple[float, float]] = {}
-
-    # step 1: supply sources pin their node and arc bounds to the supply
-    for s in inst.sources:
-        qty = inst.nodes[s].U
-        upd.record("node", s, (inst.nodes[s].L, inst.nodes[s].U), (qty, qty),
-                   "mining-step-1")
-        i = inst.out_nbrs[s][0]
-        arc = inst.arcs[(s, i)]
-        arc_new[(s, i)] = (qty, qty)
-        upd.record("arc", (s, i), (arc.l, arc.u), (qty, qty), "mining-step-1")
-
-    # step 2: terminals pin to their demand
-    for t in inst.terminals:
-        node = inst.nodes[t]
-        upd.record("node", t, (node.L, node.U), (node.U, node.U), "mining-step-2")
-
-    # step 3: pool-to-terminal arcs
-    pre_U = {i: inst.nodes[i].U for i in inst.pools}
-    pre_L = {i: inst.nodes[i].L for i in inst.pools}
-    for (i, t), arc in sorted(inst.arcs.items()):
-        if inst.kind(i) != POOL or inst.kind(t) != TERMINAL:
-            continue
-        others = [p for p in inst.in_nbrs[t] if p != i and p in inst.pools]
-        lo = max(inst.nodes[t].L - sum(pre_U[p] for p in others), 0.0)
-        hi = min(pre_U[i], inst.nodes[t].U)
-        arc_new[(i, t)] = (max(arc.l, lo), min(arc.u, hi))
-        upd.record("arc", (i, t), (arc.l, arc.u), (lo, hi), "mining-step-3")
-
-    # step 4: pool-to-pool arcs, capped by the running supply surplus
-    supplies = sorted((node_time(s), inst.nodes[s].U) for s in inst.sources)
-    # the surplus terminal's time, inf, comes before no time
-    demands = sorted((node_time(t), inst.nodes[t].U) for t in inst.terminals)
-
-    def surplus_before(tau: float) -> float:
-        sup = sum(q for tt, q in supplies if tt < tau)
-        dem = sum(q for tt, q in demands if tt < tau)
-        return max(sup - dem, 0.0)
-
-    for (i, j), arc in sorted(inst.arcs.items()):
-        if inst.kind(i) != POOL or inst.kind(j) != POOL:
-            continue
-        out_l = sum(arc_new.get((i, t), (inst.arcs[(i, t)].l,))[0]
-                    for t in inst.out_nbrs[i] if inst.kind(t) == TERMINAL)
-        out_U = sum(inst.nodes[t].U
-                    for t in inst.out_nbrs[i] if inst.kind(t) == TERMINAL)
-        lo = max(pre_L[i] - out_U, 0.0)
-        hi = max(pre_U[i] - out_l, 0.0)
-        hi = min(hi, surplus_before(node_time(j)))
-        arc_new[(i, j)] = (max(arc.l, lo), min(arc.u, hi))
-        upd.record("arc", (i, j), (arc.l, arc.u), (lo, hi), "mining-step-4")
-
-    # step 5: pool bounds become the sums of their incoming arc bounds
-    for i in inst.pools:
-        lo = hi = 0.0
-        for j in inst.in_nbrs[i]:
-            arc = inst.arcs[(j, i)]
-            a_lo, a_hi = arc_new.get((j, i), (arc.l, arc.u))
-            lo += a_lo
-            hi += a_hi
-        node = inst.nodes[i]
-        upd.record("node", i, (node.L, node.U), (lo, hi), "mining-step-5")
-    return upd

@@ -30,7 +30,7 @@ from poolkit.rank1 import (check_extreme_point_property, evaluate_conic_cuts,
                            sample_rank_one_points, normalize)
 from poolkit.relaxations import block_value, build_method, parse_method
 from poolkit.solver import Budget, SolveParams, solve
-from poolkit.tightening import apply_bounds, default_obbt_recipe, mining_tighten
+from poolkit.tightening import apply_bounds, default_obbt_recipe
 
 LEDGER = json.loads((DATA / "published" / "ledger.json").read_text())["instances"]
 
@@ -295,7 +295,7 @@ class TestCriterion10:
             sched = random_schedule(rng)
             t0 = time.perf_counter()
             inst = convert_mining(sched)
-            tightened = apply_bounds(inst, mining_tighten(inst))
+            tightened = apply_bounds(inst, default_obbt_recipe(inst))
             mcf_before = solve(build_method(inst, parse_method("MCF:S")).model)
             mcf_after = solve(build_method(tightened, parse_method("MCF:S")).model)
             f4_before = solve(build_method(inst, parse_method("F4:S")).model)

@@ -19,13 +19,14 @@ from poolkit.bench import (GridConfig, RunRecord, compute_gap, exact_value,
                            records_from_csv, records_to_csv, run_cell,
                            run_grid, summarize)
 from poolkit.cli import _load_instances, main
-from poolkit.instances import content_hash
+from poolkit.instances import content_hash, convert_mining, parse_mining
 from poolkit.relaxations import RESTRICTION_PORTFOLIO, build_method, parse_method
 from poolkit.solver import OPTIMAL, TIME_LIMIT, SolveParams, SolveResult, solve
 from poolkit.tightening import (RECIPE_LABEL, REL_TOL, BoundUpdate,
                                 TighteningError, apply_bounds,
                                 default_obbt_recipe)
 from test_acceptance import optimum
+from test_tightening import sweep_slack
 
 
 class TestGap:
@@ -622,11 +623,15 @@ class TestCLI:
     @pytest.mark.parametrize("argv,text", [
         (["convert-mining", "FILE"], '{"stockpiles": ['),
         (["tighten", "--mining", "FILE"], '{"stockpiles": ['),
+        (["tighten", "--mining", "FILE"],
+         '{"stockpiles": ["a"], "demands": [{"time": 1, "qty": 3.0, "spec_max": [2.0]}],'
+         ' "supplies": [{"stockpile": "a", "time": 2, "qty": 5.0, "spec": [1.0]}]}'),
         (["run", "--instances", "FILE", "--methods", "F1:S"], '{"nodes": 3, "arcs": []}')],
-        ids=["convert-mining", "tighten", "run"])
+        ids=["convert-mining", "tighten", "tighten-no-feasible-plan", "run"])
     def test_an_invalid_input_file_exits_2(self, tmp_path, capsys, argv, text):
         # a file that exists but holds no valid schedule or instance raised a
-        # traceback and exited 1
+        # traceback and exited 1; so did a schedule whose demand comes before
+        # any supply, on which the recipe's sweep finds its relaxation infeasible
         path = tmp_path / "input.json"
         path.write_text(text)
         with pytest.raises(SystemExit) as exit_:
@@ -690,7 +695,36 @@ class TestCLI:
         bpath = tmp_path / "bounds.json"
         assert main(["tighten", "--mining", str(spath), "--out", str(bpath)]) == 0
         bounds = json.loads(bpath.read_text())
-        assert bounds["arcs"]["s:a:1->i:a:1"] == [10.0, 10.0]
+        lo, hi = bounds["arcs"]["s:a:1->i:a:1"]
+        assert 10.0 - sweep_slack(parse_instance(ipath)) <= lo <= hi <= 10.0
+
+    def test_tighten_to_stdout_writes_only_the_json(self, tmp_path):
+        # this schedule's G2:T:H=3 restriction makes HiGHS print on fd 1
+        sched = {"stockpiles": ["a"],
+                 "supplies": [{"stockpile": "a", "time": 1.0, "qty": 5.0, "spec": [1.0, 1.0]},
+                              {"stockpile": "a", "time": 2.0, "qty": 1.0, "spec": [1.0, 1.0]},
+                              {"stockpile": "a", "time": 3.0, "qty": 2.0, "spec": [3.0, 3.0]}],
+                 "demands": [{"time": 2.5, "qty": 1.0, "spec_max": [2.3, 1.6],
+                              "penalty": [7.0, 7.0]},
+                             {"time": 3.5, "qty": 2.0, "spec_max": [2.2, 1.6],
+                              "penalty": [5.0, 6.0]},
+                             {"time": 5.5, "qty": 3.0, "spec_max": [1.7, 2.2],
+                              "penalty": [2.0, 7.0]},
+                             {"time": 6.5, "qty": 1.0, "spec_max": [2.3, 1.6],
+                              "penalty": [3.0, 7.0]}]}
+        spath = tmp_path / "sched.json"
+        spath.write_text(json.dumps(sched))
+        src = str(pathlib.Path(poolkit.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "poolkit.cli", "tighten", "--mining", str(spath)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        upd = BoundUpdate.from_json(proc.stdout)
+        assert proc.stdout == upd.to_json() + "\n"
+        inst = convert_mining(parse_mining(spath))
+        assert upd.to_json() == default_obbt_recipe(inst).to_json()
 
     def test_bundled_data_dir_holds_only_instances(self, tmp_path, data_dir):
         # `poolkit run --instances src/poolkit/data` reads every JSON file
