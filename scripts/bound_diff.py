@@ -17,10 +17,11 @@ or status differs, then the largest relative move in each group:
                   the ``lp-table``, ``grid`` and ``grid-plain`` sets;
   MIP cells       objective and dual bound of the MIP labels (M and G
                   kinds) in the ``grid`` and ``grid-plain`` sets;
-  squeezes        value, lower and upper bound of the ``squeeze`` set.
+  squeezes        value, lower and upper bound of the ``squeeze`` and
+                  ``squeeze-open`` sets.
 
-A file without the ``squeeze`` or ``grid-plain`` set has none of its
-records.
+A file without the ``squeeze``, ``grid-plain`` or ``squeeze-open`` set has
+none of its records.
 
 A move is |a - b| / max(1, |a|), with ``a`` from BEFORE; two equal values,
 infinities included, move 0.  A value that one file has and the other
@@ -122,21 +123,23 @@ def compare(before: dict, after: dict) -> tuple[list[str], list[Largest]]:
                 for side, x, y in zip(("lo", "hi"), ia, ib):
                     intervals.add(f"recipe {name} {kind} {key} {side}", x, y)
 
-    old = keyed(before.get("squeeze", []), "instance")
-    new = keyed(after.get("squeeze", []), "instance")
-    for (name,) in sorted(old.keys() ^ new.keys()):
-        diffs.append(f"squeeze {name}: only in "
-                     f"{'BEFORE' if (name,) in old else 'AFTER'}")
-    for key in sorted(old.keys() & new.keys()):
-        a, b = old[key], new[key]
-        for field in ("witness", "status"):
-            if a[field] != b[field]:
-                diffs.append(f"squeeze {key[0]}: {field} {a[field]} -> {b[field]}")
-        for field in ("value", "lower", "upper"):
-            if (a[field] is None) != (b[field] is None):
-                diffs.append(f"squeeze {key[0]}: {field} {a[field]!r} -> {b[field]!r}")
-                continue
-            squeezes.add(f"squeeze {key[0]} {field}", a[field], b[field])
+    for group in ("squeeze", "squeeze-open"):
+        old = keyed(before.get(group, []), "instance")
+        new = keyed(after.get(group, []), "instance")
+        for (name,) in sorted(old.keys() ^ new.keys()):
+            diffs.append(f"{group} {name}: only in "
+                         f"{'BEFORE' if (name,) in old else 'AFTER'}")
+        for key in sorted(old.keys() & new.keys()):
+            a, b = old[key], new[key]
+            where = f"{group} {key[0]}"
+            for field in ("witness", "status"):
+                if a[field] != b[field]:
+                    diffs.append(f"{where}: {field} {a[field]} -> {b[field]}")
+            for field in ("value", "lower", "upper"):
+                if (a[field] is None) != (b[field] is None):
+                    diffs.append(f"{where}: {field} {a[field]!r} -> {b[field]!r}")
+                    continue
+                squeezes.add(f"{where} {field}", a[field], b[field])
     return diffs, [intervals, z_boxes, lp, mip, squeezes]
 
 

@@ -1,10 +1,10 @@
-"""Print one sha256 for each of five sets of bounds the package computes.
+"""Print one sha256 for each of six sets of bounds the package computes.
 
 Run from the repository root:
 
     python scripts/bound_digest.py [--json RECORDS.json]
 
-A change meant to leave every bound bit-identical must print the same five
+A change meant to leave every bound bit-identical must print the same six
 lines before and after it.  With ``--json`` the script also writes the
 records it hashes to RECORDS.json; ``scripts/bound_diff.py`` compares two
 such files, for a change that moves bounds within a tolerance.  The sets are
@@ -18,12 +18,16 @@ such files, for a change that moves bounds within a tolerance.  The sets are
              ``exact_value(inst, first_update=upd)`` on TABLE_INSTANCES,
              with the ``recipe`` set's updates, as ``run_grid`` calls it;
   grid-plain every cell of ``run_grid`` with OBBT off over PLAIN_INSTANCES
-             x TABLE_LABELS, without its timings.
+             x TABLE_LABELS, without its timings;
+  squeeze-open
+             the ``squeeze`` record on OPEN_INSTANCES, each with its own
+             recipe update: squeezes that run all three passes and end
+             open, so that the passes after the first are covered.
 
 Floats enter the digests through ``repr``, so a change in the last bit
 changes the digest.  The grids run the squeeze on each instance, and the
-OBBT grid the recipe as well; the whole script takes 6-9 s on a
-two-core x86-64 machine (6.3, 7.2 and 8.5 s in three runs).
+OBBT grid the recipe as well; the whole script takes 6-7 s on a
+two-core x86-64 machine (6.34, 6.37 and 6.40 s in three runs).
 """
 
 import argparse
@@ -53,6 +57,8 @@ TABLE_LABELS = LP_LABELS + ("M2:S:H=3", "M2:T:H=3", "G2:S:H=3", "G2:T:H=3")
 # the instances of the OBBT-off grid: their untightened squeezes take
 # about 5 s together
 PLAIN_INSTANCES = ("haverly1", "haverly2", "haverly3", "bental4")
+# instances whose recipe-updated squeeze runs all three passes
+OPEN_INSTANCES = ("adhya1", "adhya2")
 
 
 def digest(lines) -> str:
@@ -72,9 +78,9 @@ def records() -> dict[str, list[dict]]:
                           "objective": rec.objective, "dual_bound": rec.dual_bound})
 
     updates = {name: default_obbt_recipe(instances[name])
-               for name in TABLE_INSTANCES}
-    recipes = [{"instance": name, "update": upd.to_json()}
-               for name, upd in updates.items()]
+               for name in TABLE_INSTANCES + OPEN_INSTANCES}
+    recipes = [{"instance": name, "update": updates[name].to_json()}
+               for name in TABLE_INSTANCES]
 
     def grid(names, obbt):
         config = GridConfig([(n, instances[n]) for n in names],
@@ -84,15 +90,20 @@ def records() -> dict[str, list[dict]]:
                  "gap_percent": r.gap_percent, "gap_kind": r.gap_kind,
                  "status": r.status} for r in run_grid(config)]
 
-    squeezes = []
-    for name, upd in updates.items():
-        ev = exact_value(instances[name], first_update=upd)
-        squeezes.append({"instance": name, "value": ev.value, "lower": ev.lower,
+    def squeezes(names):
+        recs = []
+        for name in names:
+            ev = exact_value(instances[name], first_update=updates[name])
+            recs.append({"instance": name, "value": ev.value, "lower": ev.lower,
                          "upper": ev.upper, "witness": ev.witness,
                          "status": ev.status})
+        return recs
+
+    squeeze = squeezes(TABLE_INSTANCES)
     return {"lp-table": cells, "recipe": recipes,
-            "grid": grid(TABLE_INSTANCES, True), "squeeze": squeezes,
-            "grid-plain": grid(PLAIN_INSTANCES, False)}
+            "grid": grid(TABLE_INSTANCES, True), "squeeze": squeeze,
+            "grid-plain": grid(PLAIN_INSTANCES, False),
+            "squeeze-open": squeezes(OPEN_INSTANCES)}
 
 
 def digests(sets: dict[str, list[dict]]) -> dict[str, str]:
@@ -105,11 +116,14 @@ def digests(sets: dict[str, list[dict]]) -> dict[str, str]:
                 f"{r['dual_bound']!r} {r['gap_percent']!r} {r['gap_kind']} "
                 f"{r['status']}" for r in recs]
 
-    squeezes = [f"{r['instance']} {r['value']!r} {r['lower']!r} {r['upper']!r} "
-                f"{r['witness']} {r['status']}" for r in sets["squeeze"]]
+    def squeezes(recs):
+        return [f"{r['instance']} {r['value']!r} {r['lower']!r} {r['upper']!r} "
+                f"{r['witness']} {r['status']}" for r in recs]
+
     return {"lp-table": digest(cells), "recipe": digest(recipes),
-            "grid": digest(grid(sets["grid"])), "squeeze": digest(squeezes),
-            "grid-plain": digest(grid(sets["grid-plain"]))}
+            "grid": digest(grid(sets["grid"])), "squeeze": digest(squeezes(sets["squeeze"])),
+            "grid-plain": digest(grid(sets["grid-plain"])),
+            "squeeze-open": digest(squeezes(sets["squeeze-open"]))}
 
 
 def main() -> None:

@@ -47,8 +47,7 @@ class ExactValue:
     seconds: float
     witness: str = ""
     status: str = "open"     # "proven", "time-limit" or "open"
-    # the instance of the first pass, and its OPTIMAL solves by label, each
-    # with its build+solve seconds
+    # the first pass's instance and the OPTIMAL solves on it (exact_value)
     instance: PoolingInstance | None = field(default=None, repr=False)
     first_pass: dict[str, tuple[SolveResult, float]] = field(
         default_factory=dict, repr=False)
@@ -68,14 +67,20 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     """Squeeze the optimum between restriction values and a tightened
     relaxation bound (the backend has no nonconvex capability).
 
-    The squeeze is one loop of passes.  A pass solves the F4 LPs first,
-    then the restrictions of ``RESTRICTION_PORTFOLIO`` in turn, none once
-    the best bounds meet to ``REL_TOL`` relative (``bounds_meet``).  Every
-    result becomes a bound in one place: a ``G_KINDS`` label's objective
-    from above where its point passes ``formulations.accepts`` in its
-    basis, any other label's dual bound from below.  While the bounds are
-    open and tightenings remain, the pass ends in one OBBT sweep, and the
-    next pass runs on the instance that sweep tightened.
+    The squeeze is one loop of passes.  A pass solves the F4 LPs; the first
+    pass then solves the restrictions of ``RESTRICTION_PORTFOLIO`` in turn,
+    none once the best bounds meet to ``REL_TOL`` relative
+    (``bounds_meet``).  Every result becomes a bound in one place: a
+    ``G_KINDS`` label's objective from above where its point passes
+    ``formulations.accepts`` in its basis, any other label's dual bound from
+    below.  While the bounds are open and tightenings remain, the pass ends
+    in one OBBT sweep, and the next pass runs on the instance that sweep
+    tightened.  There a restriction's feasible set lies inside the one the
+    first pass solved, since ``apply_bounds`` only intersects intervals:
+    solving it again could lower the upper bound only by the MILP's
+    ``mip_rel_gap`` (equal to ``REL_TOL``) or by a point where the first
+    pass's failed ``formulations.accepts``, neither of which happens on the
+    bundled instances.
 
     The portfolio's fixed order tries G2 before G1 (``relaxations`` gives
     the reason).  Where G1 first proved too, the order moves no value or
@@ -107,7 +112,7 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     without an update the squeeze runs one pass on ``inst``, without OBBT.
 
     ``instance`` is the instance of the first pass (the tightened one, or
-    ``inst`` itself), and ``first_pass`` keeps that pass's solves that
+    ``inst`` itself), and ``first_pass`` keeps the solves on it that
     reached OPTIMAL, by label, with the seconds each took to build and
     solve.  A solve stopped by the squeeze's remaining budget is not kept:
     it must not stand in for one that has the full limit."""
@@ -115,39 +120,32 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     budget = Budget(params)
     best_ub = best_lb = None
     witness = ""
-
-    def closed() -> bool:
-        return bounds_meet(best_lb, best_ub)
-
     work, tightenings = inst, 0
     if first_update is not None:
         work, tightenings = apply_bounds(inst, first_update), 2
         z_ub = first_update.z_box[1] if first_update.z_box else math.inf
         if first_update.z_witness and math.isfinite(z_ub):
             best_ub, witness = z_ub, first_update.z_witness
-    first_work, first_pass = work, None
+    first_work, first_pass = work, {}
     while True:
         # the LPs first: they are cheap, so a budget spent in a restriction
         # MILP still leaves a lower bound
-        optimal = {}
-        for label in ("F4:S", "F4:T") + RESTRICTION_PORTFOLIO:
+        for label in ("F4:S", "F4:T") + (RESTRICTION_PORTFOLIO if work is first_work else ()):
             spec = parse_method(label)
             restriction = spec.kind in G_KINDS
-            if budget.spent or (restriction and closed()):
+            if budget.spent or (restriction and bounds_meet(best_lb, best_ub)):
                 break
             t = time.perf_counter()
             res = solve(build_method(work, spec).model, budget.params())
-            if res.status == OPTIMAL:
-                optimal[label] = (res, time.perf_counter() - t)
+            if res.status == OPTIMAL and work is first_work:
+                first_pass[label] = (res, time.perf_counter() - t)
             if restriction:
                 if (res.objective is not None and (best_ub is None or res.objective < best_ub)
                         and accepts(work, spec.basis, res.assignment)):
                     best_ub, witness = res.objective, label
             elif res.dual_bound is not None and (best_lb is None or res.dual_bound > best_lb):
                 best_lb = res.dual_bound
-        if first_pass is None:
-            first_pass = optimal
-        if not tightenings or budget.spent or closed():
+        if not tightenings or budget.spent or bounds_meet(best_lb, best_ub):
             break
         tightenings -= 1
         box = (-math.inf if best_lb is None else best_lb,
@@ -157,7 +155,7 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
             work = apply_bounds(work, upd)
         except TighteningError:
             break
-    status = "proven" if closed() else "time-limit" if budget.spent else "open"
+    status = "proven" if bounds_meet(best_lb, best_ub) else "time-limit" if budget.spent else "open"
     return ExactValue(best_lb, best_ub, time.perf_counter() - t0, witness, status,
                       first_work, first_pass)
 

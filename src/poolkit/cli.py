@@ -13,6 +13,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -83,14 +84,17 @@ def _existing_path(text: str) -> str:
 
 
 def _method_labels(text: str) -> list[str]:
-    """The comma-separated labels, each checked by parse_method, so that a
-    typo stops the run before any solve."""
-    labels = [m.strip() for m in text.split(",") if m.strip()]
-    for label in labels:
-        try:
-            parse_method(label)
-        except MethodError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+    """The labels, split at commas outside parentheses (``Vab(x,r)`` is one
+    label), each checked by parse_method, so that a typo or two labels of
+    one model (one ``MethodSpec.label()``) stop the run before any solve."""
+    labels = [m.strip() for m in re.split(r",(?![^(]*\))", text) if m.strip()]
+    try:
+        models = [parse_method(label).label() for label in labels]
+    except MethodError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    twice = [model for model in models if models.count(model) > 1]
+    if twice:
+        raise argparse.ArgumentTypeError(f"two labels name the model {twice[0]}")
     return labels
 
 

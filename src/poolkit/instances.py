@@ -128,7 +128,7 @@ class PoolingInstance:
         return (self.mu_lo.get(t, (0.0,) * self.n_specs),
                 self.mu_hi.get(t, (INF,) * self.n_specs))
 
-    def ghost_pairs(self, basis: str = SOURCE_BASIS) -> list[tuple[str, str]]:
+    def ghost_pairs(self, basis: str) -> list[tuple[str, str]]:
         """The basis's commodity pairs that have no physical arc."""
         if basis == SOURCE_BASIS:
             pairs = [(s, i) for i in self.pools for s in self.S_i[i]]

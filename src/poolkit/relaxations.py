@@ -63,7 +63,7 @@ class MethodError(ValueError):
 @dataclass(frozen=True)
 class MethodSpec:
     kind: str
-    basis: str = SOURCE_BASIS
+    basis: str
     H: int | None = None
     cuts: tuple[str, ...] = ()
     cut_space: str = "both"
@@ -97,7 +97,7 @@ class MethodSpec:
 
 
 _METHOD_RE = re.compile(r"^(?P<kind>[A-Z]+[0-9]?)"
-                        r"(:(?P<basis>[ST]))?"
+                        r":(?P<basis>[ST])"
                         r"(:H=(?P<H>[0-9]+))?"
                         r"(?P<cuts>(\+V[a-z]+(\([a-z,]*\))?)*)$")
 
@@ -107,14 +107,16 @@ _CUT_SPACES = {frozenset({"x"}): "x", frozenset({"r"}): "r",
 
 
 def parse_method(text: str) -> MethodSpec:
-    """The spec of a label.  Every cut family names its space, ``x,r`` when
-    it has no parentheses, and they must all name the same one: a spec has
-    a single cut space."""
+    """The spec of a label, which names its basis.  Every cut family names
+    its space, ``x,r`` when it has no parentheses, and they must all name
+    the same one: a spec has a single cut space."""
     m = _METHOD_RE.match(text.strip())
     if not m:
+        if _METHOD_RE.match(re.sub(r"^([A-Z]+[0-9]?)", r"\g<1>:S", text.strip())):
+            raise MethodError(f"method {text!r} names no basis: add :S or :T after its kind")
         raise MethodError(f"cannot parse method {text!r}")
     kind = m.group("kind")
-    basis = {"S": SOURCE_BASIS, "T": TERMINAL_BASIS, None: SOURCE_BASIS}[m.group("basis")]
+    basis = {"S": SOURCE_BASIS, "T": TERMINAL_BASIS}[m.group("basis")]
     H = int(m.group("H")) if m.group("H") else None
     cuts: list[str] = []
     spaces: set[str] = set()

@@ -63,18 +63,17 @@ class BoundUpdate:
     z_witness: str = ""
 
     def record(self, kind: str, key, old: tuple[float, float],
-               new: tuple[float, float], tag: str, slack: float = 0.0) -> None:
+               new: tuple[float, float], slack: float = 0.0) -> None:
         lo = max(old[0], new[0] - slack)
         hi = min(old[1], new[1] + slack)
         label = f"{kind}:{key}"
         if hi < lo:
-            raise TighteningError(f"empty interval for {label} from {tag}: "
-                                  f"{old} meets {new}")
+            raise TighteningError(f"empty interval for {label}: {old} meets {new}")
         target = {"node": self.node_bounds, "arc": self.arc_bounds,
                   "ghost": self.ghost_bounds}[kind]
-        changed = lo > old[0] + 1e-12 or hi < old[1] - 1e-12
-        target[key] = (lo, hi) if changed else old
-        self.provenance[label] = tag if changed else UNCHANGED
+        target[key] = (lo, hi)
+        moved = [side for side, m in (("min", lo > old[0]), ("max", hi < old[1])) if m]
+        self.provenance[label] = "obbt-" + "-".join(moved) if moved else UNCHANGED
 
     def to_json(self) -> str:
         return json.dumps({
@@ -255,11 +254,7 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
         lo, hi = proven[row], proven[n + row]
         lo = 0.0 if lo is None else max(lo, 0.0)
         hi = INF if hi is None else -hi
-        tag = "obbt-min" if lo > old[0] + slack else (
-            "obbt-max" if hi < old[1] - slack else UNCHANGED)
-        if lo > old[0] + slack and hi < old[1] - slack:
-            tag = "obbt-min-max"
-        upd.record(kind, key, old, (lo, hi), tag, slack=slack)
+        upd.record(kind, key, old, (lo, hi), slack=slack)
     return upd
 
 

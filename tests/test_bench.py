@@ -177,6 +177,21 @@ class TestExactValue:
         assert (ev.status, ev.witness) == ("proven", "G2:T:H=3")
         assert ev.value == pytest.approx(-939.3181818181819, rel=REL_TOL)
 
+    def test_later_passes_solve_only_the_f4_lps(self, bental4, monkeypatch):
+        # with bounds that never meet, the squeeze runs a pass after each
+        # sweep until a sweep fails (here the third, whose box the second
+        # pass's F4 bound crosses by the last bits); the recipe keeps
+        # tightening.bounds_meet
+        upd = default_obbt_recipe(bental4)
+        monkeypatch.setattr(poolkit.bench, "bounds_meet", lambda lower, upper: False)
+        builds = record_builds(monkeypatch)
+        ev = exact_value(bental4, first_update=upd)
+        first = [label for inst, label in builds if inst is ev.instance]
+        later = [label for inst, label in builds if inst is not ev.instance]
+        assert first == ["F4:S", "F4:T", *RESTRICTION_PORTFOLIO]
+        assert later and later == ["F4:S", "F4:T"] * (len(later) // 2)
+        assert set(ev.first_pass) <= set(first)
+
     def test_bental5_squeeze_proves_within_its_budget(self, data_dir):
         from poolkit import parse_instance
         from poolkit.solver import SolveParams
@@ -564,6 +579,32 @@ class TestCLI:
         assert code == 0
         records = records_from_csv(out.read_text())
         assert len(records) == 2
+
+    def test_a_comma_inside_parentheses_belongs_to_the_label(self, tmp_path, data_dir):
+        # the spelling MethodSpec.label() writes; the comma used to split it
+        out = tmp_path / "res.csv"
+        code = main(["run", "--instances", str(data_dir / "haverly1.json"),
+                     "--methods", "F3:S+Vab(x,r),F4:T", "--obbt", "off",
+                     "--out", str(out)])
+        assert code == 0
+        records = records_from_csv(out.read_text())
+        assert [r.method for r in records] == ["F3:S+Vab(x,r)", "F4:T"]
+
+    @pytest.mark.parametrize("value,message", [
+        ("F4,F4:S", "names no basis"),
+        ("F4:S+Vab,F4:S+Vab+Vab", "name the model F4:S+Vab(x,r)"),
+        ("F4:S+Vab(x,r),F4:S+Vab", "name the model F4:S+Vab(x,r)")])
+    def test_two_labels_of_one_model_exit_2(self, tmp_path, data_dir, capsys,
+                                            monkeypatch, value, message):
+        # each used to write two CSV rows and two summary rows for one model
+        monkeypatch.setattr("poolkit.cli.run_grid", lambda *a: pytest.fail("solved"))
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--instances", str(data_dir / "haverly1.json"),
+                  "--methods", value, "--out", str(out)])
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("option,value", [
         ("--threads", "0"), ("--threads", "-2"),

@@ -111,6 +111,21 @@ def test_a_file_without_squeezes_lacks_each_one():
     assert groups[-1].line() == "squeezes       no values"
 
 
+def test_open_squeezes_are_compared_like_the_squeezes():
+    def with_open(**kw):
+        recs = records()
+        recs["squeeze-open"] = [dict(records(**kw)["squeeze"][0], instance="a")]
+        return recs
+
+    after = with_open(value=-400.0 * (1 + 1e-9), witness="G1:T:H=3")
+    diffs, groups = bound_diff.compare(with_open(), after)
+    assert diffs == ["squeeze-open a: witness G2:S:H=3 -> G1:T:H=3"]
+    assert moves(groups)["squeezes"] == pytest.approx(1e-9, rel=1e-3)
+    # a file written before the set existed has none of its squeezes
+    diffs, _ = bound_diff.compare(records(), after)
+    assert diffs == ["squeeze-open a: only in AFTER"]
+
+
 def test_plain_grid_is_compared_like_the_grid():
     diffs, groups = bound_diff.compare(records(), records(plain_g2=-400.0 * (1 + 1e-9)))
     assert diffs == []

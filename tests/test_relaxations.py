@@ -47,6 +47,12 @@ class TestMethodParsing:
         with pytest.raises(MethodError, match=message):
             parse_method(text)
 
+    @pytest.mark.parametrize("text", ["F4", "F4+Vab", "G2:H=3", "M2:H=3+Vac(r)"])
+    def test_a_label_names_its_basis(self, text):
+        # "F4" used to read as F4:S, so a grid could name one model twice
+        with pytest.raises(MethodError, match="names no basis"):
+            parse_method(text)
+
     def test_errors(self):
         with pytest.raises(MethodError):
             parse_method("F9:S")

@@ -514,6 +514,24 @@ class TestSessionSweep:
             checked += 1
         assert checked == len(upd.provenance)
 
+    @pytest.mark.parametrize("name", SWEEP_INSTANCES)
+    def test_each_tag_names_the_sides_that_moved(self, name):
+        inst, z_lb, z_ub, _ = recipe_box(name)
+        upd = obbt(inst, "F4:T", z_lb, z_ub)
+        bounds = {"arc": upd.arc_bounds, "ghost": upd.ghost_bounds,
+                  "node": upd.node_bounds}
+        tag = {(False, False): "unchanged", (True, False): "obbt-min",
+               (False, True): "obbt-max", (True, True): "obbt-min-max"}
+        tags = Counter()
+        for kind, table in bounds.items():
+            for key, (lo, hi) in table.items():
+                old = inst.interval(kind, key)
+                want = tag[lo != old[0], hi != old[1]]
+                assert upd.provenance[f"{kind}:{key}"] == want, (kind, key)
+                tags[want] += 1
+        assert sum(tags.values()) == len(upd.provenance)
+        assert tags["unchanged"] < len(upd.provenance)
+
     def test_zero_budget_base_solve_raises(self, haverly1):
         with pytest.raises(TighteningError, match="ran out of time"):
             obbt(haverly1, "F4:T", -500.0, -400.0,
@@ -524,13 +542,12 @@ class TestBoundUpdate:
     def test_crossed_interval_raises(self):
         upd = BoundUpdate()
         with pytest.raises(TighteningError, match="empty interval for arc"):
-            upd.record("arc", ("a", "b"), (0.0, 1.0), (2.0, 3.0), "obbt-min")
+            upd.record("arc", ("a", "b"), (0.0, 1.0), (2.0, 3.0))
         assert upd.arc_bounds == {} and upd.provenance == {}
 
     def test_crossing_within_the_slack_is_kept(self):
         upd = BoundUpdate()
-        upd.record("node", "p", (0.0, 1.0), (1.0 + 1e-7, 2.0), "obbt-min",
-                   slack=1e-6)
+        upd.record("node", "p", (0.0, 1.0), (1.0 + 1e-7, 2.0), slack=1e-6)
         assert upd.node_bounds["p"] == pytest.approx((1.0 - 9e-7, 1.0))
 
     def test_unknown_ghost_pair_raises(self, haverly1):
