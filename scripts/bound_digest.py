@@ -26,8 +26,9 @@ such files, for a change that moves bounds within a tolerance.  The sets are
 
 Floats enter the digests through ``repr``, so a change in the last bit
 changes the digest.  The grids run the squeeze on each instance, and the
-OBBT grid the recipe as well; the whole script takes 6-7 s on a
-two-core x86-64 machine (6.34, 6.37 and 6.40 s in three runs).
+OBBT grid the recipe as well; the whole script takes 8-9 s on a shared
+two-core x86-64 machine (7.72, 8.12 and 9.02 s in three runs; up to 13 s
+while other jobs load it).
 """
 
 import argparse

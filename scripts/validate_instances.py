@@ -27,7 +27,7 @@ from poolkit import parse_instance  # noqa: E402
 from poolkit.bench import exact_value, run_cell  # noqa: E402
 from poolkit.cli import solver_prints_to_stderr  # noqa: E402
 from poolkit.solver import SolveParams  # noqa: E402
-from poolkit.tightening import apply_bounds, default_obbt_recipe  # noqa: E402
+from poolkit.tightening import default_obbt_recipe  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "poolkit" / "data"
 LEDGER = json.loads((DATA / "published" / "ledger.json").read_text())["instances"]
@@ -44,7 +44,7 @@ def check(name):
     ev = exact_value(inst, PARAMS, first_update=upd)
     rows = [("optimum", opt, ev.value, ev.proven and abs(ev.value - opt) <= 1e-3 * abs(opt),
              entry["optimum"])]
-    work = {False: inst, True: apply_bounds(inst, upd)}   # by the cell's obbt flag
+    work = {False: inst, True: ev.instance}   # by the cell's obbt flag
     for cell in entry["cells"]:
         rec = run_cell(name, work[cell["obbt"]], cell["label"], cell["obbt"], 0.0,
                        opt, PARAMS)

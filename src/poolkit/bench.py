@@ -27,8 +27,9 @@ from .instances import PoolingInstance
 from .relaxations import (G_KINDS, RESTRICTION_PORTFOLIO, MethodSpec,
                           build_method, parse_method)
 from .solver import OPTIMAL, TIME_LIMIT, Budget, SolveParams, SolveResult, solve
-from .tightening import (RECIPE_RELAXATION, BoundUpdate, TighteningError,
-                         apply_bounds, bounds_meet, default_obbt_recipe, obbt)
+from .tightening import (RECIPE_RELAXATION, RECIPE_RESTRICTIONS, BoundUpdate,
+                         TighteningError, apply_bounds, bounds_meet,
+                         default_obbt_recipe, obbt)
 
 GAP_UNDEFINED = float("nan")
 
@@ -75,17 +76,22 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     ``formulations.accepts`` in its basis, any other label's dual bound from
     below.  While the bounds are open and tightenings remain, the pass ends
     in one OBBT sweep, and the next pass runs on the instance that sweep
-    tightened.  There a restriction's feasible set lies inside the one the
-    first pass solved, since ``apply_bounds`` only intersects intervals:
-    solving it again could lower the upper bound only by the MILP's
-    ``mip_rel_gap`` (equal to ``REL_TOL``) or by a point where the first
-    pass's failed ``formulations.accepts``, neither of which happens on the
-    bundled instances.
+    tightened.
+
+    A restriction is solved once per squeeze, on the widest box it is
+    met: ``apply_bounds`` only intersects intervals, so on a tighter box
+    a restriction could lower the upper bound only by the MILP's
+    ``mip_rel_gap`` (``REL_TOL``) or by a point where the wider solve's
+    failed ``formulations.accepts``, neither of which happens on the
+    bundled instances.  A later pass solves the F4 LPs alone, and a first
+    pass on ``first_update``'s instance leaves out ``RECIPE_RESTRICTIONS``,
+    which the recipe solved on ``inst`` (or showed, by its stop rule,
+    could not lower its value beyond ``REL_TOL``).
 
     The portfolio's fixed order tries G2 before G1 (``relaxations`` gives
     the reason).  Where G1 first proved too, the order moves no value or
     witness: a restriction that closes the squeeze lies below every
-    upper bound found before it, and where none closes, all four run.
+    upper bound found before it, and where none closes, all of them run.
 
     ``params.time_limit_s`` is the budget of the whole squeeze: every
     restriction, LP and OBBT solve gets only the time that remains, and no
@@ -120,9 +126,11 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     budget = Budget(params)
     best_ub = best_lb = None
     witness = ""
-    work, tightenings = inst, 0
+    work, tightenings, restrictions = inst, 0, RESTRICTION_PORTFOLIO
     if first_update is not None:
         work, tightenings = apply_bounds(inst, first_update), 2
+        restrictions = tuple(label for label in RESTRICTION_PORTFOLIO
+                             if label not in RECIPE_RESTRICTIONS)
         z_ub = first_update.z_box[1] if first_update.z_box else math.inf
         if first_update.z_witness and math.isfinite(z_ub):
             best_ub, witness = z_ub, first_update.z_witness
@@ -130,7 +138,7 @@ def exact_value(inst: PoolingInstance, params: SolveParams | None = None,
     while True:
         # the LPs first: they are cheap, so a budget spent in a restriction
         # MILP still leaves a lower bound
-        for label in ("F4:S", "F4:T") + (RESTRICTION_PORTFOLIO if work is first_work else ()):
+        for label in ("F4:S", "F4:T") + (restrictions if work is first_work else ()):
             spec = parse_method(label)
             restriction = spec.kind in G_KINDS
             if budget.spent or (restriction and bounds_meet(best_lb, best_ub)):

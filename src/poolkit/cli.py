@@ -83,6 +83,26 @@ def _existing_path(text: str) -> str:
     return text
 
 
+def _out_path(text: str) -> str:
+    """A file to write once the command is done: checked before any solve,
+    so that a bad path does not lose the results."""
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"is a directory: {text!r}")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"no such directory: {str(path.parent)!r}")
+    return text
+
+
+def _cache_dir(text: str) -> str:
+    """A directory that is there or that the recipe can make."""
+    path = Path(text)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"not a directory: {str(existing)!r}")
+    return text
+
+
 def _method_labels(text: str) -> list[str]:
     """The labels, split at commas outside parentheses (``Vab(x,r)`` is one
     label), each checked by parse_method, so that a typo or two labels of
@@ -159,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--time-limit", type=_seconds, default=3600.0,
                      help="seconds for the whole grid, instance by instance")
     run.add_argument("--threads", type=_positive_int, default=1)
-    run.add_argument("--bounds-cache",
+    run.add_argument("--bounds-cache", type=_cache_dir,
                      help="directory for cached tightening results, keyed by "
                           "instance content hash and recipe")
-    run.add_argument("--out", help="CSV output path (default: stdout)")
+    run.add_argument("--out", type=_out_path, help="CSV output path (default: stdout)")
     run.set_defaults(func=_cmd_run)
 
     tighten = sub.add_parser("tighten", help="the OBBT recipe's bounds for a mining schedule")
@@ -170,14 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="schedule JSON")
     tighten.add_argument("--penalty", type=_penalty, default=1.0,
                          help="default soft-spec penalty weight")
-    tighten.add_argument("--out", help="bounds JSON output path")
+    tighten.add_argument("--out", type=_out_path, help="bounds JSON output path")
     tighten.set_defaults(func=_cmd_tighten)
 
     conv = sub.add_parser("convert-mining",
                           help="convert a mining schedule to a pooling instance")
     conv.add_argument("schedule", type=_existing_path, help="schedule JSON")
     conv.add_argument("--penalty", type=_penalty, default=1.0)
-    conv.add_argument("--out", help="instance JSON output path")
+    conv.add_argument("--out", type=_out_path, help="instance JSON output path")
     conv.set_defaults(func=_cmd_convert)
     return parser
 

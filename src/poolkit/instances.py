@@ -486,7 +486,8 @@ def convert_mining(sched: MiningSchedule,
             raise InconsistencyError(f"duplicate demand time {d.time}")
         nodes[tid] = Node(tid, TERMINAL, d.qty, d.qty)
         mu_hi[tid] = d.spec_max
-        penalty[tid] = tuple(w if w > 0 else default_penalty for w in d.penalty)
+        # 0 takes the default; validate refuses a weight not finite and >= 0
+        penalty[tid] = tuple(w if w != 0 else default_penalty for w in d.penalty)
         for pile, sups in by_pile.items():
             current = None
             for s in sups:

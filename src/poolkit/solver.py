@@ -29,6 +29,9 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 TIME_LIMIT = "time-limit"
 ERROR = "error"
+# the relative distance at which a lower and an upper bound meet, and every
+# MIP's mip_rel_gap, so that a MIP at OPTIMAL is within it of its optimum
+REL_TOL = 1e-4
 
 
 class CapabilityError(RuntimeError):
@@ -37,8 +40,9 @@ class CapabilityError(RuntimeError):
 
 @dataclass
 class SolveParams:
+    """What a caller sets for a solve: its time limit.  A MIP's relative
+    gap is no parameter: every MIP, on either path, stops at ``REL_TOL``."""
     time_limit_s: float = 3600.0      # one-hour default
-    rel_gap: float = 1e-4             # a MIP's mip_rel_gap; no LP reads it
 
 
 class Budget:
@@ -162,8 +166,7 @@ def solve_compiled(cm: CompiledModel, params: SolveParams | None = None) -> Solv
         session._highs.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
         return session.solve(params)
     params = params or SolveParams()
-    options = {"time_limit": float(params.time_limit_s),
-               "mip_rel_gap": params.rel_gap}
+    options = {"time_limit": float(params.time_limit_s), "mip_rel_gap": REL_TOL}
     t0 = time.perf_counter()
     constraints = None
     if cm.A.shape[0]:
@@ -199,8 +202,8 @@ class Session:
     The model is passed to HiGHS once.  Each ``solve`` sets the costs and
     the time limit and runs again, so an LP starts from the basis of the
     previous solve instead of from scratch.  A MIP is solved afresh each
-    time, with the same ``mip_rel_gap`` as ``scipy.optimize.milp`` gets in
-    ``solve_compiled``.  An LP has a point and a dual bound only at
+    time, with ``mip_rel_gap`` ``REL_TOL``, as ``scipy.optimize.milp`` gets
+    in ``solve_compiled``.  An LP has a point and a dual bound only at
     OPTIMAL; a MIP has its incumbent and HiGHS's finite dual bound.  A
     session is not safe to share between threads.
     """
@@ -239,7 +242,7 @@ class Session:
         # over all the runs of one instance
         h.setOptionValue("time_limit", h.getRunTime() + float(params.time_limit_s))
         if self._is_mip:
-            h.setOptionValue("mip_rel_gap", params.rel_gap)
+            h.setOptionValue("mip_rel_gap", REL_TOL)
         t0 = time.perf_counter()
         h.run()
         elapsed = time.perf_counter() - t0

@@ -21,7 +21,7 @@ from .formulations import accepts, fvar, throughput
 from .instances import SOURCE_BASIS, TERMINAL_BASIS, PoolingInstance, content_hash
 from .modelir import INF
 from .relaxations import G_KINDS, RESTRICTION_PORTFOLIO, build_method, parse_method
-from .solver import (INFEASIBLE, OPTIMAL, TIME_LIMIT, Budget, Session,
+from .solver import (INFEASIBLE, OPTIMAL, REL_TOL, TIME_LIMIT, Budget, Session,
                      SolveParams, compile_model, solve)
 
 UNCHANGED = "unchanged"
@@ -36,8 +36,6 @@ RECIPE_RELAXATION = "F4:T"
 # over the first's sweep leaves room, then OBBT over F4:T; a change to the
 # recipe must change it
 RECIPE_LABEL = "g2t3chk+g1t3chk+stop+grid7+obbt(F4:T)"
-# the relative distance at which a lower and an upper bound meet
-REL_TOL = 1e-4
 
 
 def bounds_meet(lower: float | None, upper: float | None) -> bool:

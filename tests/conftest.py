@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+import poolkit.solver
 from poolkit import parse_instance
 from poolkit.solver import SolveParams, SolveResult
 
@@ -19,13 +20,14 @@ def milp_oracle(cm, params=None, c=None):
     builds its own HiGHS model from the arrays: the reference the package's
     HiGHS binding path is checked against.  Costs are ``c`` if given; the
     status, objective and dual bound follow ``poolkit.solver``'s contract
-    (a dual bound at OPTIMAL or from a finite MIP dual bound).  The result
-    carries no point, so a sweep on it skips no solve."""
+    (a dual bound at OPTIMAL or from a finite MIP dual bound, a MIP's gap
+    ``poolkit.solver.REL_TOL``, read at each call so that a test may patch
+    it).  The result carries no point, so a sweep on it skips no solve."""
     params = params or SolveParams()
     is_mip = bool(cm.integrality.any())
     options = {"time_limit": float(params.time_limit_s)}
     if is_mip:
-        options["mip_rel_gap"] = params.rel_gap
+        options["mip_rel_gap"] = poolkit.solver.REL_TOL
     constraints = None
     if cm.A.shape[0]:
         constraints = LinearConstraint(cm.A, cm.row_lo, cm.row_hi)

@@ -22,8 +22,8 @@ from poolkit.cli import _load_instances, main
 from poolkit.instances import content_hash, convert_mining, parse_mining
 from poolkit.relaxations import RESTRICTION_PORTFOLIO, build_method, parse_method
 from poolkit.solver import OPTIMAL, TIME_LIMIT, SolveParams, SolveResult, solve
-from poolkit.tightening import (RECIPE_LABEL, REL_TOL, BoundUpdate,
-                                TighteningError, apply_bounds,
+from poolkit.tightening import (RECIPE_LABEL, RECIPE_RESTRICTIONS, REL_TOL,
+                                BoundUpdate, TighteningError, apply_bounds,
                                 default_obbt_recipe)
 from test_acceptance import optimum
 from test_tightening import sweep_slack
@@ -188,9 +188,23 @@ class TestExactValue:
         ev = exact_value(bental4, first_update=upd)
         first = [label for inst, label in builds if inst is ev.instance]
         later = [label for inst, label in builds if inst is not ev.instance]
-        assert first == ["F4:S", "F4:T", *RESTRICTION_PORTFOLIO]
+        assert first == ["F4:S", "F4:T", "G2:S:H=3", "G1:S:H=3"]
         assert later and later == ["F4:S", "F4:T"] * (len(later) // 2)
         assert set(ev.first_pass) <= set(first)
+
+    @pytest.mark.parametrize("name", ["bental4", "adhya1"])
+    def test_the_recipe_restrictions_are_not_solved_again(self, data_dir,
+                                                          monkeypatch, name):
+        # the recipe solved them on the instance itself, whose box holds
+        # every instance the squeeze tightens: a restriction is solved once
+        inst = parse_instance(data_dir / f"{name}.json")
+        upd = default_obbt_recipe(inst)
+        builds = record_builds(monkeypatch)
+        ev = exact_value(inst, first_update=upd)
+        built = {label for _, label in builds}
+        assert built & set(RECIPE_RESTRICTIONS) == set()
+        assert set(RESTRICTION_PORTFOLIO) - set(RECIPE_RESTRICTIONS) <= built
+        assert ev.witness == upd.z_witness
 
     def test_bental5_squeeze_proves_within_its_budget(self, data_dir):
         from poolkit import parse_instance
@@ -301,10 +315,11 @@ class TestSolveOnce:
         assert len({h for h, _ in counts}) == 2
         assert set(counts.values()) == {1}, counts
 
-    # bental4's first pass solves all four labels; on foulds2 the recipe's
-    # G2:T:H=3 value meets the F4 bounds, so no restriction runs
+    # bental4's first pass solves the source-basis restrictions, the
+    # recipe having solved the others; on foulds2 the recipe's G2:T:H=3
+    # value meets the F4 bounds, so no restriction runs
     @pytest.mark.parametrize("name,shared", [
-        ("bental4", {"F4:S", "F4:T", "G2:S:H=3", "G2:T:H=3"}),
+        ("bental4", {"F4:S", "F4:T", "G2:S:H=3"}),
         ("foulds2", {"F4:S", "F4:T"})], ids=["bental4", "foulds2"])
     def test_shared_cells_equal_fresh_cells(self, data_dir, monkeypatch, name, shared):
         inst = parse_instance(data_dir / f"{name}.json")
@@ -570,6 +585,13 @@ class TestGrid:
         assert f"{sum(gaps) / len(gaps):9.2f}" in line
 
 
+# a schedule whose one demand has the given penalty, which used to
+# become the default weight when negative or NaN
+BAD_PENALTY = ('{{"stockpiles": ["a"], "supplies": [{{"stockpile": "a", "time": 1, '
+               '"qty": 5.0, "spec": [1.0]}}], "demands": [{{"time": 2, "qty": 3.0, '
+               '"spec_max": [2.0], "penalty": [{}]}}]}}')
+
+
 class TestCLI:
     def test_run_command(self, tmp_path, data_dir):
         out = tmp_path / "res.csv"
@@ -621,14 +643,18 @@ class TestCLI:
 
     @pytest.mark.parametrize("option,value", [
         ("--methods", "F1:S,F4:Q"), ("--methods", "G2:T"),
-        ("--instances", "no-such-instance.json")])
+        ("--instances", "no-such-instance.json"),
+        ("--out", "no-such-dir/res.csv"), ("--out", "."),
+        ("--bounds-cache", "a-file"), ("--bounds-cache", "a-file/cache")])
     def test_run_rejects_a_bad_method_or_instance_path(self, tmp_path, data_dir,
                                                        capsys, monkeypatch,
                                                        option, value):
         # a typo used to raise a traceback, a method's only after the
-        # recipe and the squeeze had run
+        # recipe and the squeeze had run; so did an output path that could
+        # not be written, and the grid's results were lost
         monkeypatch.setattr("poolkit.cli.run_grid", lambda *a: pytest.fail("solved"))
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "a-file").write_text("")
         out = tmp_path / "res.csv"
         args = {"--instances": str(data_dir / "haverly1.json"), "--methods": "F1:S",
                 "--obbt": "on", "--out": str(out), option: value}
@@ -641,12 +667,17 @@ class TestCLI:
     @pytest.mark.parametrize("command,option,value", [
         ("tighten", "--mining", "no-such-schedule.json"),
         ("tighten", "--penalty", "nan"), ("tighten", "--penalty", "-1"),
+        ("tighten", "--out", "."), ("tighten", "--out", "no-such-dir/out.json"),
         ("convert-mining", "schedule", "no-such-schedule.json"),
-        ("convert-mining", "--penalty", "inf")])
+        ("convert-mining", "--penalty", "inf"),
+        ("convert-mining", "--out", "no-such-dir/out.json")])
     def test_mining_commands_reject_a_bad_path_or_penalty(self, tmp_path, data_dir,
                                                           capsys, monkeypatch,
                                                           command, option, value):
-        # a missing file used to raise a traceback, and a NaN penalty to exit 0
+        # a missing file used to raise a traceback, a NaN penalty to exit 0,
+        # and an --out that could not be written a traceback after the recipe
+        monkeypatch.setattr("poolkit.cli.default_obbt_recipe",
+                            lambda *a: pytest.fail("solved"))
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "out.json"
         schedule = {"tighten": "--mining", "convert-mining": "schedule"}[command]
@@ -667,8 +698,11 @@ class TestCLI:
         (["tighten", "--mining", "FILE"],
          '{"stockpiles": ["a"], "demands": [{"time": 1, "qty": 3.0, "spec_max": [2.0]}],'
          ' "supplies": [{"stockpile": "a", "time": 2, "qty": 5.0, "spec": [1.0]}]}'),
-        (["run", "--instances", "FILE", "--methods", "F1:S"], '{"nodes": 3, "arcs": []}')],
-        ids=["convert-mining", "tighten", "tighten-no-feasible-plan", "run"])
+        (["run", "--instances", "FILE", "--methods", "F1:S"], '{"nodes": 3, "arcs": []}'),
+        (["convert-mining", "FILE"], BAD_PENALTY.format(-3.0)),
+        (["tighten", "--mining", "FILE"], BAD_PENALTY.format("NaN"))],
+        ids=["convert-mining", "tighten", "tighten-no-feasible-plan", "run",
+             "convert-mining-negative-penalty", "tighten-nan-penalty"])
     def test_an_invalid_input_file_exits_2(self, tmp_path, capsys, argv, text):
         # a file that exists but holds no valid schedule or instance raised a
         # traceback and exited 1; so did a schedule whose demand comes before

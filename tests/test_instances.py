@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -339,6 +340,14 @@ class TestMiningConversion:
             assert t in inst.penalty
         assert "t:inf" not in inst.penalty
         assert all(v == float("inf") for v in inst.window("t:inf")[1])
+
+    def test_a_zero_demand_penalty_takes_the_default(self):
+        # the only weight replaced: a negative or NaN one is refused (TestCLI)
+        sched = make_schedule(2, 2, 2)
+        first = replace(sched.demands[0], penalty=(0.0, 2.0))
+        inst = convert_mining(replace(sched, demands=(first,) + sched.demands[1:]),
+                              default_penalty=4.0)
+        assert inst.penalty[f"t:{first.time:g}"] == (4.0, 2.0)
 
     def test_times_alike_to_six_digits_keep_their_supplies(self):
         # written with :g, both ids would read s:P:1e+06 and keep one supply

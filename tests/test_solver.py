@@ -4,8 +4,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.optimize import milp
 
 import poolkit
+import poolkit.solver
 from poolkit import parse_instance
 from poolkit.modelir import EQ, GE, LE, ModelError, ModelIR, dump_model
 from poolkit.relaxations import build_method, parse_method
@@ -57,8 +59,7 @@ class TestSolve:
             solve(m)
 
     def test_milp_gap_contract(self, haverly1):
-        res = solve(build_method(haverly1, parse_method("G1:S:H=3")).model,
-                    SolveParams(rel_gap=1e-6))
+        res = solve(build_method(haverly1, parse_method("G1:S:H=3")).model)
         assert res.status == "optimal"
         assert abs(res.objective - res.dual_bound) <= 1e-4 * max(1, abs(res.objective))
 
@@ -178,16 +179,35 @@ class TestSession:
         # back to the model's own costs
         same(session.solve(), milp_oracle(cm))
 
-    def test_mip_takes_the_dual_bound(self, haverly1):
+    def test_mip_takes_the_dual_bound(self, haverly1, monkeypatch):
         cm = compile_model(build_method(haverly1, parse_method("G1:S:H=3")).model)
         session = Session(cm)
-        for params in (SolveParams(rel_gap=1e-6), SolveParams(rel_gap=0.5)):
+        for gap in (1e-6, 0.5):
+            monkeypatch.setattr(poolkit.solver, "REL_TOL", gap)
             for c in (cm.c, -cm.c):
-                res = session.solve(params, c)
+                res = session.solve(c=c)
                 assert res.status == "optimal" and res.dual_bound is not None
-                same(res, milp_oracle(cm, params, c))
+                same(res, milp_oracle(cm, c=c))
         # a loose gap stops at an incumbent the dual bound does not reach
         assert res.dual_bound < res.objective - 1.0
+
+    def test_rel_tol_is_the_gap_of_every_mip(self, haverly1, monkeypatch):
+        # no caller sets a MIP's gap: both paths read the constant when they
+        # solve, so a meet to REL_TOL is a MIP's own stopping rule
+        model = build_method(haverly1, parse_method("G1:S:H=3")).model
+        options = []
+
+        def spied(*args, **kw):
+            options.append(kw["options"])
+            return milp(*args, **kw)
+
+        monkeypatch.setattr(poolkit.solver, "milp", spied)
+        monkeypatch.setattr(poolkit.solver, "REL_TOL", 0.5)
+        solve(model)
+        session = Session(compile_model(model))
+        session.solve()
+        assert [o["mip_rel_gap"] for o in options] == [0.5]
+        assert session._highs.getOptionValue("mip_rel_gap")[1] == 0.5
 
     def test_work_counts(self, haverly1):
         # an LP reports the simplex iterations of its own run and no nodes;

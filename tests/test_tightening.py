@@ -418,16 +418,16 @@ class TestSessionSweep:
         fixed = total()
         assert 0 < nearest <= 0.8 * fixed
 
-    @pytest.mark.parametrize("rel_gap", [None, 0.5])
-    def test_mip_relaxation_takes_dual_bounds(self, haverly1, monkeypatch, rel_gap):
+    @pytest.mark.parametrize("gap", [None, 0.5])
+    def test_mip_relaxation_takes_dual_bounds(self, haverly1, monkeypatch, gap):
         # with a loose gap the incumbents stop short of the dual bounds;
-        # None takes the default gap
-        params = SolveParams() if rel_gap is None else SolveParams(rel_gap=rel_gap)
-        warm = obbt(haverly1, "M1:T:H=1", -500.0, -400.0, params=params)
+        # None keeps REL_TOL
+        if gap is not None:
+            monkeypatch.setattr(poolkit.solver, "REL_TOL", gap)
+        warm = obbt(haverly1, "M1:T:H=1", -500.0, -400.0)
         assert any(tag != "unchanged" for tag in warm.provenance.values())
         monkeypatch.setattr(poolkit.tightening, "Session", OneShotSession)
-        assert_same_update(warm, obbt(haverly1, "M1:T:H=1", -500.0, -400.0,
-                                      params=params))
+        assert_same_update(warm, obbt(haverly1, "M1:T:H=1", -500.0, -400.0))
 
     @pytest.mark.parametrize("name", SWEEP_INSTANCES)
     def test_f4_skipped_solves_could_not_tighten(self, name, monkeypatch):
