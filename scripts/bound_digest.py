@@ -37,24 +37,19 @@ import json
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the benchmark's own instance and label sets, read from its workloads
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
 from poolkit import parse_instance  # noqa: E402
 from poolkit.bench import GridConfig, exact_value, run_cell, run_grid  # noqa: E402
 from poolkit.cli import solver_prints_to_stderr  # noqa: E402
 from poolkit.solver import SolveParams  # noqa: E402
 from poolkit.tightening import default_obbt_recipe  # noqa: E402
+from workloads import ALL_INSTANCES, LP_LABELS, TABLE_INSTANCES, TABLE_LABELS  # noqa: E402
 
-DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "poolkit" / "data"
+DATA = ROOT / "src" / "poolkit" / "data"
 
-ALL_INSTANCES = ("adhya1", "adhya2", "adhya3", "adhya4", "bental4", "bental5",
-                 "foulds2", "haverly1", "haverly2", "haverly3")
-LP_LABELS = tuple(f"{kind}:{basis}" for basis in "ST"
-                  for kind in ("MCF", "F1", "F2", "F3", "F4"))
-# the bundled instances whose squeeze proves
-TABLE_INSTANCES = ("haverly1", "haverly2", "haverly3", "bental4", "foulds2",
-                   "adhya3", "adhya4")
-TABLE_LABELS = LP_LABELS + ("M2:S:H=3", "M2:T:H=3", "G2:S:H=3", "G2:T:H=3")
 # the instances of the OBBT-off grid: their untightened squeezes take
 # about 5 s together
 PLAIN_INSTANCES = ("haverly1", "haverly2", "haverly3", "bental4")

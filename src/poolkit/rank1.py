@@ -208,52 +208,38 @@ def _total(space, m, n, w=1.0):
 
 # -- extended-formulation fragments --------------------------------------------
 
-@dataclass
-class ModelFragment:
-    """Linear constraints over an m x n block of x-variables plus fresh
-    fraction variables, the aux terms (all nonnegative)."""
-
-    aux: list[Term] = field(default_factory=list)
-    rows: list[LinearCut] = field(default_factory=list)
-
-    def add(self, name: str, coeffs, sense: str, rhs: float) -> None:
-        """Append a row; coeffs are (term, coefficient) pairs, each term once."""
-        self.rows.append(LinearCut(name, tuple(coeffs), sense, float(rhs)))
-
-
-def _bound_rows(frag: ModelFragment, name: str, idx, lhs, line,
-                lo: float, hi: float) -> None:
+def _bound_rows(name: str, idx, lhs, line, lo: float, hi: float):
     """lo * sum(line) <= sum(lhs) <= hi * sum(line), over two disjoint
     iterables of terms, as the rows name_lo[idx] and name_hi[idx].  A lower
-    row is written only for a positive bound, an upper row only for a
+    row is yielded only for a positive bound, an upper row only for a
     finite one: at a zero bound the lower row reads sum(lhs) >= 0, which
     the nonnegative terms already say."""
-    head = [(term, 1.0) for term in lhs]
+    head = tuple((t, 1.0) for t in lhs)
     if lo > 0:
-        frag.add(f"{name}_lo[{idx}]", head + [(term, -lo) for term in line], ">=", 0.0)
+        yield LinearCut(f"{name}_lo[{idx}]", head + tuple((t, -lo) for t in line), ">=", 0.0)
     if math.isfinite(hi):
-        frag.add(f"{name}_hi[{idx}]", head + [(term, -hi) for term in line], "<=", 0.0)
+        yield LinearCut(f"{name}_hi[{idx}]", head + tuple((t, -hi) for t in line), "<=", 0.0)
 
 
-def _line_extension(box: BoundBox, rowwise: bool) -> ModelFragment:
+def _line_extension(box: BoundBox, rowwise: bool) -> list[LinearCut]:
     """The row-wise fragment, or with rowwise False its transpose image, the
     column-wise one; either writes its cells row by row."""
     m, n = box.m, box.n
     fam, lo, hi, sums, lines = (("t", box.l, box.u, "col", n) if rowwise
                                 else ("tp", box.lp, box.up, "row", m))
-    frag = ModelFragment([(fam, k) for k in range(lines)])
+    frag: list[LinearCut] = []
     for i in range(m):
         for j in range(n):
             k, b = (j, i) if rowwise else (i, j)  # the cell's fraction and kept sum
-            _bound_rows(frag, "cell", f"{i},{j}", [("x", i, j)], [(fam, k)], lo[b], hi[b])
+            frag += _bound_rows("cell", f"{i},{j}", [("x", i, j)], [(fam, k)], lo[b], hi[b])
     for k in range(lines):
         cells = _col_sum("x", k, m) if rowwise else _row_sum("x", k, n)
-        _bound_rows(frag, sums, k, cells, [(fam, k)], box.L, box.U)
-    frag.add("simplex", [(a, 1.0) for a in frag.aux], "==", 1.0)
+        frag += _bound_rows(sums, k, cells, [(fam, k)], box.L, box.U)
+    frag.append(LinearCut("simplex", tuple(((fam, k), 1.0) for k in range(lines)), "==", 1.0))
     return frag
 
 
-def build_rowwise_extension(box: BoundBox) -> ModelFragment:
+def build_rowwise_extension(box: BoundBox) -> list[LinearCut]:
     """Hull of the set with row-sum and overall bounds kept (columns relaxed).
 
     One fraction variable per column; a rank-one point X extends via
@@ -262,44 +248,45 @@ def build_rowwise_extension(box: BoundBox) -> ModelFragment:
     return _line_extension(box, rowwise=True)
 
 
-def build_colwise_extension(box: BoundBox) -> ModelFragment:
+def build_colwise_extension(box: BoundBox) -> list[LinearCut]:
     """Column-sum analogue of build_rowwise_extension (one variable per row)."""
     return _line_extension(box, rowwise=False)
 
 
-def build_intersection(box: BoundBox) -> ModelFragment:
+def build_intersection(box: BoundBox) -> list[LinearCut]:
     """Intersection of the row-wise and column-wise fragments on one block."""
-    rw = build_rowwise_extension(box)
-    cw = build_colwise_extension(box)
     # t[.] and tp[.] never collide
-    return ModelFragment(rw.aux + cw.aux,
-                         relabel(rw.rows, "rw") + relabel(cw.rows, "cw"))
+    return (relabel(build_rowwise_extension(box), "rw")
+            + relabel(build_colwise_extension(box), "cw"))
 
 
-def build_rowcol_extension(box: BoundBox) -> ModelFragment:
+def build_rowcol_extension(box: BoundBox) -> list[LinearCut]:
     """Stronger fragment with one cell-fraction variable per entry: each cell
     is bounded by its row's bounds times its column's fractions (rowb), by
     the overall bounds times its own fraction (tot) and by its column's
     bounds times its row's fractions (colb)."""
     m, n = box.m, box.n
-    frag = ModelFragment(list(_total("r", m, n)))
+    frag: list[LinearCut] = []
     cols = [[("r", i, j) for i in range(m)] for j in range(n)]
     rows = [[("r", i, j) for j in range(n)] for i in range(m)]
     for i in range(m):
         for j in range(n):
             idx, x = f"{i},{j}", [("x", i, j)]
-            _bound_rows(frag, "rowb", idx, x, cols[j], box.l[i], box.u[i])
-            _bound_rows(frag, "tot", idx, x, [("r", i, j)], box.L, box.U)
-            _bound_rows(frag, "colb", idx, x, rows[i], box.lp[j], box.up[j])
-    frag.add("simplex", [(a, 1.0) for a in frag.aux], "==", 1.0)
+            frag += _bound_rows("rowb", idx, x, cols[j], box.l[i], box.u[i])
+            frag += _bound_rows("tot", idx, x, [("r", i, j)], box.L, box.U)
+            frag += _bound_rows("colb", idx, x, rows[i], box.lp[j], box.up[j])
+    frag.append(LinearCut("simplex", tuple(_total("r", m, n).items()), "==", 1.0))
     return frag
 
 
-def attach_fragment(model, frag: ModelFragment, x_name, prefix: str = "F") -> None:
-    """Instantiate a fragment into a ModelIR against an existing x block."""
-    for term in frag.aux:
+def attach_fragment(model, frag: list[LinearCut], x_name, prefix: str = "F") -> None:
+    """Instantiate a fragment, a list of rows over an x block's cells and
+    fresh nonnegative fractions, into a ModelIR against an existing x block:
+    declare each fraction its rows name (every term but an x cell; each is
+    in the fragment's simplex row), then write the rows."""
+    for term in dict.fromkeys(t for row in frag for t, _ in row.coeffs if t[0] != "x"):
         model.add_var(_term_var(term, x_name, prefix))
-    add_rows(model, frag.rows, x_name, prefix)
+    add_rows(model, frag, x_name, prefix)
 
 
 # -- RLT cut generation ----------------------------------------------------------

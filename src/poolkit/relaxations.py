@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formulations import (SOURCE_BASIS, TERMINAL_BASIS, BilinearModel,
                            PoolBlock, backbone, build_exact)
@@ -25,7 +25,7 @@ from .rank1 import (BoundBox, add_rows, attach_fragment,
                     build_colwise_extension, build_intersection,
                     build_rowcol_extension, build_rowwise_extension,
                     gen_rlt_mccormick, gen_rlt_reverse_convex, normalize,
-                    relabel, rlt_guard)
+                    relabel)
 from .solver import OPTIMAL, solve
 
 F_KINDS = ("F1", "F2", "F3", "F4")
@@ -136,12 +136,10 @@ def parse_method(text: str) -> MethodSpec:
 
 @dataclass
 class BuiltMethod:
-    """A built model plus bookkeeping needed downstream."""
+    """A built model and the backbone it extends (its blocks name the x cells)."""
 
     model: ModelIR
     backbone: BilinearModel
-    skipped_blocks: list[str] = field(default_factory=list)
-    cut_count: int = 0
 
 
 def _block_prefix(pool: str) -> str:
@@ -167,27 +165,22 @@ def _normalized(model: ModelIR, block: PoolBlock):
     return box, x_name
 
 
-def _add_cuts(built: BuiltMethod, spec: MethodSpec, pool: str, box, x_name) -> None:
-    """The label's Vab/Vac rows on one normalized block; a block the
-    generators are not defined on (L = 0 or an infinite bound) gets no rows
-    and is listed in skipped_blocks.  Cuts in r act on the row-column
-    fragment's cell fractions; where the label's own fragment is another,
-    that fragment is attached to host them, its rows under rc:."""
-    if rlt_guard(box) is not None:
-        built.skipped_blocks.append(pool)
-        return
-    prefix = _block_prefix(pool)
-    if spec.cut_space != "x" and spec.kind != "F4":
-        host = build_rowcol_extension(box)
-        host.rows = relabel(host.rows, "rc")
-        attach_fragment(built.model, host, x_name, prefix)
+def _add_cuts(model: ModelIR, spec: MethodSpec, pool: str, box, x_name) -> None:
+    """The label's Vab/Vac rows on one normalized block, none where the
+    generators give none (L = 0 or an infinite bound).  Cuts in r act on the
+    row-column fragment's cell fractions; where the label's own fragment is
+    another, that fragment is attached before the cuts, its rows under rc:."""
     cuts = []
     if "Vab" in spec.cuts:
         cuts += gen_rlt_mccormick(box, spec.cut_space).cuts
     if "Vac" in spec.cuts:
         cuts += gen_rlt_reverse_convex(box, spec.cut_space).cuts
-    add_rows(built.model, cuts, x_name, prefix)
-    built.cut_count += len(cuts)
+    if not cuts:
+        return
+    prefix = _block_prefix(pool)
+    if spec.cut_space != "x" and spec.kind != "F4":
+        attach_fragment(model, relabel(build_rowcol_extension(box), "rc"), x_name, prefix)
+    add_rows(model, cuts, x_name, prefix)
 
 
 # -- binary-expansion MIP relaxations and restrictions ------------------------------
@@ -277,7 +270,8 @@ def _attach_discretization(model: ModelIR, box, x_name, pre: str, H: int,
 def build_method(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
     """The model of a method: the exact bilinear model for EXACT, the MCF
     backbone alone for MCF, else the backbone plus the F fragment or the M/G
-    discretization on each pool block and the label's valid inequalities."""
+    discretization on each pool block and the label's valid inequalities:
+    rows B[pool]:Vab:... and B[pool]:Vac:... on each block that gets cuts."""
     if spec.kind == "EXACT":
         bm = build_exact(inst, spec.basis)
         return BuiltMethod(bm.model, bm)
@@ -302,7 +296,7 @@ def build_method(inst: PoolingInstance, spec: MethodSpec) -> BuiltMethod:
     if spec.cuts:
         # every block's own rows come before the first cut row
         for pool, box, x_name in kept:
-            _add_cuts(built, spec, pool, box, x_name)
+            _add_cuts(bb.model, spec, pool, box, x_name)
     return built
 
 

@@ -159,22 +159,30 @@ def _result(cm: CompiledModel, status: str, objective: float | None,
 
 
 def solve_compiled(cm: CompiledModel, params: SolveParams | None = None) -> SolveResult:
-    """Solve ``cm`` once."""
+    """Solve ``cm`` once.  A MIP that ends in a solve error is solved once
+    more with presolve off, within the time left of the call, and that
+    second answer is returned: HiGHS's presolve can fail on a model that
+    solves without it."""
     if not cm.integrality.any():
         session = Session(cm)
         # a solve from scratch is faster with HiGHS's default, the dual simplex
         session._highs.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
         return session.solve(params)
     params = params or SolveParams()
-    options = {"time_limit": float(params.time_limit_s), "mip_rel_gap": REL_TOL}
     t0 = time.perf_counter()
     constraints = None
     if cm.A.shape[0]:
         constraints = LinearConstraint(cm.A, cm.row_lo, cm.row_hi)
-    res = milp(c=cm.c, constraints=constraints,
-               integrality=cm.integrality,
-               bounds=Bounds(cm.lb, cm.ub),
-               options=options)
+
+    def run(time_limit: float, **options):
+        return milp(c=cm.c, constraints=constraints,
+                    integrality=cm.integrality,
+                    bounds=Bounds(cm.lb, cm.ub),
+                    options={"time_limit": time_limit, "mip_rel_gap": REL_TOL, **options})
+
+    res = run(float(params.time_limit_s))
+    if res.status not in _MILP_STATUS:
+        res = run(max(t0 + params.time_limit_s - time.perf_counter(), 0.0), presolve=False)
     elapsed = time.perf_counter() - t0
     # on a time limit the incumbent (if any) is still reported in res.x
     return _result(cm, _MILP_STATUS.get(res.status, ERROR), res.fun, res.x,
@@ -203,9 +211,11 @@ class Session:
     the time limit and runs again, so an LP starts from the basis of the
     previous solve instead of from scratch.  A MIP is solved afresh each
     time, with ``mip_rel_gap`` ``REL_TOL``, as ``scipy.optimize.milp`` gets
-    in ``solve_compiled``.  An LP has a point and a dual bound only at
-    OPTIMAL; a MIP has its incumbent and HiGHS's finite dual bound.  A
-    session is not safe to share between threads.
+    in ``solve_compiled``, and like there a MIP that ends in a solve error
+    is run once more with presolve off, within the time left of the call.
+    An LP has a point and a dual bound only at OPTIMAL; a MIP has its
+    incumbent and HiGHS's finite dual bound.  A session is not safe to
+    share between threads.
     """
 
     def __init__(self, cm: CompiledModel):
@@ -245,8 +255,15 @@ class Session:
             h.setOptionValue("mip_rel_gap", REL_TOL)
         t0 = time.perf_counter()
         h.run()
-        elapsed = time.perf_counter() - t0
         status = _MODEL_STATUS.get(h.getModelStatus(), ERROR)
+        if self._is_mip and status == ERROR:
+            left = t0 + params.time_limit_s - time.perf_counter()
+            h.setOptionValue("time_limit", h.getRunTime() + max(left, 0.0))
+            h.setOptionValue("presolve", "off")
+            h.run()
+            h.setOptionValue("presolve", "choose")
+            status = _MODEL_STATUS.get(h.getModelStatus(), ERROR)
+        elapsed = time.perf_counter() - t0
         info = h.getInfo()
         objective = info.objective_function_value
         if self._is_mip:

@@ -11,6 +11,19 @@ from poolkit.solver import SolveParams, SolveResult
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "poolkit" / "data"
 
+# a mining schedule whose converted instance's G2:T:H=3 restriction ends in a
+# HiGHS solve error with presolve (HiGHS prints on fd 1 as it fails) and is
+# infeasible without it
+PRESOLVE_ERROR_SCHEDULE = {
+    "stockpiles": ["a"],
+    "supplies": [{"stockpile": "a", "time": 1.0, "qty": 5.0, "spec": [1.0, 1.0]},
+                 {"stockpile": "a", "time": 2.0, "qty": 1.0, "spec": [1.0, 1.0]},
+                 {"stockpile": "a", "time": 3.0, "qty": 2.0, "spec": [3.0, 3.0]}],
+    "demands": [{"time": 2.5, "qty": 1.0, "spec_max": [2.3, 1.6], "penalty": [7.0, 7.0]},
+                {"time": 3.5, "qty": 2.0, "spec_max": [2.2, 1.6], "penalty": [5.0, 6.0]},
+                {"time": 5.5, "qty": 3.0, "spec_max": [1.7, 2.2], "penalty": [2.0, 7.0]},
+                {"time": 6.5, "qty": 1.0, "spec_max": [2.3, 1.6], "penalty": [3.0, 7.0]}]}
+
 
 _MILP_STATUS = {0: "optimal", 1: "time-limit", 2: "infeasible", 3: "unbounded"}
 

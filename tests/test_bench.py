@@ -25,6 +25,7 @@ from poolkit.solver import OPTIMAL, TIME_LIMIT, SolveParams, SolveResult, solve
 from poolkit.tightening import (RECIPE_LABEL, RECIPE_RESTRICTIONS, REL_TOL,
                                 BoundUpdate, TighteningError, apply_bounds,
                                 default_obbt_recipe)
+from conftest import PRESOLVE_ERROR_SCHEDULE
 from test_acceptance import optimum
 from test_tightening import sweep_slack
 
@@ -775,20 +776,8 @@ class TestCLI:
 
     def test_tighten_to_stdout_writes_only_the_json(self, tmp_path):
         # this schedule's G2:T:H=3 restriction makes HiGHS print on fd 1
-        sched = {"stockpiles": ["a"],
-                 "supplies": [{"stockpile": "a", "time": 1.0, "qty": 5.0, "spec": [1.0, 1.0]},
-                              {"stockpile": "a", "time": 2.0, "qty": 1.0, "spec": [1.0, 1.0]},
-                              {"stockpile": "a", "time": 3.0, "qty": 2.0, "spec": [3.0, 3.0]}],
-                 "demands": [{"time": 2.5, "qty": 1.0, "spec_max": [2.3, 1.6],
-                              "penalty": [7.0, 7.0]},
-                             {"time": 3.5, "qty": 2.0, "spec_max": [2.2, 1.6],
-                              "penalty": [5.0, 6.0]},
-                             {"time": 5.5, "qty": 3.0, "spec_max": [1.7, 2.2],
-                              "penalty": [2.0, 7.0]},
-                             {"time": 6.5, "qty": 1.0, "spec_max": [2.3, 1.6],
-                              "penalty": [3.0, 7.0]}]}
         spath = tmp_path / "sched.json"
-        spath.write_text(json.dumps(sched))
+        spath.write_text(json.dumps(PRESOLVE_ERROR_SCHEDULE))
         src = str(pathlib.Path(poolkit.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(

@@ -49,6 +49,11 @@ def fragment_alone(box, build):
     return res.objective
 
 
+def fractions(frag):
+    """The fraction terms a fragment's rows name: every term but an x cell."""
+    return {term for row in frag for term, _ in row.coeffs if term[0] != "x"}
+
+
 def assert_hull_sandwich(box, c, rng, labels=FRAGMENTS, samples=2000):
     """Every fragment LP <= hull_bound <= every sampled value, and the
     oracle's witness is a point of the set that attains its value."""
@@ -133,14 +138,14 @@ class TestFragments:
         box = box22()
         frag = build_rowwise_extension(box)
         m, n = box.m, box.n
-        assert len(frag.rows) == 2 * m * n + 2 * n + 1
-        assert len(frag.aux) == n
+        assert len(frag) == 2 * m * n + 2 * n + 1
+        assert fractions(frag) == {("t", j) for j in range(n)}
 
     def test_rowcol_constraint_count(self):
         box = box22()
         frag = build_rowcol_extension(box)
-        assert len(frag.rows) == 6 * box.m * box.n + 1
-        assert len(frag.aux) == box.m * box.n
+        assert len(frag) == 6 * box.m * box.n + 1
+        assert fractions(frag) == {("r", i, j) for i in range(box.m) for j in range(box.n)}
 
     # on a 1x1 box the bounded-sum rows alone give the interval, so these
     # solve the fragment alone: x >= 0 and the fragment's rows
@@ -164,7 +169,7 @@ class TestFragments:
             for i in range(box.m):
                 for j in range(box.n):
                     values[("x", i, j)] = X[i, j]
-            for row in frag.rows:
+            for row in frag:
                 lhs = sum(c * values[term] for term, c in row.coeffs)
                 if row.sense == "<=":
                     assert lhs <= row.rhs + 1e-8
@@ -183,7 +188,7 @@ class TestFragments:
             for i in range(box.m):
                 for j in range(box.n):
                     values[("x", i, j)] = X[i, j]
-            for row in frag.rows:
+            for row in frag:
                 lhs = sum(c * values[term] for term, c in row.coeffs)
                 if row.sense == "<=":
                     assert lhs <= row.rhs + 1e-8
@@ -227,7 +232,7 @@ class TestFragments:
 
         def canon(frag, swap):
             rows = []
-            for row in frag.rows:
+            for row in frag:
                 coeffs = []
                 for term, c in row.coeffs:
                     if term[0] == "x":
@@ -263,9 +268,11 @@ class TestFragments:
     def test_intersection_contains_both_row_sets(self):
         box = box22()
         frag = build_intersection(box)
-        names = {r.name for r in frag.rows}
+        names = {r.name for r in frag}
         assert any(n.startswith("rw:") for n in names)
         assert any(n.startswith("cw:") for n in names)
+        assert fractions(frag) == ({("t", j) for j in range(box.n)}
+                                   | {("tp", i) for i in range(box.m)})
 
 
 class TestSandwich:

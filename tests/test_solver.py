@@ -4,17 +4,18 @@ import pathlib
 
 import numpy as np
 import pytest
-from scipy.optimize import milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import poolkit
 import poolkit.solver
 from poolkit import parse_instance
+from poolkit.instances import convert_mining, parse_mining_dict
 from poolkit.modelir import EQ, GE, LE, ModelError, ModelIR, dump_model
 from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import (CapabilityError, Session, SolveParams, compile_model,
                             solve, solve_compiled)
 
-from conftest import DATA, milp_oracle
+from conftest import DATA, PRESOLVE_ERROR_SCHEDULE, milp_oracle
 
 LP_TABLE_LABELS = tuple(f"{kind}:{basis}" for basis in "ST"
                         for kind in ("MCF", "F1", "F2", "F3", "F4"))
@@ -126,13 +127,33 @@ class TestSession:
         unbounded_mip.set_objective({"x": -1.0, "z": 1.0})
         for model, status in ((tiny_lp(), "optimal"), (infeasible, "infeasible"),
                               (unbounded, "unbounded"), (binary_row, "infeasible"),
-                              (odd, "infeasible"), (unbounded_mip, "error")):
+                              (odd, "infeasible")):
             cm = compile_model(model)
             oracle = milp_oracle(cm)
             assert oracle.status == status, model.name
             # solve_compiled sends a MIP to scipy.optimize.milp, an LP to the binding
             same(Session(cm).solve(), oracle)
             same(solve_compiled(cm), oracle)
+        # with presolve the unbounded MIP ends in a solve error; both package
+        # paths solve it once more without presolve, which finds it unbounded
+        cm = compile_model(unbounded_mip)
+        assert milp_oracle(cm).status == "error"
+        assert Session(cm).solve().status == "unbounded"
+        same(solve_compiled(cm), Session(cm).solve())
+
+    def test_a_mip_solve_error_is_solved_again_without_presolve(self):
+        # HiGHS ends this restriction in a solve error with presolve, and
+        # scipy.optimize.milp finds it infeasible without: a solve error
+        # read as "no point" would pass for an answer
+        inst = convert_mining(parse_mining_dict(PRESOLVE_ERROR_SCHEDULE))
+        cm = compile_model(build_method(inst, parse_method("G2:T:H=3")).model)
+        assert milp_oracle(cm).status == "error"
+        plain = milp(c=cm.c, constraints=LinearConstraint(cm.A, cm.row_lo, cm.row_hi),
+                     integrality=cm.integrality, bounds=Bounds(cm.lb, cm.ub),
+                     options={"presolve": False})
+        assert plain.status == 2  # infeasible
+        for res in (solve_compiled(cm), Session(cm).solve()):
+            assert (res.status, res.objective, res.dual_bound) == ("infeasible", None, None)
 
     def test_edge_shapes_of_the_arrays_match_one_shot(self):
         # HiGHS gets the CSR arrays as they are: no rows, a row without
