@@ -33,14 +33,15 @@ def milp_oracle(cm, params=None, c=None):
     builds its own HiGHS model from the arrays: the reference the package's
     HiGHS binding path is checked against.  Costs are ``c`` if given; the
     status, objective and dual bound follow ``poolkit.solver``'s contract
-    (a dual bound at OPTIMAL or from a finite MIP dual bound, a MIP's gap
-    ``poolkit.solver.REL_TOL``, read at each call so that a test may patch
-    it).  The result carries no point, so a sweep on it skips no solve."""
+    (a dual bound at OPTIMAL or from a finite MIP dual bound, a MIP's
+    options ``poolkit.solver.MIP_OPTIONS``, read at each call so that a test
+    may patch them).  The result carries no point, so a sweep on it skips no
+    solve."""
     params = params or SolveParams()
     is_mip = bool(cm.integrality.any())
     options = {"time_limit": float(params.time_limit_s)}
     if is_mip:
-        options["mip_rel_gap"] = poolkit.solver.REL_TOL
+        options.update(poolkit.solver.MIP_OPTIONS)
     constraints = None
     if cm.A.shape[0]:
         constraints = LinearConstraint(cm.A, cm.row_lo, cm.row_hi)
@@ -54,6 +55,13 @@ def milp_oracle(cm, params=None, c=None):
     if status == "optimal" and dual is None:
         dual = objective
     return SolveResult(status, objective, dual)
+
+
+def patch_mip_gap(monkeypatch, gap):
+    """Make ``gap`` the ``mip_rel_gap`` of every MIP solved, and of every
+    MIP ``Session`` made, until the test ends."""
+    monkeypatch.setattr(poolkit.solver, "MIP_OPTIONS",
+                        {**poolkit.solver.MIP_OPTIONS, "mip_rel_gap": gap})
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,12 @@
 """ModelIR dumps, the HiGHS adapter, and solve contracts."""
 
+import os
 import pathlib
+import re
+import subprocess
+import sys
+import tomllib
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +21,7 @@ from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import (CapabilityError, Session, SolveParams, compile_model,
                             solve, solve_compiled)
 
-from conftest import DATA, PRESOLVE_ERROR_SCHEDULE, milp_oracle
+from conftest import DATA, PRESOLVE_ERROR_SCHEDULE, milp_oracle, patch_mip_gap
 
 LP_TABLE_LABELS = tuple(f"{kind}:{basis}" for basis in "ST"
                         for kind in ("MCF", "F1", "F2", "F3", "F4"))
@@ -100,6 +106,19 @@ class TestOneShotLP:
         assert res.assignment == {}
 
 
+@pytest.fixture
+def milp_options(monkeypatch):
+    """The options of each scipy.optimize.milp call the package makes."""
+    options = []
+
+    def spied(*args, **kw):
+        options.append(kw["options"])
+        return milp(*args, **kw)
+
+    monkeypatch.setattr(poolkit.solver, "milp", spied)
+    return options
+
+
 class TestSession:
     """A Session gives what scipy.optimize.milp gives, solve after solve."""
 
@@ -154,6 +173,8 @@ class TestSession:
         assert plain.status == 2  # infeasible
         for res in (solve_compiled(cm), Session(cm).solve()):
             assert (res.status, res.objective, res.dual_bound) == ("infeasible", None, None)
+            # the first run's error stays on the second run's answer
+            assert res.first_status == "error"
 
     def test_edge_shapes_of_the_arrays_match_one_shot(self):
         # HiGHS gets the CSR arrays as they are: no rows, a row without
@@ -202,9 +223,10 @@ class TestSession:
 
     def test_mip_takes_the_dual_bound(self, haverly1, monkeypatch):
         cm = compile_model(build_method(haverly1, parse_method("G1:S:H=3")).model)
-        session = Session(cm)
         for gap in (1e-6, 0.5):
-            monkeypatch.setattr(poolkit.solver, "REL_TOL", gap)
+            # a MIP session takes its options when it is made
+            patch_mip_gap(monkeypatch, gap)
+            session = Session(cm)
             for c in (cm.c, -cm.c):
                 res = session.solve(c=c)
                 assert res.status == "optimal" and res.dual_bound is not None
@@ -212,23 +234,64 @@ class TestSession:
         # a loose gap stops at an incumbent the dual bound does not reach
         assert res.dual_bound < res.objective - 1.0
 
-    def test_rel_tol_is_the_gap_of_every_mip(self, haverly1, monkeypatch):
-        # no caller sets a MIP's gap: both paths read the constant when they
-        # solve, so a meet to REL_TOL is a MIP's own stopping rule
+    def test_rel_tol_is_the_gap_of_every_mip(self, haverly1, monkeypatch, milp_options):
+        # no caller sets a MIP's gap: both paths read the option set, whose
+        # gap is REL_TOL, so a meet to REL_TOL is a MIP's own stopping rule
+        assert poolkit.solver.MIP_OPTIONS["mip_rel_gap"] == poolkit.solver.REL_TOL
         model = build_method(haverly1, parse_method("G1:S:H=3")).model
-        options = []
-
-        def spied(*args, **kw):
-            options.append(kw["options"])
-            return milp(*args, **kw)
-
-        monkeypatch.setattr(poolkit.solver, "milp", spied)
-        monkeypatch.setattr(poolkit.solver, "REL_TOL", 0.5)
+        # HiGHS's own default gap is 1e-4 too: a gap no default has shows
+        # that the paths read the set
+        patch_mip_gap(monkeypatch, 0.5)
         solve(model)
         session = Session(compile_model(model))
         session.solve()
-        assert [o["mip_rel_gap"] for o in options] == [0.5]
+        assert [o["mip_rel_gap"] for o in milp_options] == [0.5]
         assert session._highs.getOptionValue("mip_rel_gap")[1] == 0.5
+
+    def test_every_mip_runs_without_the_feasibility_jump(self, haverly1, milp_options):
+        # the heuristic costs a median 9 ms a MILP and finds only the zero
+        # flow on these models; HiGHS 1.12 runs it by default
+        jump = "mip_heuristic_run_feasibility_jump"
+        assert poolkit.solver.MIP_OPTIONS[jump] is False
+        model = build_method(haverly1, parse_method("G1:S:H=3")).model
+        assert solve(model).status == "optimal"
+        assert [o[jump] for o in milp_options] == [False]
+        session = Session(compile_model(model))
+        assert session.solve().status == "optimal"
+        assert session._highs.getOptionValue(jump)[1] is False
+        # an LP session is left at HiGHS's defaults
+        lp = Session(compile_model(build_method(haverly1, parse_method("F4:S")).model))
+        assert lp._highs.getOptionValue(jump)[1] is True
+
+    def test_the_silenced_warning_is_the_one_scipy_raises(self, haverly1):
+        # scipy.optimize.milp warns on every call with an option it does not
+        # know; the package silences exactly that message, at import and in
+        # pytest's filters, so a reworded warning fails here first
+        cm = compile_model(build_method(haverly1, parse_method("G1:S:H=3")).model)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            milp(c=cm.c, constraints=LinearConstraint(cm.A, cm.row_lo, cm.row_hi),
+                 integrality=cm.integrality, bounds=Bounds(cm.lb, cm.ub),
+                 options=dict(poolkit.solver.MIP_OPTIONS))
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert re.match(poolkit.solver._MILP_WARNING, str(caught[0].message), re.I)
+        pyproject = tomllib.loads((DATA.parents[2] / "pyproject.toml").read_text())
+        filters = pyproject["tool"]["pytest"]["ini_options"]["filterwarnings"]
+        assert f"ignore:{poolkit.solver._MILP_WARNING}:RuntimeWarning" in filters
+
+    def test_a_mip_solve_prints_no_warning(self):
+        # outside pytest's filters: the filter set at import is all there is
+        script = ("from poolkit.modelir import ModelIR\n"
+                  "from poolkit.solver import solve\n"
+                  "m = ModelIR('one-binary')\n"
+                  "m.add_var('z', binary=True)\n"
+                  "m.set_objective({'z': -1.0})\n"
+                  "assert solve(m).objective == -1.0\n")
+        run = subprocess.run([sys.executable, "-W", "always", "-c", script],
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": str(DATA.parents[1])})
+        assert run.returncode == 0, run.stderr
+        assert "Unrecognized options" not in run.stderr
 
     def test_work_counts(self, haverly1):
         # an LP reports the simplex iterations of its own run and no nodes;
@@ -243,6 +306,8 @@ class TestSession:
         assert res.iterations > 0 and res.nodes >= 1
         one_shot = solve_compiled(mip)
         assert one_shot.iterations is None and one_shot.nodes >= 1
+        # each answered by its first run
+        assert {r.first_status for r in (first, again, res, one_shot)} == {None}
 
     def test_time_limit_is_per_solve(self, data_dir):
         # HiGHS's run clock keeps counting over the runs of one instance;

@@ -20,7 +20,7 @@ from poolkit.relaxations import build_method, parse_method
 from poolkit.solver import SolveParams, solve
 from poolkit.tightening import (RECIPE_LABEL, BoundUpdate, TighteningError,
                                 apply_bounds, default_obbt_recipe, obbt)
-from conftest import DATA, make_schedule, milp_oracle
+from conftest import DATA, make_schedule, milp_oracle, patch_mip_gap
 
 # bental5 is left out: the restriction that sets its box runs for minutes
 SWEEP_INSTANCES = ("adhya1", "adhya2", "adhya3", "adhya4", "bental4", "foulds2",
@@ -423,7 +423,7 @@ class TestSessionSweep:
         # with a loose gap the incumbents stop short of the dual bounds;
         # None keeps REL_TOL
         if gap is not None:
-            monkeypatch.setattr(poolkit.solver, "REL_TOL", gap)
+            patch_mip_gap(monkeypatch, gap)
         warm = obbt(haverly1, "M1:T:H=1", -500.0, -400.0)
         assert any(tag != "unchanged" for tag in warm.provenance.values())
         monkeypatch.setattr(poolkit.tightening, "Session", OneShotSession)
