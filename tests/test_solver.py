@@ -249,7 +249,7 @@ class TestSession:
         assert session._highs.getOptionValue("mip_rel_gap")[1] == 0.5
 
     def test_every_mip_runs_without_the_feasibility_jump(self, haverly1, milp_options):
-        # the heuristic costs a median 9 ms a MILP and finds only the zero
+        # the heuristic costs a median 6 ms a MILP and finds only the zero
         # flow on these models; HiGHS 1.12 runs it by default
         jump = "mip_heuristic_run_feasibility_jump"
         assert poolkit.solver.MIP_OPTIONS[jump] is False
