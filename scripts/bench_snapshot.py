@@ -2,12 +2,14 @@
 
 Run from the repository root:
 
-    python scripts/bench_snapshot.py --out BENCH_N.json [--seeds 101,102,103]
-                                     [--seconds 15]
+    python scripts/bench_snapshot.py --out BENCH_N.json
 
-Each workload of ``BENCHMARK.json`` runs once per seed through the
-checkout's own ``perfbench/run.py --trace 0``, each run in a fresh process,
-seed after seed with the workloads in turn inside each seed.  The file
+Each workload of ``perfbench/workloads.py`` runs once per seed of
+``SEEDS``, for ``BENCHMARK.json``'s ``run_seconds``, through the checkout's
+own ``perfbench/run.py --trace 0`` (``perfbench/reference.py``'s
+``run_once``), each run in a fresh process, seed after seed with the
+workloads in turn inside each seed.  The seeds and the run length are
+fixed, so that every BENCH file comes from the same harness.  The file
 holds:
 
   workloads  per workload, the median over the seeds of each end-to-end
@@ -20,9 +22,8 @@ holds:
   machine    the CPU count, the architecture, and the Python, numpy, scipy
              and HiGHS versions.
 
-A speed-up counts when two such files from the same harness, one from each
-commit, show it.  With the defaults the script takes about 4 minutes on a
-two-core x86-64 machine.
+A speed-up counts when two such files, one from each commit, show it.  The
+script takes about 4 minutes on a two-core x86-64 machine.
 """
 
 import argparse
@@ -35,18 +36,20 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the benchmark's own runner, metrics and workloads, read from perfbench
+sys.path[:0] = [str(ROOT / "perfbench")]
+
+from reference import run_once  # noqa: E402
+from run import END_TO_END, OUT  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+SEEDS = (101, 102, 103)
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def run(args: list[str]) -> str:
     return subprocess.run(args, cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout
-
-
-def bench_run(workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one ``perfbench/run.py`` run."""
-    out = run([sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"])
-    return json.loads(out.strip().splitlines()[-1])
 
 
 def machine() -> dict:
@@ -67,20 +70,14 @@ def commit() -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, metavar="BENCH_N.json")
-    parser.add_argument("--seeds", default="101,102,103",
-                        help="comma-separated workload seeds (default 101,102,103)")
-    parser.add_argument("--seconds", type=float, default=15.0,
-                        help="length of each run (default 15, BENCHMARK.json's)")
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
-    units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
+    OUT.mkdir(exist_ok=True)
+    units = {name: unit for name, unit, _ in END_TO_END}
 
-    runs = {name: [] for name in names}
-    for seed in seeds:
-        for name in names:
-            result = bench_run(name, seed, args.seconds)
+    runs = {name: [] for name in WORKLOADS}
+    for seed in SEEDS:
+        for name in WORKLOADS:
+            result = run_once(name, seed, SECONDS, 0)
             runs[name].append({"seed": seed, "correct": result["correct"],
                                "attempted": result["attempted"],
                                "failed": result["failed"],
@@ -90,10 +87,10 @@ def main() -> None:
     workloads = {name: {"median": {m: statistics.median(r["metrics"][m] for r in runs[name])
                                    for m in units},
                         "unit": units, "runs": runs[name]}
-                 for name in names}
+                 for name in WORKLOADS}
     digests = run([sys.executable, "scripts/bound_digest.py"]).split("\n")
-    snapshot = {"harness": f"perfbench/run.py --trace 0, {args.seconds:g} s a run",
-                "seeds": seeds, "commit": commit(), "machine": machine(),
+    snapshot = {"harness": f"perfbench/run.py --trace 0, {SECONDS:g} s a run",
+                "seeds": list(SEEDS), "commit": commit(), "machine": machine(),
                 "workloads": workloads,
                 "digests": [line for line in digests if line]}
     pathlib.Path(args.out).write_text(json.dumps(snapshot, indent=1) + "\n")

@@ -11,15 +11,9 @@ LP runs on a fresh ``Session``, a MIP through ``scipy.optimize.milp``.
 
 Every MIP, on either path, runs with ``MIP_OPTIONS``: ``mip_rel_gap``
 ``REL_TOL``, and HiGHS's feasibility-jump heuristic off.  HiGHS 1.12 runs
-that heuristic before the root LP of every MIP; on the pooling MILPs whose
-logs were read it found only the zero flow, and it cost 3-47 ms a MILP
-(median 6 ms over the 35 MILPs of the tightened table's seven instances:
-M2 and G2 at H=3 in both bases on the recipe's box, G2:T on the raw
-instance; fastest of 3 runs each, the same B&B nodes).
-Without it the 38 MILPs of a traced tightened-table round took 1.36 s of
-HiGHS time instead of 1.96 s, with the same 54 B&B nodes; the table went
-from 39.6 to 48.5 cells/s (medians of 11 paired runs, two-core x86-64); no
-bound moved by more than 1.1e-15 relative.  ``scipy.optimize.milp`` hands
+that heuristic before the root LP of every MIP; on the pooling MILPs it only
+ever finds the zero flow, and it costs time on every MILP, with the same
+branch-and-bound nodes and bounds without it.  ``scipy.optimize.milp`` hands
 the option to HiGHS verbatim but warns that it does not know it; that one
 warning is silenced once, here, at import.
 """
@@ -72,8 +66,8 @@ class CapabilityError(RuntimeError):
 class SolveParams:
     """What a caller sets for a solve: its time limit.  A MIP's HiGHS
     options are no parameter: every MIP, on either path, runs with
-    ``MIP_OPTIONS`` (stop at the gap ``REL_TOL``; no feasibility jump, which
-    costs a median 6 ms a MILP and finds only the zero flow here)."""
+    ``MIP_OPTIONS`` (stop at the gap ``REL_TOL``; no feasibility jump, see
+    the module docstring)."""
     time_limit_s: float = 3600.0      # one-hour default
 
 

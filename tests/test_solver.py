@@ -5,7 +5,6 @@ import pathlib
 import re
 import subprocess
 import sys
-import tomllib
 import warnings
 
 import numpy as np
@@ -249,8 +248,8 @@ class TestSession:
         assert session._highs.getOptionValue("mip_rel_gap")[1] == 0.5
 
     def test_every_mip_runs_without_the_feasibility_jump(self, haverly1, milp_options):
-        # the heuristic costs a median 6 ms a MILP and finds only the zero
-        # flow on these models; HiGHS 1.12 runs it by default
+        # HiGHS 1.12 runs the heuristic by default; it only ever finds the
+        # zero flow on these models and costs time on every MILP
         jump = "mip_heuristic_run_feasibility_jump"
         assert poolkit.solver.MIP_OPTIONS[jump] is False
         model = build_method(haverly1, parse_method("G1:S:H=3")).model
@@ -263,7 +262,7 @@ class TestSession:
         lp = Session(compile_model(build_method(haverly1, parse_method("F4:S")).model))
         assert lp._highs.getOptionValue(jump)[1] is True
 
-    def test_the_silenced_warning_is_the_one_scipy_raises(self, haverly1):
+    def test_the_silenced_warning_is_the_one_scipy_raises(self, haverly1, pytestconfig):
         # scipy.optimize.milp warns on every call with an option it does not
         # know; the package silences exactly that message, at import and in
         # pytest's filters, so a reworded warning fails here first
@@ -275,8 +274,7 @@ class TestSession:
                  options=dict(poolkit.solver.MIP_OPTIONS))
         assert [w.category for w in caught] == [RuntimeWarning]
         assert re.match(poolkit.solver._MILP_WARNING, str(caught[0].message), re.I)
-        pyproject = tomllib.loads((DATA.parents[2] / "pyproject.toml").read_text())
-        filters = pyproject["tool"]["pytest"]["ini_options"]["filterwarnings"]
+        filters = pytestconfig.getini("filterwarnings")
         assert f"ignore:{poolkit.solver._MILP_WARNING}:RuntimeWarning" in filters
 
     def test_a_mip_solve_prints_no_warning(self):
