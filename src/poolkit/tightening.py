@@ -152,6 +152,14 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
     the slack to below ``old_lo``, so the side keeps its old bound and its
     provenance either way.
 
+    Sides that share a cost vector share one solve: a source's throughput
+    and its only arc, or a terminal's throughput and its only in-arc, are
+    one LP.  The solve of one such side gives its proven value to every
+    side of that cost vector, and each records it against its own old
+    interval and slack.  A side the filter had already dropped keeps its
+    bound as before: the proven value is at most the least value seen,
+    which lies within half the slack of that side's old bound.
+
     The sides left are solved nearest first (the ordering of the same
     paper): the next side is the one whose target lies closest to its old
     bound at the last optimal point, the distance divided by the old
@@ -233,6 +241,10 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
     # stays unproven, as a solve that proves nothing
     proven: list[float | None] = [None] * (2 * n)
     pending = np.ones(2 * n, dtype=bool)
+    # sides with identical rows of S (a source's throughput and its only
+    # arc) are one LP, labelled by the first of them
+    first: dict[bytes, int] = {}
+    lp = np.array([first.setdefault(row.tobytes(), k) for k, row in enumerate(S)])
     res = base
     while True:
         if res.status == OPTIMAL and res.point is not None:
@@ -243,9 +255,11 @@ def obbt(inst: PoolingInstance, relax: str, z_lb: float = -INF,
         if budget.spent or not pending.any():
             break
         k = _nearest_side(pending, gap)
-        pending[k] = False
+        twins = np.flatnonzero(lp == lp[k])
+        pending[twins] = False
         res = session.solve(budget.params(), S[k])
-        proven[k] = res.dual_bound
+        for j in twins:
+            proven[j] = res.dual_bound
 
     upd = BoundUpdate(z_box=(z_lb, z_ub))
     for row, ((kind, key), old) in enumerate(zip(targets, olds)):
